@@ -6,7 +6,6 @@
      dune exec bench/main.exe -- --only fig5  -- run one experiment
      dune exec bench/main.exe -- --fast       -- small networks only
      dune exec bench/main.exe -- --jobs 4     -- size of the worker pool
-     dune exec bench/main.exe -- --repeat 5   -- timing samples per point
      dune exec bench/main.exe -- --list       -- list experiment ids
 
    Absolute numbers differ from the paper (our substrate is a native
@@ -14,21 +13,8 @@
    shapes being checked are stated in each header. *)
 
 let fast = ref false
-let repeat = ref 3
 
 let ids () = if !fast then Runs.fast_ids else Runs.all_ids
-
-(* Sub-millisecond measurements are dominated by scheduler and GC noise:
-   the timing experiments take the median of [!repeat] samples, with each
-   sample's [Gc.minor_words] delta recorded per iteration rather than
-   once around the whole batch (which rounded small nets down to 0). *)
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else if n mod 2 = 1 then a.(n / 2)
-  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 let header title expectation =
   Printf.printf "\n==================================================================\n";
@@ -448,12 +434,16 @@ let deanon () =
       List.iter
         (fun variant ->
           let r = Runs.get ~variant ~k_r:6 ~k_h:2 id in
-          let uniform =
-            Confmask.Deanon.uniform_filter_links r.anon_snapshot r.anon_configs
+          let assess attack claimed =
+            Redteam.Attack.edge_score ~attack ~truth:r.fake_edges ~claimed ()
           in
-          let dead = Confmask.Deanon.no_traffic_links r.anon_snapshot in
-          let s1 = Confmask.Deanon.assess ~fake_edges:r.fake_edges ~flagged:uniform in
-          let s2 = Confmask.Deanon.assess ~fake_edges:r.fake_edges ~flagged:dead in
+          let s1 =
+            assess "filter_pattern"
+              (Redteam.Links.filter_links r.anon_snapshot r.anon_configs)
+          in
+          let s2 =
+            assess "no_traffic" (Redteam.Links.no_traffic_links r.anon_snapshot)
+          in
           Printf.printf "%-3s %-10s | %9.1f%% %10.1f%% | %9.1f%% %10.1f%% | %5d\n" id
             (Runs.variant_name variant)
             (100.0 *. s1.recall) (100.0 *. s1.precision)
@@ -531,7 +521,7 @@ let ext_scale () =
         [ 0; 4; 8 ])
     nets
 
-(* ---------------- Timing: incremental engine vs full re-simulation ------- *)
+(* ---------------- Batch grids: cold vs warm persistent cache ---------- *)
 
 let json_escape s =
   String.concat ""
@@ -539,71 +529,6 @@ let json_escape s =
        (function
          | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
-
-let timing () =
-  let k_r = 6 and k_h = 2 in
-  header
-    (Printf.sprintf
-       "Timing: ConfMask pipeline wall-clock (k_R = %d, k_H = %d), full \
-        re-simulation per edit vs incremental engine"
-       k_r k_h)
-    "the incremental engine cuts pipeline time; the gap widens with network \
-     size (the fixpoints dominate). Hit rates come from the incremental \
-     run's engine counters. Results land in BENCH_PR2.json.";
-  Printf.printf "%-3s %-11s %14s %14s %9s %9s %9s %9s\n" "ID" "Network"
-    "full resim" "incremental" "speedup" "spf-hit" "fib-hit" "bgp-skip";
-  let measure id incremental =
-    let configs = Netgen.Nets.configs (Netgen.Nets.find id) in
-    match
-      Runs.pipeline ~incremental ~variant:Runs.Confmask_v ~k_r ~k_h configs
-    with
-    | Ok (_, _, _, _, seconds, stats) -> (seconds, stats)
-    | Error m -> failwith (Printf.sprintf "timing (net %s): %s" id m)
-  in
-  let rows =
-    List.map
-      (fun id ->
-        let base, _ = measure id false in
-        let inc, stats = measure id true in
-        let label = (Netgen.Nets.find id).label in
-        let spf_hit =
-          Runs.hit_rate stats ~reuse:"engine.spf_reuse" ~miss:"engine.spf_full"
-        in
-        let fib_hit =
-          Runs.hit_rate stats ~reuse:"engine.fib_reuse" ~miss:"engine.fib_build"
-        in
-        let bgp_skips = Runs.stat stats "engine.bgp_skip" in
-        Printf.printf
-          "%-3s %-11s %13.2fs %13.2fs %8.1fx %8.1f%% %8.1f%% %9d\n%!" id label
-          base inc (base /. inc) (100.0 *. spf_hit) (100.0 *. fib_hit)
-          bgp_skips;
-        (id, label, base, inc, spf_hit, fib_hit, bgp_skips))
-      (ids ())
-  in
-  let out = open_out "BENCH_PR2.json" in
-  Printf.fprintf out
-    "{\n  \"experiment\": \"confmask pipeline seconds, full re-simulation \
-     per edit vs incremental engine, with engine cache-hit rates\",\n\
-    \  \"k_r\": %d,\n  \"k_h\": %d,\n  \"seed\": %d,\n  \"jobs\": %d,\n\
-    \  \"networks\": [\n"
-    k_r k_h Runs.seed
-    (Netcore.Pool.jobs (Netcore.Pool.default ()));
-  List.iteri
-    (fun i (id, label, base, inc, spf_hit, fib_hit, bgp_skips) ->
-      Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"baseline_seconds\": %.3f, \
-         \"incremental_seconds\": %.3f, \"speedup\": %.2f, \
-         \"spf_hit_rate\": %.3f, \"fib_hit_rate\": %.3f, \
-         \"bgp_skips\": %d}%s\n"
-        (json_escape id) (json_escape label) base inc (base /. inc) spf_hit
-        fib_hit bgp_skips
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf out "  ]\n}\n";
-  close_out out;
-  Printf.printf "[wrote BENCH_PR2.json]\n"
-
-(* ---------------- Batch grids: cold vs warm persistent cache ---------- *)
 
 let batch_combos = [ (2, 2); (6, 2); (10, 2); (6, 4); (6, 6) ]
 
@@ -704,313 +629,6 @@ let batch_bench () =
   close_out out;
   Printf.printf "[wrote BENCH_PR4.json]\n"
 
-(* ---------------- Kernels: legacy map kernels vs compiled core -------- *)
-
-let kernels () =
-  header
-    "Kernels: cold full simulation + data-plane extraction, legacy map \
-     kernels vs compiled core (interned ids, CSR Dijkstra, LPM trie)"
-    "the compiled kernels cut wall clock >= 1.5x on the largest networks \
-     and allocate far less on the minor heap. Results land in \
-     BENCH_PR5.json.";
-  Printf.printf "%-3s %-11s %11s %11s %8s %12s %12s %10s\n" "ID" "Network"
-    "legacy" "compiled" "speedup" "minor-Mw(l)" "minor-Mw(c)" "major(l/c)";
-  let measure mode configs =
-    Routing.Compiled.with_kernels mode (fun () ->
-        (* Median of [!repeat] samples; each sample gets its own GC delta
-           so even sub-millisecond nets report nonzero minor words. *)
-        let samples =
-          List.init (max 1 !repeat) (fun _ ->
-              Gc.full_major ();
-              let g0 = Gc.quick_stat () in
-              let t0 = Unix.gettimeofday () in
-              let snap = Routing.Simulate.run_exn configs in
-              let dp = Routing.Simulate.dataplane snap in
-              ignore (Sys.opaque_identity dp);
-              let dt = Unix.gettimeofday () -. t0 in
-              let g1 = Gc.quick_stat () in
-              ( dt,
-                g1.minor_words -. g0.minor_words,
-                g1.major_collections - g0.major_collections ))
-        in
-        ( median (List.map (fun (d, _, _) -> d) samples),
-          median (List.map (fun (_, m, _) -> m) samples),
-          List.fold_left (fun a (_, _, c) -> max a c) 0 samples ))
-  in
-  let rows =
-    List.map
-      (fun id ->
-        let configs = Netgen.Nets.configs (Netgen.Nets.find id) in
-        let leg_s, leg_mw, leg_mc = measure `Legacy configs in
-        let cmp_s, cmp_mw, cmp_mc = measure `Compiled configs in
-        let label = (Netgen.Nets.find id).label in
-        Printf.printf
-          "%-3s %-11s %10.3fs %10.3fs %7.1fx %11.1f %11.1f %5d/%-4d\n%!" id
-          label leg_s cmp_s (leg_s /. cmp_s) (leg_mw /. 1e6) (cmp_mw /. 1e6)
-          leg_mc cmp_mc;
-        (id, label, leg_s, cmp_s, leg_mw, cmp_mw, leg_mc, cmp_mc))
-      (ids ())
-  in
-  let out = open_out "BENCH_PR5.json" in
-  Printf.fprintf out
-    "{\n  \"experiment\": \"cold full simulation + data-plane extraction, \
-     legacy map kernels vs compiled core (wall seconds, minor-heap words, \
-     major collections)\",\n  \"seed\": %d,\n  \"jobs\": %d,\n\
-    \  \"networks\": [\n"
-    Runs.seed
-    (Netcore.Pool.jobs (Netcore.Pool.default ()));
-  List.iteri
-    (fun i (id, label, leg_s, cmp_s, leg_mw, cmp_mw, leg_mc, cmp_mc) ->
-      Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"legacy_seconds\": %.3f, \
-         \"compiled_seconds\": %.3f, \"speedup\": %.2f, \
-         \"legacy_minor_words\": %.0f, \"compiled_minor_words\": %.0f, \
-         \"legacy_major_collections\": %d, \
-         \"compiled_major_collections\": %d}%s\n"
-        (json_escape id) (json_escape label) leg_s cmp_s (leg_s /. cmp_s)
-        leg_mw cmp_mw leg_mc cmp_mc
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf out "  ]\n}\n";
-  close_out out;
-  Printf.printf "[wrote BENCH_PR5.json]\n"
-
-(* ---------------- Scale: 10x-size nets, FEC + batched SPF ------------- *)
-
-let scale_bench () =
-  header
-    "Scale: cold full simulation + data-plane extraction, FEC collapse + \
-     batched SPF selection on (default) vs off (the PR 5 per-pair / \
-     per-router path, CONFMASK_FEC=off)"
-    "the collapsed pipeline holds >= 3x on the largest Table 2 nets (F, H) \
-     and completes the 10x presets (FatTree16, Waxman500/1000) that the \
-     per-pair path cannot touch interactively. Results land in \
-     BENCH_PR6.json.";
-  let entries =
-    [ Netgen.Nets.find "F"; Netgen.Nets.find "H" ]
-    @ (if !fast then [ Netgen.Nets.find "FT16" ] else Netgen.Nets.scale ())
-  in
-  let measure mode configs =
-    Routing.Fec.with_mode mode (fun () ->
-        let samples =
-          List.init (max 1 !repeat) (fun _ ->
-              Gc.full_major ();
-              let c0 = Netcore.Telemetry.counters () in
-              let g0 = Gc.quick_stat () in
-              let t0 = Unix.gettimeofday () in
-              let snap = Routing.Simulate.run_exn configs in
-              let dp = Routing.Simulate.dataplane snap in
-              ignore (Sys.opaque_identity dp);
-              let dt = Unix.gettimeofday () -. t0 in
-              let g1 = Gc.quick_stat () in
-              let stats =
-                Runs.counter_delta c0 (Netcore.Telemetry.counters ())
-              in
-              (dt, g1.minor_words -. g0.minor_words, stats))
-        in
-        let stats = (fun (_, _, s) -> s) (List.hd samples) in
-        ( median (List.map (fun (d, _, _) -> d) samples),
-          median (List.map (fun (_, m, _) -> m) samples),
-          stats ))
-  in
-  Printf.printf "%-5s %-11s %5s %5s %11s %11s %8s %8s %10s %8s\n" "ID"
-    "Network" "|R|" "|H|" "full" "fec" "speedup" "classes" "collapsed"
-    "traced";
-  let rows =
-    List.map
-      (fun (e : Netgen.Nets.entry) ->
-        let configs = Netgen.Nets.configs e in
-        let g = Netgen.Netspec.router_graph e.spec in
-        let routers = Netcore.Graph.num_nodes g in
-        let hosts = List.length e.spec.Netgen.Netspec.hosts in
-        let seq_s, seq_mw, _ = measure `Off configs in
-        let par_s, par_mw, stats = measure `On configs in
-        let classes = Runs.stat stats "fec.classes" in
-        let collapsed = Runs.stat stats "fec.collapsed" in
-        let traced = Runs.stat stats "fec.traced" in
-        Printf.printf
-          "%-5s %-11s %5d %5d %10.3fs %10.3fs %7.1fx %8d %10d %8d\n%!" e.id
-          e.label routers hosts seq_s par_s (seq_s /. par_s) classes collapsed
-          traced;
-        ( e.id, e.label, routers, hosts, seq_s, par_s, seq_mw, par_mw, classes,
-          collapsed, traced ))
-      entries
-  in
-  (* The acceptance gate of ROADMAP open item 2: the fig5-9 pipeline must
-     complete on the 10x fat-tree, not just a single simulation. One full
-     ConfMask run (k_R = 6, k_H = 2) plus the fig5 anonymity metric stands
-     in for the figure loop; [--fast] skips it. *)
-  let ft16 =
-    if !fast then None
-    else begin
-      Printf.printf "FatTree16 fig5-9 pipeline (k_R = 6, k_H = 2): %!";
-      let r = Runs.get ~k_r:6 ~k_h:2 "FT16" in
-      let n0 = Confmask.Metrics.route_anonymity (Runs.orig_dp r) in
-      let n1 = Confmask.Metrics.route_anonymity (Runs.anon_dp r) in
-      let t1 = Confmask.Metrics.topology_of_snapshot r.anon_snapshot in
-      Printf.printf "%.1fs, N_r %.2f -> %.2f, anon k = %d\n%!" r.seconds
-        n0.nr_avg n1.nr_avg t1.min_degree_group;
-      Some (r.seconds, n0.nr_avg, n1.nr_avg, t1.min_degree_group)
-    end
-  in
-  let out = open_out "BENCH_PR6.json" in
-  Printf.fprintf out
-    "{\n  \"experiment\": \"cold full simulation + data-plane extraction at \
-     10x scale, FEC collapse + batched SPF selection vs the per-pair \
-     baseline (median wall seconds, per-iteration minor words, fec \
-     counters)\",\n\
-    \  \"seed\": %d,\n  \"jobs\": %d,\n  \"repeat\": %d,\n\
-    \  \"networks\": [\n"
-    Runs.seed
-    (Netcore.Pool.jobs (Netcore.Pool.default ()))
-    (max 1 !repeat);
-  List.iteri
-    (fun i
-         ( id, label, routers, hosts, seq_s, par_s, seq_mw, par_mw, classes,
-           collapsed, traced ) ->
-      Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"routers\": %d, \
-         \"hosts\": %d, \"full_seconds\": %.3f, \"fec_seconds\": %.3f, \
-         \"speedup\": %.2f, \"full_minor_words\": %.0f, \
-         \"fec_minor_words\": %.0f, \"fec_classes\": %d, \
-         \"fec_collapsed\": %d, \"fec_traced\": %d}%s\n"
-        (json_escape id) (json_escape label) routers hosts seq_s par_s
-        (seq_s /. par_s) seq_mw par_mw classes collapsed traced
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  (match ft16 with
-  | None -> Printf.fprintf out "  ]\n}\n"
-  | Some (secs, nr0, nr1, k) ->
-      Printf.fprintf out
-        "  ],\n  \"fattree16_fig59\": {\"k_r\": 6, \"k_h\": 2, \
-         \"pipeline_seconds\": %.1f, \"nr_avg_orig\": %.3f, \
-         \"nr_avg_anon\": %.3f, \"anon_min_degree_group\": %d}\n}\n"
-        secs nr0 nr1 k);
-  close_out out;
-  Printf.printf "[wrote BENCH_PR6.json]\n"
-
-(* ---------------- Anonfix: legacy vs incremental fixpoint ------------- *)
-
-let anonfix_bench () =
-  header
-    "Anonfix: full ConfMask workflow (k_R = 6, k_H = 2), legacy \
-     full-recompute fixpoint (CONFMASK_ANONFIX=legacy) vs the incremental \
-     path (engine deltas, pool-sharded scans, cached parallel walks, \
-     indexed edits)"
-    "outputs are byte-identical and iteration counts unchanged; the \
-     incremental path wins >= 1.5x end to end on the scale presets, where \
-     per-iteration full scans dominate. Results land in BENCH_PR10.json.";
-  let entries =
-    [ Netgen.Nets.find "D"; Netgen.Nets.find "F"; Netgen.Nets.find "H" ]
-    @ (if !fast then [ Netgen.Nets.find "FT16" ] else Netgen.Nets.scale ())
-  in
-  (* Spans are cumulative; phase seconds are the delta of the matching
-     paths (the workflow phases nest under workflow.run). *)
-  let phase_secs before after name =
-    let sum spans =
-      List.fold_left
-        (fun acc (path, _, s) ->
-          if path = name || String.ends_with ~suffix:("/" ^ name) path then
-            acc +. s
-          else acc)
-        0.0 spans
-    in
-    sum after -. sum before
-  in
-  let measure mode configs =
-    Confmask.Anonfix.with_mode mode (fun () ->
-        let samples =
-          List.init (max 1 !repeat) (fun _ ->
-              Gc.full_major ();
-              let c0 = Netcore.Telemetry.counters () in
-              let s0 = Netcore.Telemetry.spans () in
-              let t0 = Unix.gettimeofday () in
-              let r =
-                Confmask.Workflow.run_exn
-                  ~params:
-                    { Confmask.Workflow.default_params with k_r = 6; k_h = 2 }
-                  configs
-              in
-              let dt = Unix.gettimeofday () -. t0 in
-              let s1 = Netcore.Telemetry.spans () in
-              let stats =
-                Runs.counter_delta c0 (Netcore.Telemetry.counters ())
-              in
-              ( dt,
-                phase_secs s0 s1 "workflow.equiv",
-                phase_secs s0 s1 "workflow.anon",
-                stats, r ))
-        in
-        let _, _, _, stats, r = List.hd samples in
-        ( median (List.map (fun (d, _, _, _, _) -> d) samples),
-          median (List.map (fun (_, e, _, _, _) -> e) samples),
-          median (List.map (fun (_, _, a, _, _) -> a) samples),
-          stats, r ))
-  in
-  Printf.printf "%-5s %-11s %10s %10s %8s %8s %7s %7s %9s %8s %5s\n" "ID"
-    "Network" "legacy" "incr" "speedup" "equiv-x" "eq-it" "rounds" "delta-r"
-    "skipped" "same";
-  let rows =
-    List.map
-      (fun (e : Netgen.Nets.entry) ->
-        let configs = Netgen.Nets.configs e in
-        let leg_s, leg_eq, leg_an, leg_stats, leg_r = measure `Legacy configs in
-        let inc_s, inc_eq, inc_an, inc_stats, inc_r =
-          measure `Incremental configs
-        in
-        let identical =
-          Confmask.Workflow.anon_texts leg_r = Confmask.Workflow.anon_texts inc_r
-        in
-        let eq_it = Runs.stat inc_stats "equiv.iterations" in
-        let rounds = Runs.stat inc_stats "anon.iterations" in
-        let iters_match =
-          eq_it = Runs.stat leg_stats "equiv.iterations"
-          && rounds = Runs.stat leg_stats "anon.iterations"
-        in
-        let delta_r = Runs.stat inc_stats "equiv.delta_routers" in
-        let skipped = Runs.stat inc_stats "anon.walks_skipped" in
-        Printf.printf
-          "%-5s %-11s %9.2fs %9.2fs %7.1fx %7.1fx %7d %7d %9d %8d %5s\n%!"
-          e.id e.label leg_s inc_s (leg_s /. inc_s)
-          (leg_eq /. Float.max inc_eq 1e-9)
-          eq_it rounds delta_r skipped
-          (if identical && iters_match then "yes" else "<< NO");
-        ( e.id, e.label, leg_s, inc_s, leg_eq, inc_eq, leg_an, inc_an, eq_it,
-          rounds, delta_r, skipped, identical && iters_match ))
-      entries
-  in
-  let out = open_out "BENCH_PR10.json" in
-  Printf.fprintf out
-    "{\n  \"experiment\": \"full confmask workflow seconds, legacy \
-     full-recompute anonymization fixpoint vs incremental (engine deltas, \
-     pool-sharded equivalence scans, cached parallel reachability walks, \
-     indexed config edits), with per-phase medians and delta/skip \
-     counters\",\n\
-    \  \"k_r\": 6,\n  \"k_h\": 2,\n  \"seed\": %d,\n  \"jobs\": %d,\n\
-    \  \"repeat\": %d,\n  \"networks\": [\n"
-    Runs.seed
-    (Netcore.Pool.jobs (Netcore.Pool.default ()))
-    (max 1 !repeat);
-  List.iteri
-    (fun i
-         ( id, label, leg_s, inc_s, leg_eq, inc_eq, leg_an, inc_an, eq_it,
-           rounds, delta_r, skipped, ok ) ->
-      Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"legacy_seconds\": %.3f, \
-         \"incremental_seconds\": %.3f, \"speedup\": %.2f, \
-         \"legacy_equiv_seconds\": %.3f, \"incremental_equiv_seconds\": \
-         %.3f, \"legacy_anon_seconds\": %.3f, \"incremental_anon_seconds\": \
-         %.3f, \"equiv_iterations\": %d, \"repair_rounds\": %d, \
-         \"delta_routers\": %d, \"walks_skipped\": %d, \
-         \"identical_output\": %b}%s\n"
-        (json_escape id) (json_escape label) leg_s inc_s (leg_s /. inc_s)
-        leg_eq inc_eq leg_an inc_an eq_it rounds delta_r skipped ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf out "  ]\n}\n";
-  close_out out;
-  Printf.printf "[wrote BENCH_PR10.json]\n"
-
 (* ---------------- Bechamel microbenchmarks ---------------- *)
 
 let bechamel () =
@@ -1089,17 +707,13 @@ let experiments =
     ("ext-scale", ext_scale);
     ("deanon", deanon);
     ("redteam", redteam);
-    ("timing", timing);
     ("batch", batch_bench);
-    ("kernels", kernels);
-    ("scale", scale_bench);
-    ("anonfix", anonfix_bench);
     ("bechamel", bechamel);
   ]
 
 let () =
   (* Counters are cheap (one atomic add each) and the hit-rate columns of
-     fig16/timing need them, so the whole harness runs with telemetry on. *)
+     fig16 needs them, so the whole harness runs with telemetry on. *)
   Netcore.Telemetry.set_enabled true;
   let only = ref [] in
   let args = Array.to_list Sys.argv in
@@ -1118,13 +732,6 @@ let () =
         | Some n when n >= 1 -> Netcore.Pool.set_default_jobs n
         | _ ->
             Printf.eprintf "--jobs expects a positive integer\n";
-            exit 1);
-        parse rest
-    | "--repeat" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> repeat := n
-        | _ ->
-            Printf.eprintf "--repeat expects a positive integer\n";
             exit 1);
         parse rest
     | _ :: rest -> parse rest

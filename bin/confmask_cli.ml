@@ -137,6 +137,9 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
       Printf.eprintf "anonymization failed: %s\n" m;
       1
   | Ok r ->
+      (* Checked before the telemetry goes out, so the report covers the
+         data-plane extraction the check runs. *)
+      let equivalent = Confmask.Workflow.functional_equivalence r in
       emit_telemetry ~trace ~metrics_out;
       write_configs ~format out_dir r.anon_configs;
       (* The owner-side secret: which elements are fake. Needed to
@@ -163,8 +166,7 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
         (List.length r.fake_hosts)
         (List.length r.fake_router_names)
         r.equiv_iterations r.equiv_filters r.anon_filters_added
-        r.anon_filters_removed topo.min_degree_group uc
-        (Confmask.Workflow.functional_equivalence r);
+        r.anon_filters_removed topo.min_degree_group uc equivalent;
       0
 
 let in_arg =
@@ -297,8 +299,8 @@ let deanon in_dir =
       Printf.eprintf "simulation failed: %s\n" m;
       1
   | Ok snap ->
-      let uniform = Confmask.Deanon.uniform_filter_links snap configs in
-      let dead = Confmask.Deanon.no_traffic_links snap in
+      let uniform = Redteam.Links.filter_links snap configs in
+      let dead = Redteam.Links.no_traffic_links snap in
       Printf.printf "links flagged by the uniform-filter attack: %d\n"
         (List.length uniform);
       List.iter (fun (u, v) -> Printf.printf "  %s -- %s\n" u v) uniform;

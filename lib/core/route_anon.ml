@@ -98,33 +98,17 @@ let add_fake_hosts ~k_h configs (snap : Routing.Simulate.snapshot) =
   in
   (Edits.Indexed.to_configs idx, fakes)
 
-let apply_one configs f =
-  Edits.update configs f.f_router (fun c -> Attach.deny_at c f.f_attach f.f_prefix)
-
-let remove_one configs f =
-  Edits.update configs f.f_router (fun c -> Attach.undeny_at c f.f_attach f.f_prefix)
-
 (* Routers that can deliver traffic for [fp]: walk every router's FIB and
    check that all ECMP branches reach a router owning the prefix. Walks
    share a memo table — on loop-free FIBs (the common case; IGP metrics
    strictly decrease along next hops) every router is explored once
    instead of once per ECMP branch per start router. A result is
    memoized only when its computation never hit the cycle check, i.e.
-   never depended on the path taken to reach it. *)
-let reachable_routers ?owners (snap : Routing.Simulate.snapshot) fp =
+   never depended on the path taken to reach it. [owners] maps each
+   interface prefix to the routers owning it ([owners_map]). *)
+let reachable_routers ~owners (snap : Routing.Simulate.snapshot) fp =
   let owners =
-    match owners with
-    | Some m -> Option.value ~default:Sset.empty (Prefix.Map.find_opt fp m)
-    | None ->
-        Smap.fold
-          (fun rname (r : Routing.Device.router) acc ->
-            if
-              List.exists
-                (fun i -> Prefix.equal (Routing.Device.ifc_prefix i) fp)
-                r.r_ifaces
-            then Sset.add rname acc
-            else acc)
-          snap.net.routers Sset.empty
+    Option.value ~default:Sset.empty (Prefix.Map.find_opt fp owners)
   in
   let probe = Prefix.host fp 10 in
   let memo : (string, bool) Hashtbl.t = Hashtbl.create 64 in
@@ -168,10 +152,9 @@ let reachable_routers ?owners (snap : Routing.Simulate.snapshot) fp =
   |> List.sort String.compare
 
 (* Interface prefix -> owning routers, for the whole network: one pass
-   over every interface instead of one full scan per walked prefix. The
-   incremental paths build this once per simulation state and share it
-   across all of that state's walks; the per-prefix set is identical to
-   the scan [reachable_routers] does on its own. *)
+   over every interface instead of one full scan per walked prefix.
+   Built once per simulation state and shared across all of that
+   state's walks. *)
 let owners_map (net : Routing.Device.network) =
   Smap.fold
     (fun rname (r : Routing.Device.router) acc ->
@@ -219,7 +202,6 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
         match Routing.Engine.apply_edit eng0 configs with
         | Error m -> Error ("route_anon: fake-host simulation failed: " ^ m)
         | Ok eng ->
-            let incremental = Anonfix.incremental () in
             let pool = Routing.Engine.pool eng in
             let snap = Routing.Engine.snapshot eng in
             let fake_prefixes =
@@ -234,21 +216,14 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                are independent and run in parallel. *)
             let baseline =
               Telemetry.with_span "anon.baseline_walks" @@ fun () ->
-              if incremental then
-                let owners = owners_map snap.net in
-                Pool.parallel_map ?pool
-                  (fun fp -> (fp, reachable_routers ~owners snap fp))
-                  fake_prefixes
-              else List.map (fun fp -> (fp, reachable_routers snap fp)) fake_prefixes
+              let owners = owners_map snap.net in
+              Pool.parallel_map ?pool
+                (fun fp -> (fp, reachable_routers ~owners snap fp))
+                fake_prefixes
             in
             (* Plan filters: per (router, fake prefix, next hop), with
                probability p. The row scan stays in [host_routes] order —
                it drives the RNG draw sequence. *)
-            let fake_pset =
-              List.fold_left
-                (fun s fp -> Prefix.Set.add fp s)
-                Prefix.Set.empty fake_prefixes
-            in
             let plan_row r hp nxts =
               List.filter_map
                 (fun nxt ->
@@ -262,40 +237,31 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
             in
             let planned =
               Telemetry.with_span "anon.plan" @@ fun () ->
-              if incremental then
-                (* Only fake-prefix rows ever draw from the RNG, and
-                   [host_routes] orders its rows by (router, prefix) — so
-                   walking the FIB map in name order against the sorted
-                   fake prefixes visits exactly that subsequence, in the
-                   same order, without materializing (or sorting) the
-                   full real+fake relation. *)
-                let fake_sorted = List.sort Prefix.compare fake_prefixes in
-                List.concat_map
-                  (fun (r, fib) ->
-                    List.concat_map
-                      (fun hp ->
-                        match Routing.Fib.find fib hp with
-                        | Some (route : Routing.Fib.route)
-                          when route.rt_nexthops <> [] ->
-                            plan_row r hp (Routing.Fib.nexthop_names route)
-                        | Some _ | None -> [])
-                      fake_sorted)
-                  (Smap.bindings snap.fibs)
-              else
-                List.concat_map
-                  (fun (r, hp, nxts) ->
-                    if not (Prefix.Set.mem hp fake_pset) then []
-                    else plan_row r hp nxts)
-                  (Routing.Simulate.host_routes snap)
+              (* Only fake-prefix rows ever draw from the RNG, and
+                 [host_routes] orders its rows by (router, prefix) — so
+                 walking the FIB map in name order against the sorted
+                 fake prefixes visits exactly that subsequence, in the
+                 same order, without materializing (or sorting) the full
+                 real+fake relation. *)
+              let fake_sorted = List.sort Prefix.compare fake_prefixes in
+              List.concat_map
+                (fun (r, fib) ->
+                  List.concat_map
+                    (fun hp ->
+                      match Routing.Fib.find fib hp with
+                      | Some (route : Routing.Fib.route)
+                        when route.rt_nexthops <> [] ->
+                          plan_row r hp (Routing.Fib.nexthop_names route)
+                      | Some _ | None -> [])
+                    fake_sorted)
+                (Smap.bindings snap.fibs)
             in
             let configs =
-              if incremental then
-                Edits.update_all configs
-                  (List.map
-                     (fun f ->
-                       (f.f_router, fun c -> Attach.deny_at c f.f_attach f.f_prefix))
-                     planned)
-              else List.fold_left apply_one configs planned
+              Edits.update_all configs
+                (List.map
+                   (fun f ->
+                     (f.f_router, fun c -> Attach.deny_at c f.f_attach f.f_prefix))
+                   planned)
             in
             (* Reachability repair: any fake prefix that lost a router must
                shed the filters on the routers where walks now dead-end. *)
@@ -303,69 +269,7 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                changed since it was last checked clean: the added filters
                are per-prefix denies on disjoint fake /24s, so rolling one
                back can only move its own prefix's routes. *)
-            (* Legacy repair: recompute every suspect's walk sequentially
-               each round. Kept verbatim behind [Anonfix] as the
-               differential baseline for the cached parallel path below. *)
-            let rec repair_legacy eng configs active removed guard suspect =
-              Telemetry.incr c_iterations;
-              match Routing.Engine.apply_edit eng configs with
-              | Error m -> Error ("route_anon: repair simulation failed: " ^ m)
-              | Ok eng ->
-                  let snap' = Routing.Engine.snapshot eng in
-                  let broken =
-                    Telemetry.with_span "anon.repair_walks" @@ fun () ->
-                    List.filter_map
-                      (fun (fp, routers0) ->
-                        let now = reachable_routers snap' fp in
-                        let lost = lost_routers routers0 now in
-                        if lost = [] then None else Some (fp, lost))
-                      suspect
-                  in
-                  if broken = [] then Ok (eng, configs, active, removed)
-                  else if guard <= 0 then
-                    Error "route_anon: reachability repair did not converge"
-                  else begin
-                    let to_remove, keep =
-                      List.partition
-                        (fun f ->
-                          List.exists
-                            (fun (fp, lost) ->
-                              Prefix.equal f.f_prefix fp && List.mem f.f_router lost)
-                            broken)
-                        active
-                    in
-                    (* No filter sits on a lost router: fall back to
-                       removing every filter of the broken prefixes. *)
-                    let to_remove, keep =
-                      if to_remove <> [] then (to_remove, keep)
-                      else
-                        List.partition
-                          (fun f ->
-                            List.exists
-                              (fun (fp, _) -> Prefix.equal f.f_prefix fp)
-                              broken)
-                          active
-                    in
-                    if to_remove = [] then
-                      Error
-                        "route_anon: fake host unreachable with no filter to \
-                         roll back"
-                    else
-                      let configs = List.fold_left remove_one configs to_remove in
-                      let suspect =
-                        List.filter
-                          (fun (fp, _) ->
-                            List.exists
-                              (fun f -> Prefix.equal f.f_prefix fp)
-                              to_remove)
-                          baseline
-                      in
-                      repair_legacy eng configs keep
-                        (removed + List.length to_remove)
-                        (guard - 1) suspect
-                  end
-            in
-            (* Incremental repair. [walks] caches each fake prefix's last
+            (* Repair. [walks] caches each fake prefix's last
                reachable set; an entry stays valid across an edit as long
                as no delta router's FIB lookup for the prefix's probe
                changed — the walk reads nothing else (owners come from
@@ -377,7 +281,7 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                outside [suspect] too. Fresh walks run in parallel; results
                fold back in suspect order, so the job count is
                unobservable. *)
-            let rec repair_incr eng prev_fibs walks configs active removed
+            let rec repair eng prev_fibs walks configs active removed
                 guard suspect =
               Telemetry.incr c_iterations;
               match Routing.Engine.apply_edit eng configs with
@@ -476,25 +380,20 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                               to_remove)
                           baseline
                       in
-                      repair_incr eng snap'.fibs walks configs keep
+                      repair eng snap'.fibs walks configs keep
                         (removed + List.length to_remove)
                         (guard - 1) suspect
                   end
             in
             let repaired =
-              if incremental then
-                let walks0 =
-                  List.fold_left
-                    (fun w (fp, now) -> Prefix.Map.add fp now w)
-                    Prefix.Map.empty baseline
-                in
-                repair_incr eng snap.fibs walks0 configs planned 0
-                  (List.length planned + 4)
-                  baseline
-              else
-                repair_legacy eng configs planned 0
-                  (List.length planned + 4)
-                  baseline
+              let walks0 =
+                List.fold_left
+                  (fun w (fp, now) -> Prefix.Map.add fp now w)
+                  Prefix.Map.empty baseline
+              in
+              repair eng snap.fibs walks0 configs planned 0
+                (List.length planned + 4)
+                baseline
             in
             Result.map
               (fun (eng, configs, active, removed) ->

@@ -43,12 +43,6 @@ let fib_equal_on_hosts ~orig snap =
   let b = restrict_to hps (nexthop_map snap) in
   Kmap.equal (List.equal String.equal) a b
 
-(* Apply one deny filter at router [r] against destination [hp], on the
-   fake attachment toward [nxt]: an IGP distribute-list when the fake link
-   runs the IGP, a BGP neighbor filter when it is a fake eBGP adjacency. *)
-let apply_filter net configs r nxt hp =
-  Attach.deny configs net ~router:r ~toward:nxt hp
-
 (* One router's rows of the [host_routes] relation, in host-prefix order —
    exactly the rows [Routing.Simulate.host_routes] would sort together
    under this router's name, so concatenating per-router results in name
@@ -88,59 +82,15 @@ let fix ?max_iters ?engine ?cache ~orig ~fake_edges configs =
     | Some e -> Routing.Engine.apply_edit e configs
     | None -> Routing.Engine.of_configs ?cache configs
   in
-  (* The legacy fixpoint: rescan every router's host routes from scratch
-     on every iteration, apply each filter with its own pass over the
-     config list. Kept verbatim behind [Anonfix] as the differential-
-     fuzzing baseline for the incremental path below. *)
-  let fix_legacy eng0 configs =
-    let rec loop eng configs iter filters =
-      Telemetry.incr c_iterations;
-      let snap = Routing.Engine.snapshot eng in
-      let wrong =
-        Telemetry.with_span "equiv.scan" @@ fun () ->
-        List.concat_map
-          (fun (r, hp, nxts) ->
-            let ok = orig_set r hp in
-            List.filter_map
-              (fun nxt ->
-                if (not (List.mem nxt ok)) && fake r nxt then Some (r, hp, nxt)
-                else None)
-              nxts)
-          (Routing.Simulate.host_routes snap)
-      in
-      if wrong = [] then
-        if fib_equal_on_hosts ~orig snap then
-          Ok { configs; iterations = iter; filters_added = filters; engine = eng }
-        else
-          Error
-            "route_equiv: FIBs differ from the original but no fake-edge \
-             next hop is left to filter"
-      else if iter >= max_iters then
-        Error
-          (Printf.sprintf "route_equiv: no convergence after %d iterations" iter)
-      else
-        let configs =
-          List.fold_left
-            (fun configs (r, hp, nxt) ->
-              apply_filter snap.net configs r nxt hp)
-            configs wrong
-        in
-        Telemetry.add c_filters (List.length wrong);
-        match Routing.Engine.apply_edit eng configs with
-        | Error m -> Error ("route_equiv: simulation failed: " ^ m)
-        | Ok eng -> loop eng configs (iter + 1) (filters + List.length wrong)
-    in
-    loop eng0 configs 1 0
-  in
-  (* The incremental fixpoint. The per-router rows and wrong-set entries
-     are persistent maps; after the first full scan, each iteration only
+  (* The fixpoint. The per-router rows and wrong-set entries are
+     persistent maps; after the first full scan, each iteration only
      recomputes the routers in the engine's FIB delta — a row is a pure
      function of the router's FIB and the (loop-invariant) host-prefix
      list, so an unchanged FIB means an unchanged row. The scan is
      sharded over contiguous router chunks ([Pool.chunked_map], the
      [Ospf.select_all] convention), whose order-preserving fold-back
      keeps the result independent of the job count. *)
-  let fix_incremental eng0 configs =
+  let fix_from eng0 configs =
     let pool = Routing.Engine.pool eng0 in
     let snap0 = Routing.Engine.snapshot eng0 in
     let hps = Routing.Simulate.host_prefixes snap0.net in
@@ -241,6 +191,4 @@ let fix ?max_iters ?engine ?cache ~orig ~fake_edges configs =
   in
   match initial with
   | Error m -> Error ("route_equiv: simulation failed: " ^ m)
-  | Ok eng0 ->
-      if Anonfix.incremental () then fix_incremental eng0 configs
-      else fix_legacy eng0 configs
+  | Ok eng0 -> fix_from eng0 configs

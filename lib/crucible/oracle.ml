@@ -17,6 +17,20 @@ let fail fmt = Printf.ksprintf (fun m -> Fail m) fmt
 
 (* -------------------- differential FIB -------------------- *)
 
+type kernels = {
+  ospf :
+    ?scope:(string -> bool) ->
+    Routing.Device.network ->
+    Routing.Fib.route list Smap.t;
+  dataplane : Routing.Simulate.snapshot -> Routing.Dataplane.t;
+}
+
+let production =
+  {
+    ospf = (fun ?scope net -> Routing.Ospf.compute ?scope net);
+    dataplane = (fun s -> Routing.Simulate.dataplane s);
+  }
+
 let traces_equal a b =
   Hashtbl.length a = Hashtbl.length b
   && Hashtbl.fold
@@ -24,30 +38,47 @@ let traces_equal a b =
          acc && Hashtbl.find_opt b k = Some t)
        a true
 
-(* Compare the compiled kernels (interned CSR Dijkstra, LPM trie,
-   table-driven traceroute) against the legacy map-based ones on one
-   config list: whole-simulation FIBs, per-router trie-vs-probe lookups
-   on every host address, and the full data plane, which must agree
-   trace-for-trace. [compiled] short-circuits the compiled-side
-   simulation when the caller already ran one. *)
-let kernel_divergence ?compiled configs =
-  let compiled_snap =
-    match compiled with
-    | Some s when Routing.Compiled.use_compiled () -> s
-    | _ ->
-        Routing.Compiled.with_kernels `Compiled (fun () ->
-            Routing.Simulate.run_exn configs)
+(* Routes in prefix order, which the model leaves open. Next-hop order is
+   compared as given: both sides list next hops in adjacency order, and
+   the traceroute walk depends on it. *)
+let canon_routes m =
+  Smap.map
+    (List.sort (fun (a : Routing.Fib.route) (b : Routing.Fib.route) ->
+         Prefix.compare a.rt_prefix b.rt_prefix))
+    m
+
+(* Compare the production kernels against [Reference] on one snapshot:
+   OSPF selection and min-cost distances per IGP domain, trie-vs-probe
+   lookups on every host address, and the data plane, which must agree
+   trace for trace with one plain traceroute per host pair. *)
+let kernel_divergence ?(kernels = production) (snap : Routing.Simulate.snapshot)
+    =
+  let net = snap.net in
+  let domains = Routing.Simulate.igp_domains net in
+  let ospf_diverges (d : Routing.Simulate.igp_domain) =
+    let scope = d.dom_scope in
+    not
+      (Smap.equal ( = )
+         (canon_routes (kernels.ospf ~scope net))
+         (canon_routes (Reference.ospf_routes ~scope net)))
   in
-  let legacy_snap =
-    Routing.Compiled.with_kernels `Legacy (fun () ->
-        Routing.Simulate.run_exn configs)
+  let min_cost_diverges (d : Routing.Simulate.igp_domain) =
+    List.exists
+      (fun u ->
+        let scope = d.dom_scope in
+        not
+          (Smap.equal Int.equal
+             (Routing.Ospf.min_cost ~scope net u)
+             (Reference.min_cost ~scope net u)))
+      d.dom_members
   in
-  if not (fibs_equal compiled_snap.fibs legacy_snap.fibs) then Some "FIBs"
+  if List.exists ospf_diverges domains then Some "OSPF routes"
+  else if List.exists min_cost_diverges domains then Some "OSPF min_cost"
   else
     let addrs =
       Smap.fold
         (fun _ (h : Routing.Device.host) acc -> h.h_addr :: acc)
-        compiled_snap.net.hosts []
+        net.hosts []
     in
     let lpm_diverges =
       Smap.exists
@@ -56,35 +87,14 @@ let kernel_divergence ?compiled configs =
           List.exists
             (fun a -> Routing.Fib.lookup fib a <> Routing.Fib.lookup_lpm lpm a)
             addrs)
-        compiled_snap.fibs
+        snap.fibs
     in
     if lpm_diverges then Some "LPM lookups"
-    else
-      let dp_compiled =
-        Routing.Compiled.with_kernels `Compiled (fun () ->
-            Routing.Simulate.dataplane compiled_snap)
-      in
-      let dp_legacy =
-        Routing.Compiled.with_kernels `Legacy (fun () ->
-            Routing.Simulate.dataplane legacy_snap)
-      in
-      if not (traces_equal dp_compiled dp_legacy) then Some "data-plane traces"
-      else
-        (* FEC collapse must be invisible: the collapsed extraction
-           (classify, trace representatives, fan out) and the plain
-           per-pair extraction must agree trace for trace. When the
-           process already runs with CONFMASK_FEC=off both sides take
-           the full path and the check is vacuous. *)
-        let dp_full =
-          Routing.Fec.with_mode `Off (fun () ->
-              Routing.Compiled.with_kernels `Compiled (fun () ->
-                  Routing.Simulate.dataplane compiled_snap))
-        in
-        if not (traces_equal dp_compiled dp_full) then
-          Some "FEC-collapsed vs full extraction"
-        else None
+    else if not (traces_equal (kernels.dataplane snap) (Reference.dataplane snap))
+    then Some "data-plane traces"
+    else None
 
-let diff_fib_check ~seed spec =
+let diff_fib_check kernels ~seed spec =
   let configs0 = Netgen.Emit.emit spec in
   (* Single- vs multi-domain pool: parallelism must not change results. *)
   let pool1 = Pool.create ~jobs:1 () in
@@ -110,9 +120,10 @@ let diff_fib_check ~seed spec =
     if not (fibs_equal (Routing.Engine.fibs !eng) par.fibs) then
       Fail "engine initial build diverges from from-scratch simulation"
     else begin
-      match kernel_divergence ~compiled:par configs0 with
+      match kernel_divergence ~kernels par with
       | Some what ->
-          fail "legacy vs compiled kernels diverge on %s (initial build)" what
+          fail "production diverges from the reference on %s (initial build)"
+            what
       | None ->
       (* Edit walk covering every edit family the anonymization pipeline
          issues — deny filters and their rollback (the fixpoints),
@@ -204,10 +215,10 @@ let diff_fib_check ~seed spec =
         if not (fibs_equal (Routing.Engine.fibs !eng) fresh.fibs) then
           verdict := fail "incremental engine diverges from scratch after edit %d" !step
         else begin
-          match kernel_divergence ~compiled:fresh !configs with
+          match kernel_divergence ~kernels fresh with
           | Some what ->
               verdict :=
-                fail "legacy vs compiled kernels diverge on %s after edit %d"
+                fail "production diverges from the reference on %s after edit %d"
                   what !step
           | None -> ()
         end
@@ -216,15 +227,16 @@ let diff_fib_check ~seed spec =
     end
   end
 
-let diff_fib =
+let diff_fib_with kernels =
   {
     name = "diff_fib";
     doc =
-      "engine vs from-scratch vs pool-parallel (jobs 1 and 4) vs \
-       legacy-kernel FIBs and traces, FEC-collapsed vs full extraction, \
-       with an edit walk";
-    check = diff_fib_check;
+      "engine vs from-scratch vs pool-parallel (jobs 1 and 4) FIBs, OSPF \
+       and data plane vs the naive reference, with an edit walk";
+    check = diff_fib_check kernels;
   }
+
+let diff_fib = diff_fib_with production
 
 (* -------------------- workflow invariants -------------------- *)
 
@@ -243,69 +255,30 @@ let workflow_check ~seed spec =
       if not (Gmetrics.is_k_degree_anonymous params.k_r g) then
         fail "anonymized topology is not %d-degree anonymous (min group %d)"
           params.k_r (Gmetrics.min_degree_group g)
-      else if not (Confmask.Workflow.functional_equivalence r) then
-        Fail "functional equivalence violated (routes or preserved elements)"
-      else begin
-        (* Determinism: a second run under the same seed must be
-           byte-identical, parallel pool and all. *)
-        match Confmask.Workflow.run ~params configs with
-        | Error m -> fail "workflow error on re-run: %s" m
-        | Ok r2 ->
-            if Confmask.Workflow.anon_texts r <> Confmask.Workflow.anon_texts r2
-            then Fail "output not byte-identical under a fixed seed"
-            else Pass
-      end
+      else
+        match
+          Reference.equivalence ~orig:r.orig_snapshot ~anon:r.anon_snapshot
+        with
+        | Error m -> fail "functional equivalence violated: %s" m
+        | Ok () -> (
+            (* Determinism: a second run under the same seed must be
+               byte-identical, parallel pool and all. *)
+            match Confmask.Workflow.run ~params configs with
+            | Error m -> fail "workflow error on re-run: %s" m
+            | Ok r2 ->
+                if
+                  Confmask.Workflow.anon_texts r
+                  <> Confmask.Workflow.anon_texts r2
+                then Fail "output not byte-identical under a fixed seed"
+                else Pass)
 
 let workflow =
   {
     name = "workflow";
-    doc = "k-degree anonymity, functional equivalence, seed determinism";
+    doc =
+      "k-degree anonymity, functional equivalence on the reference data \
+       plane, seed determinism";
     check = workflow_check;
-  }
-
-(* -------------------- differential anonfix -------------------- *)
-
-(* The anonymization fixpoint is itself an edit walk — every iteration of
-   [Route_equiv.fix] and [Route_anon]'s repair loop applies a filter
-   batch and re-simulates. Replaying the whole walk in both fixpoint
-   modes (legacy full-recompute per iteration vs engine-delta scans with
-   cached parallel reachability walks) must produce byte-identical
-   configurations and identical iteration/filter counts. *)
-let anonfix_check ~seed spec =
-  let configs = Netgen.Emit.emit spec in
-  let params = wf_params ~seed in
-  let in_mode m =
-    Confmask.Anonfix.with_mode m (fun () -> Confmask.Workflow.run ~params configs)
-  in
-  match (in_mode `Legacy, in_mode `Incremental) with
-  | Error m, Error m' when String.equal m m' -> Pass
-  | Error m, Error m' ->
-      fail "modes fail differently: legacy %S vs incremental %S" m m'
-  | Error m, Ok _ -> fail "legacy fails (%s) but incremental succeeds" m
-  | Ok _, Error m -> fail "incremental fails (%s) but legacy succeeds" m
-  | Ok l, Ok i ->
-      if Confmask.Workflow.anon_texts l <> Confmask.Workflow.anon_texts i then
-        Fail "anonymized outputs differ between legacy and incremental anonfix"
-      else if
-        l.equiv_iterations <> i.equiv_iterations
-        || l.equiv_filters <> i.equiv_filters
-      then
-        fail "equivalence loop diverged: legacy %d iters / %d filters, incremental %d / %d"
-          l.equiv_iterations l.equiv_filters i.equiv_iterations i.equiv_filters
-      else if
-        l.anon_filters_added <> i.anon_filters_added
-        || l.anon_filters_removed <> i.anon_filters_removed
-      then
-        fail "repair loop diverged: legacy +%d/-%d filters, incremental +%d/-%d"
-          l.anon_filters_added l.anon_filters_removed i.anon_filters_added
-          i.anon_filters_removed
-      else Pass
-
-let anonfix =
-  {
-    name = "anonfix";
-    doc = "legacy vs incremental anonymization fixpoint byte-identity";
-    check = anonfix_check;
   }
 
 (* -------------------- metamorphic: router renaming -------------------- *)
@@ -591,7 +564,6 @@ let all =
   [
     diff_fib;
     workflow;
-    anonfix;
     rename;
     scrub;
     reanon;

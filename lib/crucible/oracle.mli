@@ -9,18 +9,15 @@
     The suite:
     - [diff_fib] — differential simulation: sequential vs parallel
       {!Netcore.Pool}, incremental {!Routing.Engine} vs from-scratch
-      {!Routing.Simulate}, including a short random deny/undeny edit walk
-      re-checked against a fresh simulation after every step;
+      {!Routing.Simulate}, and the production kernels vs {!Reference}
+      ({!kernel_divergence}), including a short random edit walk
+      re-checked after every step;
     - [workflow] — anonymization invariants after {!Confmask.Workflow}:
       k-degree anonymity of the anonymized topology, functional
-      equivalence (original nodes/links/hosts preserved and identical
-      delivered path sets), and byte-identical output on a second run
-      under the same seed;
-    - [anonfix] — differential: the whole anonymization workflow replayed
-      under [CONFMASK_ANONFIX=legacy] (full recompute per fixpoint
-      iteration) and the incremental mode (engine-delta scans, cached
-      parallel reachability walks) must produce byte-identical outputs
-      and identical iteration/filter counts;
+      equivalence checked by {!Reference.equivalence} (original
+      nodes/links/hosts preserved and identical delivered path sets on
+      the reference data plane), and byte-identical output on a second
+      run under the same seed;
     - [rename] — metamorphic: permuting router names (same declaration
       order, so the emitter assigns identical addresses) must permute the
       FIBs without changing their structure;
@@ -52,7 +49,6 @@ type t = {
 
 val diff_fib : t
 val workflow : t
-val anonfix : t
 val rename : t
 val reanon : t
 val scrub : t
@@ -61,8 +57,35 @@ val deanon_budget : t
 
 val all : t list
 (** In cost order:
-    [diff_fib; workflow; anonfix; rename; scrub; reanon; policy_transfer;
+    [diff_fib; workflow; rename; scrub; reanon; policy_transfer;
      deanon_budget]. *)
+
+(** {1 Production against the reference} *)
+
+type kernels = {
+  ospf :
+    ?scope:(string -> bool) ->
+    Routing.Device.network ->
+    Routing.Fib.route list Routing.Device.Smap.t;
+  dataplane : Routing.Simulate.snapshot -> Routing.Dataplane.t;
+}
+(** The production functions [diff_fib] checks against {!Reference}. *)
+
+val production : kernels
+(** [Routing.Ospf.compute] and [Routing.Simulate.dataplane]. *)
+
+val kernel_divergence :
+  ?kernels:kernels -> Routing.Simulate.snapshot -> string option
+(** Compares [kernels] (default {!production}) with {!Reference} on one
+    snapshot: OSPF routes and [Routing.Ospf.min_cost] distances per IGP
+    domain, [Routing.Fib.lookup_lpm] against [Routing.Fib.lookup] on
+    every host address, and the data plane trace for trace. Names the
+    first part that differs, or [None]. *)
+
+val diff_fib_with : kernels -> t
+(** [diff_fib] run against other kernels: [diff_fib = diff_fib_with
+    production]. Tests pass deliberately faulty kernels to show the
+    oracle catches them. *)
 
 val find : string -> (t, string) result
 (** Lookup by name; the error lists the valid names. *)

@@ -1,7 +1,8 @@
 (** Mutable array-backed binary min-heap with integer priorities and
     integer payloads — the allocation-free inner queue of the compiled
-    Dijkstra kernels. [Pqueue] remains the persistent facade for callers
-    that want a functional queue over arbitrary payloads.
+    Dijkstra kernels. {!Pqueue} is the persistent queue over arbitrary
+    payloads, used where clarity beats speed: [Gmetrics.dijkstra] and
+    the crucible's naive reference Dijkstra.
 
     Not thread-safe; use one heap per Dijkstra run. *)
 

@@ -1,5 +1,6 @@
 (** Minimal purely-functional min-priority queue (pairing heap) with
-    integer priorities, shared by the shortest-path engines. *)
+    integer priorities, used by [Gmetrics.dijkstra] and the crucible's
+    reference Dijkstra. *)
 
 type 'a t
 

@@ -23,9 +23,9 @@ type score = {
 
 type t = { name : string; doc : string; run : target -> score }
 
-(* Precision/recall keep Deanon's empty-list conventions: an adversary
-   that claims nothing is vacuously precise, and with nothing to find
-   any attack has vacuously full recall. *)
+(* Precision/recall conventions: an adversary that claims nothing is
+   vacuously precise, and with nothing to find any attack has vacuously
+   full recall. *)
 let score ~attack ~claims ~hits ~relevant ?(detail = []) () =
   let precision =
     if claims = 0 then 1.0 else float_of_int hits /. float_of_int claims
@@ -51,3 +51,9 @@ let edge_hits ~truth ~claimed =
         else merge acc (l, cs)
   in
   merge 0 (truth, claimed)
+
+let edge_score ~attack ~truth ~claimed ?detail () =
+  let canon l = List.sort_uniq compare (List.map canonical_edge l) in
+  let truth = canon truth and claimed = canon claimed in
+  score ~attack ~claims:(List.length claimed) ~hits:(edge_hits ~truth ~claimed)
+    ~relevant:(List.length truth) ?detail ()

@@ -57,3 +57,15 @@ val edge_hits :
   truth:(string * string) list -> claimed:(string * string) list -> int
 (** Size of the intersection after canonicalizing and dedup-sorting both
     sides; linear merge, not quadratic [List.mem]. *)
+
+val edge_score :
+  attack:string ->
+  truth:(string * string) list ->
+  claimed:(string * string) list ->
+  ?detail:(string * float) list ->
+  unit ->
+  score
+(** Scores link claims against the true fake edges. Both lists are
+    canonicalized and deduplicated first, so a reversed claim counts as
+    a hit and a repeated claim counts once; [claims] and [relevant] are
+    the deduplicated sizes. *)

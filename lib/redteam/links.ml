@@ -102,11 +102,7 @@ let filter_links ?(min_prefixes = 3) ?(min_routers = 2)
 let score_links ~attack ~flagged (t : Attack.target) =
   match t.Attack.fake_edges with
   | Some truth ->
-      let hits = Attack.edge_hits ~truth ~claimed:flagged in
-      let relevant =
-        List.length (List.sort_uniq compare (List.map canonical truth))
-      in
-      Attack.score ~attack ~claims:(List.length flagged) ~hits ~relevant
+      Attack.edge_score ~attack ~truth ~claimed:flagged
         ~detail:[ ("grounded", 1.0) ]
         ()
   | None ->

@@ -90,9 +90,9 @@ let signature (net : Device.network) =
           net.routers [])
        [])
 
-(* First-wins insertion: the tables must return what the first match of
-   the legacy [List.find_opt] scans returned, and [Hashtbl.find] returns
-   the most recently added binding. *)
+(* First-wins insertion: the tables must return what a first-match
+   [List.find_opt] scan returns, and [Hashtbl.find] returns the most
+   recently added binding. *)
 let add_if_absent tbl key v =
   if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
 
@@ -139,16 +139,3 @@ let get ?prev net =
   | _ ->
       Telemetry.incr c_build;
       build_with net s
-
-let compiled_kernels =
-  (* CONFMASK_KERNELS=legacy forces the map-based kernels process-wide —
-     the lever for bit-identical output comparisons from the CLI. *)
-  Atomic.make (Sys.getenv_opt "CONFMASK_KERNELS" <> Some "legacy")
-
-let use_compiled () = Atomic.get compiled_kernels
-let set_use_compiled b = Atomic.set compiled_kernels b
-
-let with_kernels k f =
-  let saved = Atomic.get compiled_kernels in
-  Atomic.set compiled_kernels (k = `Compiled);
-  Fun.protect ~finally:(fun () -> Atomic.set compiled_kernels saved) f

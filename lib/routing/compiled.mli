@@ -11,10 +11,9 @@
     its fingerprints so topology-preserving edits (the anonymization
     fixpoints' deny filters) never rebuild it.
 
-    Everything here is a pure acceleration structure: results are
-    bit-identical to the legacy map-based kernels, which remain available
-    behind {!set_use_compiled} for benchmarking and differential
-    testing. *)
+    Everything here is a pure acceleration structure: the crucible's
+    naive reference ([Crucible.Reference]: map Dijkstra, per-pair
+    traceroute) is the specification its results are checked against. *)
 
 open Netcore
 
@@ -68,17 +67,3 @@ val arrival_iface : t -> string -> string -> string -> Device.iface option
 (** [arrival_iface t router out_name nh]: the interface the packet
     enters [nh] on when [router] forwards out of [out_name], matching
     the first such adjacency in [router]'s adjacency list. *)
-
-(** {1 Kernel switch}
-
-    Selects between the compiled and the legacy map-based kernels in
-    [Ospf], [Fib] and [Dataplane]. Global and atomic so one binary can
-    benchmark and differentially test both sides; defaults to compiled
-    unless the environment sets [CONFMASK_KERNELS=legacy]. *)
-
-val use_compiled : unit -> bool
-val set_use_compiled : bool -> unit
-
-val with_kernels : [ `Compiled | `Legacy ] -> (unit -> 'a) -> 'a
-(** Runs the thunk under the given kernel selection, restoring the
-    previous selection on exit (including exceptional exit). *)

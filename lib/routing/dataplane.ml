@@ -22,11 +22,13 @@ let acl_permits acl ~src ~dst =
   | None -> true
   | Some a -> Configlang.Ast.acl_permits a ~src ~dst
 
-(* The per-hop lookups a walk runs on. Two implementations with
-   identical first-match semantics: [legacy_lookups] hashes the network
-   on the spot (replacing the per-hop list scans the walk used to do),
-   [compiled_lookups] reuses the tables of a [Compiled.t] and answers
-   route lookups from per-router LPM tries. *)
+(* The per-hop lookups a walk runs on. Three implementations with
+   identical first-match semantics: [plain_lookups] hashes the network on
+   the spot and probes FIBs with [Fib.lookup] (single-pair
+   [traceroute]), [compiled_lookups] reuses the tables of a [Compiled.t]
+   and answers route lookups from per-router LPM tries, and
+   [probe_lookups] probes precomputed FIB arrays (the filter-free
+   extraction). *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
@@ -39,7 +41,7 @@ type lookups = {
 let add_if_absent tbl key v =
   if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
 
-let legacy_lookups (net : Device.network) fibs =
+let plain_lookups (net : Device.network) fibs =
   let ifaces = Hashtbl.create 256 in
   Smap.iter
     (fun name (r : Device.router) ->
@@ -170,7 +172,7 @@ let host_info (net : Device.network) name =
         hi_drouters = List.map fst atts;
       }
 
-(* The walk itself, identical on both lookup implementations: a DFS over
+(* The walk itself, identical on every lookup implementation: a DFS over
    the ECMP branching in next-hop list order, so truncation at
    [max_paths] cuts the same paths either way. [lk] is lazy so the
    same-subnet short-circuit never pays for table construction. *)
@@ -249,11 +251,10 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
     }
   end
 
-let trace_core ?max_paths lk (net : Device.network) ~src ~dst =
-  trace_hosts ?max_paths lk ~si:(host_info net src) ~di:(host_info net dst)
-
 let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
-  trace_core ?max_paths (lazy (legacy_lookups net fibs)) net ~src ~dst
+  trace_hosts ?max_paths
+    (lazy (plain_lookups net fibs))
+    ~si:(host_info net src) ~di:(host_info net dst)
 
 type t = (string * string, trace) Hashtbl.t
 
@@ -277,7 +278,7 @@ type t = (string * string, trace) Hashtbl.t
 
    Hosts with equal signatures are interchangeable modulo the host names
    at a path's endpoints, so one representative trace per ordered class
-   pair plus head/tail renaming reproduces the full extraction exactly.
+   pair plus head/tail renaming reproduces tracing every pair exactly.
    The host's own prefix is deliberately not part of the signature: the
    same-subnet short-circuit is evaluated per pair, and representatives
    are chosen among pairs that do not short-circuit. *)
@@ -542,10 +543,11 @@ let shortcut_trace src dst =
 
 (* FEC-collapsed extraction: classify hosts, trace one representative
    member pair per ordered class pair, rename onto the other members.
-   The table is populated in the same source-major canonical order as
-   the full extraction, with the same keys, so every [Hashtbl.fold]
-   consumer sees an identical iteration sequence. *)
-let extract_fec ~max_paths c (net : Device.network) fibs =
+   The table is populated source-major in host order, the order a plain
+   loop over every pair would use, so every [Hashtbl.fold] consumer sees
+   a canonical iteration sequence. *)
+let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
+    fibs =
   let memo_ok = no_acls net in
   (* One probe accelerator per FIB, shared by classification and (on
      filter-free networks) the walks: with the suffix memo in play route
@@ -699,8 +701,7 @@ let extract_fec ~max_paths c (net : Device.network) fibs =
   List.iter
     (List.iter (fun (key, t) -> Hashtbl.replace rep_traces key t))
     traced_groups;
-  (* Canonical source-major population, byte-compatible with the full
-     double loop. *)
+  (* Canonical source-major population. *)
   let n = List.length infos in
   let dp = Hashtbl.create (n * n) in
   List.iter
@@ -743,31 +744,6 @@ let extract_fec ~max_paths c (net : Device.network) fibs =
         infos)
     infos;
   dp
-
-let extract ?(max_paths = max_paths_default) ?compiled (net : Device.network)
-    fibs =
-  match compiled with
-  | Some c when Compiled.use_compiled () && Fec.on () ->
-      extract_fec ~max_paths c net fibs
-  | _ ->
-      let lk =
-        match compiled with
-        | Some c when Compiled.use_compiled () ->
-            lazy (compiled_lookups c fibs)
-        | _ -> lazy (legacy_lookups net fibs)
-      in
-      let hosts = List.map fst (Smap.bindings net.hosts) in
-      let dp = Hashtbl.create (List.length hosts * List.length hosts) in
-      List.iter
-        (fun src ->
-          List.iter
-            (fun dst ->
-              if not (String.equal src dst) then
-                Hashtbl.replace dp (src, dst)
-                  (trace_core ~max_paths lk net ~src ~dst))
-            hosts)
-        hosts;
-      dp
 
 let paths dp ~src ~dst =
   match Hashtbl.find_opt dp (src, dst) with

@@ -32,20 +32,23 @@ val traceroute :
 (** All forwarding paths from host [src] to host [dst], for packets with
     the hosts' addresses. Raises [Invalid_argument] if either host is
     unknown. Builds its per-router interface/adjacency index once per
-    call; callers tracing many pairs should use {!extract}, which shares
-    the index (and, given [?compiled], the compiled tables and
-    per-router LPM tries) across all pairs. *)
+    call and probes FIBs with {!Fib.lookup}; callers tracing many pairs
+    should use {!extract}, which shares the compiled tables across all
+    pairs and traces one pair per forwarding-equivalence class. *)
 
 type t = (string * string, trace) Hashtbl.t
 (** The full data plane, keyed by (source host, destination host). *)
 
 val extract :
-  ?max_paths:int -> ?compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
-(** Traces for every ordered pair of distinct hosts. When [compiled] is
-    given and the compiled kernels are enabled
-    ({!Compiled.use_compiled}), hops run on the precompiled
-    interface/arrival tables and per-router LPM tries; traces are
-    identical either way. *)
+  ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
+(** Traces for every ordered pair of distinct hosts, each equal to what
+    {!traceroute} returns for that pair. Hosts are grouped into
+    forwarding-equivalence classes; one representative pair per ordered
+    class pair is traced on the precompiled interface/arrival tables
+    (with per-router LPM tries, or a per-destination suffix memo when
+    the network has no packet filters) and its trace renamed onto the
+    class's other pairs. [compiled] must be the network's compiled
+    form. *)
 
 val paths : t -> src:string -> dst:string -> path list
 

@@ -126,7 +126,6 @@ type dom_cache = {
 }
 
 type t = {
-  incremental : bool;
   pool : Pool.t option;
   cache : Diskcache.t option;
   configs : Ast.config list;
@@ -149,7 +148,6 @@ let configs t = t.configs
 let network t = t.net
 let compiled t = t.compiled
 let fibs t = t.fibs
-let is_incremental t = t.incremental
 let cache t = t.cache
 let pool t = t.pool
 let delta t = t.delta
@@ -191,11 +189,7 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
             (fun n (_, _, _, o) -> if o = None then n + 1 else n)
             0 pre
         in
-        if
-          Fec.on ()
-          && Compiled.use_compiled ()
-          && 4 * misses > List.length routers
-        then
+        if 4 * misses > List.length routers then
           (* Most members need full selection (a cold run): one dense
              [select_all] sweep answers every miss at once, far cheaper
              than a per-router [routes_for] probe each. Scattered misses
@@ -348,16 +342,11 @@ type persisted_state = {
 let state_key fps = "state:" ^ Digest.to_hex (digest (Smap.bindings fps))
 let bgp_key fps = "bgp:" ^ Digest.to_hex (digest (Smap.bindings fps))
 
-let build ?(incremental = true) ?pool ?cache ?prev configs =
+let build ?pool ?cache ?prev configs =
   Telemetry.with_span "engine.build" @@ fun () ->
   match Device.compile configs with
   | Error m -> Error m
   | Ok net ->
-      let prev = if incremental then prev else None in
-      (* [incremental:false] is the pre-engine cost model used as the
-         benchmark baseline; letting it hit the disk would corrupt that
-         baseline, so the cache is ignored along with [prev]. *)
-      let cache = if incremental then cache else None in
       (* The compiled form depends on interface-level topology only, so
          the filter edits the fixpoints issue reuse it wholesale; it is
          never persisted (cheap to rebuild, and full of closures-free but
@@ -379,7 +368,6 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
           Telemetry.incr c_state_disk;
           Ok
             {
-              incremental;
               pool;
               cache;
               configs;
@@ -556,7 +544,6 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
       in
       Ok
         {
-          incremental;
           pool;
           cache;
           configs;
@@ -571,8 +558,7 @@ let build ?(incremental = true) ?pool ?cache ?prev configs =
           delta;
         }
 
-let of_configs ?(incremental = true) ?pool ?cache configs =
-  build ~incremental ?pool ?cache configs
+let of_configs ?pool ?cache configs = build ?pool ?cache configs
 
 (* ---- shadow self-check ---- *)
 
@@ -612,7 +598,7 @@ let selfcheck_divergence t =
 let apply_edit t configs =
   Telemetry.incr c_edits;
   match
-    build ~incremental:t.incremental ?pool:t.pool ?cache:t.cache ~prev:t configs
+    build ?pool:t.pool ?cache:t.cache ~prev:t configs
   with
   | Error _ as e -> e
   | Ok t' as ok ->
@@ -630,8 +616,8 @@ let apply_edit t configs =
                      seq msg));
       ok
 
-let of_configs_exn ?incremental ?pool ?cache configs =
-  match of_configs ?incremental ?pool ?cache configs with
+let of_configs_exn ?pool ?cache configs =
+  match of_configs ?pool ?cache configs with
   | Ok t -> t
   | Error m -> failwith m
 

@@ -62,16 +62,11 @@ val open_cache : string -> Netcore.Diskcache.t
     directory is treated as empty, never trusted. *)
 
 val of_configs :
-  ?incremental:bool ->
   ?pool:Netcore.Pool.t ->
   ?cache:Netcore.Diskcache.t ->
   Configlang.Ast.config list ->
   (t, string) result
-(** Compile and simulate from scratch. [incremental:false] disables all
-    cache reuse in subsequent {!apply_edit} calls — every edit then costs
-    a full re-simulation, which is the pre-engine cost model used as the
-    benchmark baseline; the persistent [cache] is ignored too, for the
-    same reason. Default [true].
+(** Compile and simulate from scratch.
 
     [cache] plugs in a persistent cross-process cache (see {!open_cache}):
     matching SPF / DV / BGP / whole-state entries are restored instead of
@@ -79,7 +74,6 @@ val of_configs :
     result is bit-identical with and without it. *)
 
 val of_configs_exn :
-  ?incremental:bool ->
   ?pool:Netcore.Pool.t ->
   ?cache:Netcore.Diskcache.t ->
   Configlang.Ast.config list ->
@@ -106,8 +100,6 @@ val compiled : t -> Compiled.t
 
 val fibs : t -> Fib.t Smap.t
 
-val is_incremental : t -> bool
-
 val cache : t -> Netcore.Diskcache.t option
 (** The persistent cache this engine reads and writes, if any. *)
 
@@ -123,8 +115,7 @@ val delta : t -> string list option
     relative to the engine state the edit was applied to — the
     invalidation frontier consumers of {!apply_edit} can restrict their
     own per-router analyses to. Sorted by name. [None] after a
-    from-scratch build ({!of_configs}, a whole-state disk restore, or any
-    build with [incremental:false]): there is no previous state to diff
-    against, so callers must treat every router as changed. The change
+    from-scratch build ({!of_configs} or a whole-state disk restore):
+    there is no previous state to diff against, so callers must treat every router as changed. The change
     test is structural equality of the canonical FIB representation, so
     a reported delta of [[]] really is a no-op edit. *)

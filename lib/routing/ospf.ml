@@ -30,45 +30,7 @@ let ospf_adjs ?(scope = all) (net : Device.network) =
                  adjs))
     net.adjs
 
-(* Incoming adjacencies indexed by head node, for the reverse Dijkstra. *)
-let reverse_index adjs =
-  Smap.fold
-    (fun _ outs acc ->
-      List.fold_left
-        (fun acc (a : Device.adj) ->
-          Smap.update a.a_to
-            (function None -> Some [ a ] | Some l -> Some (a :: l))
-            acc)
-        acc outs)
-    adjs Smap.empty
-
-(* Multi-source Dijkstra toward a destination: [seeds] are (router, cost)
-   pairs; the result maps each router to its distance to the destination. *)
-let distances_to ~rev seeds =
-  Telemetry.incr c_dijkstras;
-  let rec loop dist pq =
-    match Pqueue.pop pq with
-    | None -> dist
-    | Some (d, v, pq) ->
-        if Smap.mem v dist then loop dist pq
-        else
-          let dist = Smap.add v d dist in
-          let pq =
-            List.fold_left
-              (fun pq (a : Device.adj) ->
-                if Smap.mem a.a_from dist then pq
-                else Pqueue.insert (d + a.a_out_iface.ifc_cost) a.a_from pq)
-              pq
-              (Option.value ~default:[] (Smap.find_opt v rev))
-          in
-          loop dist pq
-  in
-  let pq =
-    List.fold_left (fun pq (r, c) -> Pqueue.insert c r pq) Pqueue.empty seeds
-  in
-  loop Smap.empty pq
-
-(* ---- compiled Dijkstra kernel ----
+(* ---- Dijkstra kernel ----
 
    The scoped subgraph re-expressed on dense int ids: vertices are the
    keys of an [ospf_adjs] map (every scoped OSPF router — adjacency
@@ -99,8 +61,8 @@ let scoped_csr ~rev it adjs =
   Compiled.Csr.of_edges ~n:(Interner.length it) edges
 
 (* Fold a distance array back into the canonical [Smap] the callers (and
-   the disk-cached [state] type) expect — same keys, same values as the
-   legacy [distances_to], whatever order either side visited them in. *)
+   the disk-cached [state] type) expect, whatever order the kernel
+   visited the vertices in. *)
 let distances_of_array it dist =
   let out = ref Smap.empty in
   for i = 0 to Interner.length it - 1 do
@@ -108,9 +70,9 @@ let distances_of_array it dist =
   done;
   !out
 
-(* Compiled replacement for [distances_to]. A seed outside the scoped
-   graph has no incident edges, so its distance is its least seed cost —
-   exactly what the legacy queue produces for it. *)
+(* Multi-source distances as a canonical [Smap]. A seed outside the
+   scoped graph has no incident edges, so its distance is its least seed
+   cost. *)
 let distances_csr it csr seeds =
   let ids, extras =
     List.partition_map
@@ -127,21 +89,6 @@ let distances_csr it csr seeds =
         (function Some d -> Some (min d c) | None -> Some c)
         out)
     out extras
-
-(* The per-seed-set distance function of one prepared scope: compiled
-   (interner + reverse CSR, array Dijkstra) or legacy (reverse index,
-   pairing heap), selected by the global kernel switch. *)
-let distances_fn adjs =
-  if Compiled.use_compiled () then begin
-    let it = scoped_interner adjs in
-    let rcsr = scoped_csr ~rev:true it adjs in
-    fun seeds ->
-      Telemetry.incr c_dijkstras;
-      distances_csr it rcsr seeds
-  end
-  else
-    let rev = reverse_index adjs in
-    fun seeds -> distances_to ~rev seeds
 
 (* ---- sharded SPF with per-advertiser dedup ----
 
@@ -242,22 +189,16 @@ let materialize_dists it (p, seeds, dist) =
   in
   (p, (seeds, out))
 
-(* The per-prefix distance bindings of a scope, through whichever path
-   the switches select: sharded compiled arrays, plain compiled, or the
-   legacy pairing heap. All three produce identical bindings. *)
+(* The per-prefix distance bindings of a scope: sharded per-advertiser
+   arrays, folded back into canonical maps. *)
 let scope_dists ?pool adjs bindings =
   match bindings with
   | [] -> []
-  | _ when Fec.on () && Compiled.use_compiled () ->
+  | _ ->
       let it = scoped_interner adjs in
       let rcsr = scoped_csr ~rev:true it adjs in
       Pool.chunked_map ?pool (materialize_dists it)
         (dist_arrays ?pool it rcsr bindings)
-  | _ ->
-      let distances = distances_fn adjs in
-      Pool.parallel_map ?pool
-        (fun (p, seeds) -> (p, (seeds, distances seeds)))
-        bindings
 
 let advertised_prefixes ?(scope = all) (net : Device.network) =
   Smap.fold
@@ -663,75 +604,32 @@ let select_all ?pool (st : state) (net : Device.network) =
   in
   select_core ?pool it net st.st_adjs dists
 
+(* The per-prefix distance arrays feed batched selection directly: the
+   canonical per-prefix [Smap]s of a [state] are never materialized here
+   (only [prepare], whose states the engine caches and persists to disk,
+   pays for them). Routers outside the scoped OSPF graph select no
+   routes, so sweeping interner ids instead of [net.routers] yields the
+   same map as [routes_for] over every scoped router. *)
 let compute ?(scope = all) ?pool (net : Device.network) =
-  if Fec.on () && Compiled.use_compiled () then
-    (* Scratch fast path: the per-prefix distance arrays feed batched
-       selection directly — the canonical per-prefix [Smap]s of a
-       [state] are never materialized here (only [prepare], whose states
-       the engine caches and persists to disk, pays for them). Routers
-       outside the scoped OSPF graph select no routes on either path, so
-       sweeping interner ids instead of [net.routers] yields the same
-       map. *)
-    let adjs = ospf_adjs ~scope net in
-    let bindings = Prefix.Map.bindings (advertised_prefixes ~scope net) in
-    let it = scoped_interner adjs in
-    let rcsr = scoped_csr ~rev:true it adjs in
-    let da = dist_arrays ?pool it rcsr bindings in
-    select_core ?pool it net adjs da
-  else
-    let st = prepare ~scope ?pool net in
-    Smap.fold
-      (fun name _ acc ->
-        if not (scope name) then acc
-        else
-          match routes_for st net name with
-          | [] -> acc
-          | routes -> Smap.add name routes acc)
-      net.routers Smap.empty
+  let adjs = ospf_adjs ~scope net in
+  let bindings = Prefix.Map.bindings (advertised_prefixes ~scope net) in
+  let it = scoped_interner adjs in
+  let rcsr = scoped_csr ~rev:true it adjs in
+  let da = dist_arrays ?pool it rcsr bindings in
+  select_core ?pool it net adjs da
 
 (* One scope's forward-distance machinery, prepared once and reused
-   across sources: the scoped adjacency map and (under the compiled
-   kernels) the interner + forward CSR, whose construction dominates a
-   single-source query on large networks. *)
-type cost_state = {
-  cs_adjs : Device.adj list Smap.t;
-  cs_csr : (Interner.t * Compiled.Csr.t) option;
-}
+   across sources: the interner and forward CSR, whose construction
+   dominates a single-source query on large networks. *)
+type cost_state = { cs_names : Interner.t; cs_csr : Compiled.Csr.t }
 
 let min_cost_state ?(scope = all) (net : Device.network) =
   let adjs = ospf_adjs ~scope net in
-  let cs_csr =
-    if Compiled.use_compiled () then
-      let it = scoped_interner adjs in
-      Some (it, scoped_csr ~rev:false it adjs)
-    else None
-  in
-  { cs_adjs = adjs; cs_csr }
+  let it = scoped_interner adjs in
+  { cs_names = it; cs_csr = scoped_csr ~rev:false it adjs }
 
-let min_cost_from st u =
-  (* Distance from [u] to each router v: Dijkstra on forward adjacencies. *)
-  match st.cs_csr with
-  | Some (it, fcsr) -> distances_csr it fcsr [ (u, 0) ]
-  | None ->
-      let adjs = st.cs_adjs in
-      let rec loop dist pq =
-        match Pqueue.pop pq with
-        | None -> dist
-        | Some (d, v, pq) ->
-            if Smap.mem v dist then loop dist pq
-            else
-              let dist = Smap.add v d dist in
-              let pq =
-                List.fold_left
-                  (fun pq (a : Device.adj) ->
-                    if Smap.mem a.a_to dist then pq
-                    else Pqueue.insert (d + a.a_out_iface.ifc_cost) a.a_to pq)
-                  pq
-                  (Option.value ~default:[] (Smap.find_opt v adjs))
-              in
-              loop dist pq
-      in
-      loop Smap.empty (Pqueue.insert 0 u Pqueue.empty)
+(* Distance from [u] to each router v: Dijkstra on forward adjacencies. *)
+let min_cost_from st u = distances_csr st.cs_names st.cs_csr [ (u, 0) ]
 
 let min_cost ?scope (net : Device.network) u =
   min_cost_from (min_cost_state ?scope net) u

@@ -105,10 +105,10 @@ val min_cost :
     the link-state SFE conditions (§5.1). *)
 
 type cost_state
-(** One scope's prepared forward-distance machinery (scoped adjacencies
-    plus, under the compiled kernels, the interner and forward CSR).
-    Preparing it once and querying many sources avoids the per-call
-    graph rebuild that dominates {!min_cost} on large networks. *)
+(** One scope's prepared forward-distance machinery: the scoped
+    routers' interner and forward CSR. Preparing it once and querying
+    many sources avoids the per-call graph rebuild that dominates
+    {!min_cost} on large networks. *)
 
 val min_cost_state :
   ?scope:(string -> bool) -> Device.network -> cost_state

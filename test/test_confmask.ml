@@ -473,13 +473,12 @@ let prop_pipeline_equivalence =
           Workflow.functional_equivalence r
           && (Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group >= 3)
 
-let prop_anonfix_modes_agree =
-  (* The incremental fixpoint (engine-delta scans, cached parallel
-     reachability walks, grouped filter application) must be bit-identical
-     to the legacy full-recompute path, at every job count. Runs both
-     stage-2 algorithms end to end and compares the printed configs plus
-     every iteration/filter count. *)
-  QCheck2.Test.make ~name:"incremental anonfix == legacy at jobs 1/2/4"
+let prop_pool_determinism =
+  (* The fixpoints shard their scans and reachability walks across the
+     pool; the job count must be unobservable. Runs both stage-2
+     algorithms end to end and compares the printed configs plus every
+     iteration/filter count. *)
+  QCheck2.Test.make ~name:"anonymized output identical at jobs 1/2/4"
     ~count:6 gen_netspec (fun input ->
       let spec = spec_of input in
       let configs = Netgen.Emit.emit spec in
@@ -487,12 +486,11 @@ let prop_anonfix_modes_agree =
       let orig = Routing.Simulate.run_exn configs in
       let rng = Netcore.Rng.create seed in
       let topo = Topo_anon.anonymize ~rng ~k:3 ~orig configs in
-      let stage mode jobs =
+      let stage jobs =
         let pool = Netcore.Pool.create ~jobs () in
         Fun.protect
           ~finally:(fun () -> Netcore.Pool.shutdown pool)
           (fun () ->
-            Anonfix.with_mode mode @@ fun () ->
             let eng = Routing.Engine.of_configs_exn ~pool topo.configs in
             match
               Route_equiv.fix ~engine:eng ~orig ~fake_edges:topo.fake_edges
@@ -514,48 +512,48 @@ let prop_anonfix_modes_agree =
                         a.filters_added,
                         a.filters_removed )))
       in
-      let base = stage `Legacy 1 in
+      let base = stage 1 in
       List.for_all
-        (fun (mode, jobs) ->
-          let got = stage mode jobs in
-          if got = base then true
-          else
-            QCheck2.Test.fail_reportf
-              "anonfix mismatch at jobs=%d (%s vs legacy/1)" jobs
-              (match mode with `Legacy -> "legacy" | `Incremental -> "incremental"))
-        [ (`Legacy, 4); (`Incremental, 1); (`Incremental, 2); (`Incremental, 4) ])
+        (fun jobs ->
+          stage jobs = base
+          || QCheck2.Test.fail_reportf "output at jobs=%d differs from jobs=1"
+               jobs)
+        [ 2; 4 ])
 
-(* ---- adversary scoring conventions ---- *)
+(* ---- golden outputs ---- *)
 
-(* Deanon.assess's degenerate-case conventions are load-bearing for the
-   evaluation tables: an adversary that accuses nothing is perfectly
-   precise, and a network with nothing to find is perfectly recalled.
-   Pin them, plus the undirected-edge canonicalization and dedup. *)
-let test_deanon_assess_conventions () =
-  let s = Deanon.assess ~fake_edges:[ ("a", "b") ] ~flagged:[] in
-  Alcotest.(check (float 0.0)) "flagged=[]: precision 1.0" 1.0 s.precision;
-  Alcotest.(check (float 0.0)) "flagged=[]: recall 0.0" 0.0 s.recall;
-  let s = Deanon.assess ~fake_edges:[] ~flagged:[ ("a", "b") ] in
-  Alcotest.(check (float 0.0)) "no fake edges: recall 1.0" 1.0 s.recall;
-  Alcotest.(check (float 0.0)) "no fake edges: precision 0.0" 0.0 s.precision;
-  let s = Deanon.assess ~fake_edges:[] ~flagged:[] in
-  Alcotest.(check (float 0.0)) "both empty: precision 1.0" 1.0 s.precision;
-  Alcotest.(check (float 0.0)) "both empty: recall 1.0" 1.0 s.recall
+(* Digests of the anonymized configurations of the catalog networks at
+   k_R = 6, k_H = 2 and the default seed. Any change to the anonymized
+   bytes — a reordered filter, a renamed interface — fails here; update
+   a digest only for an intended change of output. *)
+let golden_digests =
+  [
+    ("A", "b22a614bff5a78ff34b635cb9a084151");
+    ("B", "c90f01dae39e538f17d76d0e5f00eb83");
+    ("C", "9d74ea9037c97c4179015319208c6cae");
+    ("D", "d1873295b6ae9760246b8cc031e6ba27");
+    ("E", "c04ae432a86f22428d1e9d11c1d64d99");
+    ("F", "411ced90762283cecca6e7384cacbffb");
+    ("G", "63bfa14d7b6dfeff4a98b0650893cdfb");
+    ("H", "29f112e6049c2043a51c46d85c2067fc");
+  ]
 
-let test_deanon_assess_canonicalization () =
-  (* Links are undirected: the reversed accusation still counts, and a
-     duplicated accusation is deduplicated rather than double-scored. *)
-  let s = Deanon.assess ~fake_edges:[ ("a", "b") ] ~flagged:[ ("b", "a") ] in
-  Alcotest.(check int) "reversed flag is a true positive" 1 s.true_positives;
-  Alcotest.(check (float 0.0)) "precision" 1.0 s.precision;
-  Alcotest.(check (float 0.0)) "recall" 1.0 s.recall;
-  let s =
-    Deanon.assess ~fake_edges:[ ("a", "b"); ("c", "d") ]
-      ~flagged:[ ("a", "b"); ("b", "a"); ("a", "b") ]
-  in
-  Alcotest.(check int) "duplicates deduped" 1 (List.length s.flagged);
-  Alcotest.(check (float 0.0)) "precision after dedup" 1.0 s.precision;
-  Alcotest.(check (float 0.0)) "recall half" 0.5 s.recall
+let test_golden_outputs () =
+  List.iter
+    (fun (id, expected) ->
+      let r =
+        run_entry ~k_r:6 ~k_h:2 ~seed:Workflow.default_params.seed
+          (Netgen.Nets.find id)
+      in
+      let text =
+        String.concat ""
+          (List.map
+             (fun (h, t) -> h ^ "\000" ^ t ^ "\000")
+             (Workflow.anon_texts r))
+      in
+      check Alcotest.string ("net " ^ id) expected
+        (Digest.to_hex (Digest.string text)))
+    golden_digests
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -563,7 +561,7 @@ let qsuite =
       prop_pipeline_equivalence;
       prop_strawman2_equivalence;
       prop_high_noise_safe;
-      prop_anonfix_modes_agree;
+      prop_pool_determinism;
     ]
 
 let () =
@@ -610,12 +608,7 @@ let () =
           Alcotest.test_case "deny/undeny roundtrip" `Quick test_edits_deny_roundtrip;
           Alcotest.test_case "fresh iface names" `Quick test_fresh_iface_name;
         ] );
-      ( "deanon",
-        [
-          Alcotest.test_case "assess conventions" `Quick
-            test_deanon_assess_conventions;
-          Alcotest.test_case "assess canonicalization" `Quick
-            test_deanon_assess_canonicalization;
-        ] );
+      ( "golden",
+        [ Alcotest.test_case "anonymized outputs of nets A-H" `Quick test_golden_outputs ] );
       ("qcheck", qsuite);
     ]

@@ -162,6 +162,75 @@ let fault_caught_and_shrunk () =
       Alcotest.(check int) "replay reproduces the failure" 1
         (List.length failures)
 
+(* Planted faults in the production kernels, handed to [diff_fib] in place
+   of the real ones: the oracle must catch each by comparing against the
+   naive reference, while the real kernels pass on the same spec. *)
+
+(* An off-by-one in the SPF edge costs: every OSPF link weighs one more
+   than configured. *)
+let off_by_one_ospf ?scope (net : Routing.Device.network) =
+  let bump (a : Routing.Device.adj) =
+    let i = a.a_out_iface in
+    { a with a_out_iface = { i with ifc_cost = i.ifc_cost + 1 } }
+  in
+  Routing.Ospf.compute ?scope
+    { net with adjs = Routing.Device.Smap.map (List.map bump) net.adjs }
+
+(* ECMP next hops listed in reverse adjacency order: same sets, but the
+   traceroute walk would visit them in a different order. *)
+let reversed_nexthops ?scope net =
+  Routing.Device.Smap.map
+    (List.map (fun (r : Routing.Fib.route) ->
+         { r with rt_nexthops = List.rev r.rt_nexthops }))
+    (Routing.Ospf.compute ?scope net)
+
+(* A fan-out that forgets to rename: the first pair gets the trace of
+   another source toward the same destination, as is. *)
+let unrenamed_fanout snap =
+  let dp = Routing.Simulate.dataplane snap in
+  let pairs = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) dp []) in
+  (match pairs with
+  | (s, d) :: rest -> (
+      match List.find_opt (fun (s', d') -> d' = d && s' <> s) rest with
+      | Some other -> Hashtbl.replace dp (s, d) (Hashtbl.find dp other)
+      | None -> ())
+  | [] -> ());
+  dp
+
+let planted_faults_caught () =
+  let faults =
+    [
+      ( "off-by-one SPF cost",
+        { Crucible.Oracle.production with ospf = off_by_one_ospf },
+        "OSPF routes" );
+      ( "reversed ECMP next hops",
+        { Crucible.Oracle.production with ospf = reversed_nexthops },
+        "OSPF routes" );
+      ( "unrenamed FEC fan-out",
+        { Crucible.Oracle.production with dataplane = unrenamed_fanout },
+        "data-plane traces" );
+    ]
+  in
+  List.iter
+    (fun (label, kernels, part) ->
+      let faulty = Crucible.Oracle.diff_fib_with kernels in
+      let rec find seed =
+        if seed > 30 then Alcotest.failf "%s: never caught" label
+        else
+          let spec = Crucible.Gen.spec ~seed () in
+          match Crucible.Oracle.run faulty ~seed spec with
+          | Fail m -> (seed, spec, m)
+          | Pass -> find (seed + 1)
+      in
+      let seed, spec, msg = find 0 in
+      let snap = Routing.Simulate.run_exn (Netgen.Emit.emit spec) in
+      if Crucible.Oracle.kernel_divergence ~kernels snap <> Some part then
+        Alcotest.failf "%s: caught for the wrong reason: %s" label msg;
+      match Crucible.Oracle.run Crucible.Oracle.diff_fib ~seed spec with
+      | Pass -> ()
+      | Fail m -> Alcotest.failf "%s: real kernels fail too: %s" label m)
+    faults
+
 let () =
   Alcotest.run "crucible"
     [
@@ -182,5 +251,7 @@ let () =
           Alcotest.test_case "fuzz smoke" `Quick fuzz_smoke;
           Alcotest.test_case "injected fault caught and shrunk" `Quick
             fault_caught_and_shrunk;
+          Alcotest.test_case "planted kernel faults caught by diff_fib" `Quick
+            planted_faults_caught;
         ] );
     ]

@@ -33,6 +33,37 @@ let test_edge_hits () =
   check Alcotest.int "empty claims" 0
     (Redteam.Attack.edge_hits ~truth ~claimed:[])
 
+(* The link-scoring conventions are load-bearing for the evaluation
+   tables: an adversary that accuses nothing is perfectly precise, and a
+   network with nothing to find is perfectly recalled. *)
+let edge_score truth claimed =
+  Redteam.Attack.edge_score ~attack:"x" ~truth ~claimed ()
+
+let test_edge_score_conventions () =
+  let s = edge_score [ ("a", "b") ] [] in
+  check Alcotest.(float 0.0) "claimed=[]: precision 1.0" 1.0 s.precision;
+  check Alcotest.(float 0.0) "claimed=[]: recall 0.0" 0.0 s.recall;
+  let s = edge_score [] [ ("a", "b") ] in
+  check Alcotest.(float 0.0) "no fake edges: recall 1.0" 1.0 s.recall;
+  check Alcotest.(float 0.0) "no fake edges: precision 0.0" 0.0 s.precision;
+  let s = edge_score [] [] in
+  check Alcotest.(float 0.0) "both empty: precision 1.0" 1.0 s.precision;
+  check Alcotest.(float 0.0) "both empty: recall 1.0" 1.0 s.recall
+
+(* Links are undirected: the reversed accusation still counts, and a
+   duplicated accusation is deduplicated rather than double-scored. *)
+let test_edge_score_canonicalization () =
+  let s = edge_score [ ("a", "b") ] [ ("b", "a") ] in
+  check Alcotest.int "reversed claim is a hit" 1 s.hits;
+  check Alcotest.(float 0.0) "precision" 1.0 s.precision;
+  check Alcotest.(float 0.0) "recall" 1.0 s.recall;
+  let s =
+    edge_score [ ("a", "b"); ("c", "d") ] [ ("a", "b"); ("b", "a"); ("a", "b") ]
+  in
+  check Alcotest.int "duplicates deduped" 1 s.claims;
+  check Alcotest.(float 0.0) "precision after dedup" 1.0 s.precision;
+  check Alcotest.(float 0.0) "recall half" 0.5 s.recall
+
 (* ---- signatures and re-identification ---- *)
 
 let test_reid_signature () =
@@ -193,6 +224,10 @@ let () =
         [
           Alcotest.test_case "score conventions" `Quick test_score_conventions;
           Alcotest.test_case "edge hits" `Quick test_edge_hits;
+          Alcotest.test_case "edge score conventions" `Quick
+            test_edge_score_conventions;
+          Alcotest.test_case "edge score canonicalization" `Quick
+            test_edge_score_canonicalization;
           Alcotest.test_case "reid signature" `Quick test_reid_signature;
           Alcotest.test_case "branch depths" `Quick test_branch_depths;
           Alcotest.test_case "registry" `Quick test_registry;

@@ -1,9 +1,10 @@
 (* Tests for the specification miner's edge cases and the policy query
    engine: parser round-trips (including on the miner's own printed
    form), evaluation against fabricated and simulated data planes, the
-   differential verdicts, and mode invariance — FEC-collapsed vs full
-   extraction and compiled vs legacy kernels must produce identical
-   outcomes, witness paths and all. *)
+   differential verdicts, and extraction invariance — the production
+   data plane (FEC collapse, compiled kernels) and the reference's
+   per-pair traceroutes must produce identical outcomes, witness paths
+   and all. *)
 
 module Q = Spec.Query
 module Dataplane = Routing.Dataplane
@@ -305,14 +306,15 @@ let qcheck_mined_holds =
                (Spec.policy_to_string sp))
         (Spec.mine dp))
 
-(* ---- mode invariance: FEC collapse and kernel choice ---- *)
+(* ---- invariance: FEC collapse and compiled kernels ---- *)
 
 (* Evaluation must be blind to how the data plane was extracted: the
-   FEC-collapsed extraction vs the full per-pair one, and the compiled
-   kernels vs the legacy ones, must agree on every outcome record —
-   holds flag, witness paths and counterexample paths. Exercised on the
-   four smallest catalog networks, over the mined specification plus an
-   isolation probe per net (outcomes that hold and ones that do not). *)
+   production extraction (FEC collapse on the compiled kernels) and the
+   reference's plain per-pair traceroutes must agree on every outcome
+   record — holds flag, witness paths and counterexample paths.
+   Exercised on the four smallest catalog networks, over the mined
+   specification plus an isolation probe per net (outcomes that hold and
+   ones that do not). *)
 let outcome_eq (a : Q.outcome) (b : Q.outcome) =
   a.Q.holds = b.Q.holds && a.Q.witness = b.Q.witness
   && a.Q.counterexample = b.Q.counterexample
@@ -321,12 +323,9 @@ let mode_invariance () =
   List.iter
     (fun net ->
       let configs = Netgen.Nets.configs (Netgen.Nets.find net) in
-      let dp_of_mode f =
-        f (fun () -> Routing.Simulate.dataplane (Routing.Simulate.run_exn configs))
-      in
-      let dp = dp_of_mode (fun k -> k ()) in
-      let dp_nofec = dp_of_mode (Routing.Fec.with_mode `Off) in
-      let dp_legacy = dp_of_mode (Routing.Compiled.with_kernels `Legacy) in
+      let snap = Routing.Simulate.run_exn configs in
+      let dp = Routing.Simulate.dataplane snap in
+      let dp_ref = Crucible.Reference.dataplane snap in
       let policies =
         List.map Spec.to_query (Spec.mine dp)
         @
@@ -336,13 +335,9 @@ let mode_invariance () =
       in
       List.iter
         (fun p ->
-          let o = Q.eval dp p in
-          if not (outcome_eq o (Q.eval dp_nofec p)) then
-            Alcotest.failf "net %s: %s differs with CONFMASK_FEC=off" net
-              (Q.to_string p);
-          if not (outcome_eq o (Q.eval dp_legacy p)) then
-            Alcotest.failf "net %s: %s differs with legacy kernels" net
-              (Q.to_string p))
+          if not (outcome_eq (Q.eval dp p) (Q.eval dp_ref p)) then
+            Alcotest.failf "net %s: %s differs on the reference data plane"
+              net (Q.to_string p))
         policies)
     [ "A"; "B"; "C"; "D" ]
 
