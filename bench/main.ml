@@ -629,60 +629,6 @@ let batch_bench () =
   close_out out;
   Printf.printf "[wrote BENCH_PR4.json]\n"
 
-(* ---------------- Bechamel microbenchmarks ---------------- *)
-
-let bechamel () =
-  header "Bechamel microbenchmarks: stage costs on net A (Enterprise) and G (FatTree04)"
-    "simulation dominates; parsing is negligible";
-  let open Bechamel in
-  let configs_a = Netgen.Nets.configs (Netgen.Nets.find "A") in
-  let configs_g = Netgen.Nets.configs (Netgen.Nets.find "G") in
-  let text_a =
-    String.concat "\n!\n" (List.map Configlang.Printer.to_string configs_a)
-  in
-  let orig_a = Routing.Simulate.run_exn configs_a in
-  let test name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"confmask"
-      [
-        test "parse-net-A" (fun () ->
-            List.map Configlang.Parser.parse_exn (String.split_on_char '!' text_a));
-        test "simulate-net-A" (fun () -> Routing.Simulate.run_exn configs_a);
-        test "simulate-net-G" (fun () -> Routing.Simulate.run_exn configs_g);
-        test "dataplane-net-A" (fun () -> Routing.Simulate.dataplane orig_a);
-        test "topo-anon-net-A" (fun () ->
-            Confmask.Topo_anon.anonymize ~rng:(Netcore.Rng.create 42) ~k:6
-              ~orig:orig_a configs_a);
-        test "pipeline-net-A" (fun () ->
-            Confmask.Workflow.run_exn
-              ~params:{ Confmask.Workflow.default_params with k_r = 6; k_h = 2 }
-              configs_a);
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  List.iter
-    (fun results ->
-      Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-      |> List.sort compare
-      |> List.iter (fun (name, ols) ->
-             let per_run =
-               match Analyze.OLS.estimates ols with
-               | Some (est :: _) -> Printf.sprintf "%10.3f ms/run" (est /. 1e6)
-               | Some [] | None -> "(no estimate)"
-             in
-             Printf.printf "%-40s %s\n" name per_run))
-    (benchmark ())
-
 (* ---------------- driver ---------------- *)
 
 let experiments =
@@ -708,7 +654,6 @@ let experiments =
     ("deanon", deanon);
     ("redteam", redteam);
     ("batch", batch_bench);
-    ("bechamel", bechamel);
   ]
 
 let () =

@@ -59,11 +59,10 @@ let router_row hps fibs r =
           | Some _ | None -> None)
         hps
 
-let fix ?max_iters ?engine ?cache ~orig ~fake_edges configs =
+let fix ?engine ?cache ~orig ~fake_edges configs =
   Telemetry.with_span "equiv.fix" @@ fun () ->
-  let max_iters =
-    match max_iters with Some m -> m | None -> (2 * List.length fake_edges) + 8
-  in
+  (* The paper bounds the iteration count by the number of added edges. *)
+  let max_iters = (2 * List.length fake_edges) + 8 in
   let fake_set =
     List.fold_left
       (fun s (u, v) ->

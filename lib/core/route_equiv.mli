@@ -18,7 +18,6 @@ type outcome = {
 }
 
 val fix :
-  ?max_iters:int ->
   ?engine:Routing.Engine.t ->
   ?cache:Netcore.Diskcache.t ->
   orig:Routing.Simulate.snapshot ->
@@ -27,8 +26,8 @@ val fix :
   (outcome, string) result
 (** [fix ~orig ~fake_edges configs]: [configs] is the network after
     topology anonymization; [orig] the pre-anonymization snapshot.
-    [max_iters] defaults to [2 * |fake_edges| + 8] (the paper bounds the
-    iteration count by the number of added edges). The loop simulates
+    The loop gives up after [2 * |fake_edges| + 8] iterations (the paper
+    bounds the iteration count by the number of added edges). It simulates
     through an incremental {!Routing.Engine} — pass [engine] to reuse
     caches from an earlier stage, or [cache] to let a freshly created
     engine read/write a persistent cross-run cache. Errors if the loop

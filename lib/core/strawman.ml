@@ -64,7 +64,9 @@ let orig_paths_table orig_dp =
     (Routing.Dataplane.all_delivered orig_dp);
   table
 
-let strawman2 ?(max_iters = 64) ?engine ~orig ~fake_edges:_ configs =
+let strawman2_max_iters = 64
+
+let strawman2 ?engine ~orig ~fake_edges:_ configs =
   Telemetry.with_span "strawman.strawman2" @@ fun () ->
   let orig_dp = Routing.Simulate.dataplane orig in
   let orig_table = orig_paths_table orig_dp in
@@ -138,7 +140,7 @@ let strawman2 ?(max_iters = 64) ?engine ~orig ~fake_edges:_ configs =
       Ok { configs; iterations = iter; filters_added = filters }
     else if fixes = [] then
       Error "strawman2: deviating paths remain but no hop is fixable"
-    else if iter >= max_iters then
+    else if iter >= strawman2_max_iters then
       Error (Printf.sprintf "strawman2: no convergence after %d iterations" iter)
     else
       let configs =

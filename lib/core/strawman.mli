@@ -22,7 +22,6 @@ val strawman1 :
     the blanket filters do not restore the original FIBs. *)
 
 val strawman2 :
-  ?max_iters:int ->
   ?engine:Routing.Engine.t ->
   orig:Routing.Simulate.snapshot ->
   fake_edges:(string * string) list ->
@@ -33,4 +32,4 @@ val strawman2 :
     deviating hop closest to the destination, and filters that single
     (router, destination) pair; then re-simulates. Converges to exactly
     the original data plane with a minimal filter set, at the cost of many
-    more simulations than Algorithm 1. *)
+    more simulations than Algorithm 1. Gives up after 64 iterations. *)

@@ -48,9 +48,10 @@ let canon_routes m =
     m
 
 (* Compare the production kernels against [Reference] on one snapshot:
-   OSPF selection and min-cost distances per IGP domain, trie-vs-probe
-   lookups on every host address, and the data plane, which must agree
-   trace for trace with one plain traceroute per host pair. *)
+   OSPF selection and min-cost distances per IGP domain, the probe LPM
+   against [Fib.lookup] on every host and route network address, and
+   the data plane, which must agree trace for trace with one plain
+   traceroute per host pair. *)
 let kernel_divergence ?(kernels = production) (snap : Routing.Simulate.snapshot)
     =
   let net = snap.net in
@@ -75,17 +76,28 @@ let kernel_divergence ?(kernels = production) (snap : Routing.Simulate.snapshot)
   if List.exists ospf_diverges domains then Some "OSPF routes"
   else if List.exists min_cost_diverges domains then Some "OSPF min_cost"
   else
+    (* Every host address, and the network address of every installed
+       route: a match boundary at each prefix length the FIBs hold. *)
     let addrs =
       Smap.fold
-        (fun _ (h : Routing.Device.host) acc -> h.h_addr :: acc)
-        net.hosts []
+        (fun _ fib acc ->
+          List.fold_left
+            (fun acc (r : Routing.Fib.route) -> Prefix.network r.rt_prefix :: acc)
+            acc (Routing.Fib.routes fib))
+        snap.fibs
+        (Smap.fold
+           (fun _ (h : Routing.Device.host) acc -> h.h_addr :: acc)
+           net.hosts [])
+      |> List.sort_uniq Ipv4.compare
     in
     let lpm_diverges =
       Smap.exists
         (fun _ fib ->
-          let lpm = Routing.Fib.compile fib in
+          let pb = Routing.Fib.probe fib in
           List.exists
-            (fun a -> Routing.Fib.lookup fib a <> Routing.Fib.lookup_lpm lpm a)
+            (fun a ->
+              Routing.Fib.lookup fib a
+              <> Routing.Fib.probe_lpm pb (Routing.Fib.dest a))
             addrs)
         snap.fibs
     in

@@ -78,9 +78,10 @@ val kernel_divergence :
   ?kernels:kernels -> Routing.Simulate.snapshot -> string option
 (** Compares [kernels] (default {!production}) with {!Reference} on one
     snapshot: OSPF routes and [Routing.Ospf.min_cost] distances per IGP
-    domain, [Routing.Fib.lookup_lpm] against [Routing.Fib.lookup] on
-    every host address, and the data plane trace for trace. Names the
-    first part that differs, or [None]. *)
+    domain, [Routing.Fib.probe_lpm] against [Routing.Fib.lookup] on
+    every host address and every route's network address, and the data
+    plane trace for trace. Names the first part that differs, or
+    [None]. *)
 
 val diff_fib_with : kernels -> t
 (** [diff_fib] run against other kernels: [diff_fib = diff_fib_with

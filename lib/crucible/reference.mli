@@ -4,7 +4,7 @@
     Production OSPF runs interned CSR Dijkstras deduplicated per
     advertiser, sharded across a pool, with batched selection, and
     production extraction collapses hosts into forwarding-equivalence
-    classes walked over LPM tries and suffix memos. This module does
+    classes walked over FIB probes and suffix memos. This module does
     none of that. It keeps persistent maps, a plain Dijkstra over
     {!Netcore.Pqueue}, one route selection per (router, prefix) written
     from the model's definition, and one {!Routing.Dataplane.traceroute}
@@ -44,8 +44,8 @@ val min_cost :
 
 val dataplane : Routing.Simulate.snapshot -> Routing.Dataplane.t
 (** One {!Routing.Dataplane.traceroute} per ordered pair of distinct
-    hosts: hashed tables and {!Routing.Fib.lookup}, no classes, no trie.
-    The model of [Routing.Simulate.dataplane]. *)
+    hosts: hashed tables and {!Routing.Fib.lookup}, no classes, no
+    probes. The model of [Routing.Simulate.dataplane]. *)
 
 (** {1 Functional equivalence} *)
 

@@ -22,20 +22,50 @@ let acl_permits acl ~src ~dst =
   | None -> true
   | Some a -> Configlang.Ast.acl_permits a ~src ~dst
 
-(* The per-hop lookups a walk runs on. Three implementations with
+(* Per-host walk inputs, hoisted so an extraction resolves each host's
+   maps once instead of once per pair. [hi_starts] carries the exact
+   sorted order the walk visits attachments in; [hi_datts] keeps the raw
+   attachment order the delivery check scans; [hi_dest] is the host's
+   address prepared for probe lookups. *)
+type host_info = {
+  hi_name : string;
+  hi_host : Device.host;
+  hi_prefix : Netcore.Prefix.t;
+  hi_dest : Fib.dest;
+  hi_starts : (string * Device.iface) list;
+  hi_datts : (string * Device.iface) list;
+  hi_drouters : string list;
+}
+
+let host_info (net : Device.network) name =
+  match Smap.find_opt name net.hosts with
+  | None -> invalid_arg ("Dataplane.traceroute: unknown host " ^ name)
+  | Some h ->
+      let atts =
+        Option.value ~default:[] (Smap.find_opt name net.attachments)
+      in
+      {
+        hi_name = name;
+        hi_host = h;
+        hi_prefix = Device.host_prefix h;
+        hi_dest = Fib.dest h.h_addr;
+        hi_starts = List.sort_uniq compare atts;
+        hi_datts = atts;
+        hi_drouters = List.map fst atts;
+      }
+
+(* The per-hop lookups a walk runs on. Two implementations with
    identical first-match semantics: [plain_lookups] hashes the network on
-   the spot and probes FIBs with [Fib.lookup] (single-pair
-   [traceroute]), [compiled_lookups] reuses the tables of a [Compiled.t]
-   and answers route lookups from per-router LPM tries, and
-   [probe_lookups] probes precomputed FIB arrays (the filter-free
-   extraction). *)
+   the spot and asks FIBs with [Fib.lookup] (single-pair [traceroute]),
+   and [probe_lookups] reuses the tables of a [Compiled.t] and probes
+   precomputed FIB accelerators (extraction). *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
   lk_arrival : string -> string -> string -> Device.iface option;
       (* router -> out-interface name -> next hop -> its arrival iface *)
-  lk_route : string -> Netcore.Ipv4.t -> Fib.route option;
-      (* router -> destination address -> FIB longest-prefix match *)
+  lk_route : string -> host_info -> Fib.route option;
+      (* router -> destination host -> FIB longest-prefix match *)
 }
 
 let add_if_absent tbl key v =
@@ -63,114 +93,27 @@ let plain_lookups (net : Device.network) fibs =
     lk_iface = (fun r n -> Hashtbl.find_opt ifaces (r, n));
     lk_arrival = (fun r o nh -> Hashtbl.find_opt arrivals (r, o, nh));
     lk_route =
-      (fun r addr ->
+      (fun r di ->
         match Smap.find_opt r fibs with
         | None -> None
-        | Some fib -> Fib.lookup fib addr);
+        | Some fib -> Fib.lookup fib di.hi_host.h_addr);
   }
-
-let compiled_lookups c fibs =
-  let fib_tbl = Hashtbl.create 256 in
-  Smap.iter (fun name fib -> Hashtbl.replace fib_tbl name fib) fibs;
-  (* One trie per router, compiled on first lookup and shared by every
-     later packet of this extraction. *)
-  let lpms = Hashtbl.create 256 in
-  let lk_route r addr =
-    match Hashtbl.find_opt fib_tbl r with
-    | None -> None
-    | Some fib ->
-        let lpm =
-          match Hashtbl.find_opt lpms r with
-          | Some l -> l
-          | None ->
-              let l = Fib.compile fib in
-              Hashtbl.add lpms r l;
-              l
-        in
-        Fib.lookup_lpm lpm addr
-  in
-  {
-    lk_iface = Compiled.find_iface c;
-    lk_arrival = Compiled.arrival_iface c;
-    lk_route;
-  }
-
-(* Compiled interface/arrival tables with direct (un-compiled) FIB
-   probing. The FEC + suffix-memo extraction performs O(routers) route
-   lookups per destination instead of O(pairs × hops), too few to
-   amortize compiling a trie per router; [Fib.lookup] answers the same
-   longest-prefix match from the maps. *)
-(* Probe keys per address, cached: the extractor asks about the same few
-   host addresses thousands of times. *)
-let prefix_probes () =
-  let pfx_cache : (int, Netcore.Prefix.t array) Hashtbl.t = Hashtbl.create 64 in
-  fun addr ->
-    let key = Netcore.Ipv4.to_int addr in
-    match Hashtbl.find_opt pfx_cache key with
-    | Some a -> a
-    | None ->
-        let a = Array.init 33 (Netcore.Prefix.v addr) in
-        Hashtbl.add pfx_cache key a;
-        a
-
-(* Longest-prefix match against one probed FIB: try only the prefix
-   lengths the FIB actually contains (usually two or three), most
-   specific first — same result as [Fib.lookup]'s 33-length sweep. *)
-let probe_lpm pb pa =
-  let rec go = function
-    | [] -> None
-    | l :: tl -> (
-        match Fib.probe_find pb (Array.unsafe_get pa l) with
-        | Some r -> Some r
-        | None -> go tl)
-  in
-  go (Fib.probe_lens pb)
 
 let probe_table fibs =
-  let fib_tbl = Hashtbl.create 256 in
-  Smap.iter (fun name fib -> Hashtbl.replace fib_tbl name (Fib.probe fib)) fibs;
-  fib_tbl
+  let probes = Hashtbl.create 256 in
+  Smap.iter (fun name fib -> Hashtbl.replace probes name (Fib.probe fib)) fibs;
+  probes
 
-let probe_lookups c fib_tbl =
-  let probes = prefix_probes () in
+let probe_lookups c probes =
   {
     lk_iface = Compiled.find_iface c;
     lk_arrival = Compiled.arrival_iface c;
     lk_route =
-      (fun r addr ->
-        match Hashtbl.find_opt fib_tbl r with
+      (fun r di ->
+        match Hashtbl.find_opt probes r with
         | None -> None
-        | Some pb -> probe_lpm pb (probes addr));
+        | Some pb -> Fib.probe_lpm pb di.hi_dest);
   }
-
-(* Per-host walk inputs, hoisted so an extraction resolves each host's
-   maps once instead of once per pair. [hi_starts] carries the exact
-   sorted order the walk visits attachments in; [hi_datts] keeps the raw
-   attachment order the delivery check scans. *)
-type host_info = {
-  hi_name : string;
-  hi_host : Device.host;
-  hi_prefix : Netcore.Prefix.t;
-  hi_starts : (string * Device.iface) list;
-  hi_datts : (string * Device.iface) list;
-  hi_drouters : string list;
-}
-
-let host_info (net : Device.network) name =
-  match Smap.find_opt name net.hosts with
-  | None -> invalid_arg ("Dataplane.traceroute: unknown host " ^ name)
-  | Some h ->
-      let atts =
-        Option.value ~default:[] (Smap.find_opt name net.attachments)
-      in
-      {
-        hi_name = name;
-        hi_host = h;
-        hi_prefix = Device.host_prefix h;
-        hi_starts = List.sort_uniq compare atts;
-        hi_datts = atts;
-        hi_drouters = List.map fst atts;
-      }
 
 (* The walk itself, identical on every lookup implementation: a DFS over
    the ECMP branching in next-hop list order, so truncation at
@@ -222,7 +165,7 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
       else
         let visited = Sset.add router visited in
         let rev = router :: rev in
-        match lk.lk_route router dst_addr with
+        match lk.lk_route router di with
         | None -> dropped := (src :: List.rev rev) :: !dropped
         | Some route when route.rt_nexthops = [] ->
             (* Connected route but the destination host is not attached
@@ -419,7 +362,7 @@ let merge_lists ls =
    does prepending the router (or later the source host) to every
    element, so assembling a pair's trace needs no sorting at all. *)
 let dest_memo (lk : lookups) (di : host_info) ~cap =
-  let dst = di.hi_name and dst_addr = di.hi_host.h_addr in
+  let dst = di.hi_name in
   let tbl : (string, memo_node) Hashtbl.t = Hashtbl.create 64 in
   let visiting : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let sat a b = if a + b > cap then cap + 1 else a + b in
@@ -438,7 +381,7 @@ let dest_memo (lk : lookups) (di : host_info) ~cap =
               mn_drop_paths = lazy [];
             }
           else
-            match lk.lk_route r dst_addr with
+            match lk.lk_route r di with
             | None | Some { Fib.rt_nexthops = []; _ } ->
                 {
                   mn_deliv = 0;
@@ -549,18 +492,11 @@ let shortcut_trace src dst =
 let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
     fibs =
   let memo_ok = no_acls net in
-  (* One probe accelerator per FIB, shared by classification and (on
-     filter-free networks) the walks: with the suffix memo in play route
-     lookups are scarce, so probing the FIB arrays directly beats
-     compiling tries. ACL-bearing networks walk pair by pair and
-     amortize per-router tries instead. *)
-  let probe_tbl = probe_table fibs in
-  let lk =
-    lazy
-      (if memo_ok then probe_lookups c probe_tbl else compiled_lookups c fibs)
-  in
+  (* One probe accelerator per FIB, shared by classification and every
+     walk, with or without packet filters. *)
+  let probes = probe_table fibs in
+  let lk = probe_lookups c probes in
   let infos = List.map (fun (n, _) -> host_info net n) (Smap.bindings net.hosts) in
-  let lkf = Lazy.force lk in
   let acls = enumerate_acls net in
   (* Class index per host, in first-seen (canonical host) order. *)
   let class_of = Hashtbl.create 64 in
@@ -575,18 +511,16 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
      are only compared against each other. *)
   let infos_arr = Array.of_list infos in
   let nh = Array.length infos_arr in
-  let pfx = prefix_probes () in
-  let host_pfx = Array.map (fun hi -> pfx hi.hi_host.h_addr) infos_arr in
   let route_lists = Array.make nh [] in
   Smap.iter
     (fun name _ ->
-      let pb = Hashtbl.find_opt probe_tbl name in
+      let pb = Hashtbl.find_opt probes name in
       for h = 0 to nh - 1 do
         let proj =
           match pb with
           | None -> None
           | Some pb -> (
-              match probe_lpm pb host_pfx.(h) with
+              match Fib.probe_lpm pb infos_arr.(h).hi_dest with
               | None -> None
               | Some route -> Some route.Fib.rt_nexthops)
         in
@@ -662,7 +596,7 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
     match Hashtbl.find_opt memos di.hi_name with
     | Some m -> m
     | None ->
-        let m = dest_memo lkf di ~cap:max_paths in
+        let m = dest_memo lk di ~cap:max_paths in
         Hashtbl.add memos di.hi_name m;
         m
   in
@@ -691,7 +625,7 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
                     memo_trace node ~cap:max_paths ~si)
               with
               | Some t -> t
-              | None -> trace_hosts ~max_paths lk ~si ~di
+              | None -> trace_hosts ~max_paths (Lazy.from_val lk) ~si ~di
             in
             (key, t))
           group)

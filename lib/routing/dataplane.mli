@@ -44,8 +44,8 @@ val extract :
 (** Traces for every ordered pair of distinct hosts, each equal to what
     {!traceroute} returns for that pair. Hosts are grouped into
     forwarding-equivalence classes; one representative pair per ordered
-    class pair is traced on the precompiled interface/arrival tables
-    (with per-router LPM tries, or a per-destination suffix memo when
+    class pair is traced on the precompiled interface/arrival tables and
+    one {!Fib.probe} per router (with a per-destination suffix memo when
     the network has no packet filters) and its trace renamed onto the
     class's other pairs. [compiled] must be the network's compiled
     form. *)

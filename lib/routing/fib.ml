@@ -268,12 +268,17 @@ let lookup t addr =
 
 (* ---- probe accelerator ----
 
-   Hot extraction paths answer thousands of point lookups against the
-   same FIB. A probe condenses each slot's prefix to the same int key
-   [of_candidates] sorts by, so a probe search is a binary search over
-   unboxed ints — no [Prefix.compare] calls — and [probe_lens] restricts
-   the LPM sweep to the lengths actually present. *)
+   Hot extraction paths answer thousands of longest-prefix matches
+   against the same FIB. A probe condenses each slot's prefix to the same
+   int key [of_candidates] sorts by, so a probe search is a binary search
+   over unboxed ints — no [Prefix.compare] calls — and the LPM sweep only
+   tries the prefix lengths actually present (usually two or three), most
+   specific first. A [dest] holds the key of every prefix containing one
+   address, computed once per destination and reused against every FIB. *)
 type probe = { pb_keys : int array; pb_routes : t; pb_lens : int list }
+type dest = int array
+
+let probe_key p = (Ipv4.to_int (Prefix.network p) * 33) + Prefix.length p
 
 let probe t =
   let n = Array.length t in
@@ -281,9 +286,8 @@ let probe t =
   let seen = Array.make 33 false in
   for i = 0 to n - 1 do
     let p = t.(i).rt_prefix in
-    let len = Prefix.length p in
-    keys.(i) <- (Ipv4.to_int (Prefix.network p) * 33) + len;
-    seen.(len) <- true
+    keys.(i) <- probe_key p;
+    seen.(Prefix.length p) <- true
   done;
   let lens = ref [] in
   for l = 0 to 32 do
@@ -291,10 +295,9 @@ let probe t =
   done;
   { pb_keys = keys; pb_routes = t; pb_lens = !lens }
 
-let probe_lens pb = pb.pb_lens
+let dest addr = Array.init 33 (fun len -> probe_key (Prefix.v addr len))
 
-let probe_find pb p =
-  let k = (Ipv4.to_int (Prefix.network p) * 33) + Prefix.length p in
+let probe_find pb k =
   let keys = pb.pb_keys in
   let rec go lo hi =
     if lo >= hi then None
@@ -307,164 +310,15 @@ let probe_find pb p =
   in
   go 0 (Array.length keys)
 
-(* ---- compiled longest-prefix match ----
-
-   A path-compressed binary trie over destination-address bits: one
-   root-to-leaf walk per lookup instead of the 33 probes above. The
-   trie is a separate compiled artifact — [t] itself stays the plain
-   sorted array, which the engine marshals to its disk cache and
-   compares structurally — built per FIB by the data-plane extractor and
-   shared across every lookup against it. *)
-
-type lpm =
-  | Lnil
-  | Lnode of {
-      lskip : int;  (* chain bits to match before this node applies *)
-      lbits : int;  (* their values, first-consumed bit highest *)
-      lroute : route option;  (* route whose prefix ends exactly here *)
-      lzero : lpm;
-      lone : lpm;
-    }
-
-(* Mutable nodes for the build phase only — path-compressed from the
-   start (PATRICIA-style insertion with node splits), so the build
-   allocates O(routes) nodes rather than one node per prefix bit. *)
-type lbuild = {
-  mutable bskip : int;
-  mutable bbits : int;
-  mutable br : route option;
-  mutable bz : lbuild option;
-  mutable bo : lbuild option;
-}
-
-let compile t =
-  let node skip bits r z o =
-    { bskip = skip; bbits = bits; br = r; bz = z; bo = o }
+let probe_lpm pb (d : dest) =
+  let rec go = function
+    | [] -> None
+    | l :: tl -> (
+        match probe_find pb (Array.unsafe_get d l) with
+        | Some r -> Some r
+        | None -> go tl)
   in
-  (* The [s] prefix bits starting at depth [d], first-consumed highest. *)
-  let seg addr d s =
-    if s = 0 then 0 else (addr lsr (32 - d - s)) land ((1 lsl s) - 1)
-  in
-  (* Leading bits equal between the [s]-bit segments [x] and [y]. *)
-  let common s x y =
-    let rec go i =
-      if i >= s || (x lsr (s - 1 - i)) land 1 <> (y lsr (s - 1 - i)) land 1
-      then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let root = ref None in
-  let insert p r =
-    let addr = Ipv4.to_int (Prefix.network p) in
-    let len = Prefix.length p in
-    match !root with
-    | None -> root := Some (node len (seg addr 0 len) (Some r) None None)
-    | Some n0 ->
-        let rec go n d =
-          let skip = n.bskip and bits = n.bbits in
-          let k = len - d in
-          let s = min skip k in
-          let m =
-            common s (seg addr d s)
-              (if s = skip then bits else bits lsr (skip - s))
-          in
-          if m = skip then begin
-            (* Whole chain matched; the prefix ends here or branches on. *)
-            let d = d + skip in
-            if d = len then n.br <- Some r
-            else
-              let b = (addr lsr (31 - d)) land 1 in
-              match (if b = 0 then n.bz else n.bo) with
-              | Some c -> go c (d + 1)
-              | None ->
-                  let leaf =
-                    node (len - d - 1)
-                      (seg addr (d + 1) (len - d - 1))
-                      (Some r) None None
-                  in
-                  if b = 0 then n.bz <- Some leaf else n.bo <- Some leaf
-          end
-          else begin
-            (* The prefix diverges (or ends) inside [n]'s chain: split it
-               at bit [m]. The tail keeps the old route and children; bit
-               [m] of the old chain becomes the branch selecting it. *)
-            let cb = (bits lsr (skip - 1 - m)) land 1 in
-            let tail =
-              node (skip - m - 1)
-                (bits land ((1 lsl (skip - m - 1)) - 1))
-                n.br n.bz n.bo
-            in
-            n.bskip <- m;
-            n.bbits <- bits lsr (skip - m);
-            if m = k then begin
-              (* The prefix ends exactly at the split point. *)
-              n.br <- Some r;
-              if cb = 0 then begin
-                n.bz <- Some tail;
-                n.bo <- None
-              end
-              else begin
-                n.bz <- None;
-                n.bo <- Some tail
-              end
-            end
-            else begin
-              (* Bit mismatch: the old chain continues one way, the new
-                 prefix's remainder the other. *)
-              n.br <- None;
-              let d' = d + m + 1 in
-              let leaf =
-                node (len - d') (seg addr d' (len - d')) (Some r) None None
-              in
-              if cb = 0 then begin
-                n.bz <- Some tail;
-                n.bo <- Some leaf
-              end
-              else begin
-                n.bz <- Some leaf;
-                n.bo <- Some tail
-              end
-            end
-          end
-        in
-        go n0 0
-  in
-  (* Ascending prefix order, same as the map iteration it replaced. *)
-  Array.iter (fun r -> insert r.rt_prefix r) t;
-  let rec conv n =
-    Lnode
-      {
-        lskip = n.bskip;
-        lbits = n.bbits;
-        lroute = n.br;
-        lzero = conv_opt n.bz;
-        lone = conv_opt n.bo;
-      }
-  and conv_opt = function None -> Lnil | Some c -> conv c in
-  match !root with None -> Lnil | Some n -> conv n
-
-let lookup_lpm lpm addr =
-  let a = Ipv4.to_int addr in
-  let rec go node depth best =
-    match node with
-    | Lnil -> best
-    | Lnode { lskip; lbits; lroute; lzero; lone } ->
-        if
-          depth + lskip > 32
-          || (lskip > 0
-             && (a lsr (32 - depth - lskip)) land ((1 lsl lskip) - 1) <> lbits)
-        then best
-        else
-          let depth = depth + lskip in
-          let best = match lroute with Some _ -> lroute | None -> best in
-          if depth >= 32 then best
-          else
-            go
-              (if (a lsr (31 - depth)) land 1 = 0 then lzero else lone)
-              (depth + 1) best
-  in
-  go lpm 0 None
+  go pb.pb_lens
 
 let routes t = Array.to_list t
 

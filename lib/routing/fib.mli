@@ -55,33 +55,30 @@ val add_sorted_desc : t -> route list -> t
 val find : t -> Prefix.t -> route option
 (** Exact-prefix lookup. *)
 
+val lookup : t -> Ipv4.t -> route option
+(** Longest-prefix-match lookup by direct probing: one binary search per
+    prefix length, 33 in the worst case. The reference {!probe_lpm} is
+    tested against, and the lookup for callers that ask a FIB once. *)
+
 type probe
-(** A point-lookup accelerator over one FIB: prefixes condensed to int
-    keys so searches compare unboxed ints. Like {!lpm}, purely an
-    acceleration structure — the FIB itself is unchanged. *)
+(** A longest-prefix-match accelerator over one FIB: prefixes condensed
+    to int keys so searches compare unboxed ints, and the sweep limited
+    to the prefix lengths the FIB holds. Purely an acceleration
+    structure — the FIB itself is unchanged (it is marshaled and
+    compared structurally elsewhere). *)
 
 val probe : t -> probe
 
-val probe_find : probe -> Prefix.t -> route option
-(** Same result as {!find} on the probed FIB. *)
+type dest
+(** A destination address prepared for {!probe_lpm}: the key of its
+    enclosing prefix at every length, computed once and reused against
+    every probed FIB. *)
 
-val probe_lens : probe -> int list
-(** The distinct prefix lengths present, most specific first — the only
-    lengths a longest-prefix-match sweep needs to try. *)
+val dest : Ipv4.t -> dest
 
-val lookup : t -> Ipv4.t -> route option
-(** Longest-prefix-match lookup by direct probing: one map probe per
-    prefix length, 33 in the worst case. *)
-
-type lpm
-(** A FIB compiled into a path-compressed binary trie: one root-to-leaf
-    walk per lookup. Purely an acceleration structure — [t] itself is
-    unchanged (it is marshaled and compared structurally elsewhere). *)
-
-val compile : t -> lpm
-
-val lookup_lpm : lpm -> Ipv4.t -> route option
-(** Same result as {!lookup} on the FIB the trie was compiled from. *)
+val probe_lpm : probe -> dest -> route option
+(** Same result as {!lookup} on the probed FIB for the destination's
+    address. *)
 
 val routes : t -> route list
 (** All routes, sorted by prefix. *)

@@ -888,10 +888,11 @@ let addr_gen =
     map2 (fun hi lo -> (hi lsl 16) lxor lo) (int_bound 0xFFFF) (int_bound 0xFFFF))
 
 let prop_lpm_equiv =
-  (* The compiled trie must answer exactly like the 33-probe map lookup,
-     including on prefix network addresses (match boundaries) and the
-     empty-FIB / default-route corners small_list covers. *)
-  QCheck2.Test.make ~name:"LPM trie = 33-probe lookup" ~count:300
+  (* The probe accelerator must answer exactly like the 33-probe
+     reference lookup, including on prefix network addresses (match
+     boundaries) and the empty-FIB / default-route corners small_list
+     covers. *)
+  QCheck2.Test.make ~name:"probe LPM = 33-probe lookup" ~count:300
     QCheck2.Gen.(
       pair (small_list (pair addr_gen (int_bound 32))) (small_list addr_gen))
     (fun (pres, addrs) ->
@@ -910,7 +911,7 @@ let prop_lpm_equiv =
               fib)
           Fib.empty pres
       in
-      let lpm = Fib.compile fib in
+      let pb = Fib.probe fib in
       let probes =
         List.map (fun a -> Netcore.Ipv4.of_int a) addrs
         @ List.concat_map
@@ -919,7 +920,9 @@ let prop_lpm_equiv =
               [ Netcore.Ipv4.of_int a; Netcore.Prefix.network p ])
             pres
       in
-      List.for_all (fun a -> Fib.lookup fib a = Fib.lookup_lpm lpm a) probes)
+      List.for_all
+        (fun a -> Fib.lookup fib a = Fib.probe_lpm pb (Fib.dest a))
+        probes)
 
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
@@ -966,6 +969,72 @@ let prop_kernels_equiv =
       | None -> true
       | Some what -> QCheck2.Test.fail_reportf "diverges on %s" what)
 
+(* Generated networks with packet filters: one ACL denying traffic to
+   one host prefix and one permit-any ACL, each bound to a random router
+   interface in a random direction. Extraction cannot use the suffix
+   memo on such a network and walks the representative pairs one by
+   one; every trace must still equal the reference's plain traceroute
+   (the data-plane part of [kernel_divergence]). *)
+let prop_acl_extraction =
+  QCheck2.Test.make ~name:"extraction with packet filters = reference"
+    ~count:40
+    QCheck2.Gen.(pair (int_bound 100000) (list_repeat 7 (int_bound 100000)))
+    (fun (seed, picks) ->
+      let spec = Crucible.Gen.spec ~seed () in
+      let configs = Netgen.Emit.emit spec in
+      let pick i l = List.nth l (List.nth picks i mod List.length l) in
+      let victim = fst (pick 0 spec.Netgen.Netspec.hosts) in
+      let victim_prefix =
+        let c =
+          List.find (fun (c : Configlang.Ast.config) -> c.hostname = victim) configs
+        in
+        Option.get (Configlang.Ast.interface_prefix (List.hd c.interfaces))
+      in
+      let rule action dst =
+        { Configlang.Ast.acl_action = action; acl_src = None; acl_dst = dst }
+      in
+      let deny_host =
+        {
+          Configlang.Ast.acl_name = "DENYHOST";
+          acl_rules =
+            [
+              rule Configlang.Ast.Deny (Some victim_prefix);
+              rule Configlang.Ast.Permit None;
+            ];
+        }
+      in
+      let permit_any =
+        {
+          Configlang.Ast.acl_name = "PERMITANY";
+          acl_rules = [ rule Configlang.Ast.Permit None ];
+        }
+      in
+      (* Bind [acl] on a random interface of a random router. *)
+      let bind configs (acl : Configlang.Ast.acl) k =
+        let router = pick k spec.routers in
+        List.map
+          (fun (c : Configlang.Ast.config) ->
+            if c.hostname <> router then c
+            else
+              let target = (pick (k + 1) c.interfaces).if_name in
+              let inbound = List.nth picks (k + 2) mod 2 = 0 in
+              let interfaces =
+                List.map
+                  (fun (i : Configlang.Ast.interface) ->
+                    if i.if_name <> target then i
+                    else if inbound then
+                      { i with if_acl_in = Some acl.acl_name }
+                    else { i with if_acl_out = Some acl.acl_name })
+                  c.interfaces
+              in
+              { c with interfaces; acls = acl :: c.acls })
+          configs
+      in
+      let configs = bind (bind configs deny_host 1) permit_any 4 in
+      match Crucible.Oracle.kernel_divergence (Simulate.run_exn configs) with
+      | None -> true
+      | Some what -> QCheck2.Test.fail_reportf "diverges on %s" what)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -974,6 +1043,7 @@ let qsuite =
       prop_lpm_equiv;
       prop_csr_dijkstra_equiv;
       prop_kernels_equiv;
+      prop_acl_extraction;
     ]
 
 (* ---------------- worker pool ---------------- *)
