@@ -46,8 +46,8 @@ batch-smoke:
 	  --resume --out /tmp/confmask-batch-smoke \
 	  --metrics-out /tmp/confmask-batch-smoke/metrics.json
 	grep -Eq '"diskcache\.hit": *[1-9]' /tmp/confmask-batch-smoke/metrics.json
-	grep -q '"status": "ok"' /tmp/confmask-batch-smoke/manifest.json
-	! grep -q '"status": "pending"' /tmp/confmask-batch-smoke/manifest.json
+	grep -Eq '"status": *"ok"' /tmp/confmask-batch-smoke/manifest.json
+	! grep -Eq '"status": *"pending"' /tmp/confmask-batch-smoke/manifest.json
 	cp /tmp/confmask-batch-smoke/manifest.json /tmp/confmask-batch-smoke/manifest.first.json
 	dune exec bin/confmask_cli.exe -- batch --nets A --kr 2,6 --kh 2 \
 	  --resume --out /tmp/confmask-batch-smoke
@@ -73,8 +73,8 @@ serve-smoke:
 	for d in $(SERVE_SMOKE)/served/*/configs; do \
 	  diff -r $$d $(SERVE_SMOKE)/oneshot/$$(basename $$(dirname $$d))/configs || exit 1; done
 	# Identical result digests, in job order.
-	grep -o '"digest": "[0-9a-f]*"' $(SERVE_SMOKE)/served/manifest.json > $(SERVE_SMOKE)/served.digests
-	grep -o '"digest": "[0-9a-f]*"' $(SERVE_SMOKE)/oneshot/manifest.json > $(SERVE_SMOKE)/oneshot.digests
+	grep -Eo '"digest": *"[0-9a-f]*"' $(SERVE_SMOKE)/served/manifest.json > $(SERVE_SMOKE)/served.digests
+	grep -Eo '"digest": *"[0-9a-f]*"' $(SERVE_SMOKE)/oneshot/manifest.json > $(SERVE_SMOKE)/oneshot.digests
 	test -s $(SERVE_SMOKE)/served.digests
 	cmp $(SERVE_SMOKE)/served.digests $(SERVE_SMOKE)/oneshot.digests
 	# Second served pass: every simulation must come from the resident

@@ -521,114 +521,6 @@ let ext_scale () =
         [ 0; 4; 8 ])
     nets
 
-(* ---------------- Batch grids: cold vs warm persistent cache ---------- *)
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let batch_combos = [ (2, 2); (6, 2); (10, 2); (6, 4); (6, 6) ]
-
-let batch_bench () =
-  header
-    "Batch grid timing: the fig11-14 (k_R, k_H) grid per network, cold \
-     persistent cache vs a warm rerun"
-    "the warm rerun restores SPF/BGP/whole-state entries from disk instead \
-     of recomputing them: full simulations drop by >= 3x and wall clock \
-     follows. Results land in BENCH_PR4.json.";
-  let full_sims stats =
-    (* Everything the disk cache can spare: full SPF preparations, BGP
-       fixpoints and DV recomputations. *)
-    Runs.stat stats "engine.spf_full"
-    + Runs.stat stats "engine.bgp_compute"
-    + Runs.stat stats "engine.dv_recompute"
-  in
-  let disk_hits stats =
-    Runs.stat stats "engine.state_disk"
-    + Runs.stat stats "engine.spf_disk"
-    + Runs.stat stats "engine.dv_disk"
-    + Runs.stat stats "engine.bgp_disk"
-  in
-  let temp_cache_dir id =
-    let f = Filename.temp_file ("confmask-bench-cache-" ^ id) "" in
-    Sys.remove f;
-    Sys.mkdir f 0o700;
-    f
-  in
-  let grid_pass id cache =
-    let configs = Netgen.Nets.configs (Netgen.Nets.find id) in
-    let counters0 = Netcore.Telemetry.counters () in
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun (k_r, k_h) ->
-        match
-          Runs.pipeline ?cache ~variant:Runs.Confmask_v ~k_r ~k_h configs
-        with
-        | Ok _ -> ()
-        | Error m ->
-            failwith
-              (Printf.sprintf "batch (net %s, k_r=%d, k_h=%d): %s" id k_r k_h m))
-      batch_combos;
-    let seconds = Unix.gettimeofday () -. t0 in
-    (seconds, Runs.counter_delta counters0 (Netcore.Telemetry.counters ()))
-  in
-  Printf.printf "%-3s %-11s %10s %10s %8s %10s %10s %10s\n" "ID" "Network"
-    "cold" "warm" "speedup" "full-cold" "full-warm" "disk-hits";
-  let rows =
-    List.map
-      (fun id ->
-        let label = (Netgen.Nets.find id).label in
-        let dir = temp_cache_dir id in
-        let cold_s, cold_stats =
-          grid_pass id (Some (Routing.Engine.open_cache dir))
-        in
-        let warm_s, warm_stats =
-          grid_pass id (Some (Routing.Engine.open_cache dir))
-        in
-        let row =
-          ( id, label, cold_s, warm_s, full_sims cold_stats,
-            full_sims warm_stats, disk_hits warm_stats )
-        in
-        Printf.printf "%-3s %-11s %9.2fs %9.2fs %7.1fx %10d %10d %10d\n%!" id
-          label cold_s warm_s (cold_s /. warm_s) (full_sims cold_stats)
-          (full_sims warm_stats) (disk_hits warm_stats);
-        row)
-      (ids ())
-  in
-  let out = open_out "BENCH_PR4.json" in
-  Printf.fprintf out
-    "{\n  \"experiment\": \"confmask batch grid seconds per network, cold \
-     persistent cache vs warm rerun, with full-simulation and disk-hit \
-     counter deltas\",\n\
-    \  \"combos\": [%s],\n  \"seed\": %d,\n  \"jobs\": %d,\n\
-    \  \"networks\": [\n"
-    (String.concat ", "
-       (List.map (fun (r, h) -> Printf.sprintf "[%d, %d]" r h) batch_combos))
-    Runs.seed
-    (Netcore.Pool.jobs (Netcore.Pool.default ()));
-  List.iteri
-    (fun i (id, label, cold_s, warm_s, cold_full, warm_full, hits) ->
-      Printf.fprintf out
-        "    {\"id\": \"%s\", \"label\": \"%s\", \"cold_seconds\": %.3f, \
-         \"warm_seconds\": %.3f, \"speedup\": %.2f, \"cold_full_sims\": %d, \
-         \"warm_full_sims\": %d, \"warm_disk_hits\": %d}%s\n"
-        (json_escape id) (json_escape label) cold_s warm_s (cold_s /. warm_s)
-        cold_full warm_full hits
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  let tot f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
-  let cold_t = tot (fun (_, _, c, _, _, _, _) -> c) in
-  let warm_t = tot (fun (_, _, _, w, _, _, _) -> w) in
-  Printf.fprintf out
-    "  ],\n  \"total_cold_seconds\": %.3f,\n  \"total_warm_seconds\": %.3f,\n\
-    \  \"total_speedup\": %.2f\n}\n"
-    cold_t warm_t (cold_t /. warm_t);
-  close_out out;
-  Printf.printf "[wrote BENCH_PR4.json]\n"
-
 (* ---------------- driver ---------------- *)
 
 let experiments =
@@ -653,7 +545,6 @@ let experiments =
     ("ext-scale", ext_scale);
     ("deanon", deanon);
     ("redteam", redteam);
-    ("batch", batch_bench);
   ]
 
 let () =

@@ -48,13 +48,11 @@ let hit_rate stats ~reuse ~miss =
 (* The pipeline with a pluggable route-fixing stage (step 2.1), so the
    strawman baselines slot into the exact same workflow. All simulations
    run through one incremental engine threaded across the stages. *)
-let pipeline ?cache ~variant ~k_r ~k_h configs =
+let pipeline ~variant ~k_r ~k_h configs =
   let rng = Netcore.Rng.create seed in
   let counters0 = Netcore.Telemetry.counters () in
   let t0 = Unix.gettimeofday () in
-  (* [cache] rides along on the initial engine: every later stage reuses
-     it through [Engine.apply_edit]. *)
-  match Routing.Engine.of_configs ?cache configs with
+  match Routing.Engine.of_configs configs with
   | Error m -> Error m
   | Ok eng0 -> (
       let orig = Routing.Engine.snapshot eng0 in

@@ -74,8 +74,7 @@ let generate_cmd =
 
 let setup_telemetry ~trace ~metrics_out ~selfcheck =
   if trace || metrics_out <> None then Netcore.Telemetry.set_enabled true;
-  if selfcheck && Netcore.Telemetry.selfcheck_period () = 0 then
-    Netcore.Telemetry.set_selfcheck 1
+  if selfcheck then Routing.Engine.set_selfcheck true
 
 let emit_telemetry ~trace ~metrics_out =
   if trace then Netcore.Telemetry.pp_report Format.err_formatter ();
@@ -97,8 +96,7 @@ let metrics_out_arg =
 let selfcheck_arg =
   Arg.(value & flag & info [ "selfcheck" ]
          ~doc:"Shadow every incremental simulation step with a from-scratch \
-               one and abort on any FIB divergence (slow; for validation). \
-               Equivalent to CONFMASK_SELFCHECK=1.")
+               one and abort on any FIB divergence (slow; for validation).")
 
 (* ---- anonymize ---- *)
 
@@ -591,8 +589,9 @@ let khs_arg =
 
 let resume_arg =
   Arg.(value & flag & info [ "resume" ]
-         ~doc:"Skip jobs whose result.json already reports success, reusing \
-               their records verbatim; failed jobs are retried.")
+         ~doc:"Skip jobs whose result.json parses and reports success, \
+               reusing their records; failed or unparsable ones are \
+               re-executed.")
 
 let limit_arg =
   Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N"

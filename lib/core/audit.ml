@@ -83,29 +83,25 @@ let of_report ?attacks ?(key_range = Attack.default_key_range)
 
 (* ---- JSON rendering ---- *)
 
+let score_fields (s : Attack.score) =
+  [
+    ("attack", Json.Str s.attack);
+    ("claims", Json.Num (float_of_int s.claims));
+    ("hits", Json.Num (float_of_int s.hits));
+    ("relevant", Json.Num (float_of_int s.relevant));
+    ("precision", Json.Num s.precision);
+    ("recall", Json.Num s.recall);
+  ]
+
 let score_json (s : Attack.score) =
   Json.Obj
-    [
-      ("attack", Json.Str s.attack);
-      ("claims", Json.Num (float_of_int s.claims));
-      ("hits", Json.Num (float_of_int s.hits));
-      ("relevant", Json.Num (float_of_int s.relevant));
-      ("precision", Json.Num s.precision);
-      ("recall", Json.Num s.recall);
-      ("detail", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.detail));
-    ]
+    (score_fields s
+    @ [ ("detail", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.detail)) ])
 
 let json_fields scores = [ ("attacks", Json.Arr (List.map score_json scores)) ]
 let to_json scores = Json.Obj (json_fields scores)
 
-(* Fixed field order and %.3f formatting, like [Verify.record_json]: the
-   batch resume path compares records byte-for-byte, and every attack is
-   deterministic, so re-execution reproduces this string exactly. *)
-let record_json scores =
-  let one (s : Attack.score) =
-    Printf.sprintf
-      "{\"attack\": \"%s\", \"claims\": %d, \"hits\": %d, \"relevant\": %d, \
-       \"precision\": %.3f, \"recall\": %.3f}"
-      s.attack s.claims s.hits s.relevant s.precision s.recall
-  in
-  "[" ^ String.concat ", " (List.map one scores) ^ "]"
+let record scores =
+  Json.round3 (Json.Arr (List.map (fun s -> Json.Obj (score_fields s)) scores))
+
+let record_json scores = Json.to_string (record scores)

@@ -38,6 +38,12 @@ val of_report :
 val json_fields : result -> (string * Netcore.Json.t) list
 val to_json : result -> Netcore.Json.t
 
+val record : result -> Netcore.Json.t
+(** The array embedded as the ["redteam"] field of a batch cell's
+    [result.json]: each attack's {!to_json} object without [detail], its
+    precision and recall rounded to three decimals
+    ({!Netcore.Json.round3}). Deterministic, so a re-executed cell prints
+    the same bytes. *)
+
 val record_json : result -> string
-(** Compact fixed-format rendering for batch records ([%.3f] floats,
-    fixed field order) — byte-identical across re-executions. *)
+(** {!record}, printed by {!Netcore.Json.to_string}. *)

@@ -84,23 +84,6 @@ let dir_jobs ?(seed = 42) ?(noise = 0.1) ~dirs ~k_rs ~k_hs () =
       })
     (combos ~ids:dirs ~k_rs ~k_hs)
 
-(* ---- JSON plumbing (same dialect as Telemetry.report_json) ---- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* ---- filesystem plumbing ---- *)
 
 let rec mkdir_p dir =
@@ -140,65 +123,63 @@ let counter_delta before after =
       if d <> 0 then Some (name, d) else None)
     after
 
+let num n = Json.Num (float_of_int n)
+
+(* Records carry three decimals ([Json.round3]), so fractions print as
+   0.667. Every field but [seconds] and [telemetry] is deterministic
+   given the seeded workflow: a re-executed cell reproduces them. *)
 let ok_record ~id ~seconds ~digest ~deltas (r : Workflow.report) =
-  let telemetry =
-    deltas
-    |> List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v)
-    |> String.concat ", "
-  in
-  (* The per-cell verification record: how much of the original
-     network's mined specification transfers to this cell's anonymized
-     output. Deterministic given the seeded workflow, so resumed
-     manifests reproduce it byte for byte. *)
-  let verification = Verify.record_json (Verify.of_report r) in
-  (* And the red-team record: the measured security budget of this cell
-     — what each de-anonymization attack recovered. Attacks are
-     deterministic, so this too is byte-stable under --resume. *)
-  let redteam = Audit.record_json (Audit.of_report r) in
-  Printf.sprintf
-    "{\"id\": \"%s\", \"status\": \"ok\", \"seconds\": %.3f, \
-     \"fake_links\": %d, \"fake_hosts\": %d, \"fake_routers\": %d, \
-     \"equiv_iterations\": %d, \"filters_added\": %d, \
-     \"filters_removed\": %d, \"functional_equivalence\": %b, \
-     \"verification\": %s, \"redteam\": %s, \"digest\": \"%s\", \
-     \"telemetry\": {%s}}"
-    (json_escape id) seconds
-    (List.length r.fake_edges)
-    (List.length r.fake_hosts)
-    (List.length r.fake_router_names)
-    r.equiv_iterations
-    (r.equiv_filters + r.anon_filters_added)
-    r.anon_filters_removed
-    (Workflow.functional_equivalence r)
-    verification redteam digest telemetry
+  Json.round3
+    (Json.Obj
+       [
+         ("id", Json.Str id);
+         ("status", Json.Str "ok");
+         ("seconds", Json.Num seconds);
+         ("fake_links", num (List.length r.fake_edges));
+         ("fake_hosts", num (List.length r.fake_hosts));
+         ("fake_routers", num (List.length r.fake_router_names));
+         ("equiv_iterations", num r.equiv_iterations);
+         ("filters_added", num (r.equiv_filters + r.anon_filters_added));
+         ("filters_removed", num r.anon_filters_removed);
+         ("functional_equivalence", Json.Bool (Workflow.functional_equivalence r));
+         (* How much of the original network's mined specification
+            transfers to this cell's anonymized output. *)
+         ("verification", Verify.record (Verify.of_report r));
+         (* The measured security budget of this cell: what each
+            de-anonymization attack recovered. *)
+         ("redteam", Audit.record (Audit.of_report r));
+         ("digest", Json.Str digest);
+         ("telemetry", Json.Obj (List.map (fun (n, v) -> (n, num v)) deltas));
+       ])
 
 let error_record ~id ~seconds ~cls ~msg =
-  Printf.sprintf
-    "{\"id\": \"%s\", \"status\": \"error\", \"class\": \"%s\", \
-     \"error\": \"%s\", \"seconds\": %.3f}"
-    (json_escape id) cls (json_escape msg) seconds
+  Json.round3
+    (Json.Obj
+       [
+         ("id", Json.Str id);
+         ("status", Json.Str "error");
+         ("class", Json.Str cls);
+         ("error", Json.Str msg);
+         ("seconds", Json.Num seconds);
+       ])
 
 let pending_record ~id =
-  Printf.sprintf "{\"id\": \"%s\", \"status\": \"pending\"}" (json_escape id)
+  Json.Obj [ ("id", Json.Str id); ("status", Json.Str "pending") ]
 
-(* A substring check is all record inspection needs: every record was
-   written by this program, and anything unrecognizable must be treated
-   as "not done". *)
-let has_marker record marker =
-  let lm = String.length marker and lr = String.length record in
-  let rec scan i =
-    i + lm <= lr && (String.sub record i lm = marker || scan (i + 1))
-  in
-  scan 0
+let member_str name record = Option.bind (Json.member name record) Json.str
 
+(* Through a temp file and a rename: a run killed mid-write leaves the
+   previous record or none, never a torn one for --resume to trip on. *)
+let write_record out id record =
+  Diskcache.write_atomic (result_path out id) (Json.to_string record)
+
+(* Only a record that parses and reports success is done; anything else
+   (missing, torn, failed) is re-executed. *)
 let reusable_record out id =
-  let path = result_path out id in
-  if not (Sys.file_exists path) then None
-  else
-    match read_file path with
-    | record when has_marker record "\"status\": \"ok\"" -> Some record
-    | _ -> None
-    | exception Sys_error _ -> None
+  match Json.parse (read_file (result_path out id)) with
+  | Ok record when member_str "status" record = Some "ok" -> Some record
+  | Ok _ | Error _ -> None
+  | exception Sys_error _ -> None
 
 let write_anon_configs ~format dir (r : Workflow.report) =
   mkdir_p dir;
@@ -235,7 +216,7 @@ let execute ~out ~cache ~format job =
         let cls, msg = classify e in
         error_record ~id:job.job_id ~seconds ~cls ~msg
   in
-  write_file (result_path out job.job_id) record;
+  write_record out job.job_id record;
   record
 
 (* ---- running a job through a live serve daemon ---- *)
@@ -295,18 +276,19 @@ let execute_remote ~server ?tenant ~out ~format job =
     match Json.parse resp with
     | Error m -> input_error "unparsable serve response: %s" m
     | Ok v -> (
-        let err = Option.bind (Json.member "error" v) Json.str in
+        let err = member_str "error" v in
         match (Option.bind (Json.member "ok" v) Json.bool, err) with
         | Some true, _ -> (
-            match Option.bind (Json.member "record" v) Json.str with
-            | Some record -> record
+            match Option.map Json.parse (member_str "record" v) with
+            | Some (Ok record) -> record
+            | Some (Error m) -> input_error "unparsable serve record: %s" m
             | None -> input_error "serve response carries no record")
         | _, Some "queue_full" when n < remote_attempts ->
             Unix.sleepf remote_backoff_s;
             attempt (n + 1)
         | _, Some e ->
             let detail =
-              match Option.bind (Json.member "detail" v) Json.str with
+              match member_str "detail" v with
               | Some d -> ": " ^ d
               | None -> ""
             in
@@ -328,13 +310,13 @@ let process_remote ~server ?tenant ~out ~format job =
         error_record ~id:job.job_id ~seconds:(Clock.elapsed t0) ~cls ~msg
       in
       mkdir_p (Filename.concat out job.job_id);
-      write_file (result_path out job.job_id) record;
+      write_record out job.job_id record;
       record
 
 (* ---- the driver ---- *)
 
 type outcome = {
-  records : (string * string) list;
+  records : (string * Json.t) list;
   ok : int;
   errors : int;
   pending : int;
@@ -342,15 +324,10 @@ type outcome = {
   exit_code : int;
 }
 
-let status_of record =
-  if has_marker record "\"status\": \"ok\"" then `Ok
-  else if has_marker record "\"status\": \"pending\"" then `Pending
-  else `Error
-
 let record_exit_code record =
-  match status_of record with
-  | `Ok | `Pending -> 0
-  | `Error -> if has_marker record "\"class\": \"input\"" then 1 else 2
+  match member_str "status" record with
+  | Some ("ok" | "pending") -> 0
+  | _ -> exit_code (Option.value ~default:"internal" (member_str "class" record))
 
 let run ?pool ?cache ?server ?tenant ?(resume = false) ?limit
     ?(format = Configlang.Vendor.Cisco) ~out jobs =
@@ -399,18 +376,24 @@ let run ?pool ?cache ?server ?tenant ?(resume = false) ?limit
           | None -> (job.job_id, execute ~out ~cache ~format job))
   in
   let records = Pool.parallel_map ?pool process jobs in
-  let count f = List.length (List.filter f records) in
-  let ok = count (fun (_, r) -> status_of r = `Ok) in
-  let pending = count (fun (_, r) -> status_of r = `Pending) in
+  let count status =
+    List.length
+      (List.filter (fun (_, r) -> member_str "status" r = Some status) records)
+  in
+  let ok = count "ok" in
+  let pending = count "pending" in
   let errors = List.length records - ok - pending in
   let exit_code =
     List.fold_left (fun acc (_, r) -> max acc (record_exit_code r)) 0 records
   in
   let manifest =
-    Printf.sprintf
-      "{\n\"jobs\": [\n%s\n],\n\"ok\": %d,\n\"errors\": %d,\n\"pending\": %d\n}\n"
-      (String.concat ",\n" (List.map snd records))
-      ok errors pending
+    Json.Obj
+      [
+        ("jobs", Json.Arr (List.map snd records));
+        ("ok", num ok);
+        ("errors", num errors);
+        ("pending", num pending);
+      ]
   in
-  write_file (manifest_path out) manifest;
+  write_file (manifest_path out) (Json.to_string manifest ^ "\n");
   { records; ok; errors; pending; reused = Atomic.get reused; exit_code }

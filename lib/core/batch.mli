@@ -5,14 +5,17 @@
     directories of configuration files. Jobs are sharded across the
     domain worker pool; each failure is isolated into an error record
     instead of killing the run. Every job writes its anonymized
-    configurations and a one-line [result.json] under [out/<job id>/],
-    and the run ends by assembling [out/manifest.json] from the per-job
-    records in job order.
+    configurations and a one-line [result.json] under [out/<job id>/]
+    (through a temp file and a rename, so it is never torn), and the run
+    ends by assembling [out/manifest.json] from the per-job records in
+    job order. Every record and manifest is a {!Netcore.Json.t} printed
+    by {!Netcore.Json.to_string}.
 
     Resume semantics: with [resume:true], a job whose [result.json]
-    already reports ["status": "ok"] is not re-run — its record is reused
-    {e verbatim}, so resuming a finished batch reproduces a byte-identical
-    manifest. Failed jobs are always retried.
+    parses and has ["status"] ["ok"] is not re-run — its record is
+    reused, and since printing is canonical, resuming a finished batch
+    reproduces a byte-identical manifest. Failed jobs, and records that
+    do not parse, are always re-executed.
 
     Error classification (shared with the CLI's exit codes): an
     {!Input_error} — missing directory, unparsable file, unknown network,
@@ -85,8 +88,8 @@ val dir_jobs :
     [basename-krK-khK]. *)
 
 type outcome = {
-  records : (string * string) list;
-      (** (job id, one-line JSON record), in job order *)
+  records : (string * Netcore.Json.t) list;
+      (** (job id, record), in job order *)
   ok : int;
   errors : int;
   pending : int;  (** jobs not processed because of [limit] *)
@@ -99,19 +102,21 @@ val execute :
   cache:Netcore.Diskcache.t option ->
   format:Configlang.Vendor.t ->
   job ->
-  string
+  Netcore.Json.t
 (** Runs one job in-process: loads the source, runs the workflow,
     writes [out/<id>/configs/] and [out/<id>/result.json], and returns
-    the one-line record. Never raises — failures become error records.
+    the record [result.json] holds. Never raises — failures become error records.
     This is the {e same} code path whether called by {!run} or by the
     serve daemon on behalf of a remote client, which is what makes the
     two modes byte-compatible.
 
-    Each ok record embeds a ["verification"] object ({!Verify.record_json}):
+    Each ok record embeds a ["verification"] object ({!Verify.record}):
     the per-verdict policy counts and kept fraction of checking the
     original network's mined specification against the cell's
     anonymized output — so every grid cell carries a machine-readable
-    proof of how much of the specification transferred. *)
+    proof of how much of the specification transferred — and a
+    ["redteam"] array ({!Audit.record}). Non-integer numbers carry three
+    decimals ({!Netcore.Json.round3}). *)
 
 val run :
   ?pool:Netcore.Pool.t ->

@@ -72,28 +72,7 @@ let stats_response server =
         ]
     | None -> []
   in
-  let counters =
-    Json.Obj
-      (List.map
-         (fun (name, v) -> (name, Json.Num (float_of_int v)))
-         (Telemetry.counters ()))
-  in
-  let spans =
-    Json.Arr
-      (List.map
-         (fun (path, count, seconds) ->
-           Json.Obj
-             [
-               ("path", Json.Str path);
-               ("count", Json.Num (float_of_int count));
-               ("seconds", Json.Num seconds);
-             ])
-         (Telemetry.spans ()))
-  in
-  ok
-    ([ ("op", Json.Str "stats") ]
-    @ gauges
-    @ [ ("counters", counters); ("spans", spans) ])
+  ok ((("op", Json.Str "stats") :: gauges) @ Telemetry.json_fields ())
 
 let source_of req =
   match field req "source" with
@@ -149,7 +128,8 @@ let job_response ~cache ~tenants req =
   (* Same code path as the local batch driver — that, plus the seeded
      determinism of the workflow, is the byte-compatibility argument. *)
   let record = Batch.execute ~out ~cache ~format:(format_of req) job in
-  ok [ ("op", Json.Str "job"); ("id", Json.Str id); ("record", Json.Str record) ]
+  let record = Json.Str (Json.to_string record) in
+  ok [ ("op", Json.Str "job"); ("id", Json.Str id); ("record", record) ]
 
 let read_file path =
   let ic = try open_in_bin path with Sys_error m -> bad "%s" m in

@@ -79,11 +79,5 @@ let json_fields ?(entries = true) v =
 
 let to_json ?entries v = Json.Obj (json_fields ?entries v)
 
-let record_json v =
-  let s = v.summary in
-  Printf.sprintf
-    "{\"policies\": %d, \"holds_both\": %d, \"lost\": %d, \
-     \"introduced\": %d, \"holds_neither\": %d, \"fake_only\": %d, \
-     \"kept_fraction\": %.3f}"
-    s.total s.holds_both s.lost s.introduced s.holds_neither s.fake_only
-    s.kept_fraction
+let record v = Json.round3 (to_json ~entries:false v)
+let record_json v = Json.to_string (record v)

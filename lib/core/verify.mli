@@ -43,7 +43,11 @@ val json_fields : ?entries:bool -> result -> (string * Netcore.Json.t) list
 
 val to_json : ?entries:bool -> result -> Netcore.Json.t
 
+val record : result -> Netcore.Json.t
+(** The summary object embedded as the ["verification"] field of a
+    batch cell's [result.json]: {!to_json} without entries, its
+    [kept_fraction] rounded to three decimals ({!Netcore.Json.round3}).
+    Deterministic, so a re-executed cell prints the same bytes. *)
+
 val record_json : result -> string
-(** The compact summary object embedded as the ["verification"] field
-    of a batch cell's [result.json] (fixed field order and float
-    formatting, so resumed manifests stay byte-identical). *)
+(** {!record}, printed by {!Netcore.Json.to_string}. *)

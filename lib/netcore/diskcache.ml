@@ -59,9 +59,9 @@ let read_file path =
    the counter, concurrent processes by the pid. *)
 let tmp_seq = Atomic.make 0
 
-let write_file_atomic ~dir path content =
+let write_atomic path content =
   let tmp =
-    Filename.concat dir
+    Filename.concat (Filename.dirname path)
       (Printf.sprintf "%s%d-%d" tmp_prefix (Unix.getpid ())
          (Atomic.fetch_and_add tmp_seq 1))
   in
@@ -93,7 +93,7 @@ let open_dir ?(version = "1") cache_dir =
       List.iter
         (fun f -> try Sys.remove (Filename.concat cache_dir f) with Sys_error _ -> ())
         (entry_files cache_dir);
-      write_file_atomic ~dir:cache_dir (index_path cache_dir) want);
+      write_atomic (index_path cache_dir) want);
   t
 
 (* The one decode path: both [find] and [mem] trust an entry only if the
@@ -114,7 +114,7 @@ let find t key =
 
 let add t ~key payload =
   match
-    write_file_atomic ~dir:t.cache_dir (entry_path t key)
+    write_atomic (entry_path t key)
       (Codec.encode ~version:t.eff_version ~key payload)
   with
   | () -> Telemetry.incr c_write

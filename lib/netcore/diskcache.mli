@@ -27,6 +27,11 @@
 
 type t
 
+val write_atomic : string -> string -> unit
+(** [write_atomic path content] writes [content] to a temp file beside
+    [path], then renames it over [path]: a reader sees the old file or
+    the whole new one, never a torn write. Raises [Sys_error]. *)
+
 val open_dir : ?version:string -> string -> t
 (** [open_dir ~version dir] opens (creating it, parents included, if
     needed) the cache directory [dir] for entries of format [version]

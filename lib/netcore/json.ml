@@ -196,16 +196,24 @@ let escape b s =
       | ch -> Buffer.add_char b ch)
     s
 
+(* The shortest of %.15g, %.16g, %.17g that parses back to [f]; %.17g
+   always does. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
 let to_string v =
   let b = Buffer.create 256 in
   let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool true -> Buffer.add_string b "true"
     | Bool false -> Buffer.add_string b "false"
-    | Num f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Buffer.add_string b (Printf.sprintf "%.0f" f)
-        else Buffer.add_string b (Printf.sprintf "%.17g" f)
+    | Num f -> Buffer.add_string b (number f)
     | Str s ->
         Buffer.add_char b '"';
         escape b s;
@@ -232,6 +240,12 @@ let to_string v =
   in
   go v;
   Buffer.contents b
+
+let rec round3 = function
+  | Num f -> Num (float_of_string (Printf.sprintf "%.3f" f))
+  | Arr xs -> Arr (List.map round3 xs)
+  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, round3 v)) kvs)
+  | (Null | Bool _ | Str _) as v -> v
 
 (* ---- accessors ---- *)
 

@@ -1,8 +1,10 @@
-(** Minimal zero-dependency JSON: just enough for the serve protocol.
+(** Minimal zero-dependency JSON (RFC 8259): the one printer and parser
+    behind every document the system writes — the serve protocol, batch
+    records and manifests, telemetry reports, verification and red-team
+    records.
 
-    One value type, a total recursive-descent parser, and a printer that
-    escapes the same way {!Telemetry.report_json} and the batch records
-    do. Numbers are floats (every integer the protocol carries fits a
+    One value type, a total recursive-descent parser, and a compact
+    printer. Numbers are floats (every integer the system carries fits a
     double exactly); object member order is preserved; duplicate keys
     keep their first occurrence under {!member}. *)
 
@@ -20,7 +22,18 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact single-line rendering (no added whitespace), suitable for
-    the line-delimited wire protocol. *)
+    the line-delimited wire protocol. Strings escape the double quote,
+    the backslash and every control character. An integral number below
+    1e15 in magnitude prints without a fraction ([3]); any other number
+    prints in the shortest [%.15g]/[%.16g]/[%.17g] form that parses back
+    to the same float ([0.667], not [0.66666666666666663]). Printing is
+    canonical: when every number of [v] is finite, [parse (to_string v)]
+    prints back to the same bytes. *)
+
+val round3 : t -> t
+(** Every number rounded to three decimals, as
+    [float_of_string (Printf.sprintf "%.3f" x)] — the precision of batch
+    records, which then print as e.g. [0.667]. Integers are unchanged. *)
 
 (** {1 Accessors} — total, [None] on shape mismatch. *)
 

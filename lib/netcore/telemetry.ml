@@ -81,23 +81,6 @@ let spans () =
         span_table [])
   |> List.sort compare
 
-(* ---- self-check ---- *)
-
-let selfcheck_of_env () =
-  match Sys.getenv_opt "CONFMASK_SELFCHECK" with
-  | None -> 0
-  | Some s -> (
-      let s = String.trim s in
-      if s = "" then 0
-      else
-        match int_of_string_opt s with
-        | Some n -> max 0 n
-        | None -> 1)
-
-let selfcheck = Atomic.make (selfcheck_of_env ())
-let selfcheck_period () = Atomic.get selfcheck
-let set_selfcheck n = Atomic.set selfcheck (max 0 n)
-
 (* ---- reports ---- *)
 
 let reset () =
@@ -119,36 +102,22 @@ let pp_report ppf () =
     (fun (name, v) -> Format.fprintf ppf "  %-40s %10d@." name v)
     (counters ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_fields () =
+  let int n = Json.Num (float_of_int n) in
+  [
+    ( "spans",
+      Json.Arr
+        (List.map
+           (fun (path, count, seconds) ->
+             Json.Obj
+               [
+                 ("path", Json.Str path);
+                 ("count", int count);
+                 ("seconds", Json.Num seconds);
+               ])
+           (spans ())) );
+    ( "counters",
+      Json.Obj (List.map (fun (name, v) -> (name, int v)) (counters ())) );
+  ]
 
-let report_json () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"spans\": [\n";
-  let sp = spans () in
-  List.iteri
-    (fun i (path, count, seconds) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"path\": \"%s\", \"count\": %d, \"seconds\": %.6f}%s\n"
-           (json_escape path) count seconds
-           (if i = List.length sp - 1 then "" else ",")))
-    sp;
-  Buffer.add_string b "  ],\n  \"counters\": {\n";
-  let cs = counters () in
-  List.iteri
-    (fun i (name, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "    \"%s\": %d%s\n" (json_escape name) v
-           (if i = List.length cs - 1 then "" else ",")))
-    cs;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+let report_json () = Json.to_string (Json.Obj (json_fields ())) ^ "\n"

@@ -1,5 +1,4 @@
-(** Lightweight pipeline telemetry: named spans, atomic counters, and the
-    engine self-check knob.
+(** Lightweight pipeline telemetry: named spans and atomic counters.
 
     Everything here is process-global and safe to use from any [Domain]:
     counters are [Atomic] cells, span aggregation is mutex-protected, and
@@ -9,13 +8,7 @@
     Disabled is the default and costs one [Atomic.get] branch per call —
     counters do not tick and spans do not read the clock. Enable with
     {!set_enabled} (the CLI's [--trace] / [--metrics-out] flags and the
-    bench harness do) before running the pipeline being measured.
-
-    The self-check period is independent of {!enabled}: when positive,
-    [Routing.Engine.apply_edit] shadows every Nth edit with a from-scratch
-    [Simulate.run] and fails loudly on FIB divergence. It is seeded from
-    the [CONFMASK_SELFCHECK] environment variable at startup and can be
-    overridden programmatically (the CLI's [--selfcheck] flag). *)
+    bench harness do) before running the pipeline being measured. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -50,26 +43,21 @@ val with_span : string -> (unit -> 'a) -> 'a
 val spans : unit -> (string * int * float) list
 (** [(path, count, total_seconds)] per recorded span path, sorted. *)
 
-(** {1 Self-check} *)
-
-val selfcheck_period : unit -> int
-(** [0] disables the shadow check; [n > 0] shadows every [n]th
-    [Engine.apply_edit]. Initialized from [CONFMASK_SELFCHECK]: unset or
-    un-parsable as a positive integer means [0], except that any
-    non-empty non-numeric value (e.g. ["yes"]) means [1]. *)
-
-val set_selfcheck : int -> unit
-(** Clamped below at [0]. *)
-
 (** {1 Reports} *)
 
 val reset : unit -> unit
 (** Zeroes every counter and drops all span aggregates. Leaves the
-    enabled flag and self-check period alone. *)
+    enabled flag alone. *)
 
 val pp_report : Format.formatter -> unit -> unit
 (** Human-readable spans-then-counters report (the [--trace] output). *)
 
+val json_fields : unit -> (string * Json.t) list
+(** The same report as JSON object fields:
+    [("spans", [{"path", "count", "seconds"}...])] and
+    [("counters", {name: int...})] — the [--metrics-out] file and the
+    tail of the serve [stats] reply. *)
+
 val report_json : unit -> string
-(** The same report as a JSON object:
-    [{"spans": [{"path", "count", "seconds"}...], "counters": {...}}]. *)
+(** {!json_fields} as one JSON object, printed by {!Json.to_string} and
+    terminated by a newline. *)

@@ -562,10 +562,10 @@ let of_configs ?pool ?cache configs = build ?pool ?cache configs
 
 (* ---- shadow self-check ---- *)
 
-(* Process-wide edit sequence. Deliberately a plain atomic rather than a
-   telemetry counter: the self-check must fire even when telemetry is
-   disabled ([CONFMASK_SELFCHECK=1] alone enables it). *)
-let edit_seq = Atomic.make 0
+(* Independent of telemetry: the self-check fires whether or not spans
+   and counters are recorded. *)
+let selfcheck = Atomic.make false
+let set_selfcheck b = Atomic.set selfcheck b
 
 (* Compare semantically, not structurally: an incrementally patched route
    selection may list equal routes in a different order than the scratch
@@ -602,18 +602,14 @@ let apply_edit t configs =
   with
   | Error _ as e -> e
   | Ok t' as ok ->
-      let period = Telemetry.selfcheck_period () in
-      let seq = if period > 0 then Atomic.fetch_and_add edit_seq 1 + 1 else 0 in
-      if period > 0 && seq mod period = 0 then
+      if Atomic.get selfcheck then
         Telemetry.with_span "engine.selfcheck" (fun () ->
             match selfcheck_divergence t' with
             | None -> ()
             | Some msg ->
                 failwith
-                  (Printf.sprintf
-                     "Engine.apply_edit self-check failed at edit %d: \
-                      incremental result diverges from Simulate.run — %s"
-                     seq msg));
+                  ("Engine.apply_edit self-check failed: incremental result \
+                    diverges from Simulate.run — " ^ msg));
       ok
 
 let of_configs_exn ?pool ?cache configs =

@@ -39,11 +39,11 @@
     [engine.fib_reuse]/[engine.fib_build], [engine.edits], and the disk
     hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
     [engine.bgp_disk]) and spans
-    ([engine.build], [engine.domains], [engine.bgp]). When the telemetry
-    self-check period is positive ([CONFMASK_SELFCHECK], [--selfcheck]),
-    every Nth {!apply_edit} additionally shadows the incremental result
-    with a from-scratch [Simulate.run] and raises [Failure] naming the
-    divergent routers if the FIBs differ semantically. *)
+    ([engine.build], [engine.domains], [engine.bgp]). With the self-check
+    on ({!set_selfcheck}, the CLI's [--selfcheck]), every {!apply_edit}
+    additionally shadows the incremental result with a from-scratch
+    [Simulate.run] and raises [Failure] naming the divergent routers if
+    the FIBs differ semantically. *)
 
 module Smap = Device.Smap
 
@@ -85,6 +85,10 @@ val apply_edit : t -> Configlang.Ast.config list -> (t, string) result
     cache passed at {!of_configs} time is carried along. *)
 
 val apply_edit_exn : t -> Configlang.Ast.config list -> t
+
+val set_selfcheck : bool -> unit
+(** Turns the process-wide shadow self-check of {!apply_edit} on or off
+    (default off). Independent of telemetry being enabled. *)
 
 val snapshot : t -> Simulate.snapshot
 

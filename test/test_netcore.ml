@@ -396,7 +396,48 @@ let test_json_roundtrip () =
     (Result.get_ok (Json.parse (Json.to_string v)) = v);
   check Alcotest.string "integers print without a fraction"
     {|{"n":3,"f":0.25}|}
-    (Json.to_string (Json.Obj [ ("n", Json.Num 3.0); ("f", Json.Num 0.25) ]))
+    (Json.to_string (Json.Obj [ ("n", Json.Num 3.0); ("f", Json.Num 0.25) ]));
+  check Alcotest.string "shortest round-tripping form"
+    "[0.1,0.6666666666666666,-2.5e-07,1e+300]"
+    (Json.to_string
+       (Json.Arr (List.map (fun f -> Json.Num f) [ 0.1; 2. /. 3.; -2.5e-7; 1e300 ])));
+  check Alcotest.string "round3 rounds every number, integers unchanged"
+    {|{"a":[0.667,2],"b":"x","c":0.001}|}
+    (Json.to_string
+       (Json.round3
+          (Json.Obj
+             [
+               ("a", Json.Arr [ Json.Num (2. /. 3.); Json.Num 2.0 ]);
+               ("b", Json.Str "x");
+               ("c", Json.Num 0.0005001);
+             ])))
+
+(* The --metrics-out document: a span path or counter name with quotes,
+   backslashes or control characters still yields valid JSON of the
+   {"spans": [{path, count, seconds}], "counters": {name: int}} shape. *)
+let test_telemetry_report_json () =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) @@ fun () ->
+  let name = "t\"e\\s\tt\x01" in
+  Telemetry.with_span name (fun () -> Telemetry.with_span "inner" ignore);
+  Telemetry.add (Telemetry.counter name) 3;
+  let report = Result.get_ok (Json.parse (Telemetry.report_json ())) in
+  let ( >>= ) = Option.bind in
+  let span =
+    match Json.member "spans" report with
+    | Some (Json.Arr spans) ->
+        List.find_opt
+          (fun s -> (Json.member "path" s >>= Json.str) = Some (name ^ "/inner"))
+          spans
+    | _ -> None
+  in
+  check Alcotest.(option int) "span count" (Some 1)
+    (span >>= Json.member "count" >>= Json.int);
+  check Alcotest.bool "span seconds" true
+    (span >>= Json.member "seconds" >>= Json.num <> None);
+  check Alcotest.(option int) "counter value" (Some 3)
+    (Json.member "counters" report >>= Json.member name >>= Json.int)
 
 (* -------------------- Clock -------------------- *)
 
@@ -846,6 +887,7 @@ let () =
           Alcotest.test_case "parse rejects malformed" `Quick
             test_json_parse_rejects;
           Alcotest.test_case "print-parse roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "telemetry report" `Quick test_telemetry_report_json;
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );

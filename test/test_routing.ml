@@ -1198,10 +1198,10 @@ let test_engine_bgp_skip () =
   let skip = Netcore.Telemetry.counter "engine.bgp_skip" in
   let compute = Netcore.Telemetry.counter "engine.bgp_compute" in
   Netcore.Telemetry.set_enabled true;
-  Netcore.Telemetry.set_selfcheck 1;
+  Engine.set_selfcheck true;
   Fun.protect ~finally:(fun () ->
       Netcore.Telemetry.set_enabled false;
-      Netcore.Telemetry.set_selfcheck 0)
+      Engine.set_selfcheck false)
   @@ fun () ->
   let eng = Engine.of_configs_exn configs in
   let s0 = Netcore.Telemetry.value skip in

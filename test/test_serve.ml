@@ -1,6 +1,7 @@
 (* The serve daemon: dispatcher correctness, concurrent clients answered
    byte-compatibly with the in-process batch path, admission control
-   under overload, and graceful drain. *)
+   under overload, and graceful drain. Plus the batch driver both modes
+   share: limits, resume, exit codes and the records it writes. *)
 
 open Netcore
 
@@ -187,7 +188,7 @@ let test_live_concurrent_jobs_byte_compatible () =
         job_params = { Confmask.Workflow.default_params with k_r = 6; k_h = 2 };
       }
   in
-  let want = digest_of_record reference in
+  let want = digest_of_record (Json.to_string reference) in
   with_server @@ fun addr _ ->
   let n = 4 in
   let out = temp_dir () in
@@ -309,6 +310,86 @@ let test_live_shutdown_drains () =
   expect_ok !slow_resp;
   check Alcotest.bool "socket path unlinked" false (Sys.file_exists sock)
 
+(* ---- the batch driver ---- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let result_path out id = Filename.concat (Filename.concat out id) "result.json"
+let grid ks = Confmask.Batch.grid_jobs ~nets:[ "A" ] ~k_rs:ks ~k_hs:[ 2 ] ()
+let str_of name record = Option.bind (Json.member name record) Json.str
+
+(* The manifest on disk parses, and its counts match the outcome's. *)
+let check_manifest out (o : Confmask.Batch.outcome) =
+  let m = parse_exn (read_file (Confmask.Batch.manifest_path out)) in
+  let count name = Option.bind (Json.member name m) Json.int in
+  check Alcotest.(list (option int)) "manifest ok/errors/pending"
+    [ Some o.ok; Some o.errors; Some o.pending ]
+    (List.map count [ "ok"; "errors"; "pending" ])
+
+let test_batch_limit_then_resume () =
+  let out = temp_dir () in
+  let o = Confmask.Batch.run ~limit:1 ~out (grid [ 2; 6 ]) in
+  check Alcotest.(triple int int int) "ok, pending, exit code" (1, 1, 0)
+    (o.ok, o.pending, o.exit_code);
+  check_manifest out o;
+  let find status = List.find (fun (_, r) -> str_of "status" r = Some status) o.records in
+  let done_id, done_record = find "ok" and pending_id, _ = find "pending" in
+  check Alcotest.bool "a pending job writes no result.json" false
+    (Sys.file_exists (result_path out pending_id));
+  let bytes = read_file (result_path out done_id) in
+  check Alcotest.string "result.json holds the record" bytes
+    (Json.to_string done_record);
+  let o' = Confmask.Batch.run ~resume:true ~out (grid [ 2; 6 ]) in
+  check Alcotest.(triple int int int) "resumed: ok, pending, reused" (2, 0, 1)
+    (o'.ok, o'.pending, o'.reused);
+  check Alcotest.string "reused record byte for byte" bytes
+    (Json.to_string (List.assoc done_id o'.records));
+  check Alcotest.string "reused result.json untouched" bytes
+    (read_file (result_path out done_id));
+  check_manifest out o'
+
+(* Only a record that parses and reports ok is reused: a failed record
+   and a torn one (a write cut short) are both re-executed. *)
+let test_batch_resume_reexecutes content =
+  let out = temp_dir () in
+  Sys.mkdir (Filename.concat out "A-kr2-kh2") 0o700;
+  Out_channel.with_open_bin (result_path out "A-kr2-kh2") (fun oc ->
+      output_string oc content);
+  let o = Confmask.Batch.run ~resume:true ~out (grid [ 2 ]) in
+  check Alcotest.(pair int int) "re-executed, not reused" (1, 0) (o.ok, o.reused);
+  check Alcotest.(option string) "result.json rewritten" (Some "ok")
+    (str_of "status" (parse_exn (read_file (result_path out "A-kr2-kh2"))));
+  check_manifest out o
+
+let test_batch_resume_error_record () =
+  test_batch_resume_reexecutes
+    {|{"id":"A-kr2-kh2","status":"error","class":"input","error":"x","seconds":0}|}
+
+let test_batch_resume_torn_record () =
+  let out = temp_dir () in
+  check Alcotest.int "first run ok" 1 (Confmask.Batch.run ~out (grid [ 2 ])).ok;
+  test_batch_resume_reexecutes
+    (String.sub (read_file (result_path out "A-kr2-kh2")) 0 60)
+
+let test_batch_exit_code_and_escaping () =
+  let out = temp_dir () in
+  let weird = Filename.concat out "no\"such\\dir\n\there\x01" in
+  let bad =
+    {
+      Confmask.Batch.job_id = "bad";
+      job_source = Confmask.Batch.Dir weird;
+      job_params = Confmask.Workflow.default_params;
+    }
+  in
+  let o = Confmask.Batch.run ~out (grid [ 2 ] @ [ bad ]) in
+  check Alcotest.(triple int int int) "ok, errors, exit code of the worst class"
+    (1, 1, 1) (o.ok, o.errors, o.exit_code);
+  check_manifest out o;
+  let on_disk = parse_exn (read_file (result_path out "bad")) in
+  check Alcotest.(pair (option string) (option string))
+    "class and message survive the round trip"
+    (Some "input", Some (weird ^ ": no such directory"))
+    (str_of "class" on_disk, str_of "error" on_disk)
+
 let () =
   Alcotest.run "serve"
     [
@@ -333,5 +414,16 @@ let () =
           Alcotest.test_case "per-tenant pii keys" `Quick test_live_tenant_keys;
           Alcotest.test_case "shutdown drains in-flight" `Quick
             test_live_shutdown_drains;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "limit leaves jobs pending; resume reuses" `Quick
+            test_batch_limit_then_resume;
+          Alcotest.test_case "resume re-executes an error record" `Quick
+            test_batch_resume_error_record;
+          Alcotest.test_case "resume re-executes a torn record" `Quick
+            test_batch_resume_torn_record;
+          Alcotest.test_case "exit code and escaped error messages" `Quick
+            test_batch_exit_code_and_escaping;
         ] );
     ]
