@@ -36,7 +36,11 @@ let of_report ?policies (r : Workflow.report) =
   let rename =
     match r.name_map with
     | [] -> None
-    | map -> Some (fun n -> Option.value ~default:n (List.assoc_opt n map))
+    | map ->
+        (* Indexed once. [of_seq] keeps a name's last binding, so over
+           the reversed map the first wins, as with [List.assoc_opt]. *)
+        let tbl = Hashtbl.of_seq (List.to_seq (List.rev map)) in
+        Some (fun n -> Option.value ~default:n (Hashtbl.find_opt tbl n))
   in
   check ?policies ?rename ~orig:r.orig_snapshot ~anon:r.anon_snapshot ()
 

@@ -4,24 +4,32 @@ module Smap = Routing.Device.Smap
 
 let canonical = Attack.canonical_edge
 
+(* Router links are marked in an n x n matrix over the interned router
+   names as the walk goes; a delivered path is [h_s; r_1; ...; r_n; h_d],
+   so only its router interior can cross a router link. *)
 let no_traffic_links (snap : Routing.Simulate.snapshot) =
-  let dp = Routing.Simulate.dataplane snap in
-  let used = Hashtbl.create 64 in
+  let g = Routing.Device.router_graph snap.net in
+  let ids = Interner.create ~capacity:(Graph.num_nodes g) () in
+  List.iter (fun r -> ignore (Interner.intern ids r)) (Graph.nodes g);
+  let n = Interner.length ids in
+  let used = Bytes.make (n * n) '\000' in
+  let cell i j = (min i j * n) + max i j in
+  let rec walk prev = function
+    | r :: (_ :: _ as rest) ->
+        let i = Option.value ~default:(-1) (Interner.find ids r) in
+        if prev >= 0 && i >= 0 then Bytes.set used (cell prev i) '\001';
+        walk i rest
+    | [ _ ] | [] -> ()
+  in
   Hashtbl.iter
     (fun _ (t : Routing.Dataplane.trace) ->
-      List.iter
-        (fun path ->
-          let rec edges = function
-            | u :: (v :: _ as rest) ->
-                Hashtbl.replace used (canonical (u, v)) ();
-                edges rest
-            | _ -> ()
-          in
-          edges path)
-        t.delivered)
-    dp;
-  let g = Routing.Device.router_graph snap.net in
-  List.filter (fun e -> not (Hashtbl.mem used e)) (Graph.edges g)
+      List.iter (function _ :: hops -> walk (-1) hops | [] -> ()) t.delivered)
+    (Routing.Simulate.dataplane snap);
+  List.filter
+    (fun (u, v) ->
+      Bytes.get used (cell (Interner.find_exn ids u) (Interner.find_exn ids v))
+      = '\000')
+    (Graph.edges g)
 
 (* Deny sets per attachment point, as printable prefix strings so sets can
    be compared across routers. *)

@@ -48,7 +48,9 @@ val extract :
     one {!Fib.probe} per router (with a per-destination suffix memo when
     the network has no packet filters) and its trace renamed onto the
     class's other pairs. [compiled] must be the network's compiled
-    form. *)
+    form. {!Simulate.dataplane} memoizes the result per snapshot and
+    hands the same table to every caller, so consumers of a plane treat
+    it as read-only. *)
 
 val paths : t -> src:string -> dst:string -> path list
 

@@ -143,7 +143,7 @@ type t = {
   delta : string list option;
 }
 
-let snapshot t = { Simulate.net = t.net; fibs = t.fibs; compiled = t.compiled }
+let snapshot t = Simulate.make_snapshot ~net:t.net ~fibs:t.fibs ~compiled:t.compiled
 let configs t = t.configs
 let network t = t.net
 let compiled t = t.compiled

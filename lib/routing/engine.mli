@@ -91,6 +91,8 @@ val set_selfcheck : bool -> unit
     (default off). Independent of telemetry being enabled. *)
 
 val snapshot : t -> Simulate.snapshot
+(** A fresh snapshot of the current state, with its own data-plane memo:
+    two calls never share an extracted plane. *)
 
 val configs : t -> Configlang.Ast.config list
 

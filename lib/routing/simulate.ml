@@ -2,11 +2,19 @@
 module Smap = Device.Smap
 module Imap = Map.Make (Int)
 
+type plane = Dataplane.t option Atomic.t
+
 type snapshot = {
   net : Device.network;
   fibs : Fib.t Smap.t;
   compiled : Compiled.t;
+  plane : plane;
 }
+
+(* Every snapshot starts with an empty plane cell, so a snapshot built
+   from other FIBs can never inherit an extraction of different ones. *)
+let make_snapshot ~net ~fibs ~compiled =
+  { net; fibs; compiled; plane = Atomic.make None }
 
 (* A static route is usable when its next hop lies on one of the router's
    connected subnets; the adjacency identifies the neighbor device. *)
@@ -172,13 +180,25 @@ let run_net ?pool (net : Device.network) =
 let run ?pool configs =
   match Device.compile configs with
   | Error _ as e -> e
-  | Ok net -> Ok { net; fibs = run_net ?pool net; compiled = Compiled.build net }
+  | Ok net ->
+      Ok (make_snapshot ~net ~fibs:(run_net ?pool net) ~compiled:(Compiled.build net))
 
 let run_exn ?pool configs =
   match run ?pool configs with Ok s -> s | Error m -> failwith m
 
+(* Filled by compare-and-set rather than a [Lazy.t], which raises when
+   two domains force it at once: racing extractions both finish, the
+   first to publish wins, and every caller returns the published table. *)
 let dataplane ?max_paths s =
-  Dataplane.extract ?max_paths ~compiled:s.compiled s.net s.fibs
+  let extract () = Dataplane.extract ?max_paths ~compiled:s.compiled s.net s.fibs in
+  if Option.is_some max_paths then extract ()
+  else
+    match Atomic.get s.plane with
+    | Some dp -> dp
+    | None ->
+        let dp = extract () in
+        if Atomic.compare_and_set s.plane None (Some dp) then dp
+        else Option.get (Atomic.get s.plane)
 
 let host_prefixes (net : Device.network) =
   Smap.fold

@@ -13,12 +13,22 @@
 
 module Smap = Device.Smap
 
-type snapshot = {
+type plane
+(** A snapshot's compute-once data-plane cell, filled by {!dataplane}. *)
+
+type snapshot = private {
   net : Device.network;
   fibs : Fib.t Smap.t;
   compiled : Compiled.t;
       (** the network's compiled form, shared with data-plane extraction *)
+  plane : plane;
 }
+(** Private so that every snapshot comes from {!make_snapshot} with an
+    empty plane cell: no copy with other FIBs can carry a stale plane. *)
+
+val make_snapshot :
+  net:Device.network -> fibs:Fib.t Smap.t -> compiled:Compiled.t -> snapshot
+(** [compiled] must be [net]'s compiled form. *)
 
 val run :
   ?pool:Netcore.Pool.t ->
@@ -31,6 +41,11 @@ val run_net : ?pool:Netcore.Pool.t -> Device.network -> Fib.t Smap.t
 (** Protocol computation only, for callers that already compiled. *)
 
 val dataplane : ?max_paths:int -> snapshot -> Dataplane.t
+(** The snapshot's data plane ({!Dataplane.extract}), extracted on the
+    first call and returned as the same table after that, from any
+    domain. The table is shared by every caller and must be treated as
+    read-only; copy it ([Hashtbl.copy]) before changing it. An explicit
+    [max_paths] bypasses the memo and extracts a fresh table. *)
 
 val host_routes : snapshot -> (string * Netcore.Prefix.t * string list) list
 (** Flattened FIB view [(router, host prefix, sorted next-hop routers)],

@@ -169,10 +169,15 @@ let max_evidence = 8
 let cap paths =
   List.filteri (fun i _ -> i < max_evidence) paths
 
-(* Interior routers of [h_s; r_1; ...; r_n; h_d]. *)
+(* Interior routers of [h_s; r_1; ...; r_n; h_d], in one pass. *)
 let interior = function
-  | _ :: (_ :: _ as rest) -> List.filteri (fun i _ -> i < List.length rest - 1) rest
-  | _ -> []
+  | [] -> []
+  | _ :: hops ->
+      let rec drop_last = function
+        | [] | [ _ ] -> []
+        | x :: rest -> x :: drop_last rest
+      in
+      drop_last hops
 
 let eval dp p =
   let s, d = endpoints p in

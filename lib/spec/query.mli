@@ -71,6 +71,11 @@ type outcome = {
           path set for load balance); capped at {!max_evidence} *)
 }
 
+val interior : Routing.Dataplane.path -> string list
+(** The routers strictly between a path's two host endpoints: the
+    candidate waypoints of [[h_s; r_1; ...; r_n; h_d]]. Linear in the
+    path length. *)
+
 val max_evidence : int
 (** Cap on recorded witness/counterexample paths (the verdict itself is
     computed from the full path set). *)

@@ -13,12 +13,7 @@ let endpoints = function
 
 (* Interior routers shared by every path of the pair. *)
 let common_waypoints paths =
-  let interior p =
-    match p with
-    | _ :: rest when rest <> [] -> List.filteri (fun i _ -> i < List.length rest - 1) rest
-    | _ -> []
-  in
-  match List.map interior paths with
+  match List.map Query.interior paths with
   | [] -> []
   | first :: others ->
       List.filter (fun w -> List.for_all (List.mem w) others) first

@@ -185,9 +185,10 @@ let reversed_nexthops ?scope net =
     (Routing.Ospf.compute ?scope net)
 
 (* A fan-out that forgets to rename: the first pair gets the trace of
-   another source toward the same destination, as is. *)
+   another source toward the same destination, as is. The fault lands in
+   a copy: the snapshot's memoized plane is shared and read-only. *)
 let unrenamed_fanout snap =
-  let dp = Routing.Simulate.dataplane snap in
+  let dp = Hashtbl.copy (Routing.Simulate.dataplane snap) in
   let pairs = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) dp []) in
   (match pairs with
   | (s, d) :: rest -> (

@@ -217,6 +217,88 @@ let test_audit_subset () =
   check Alcotest.string "the requested one" "no_traffic"
     (List.hd scores).attack
 
+(* ---- no_traffic against its naive reference ---- *)
+
+(* The link walk as first written: every hop of every delivered path,
+   as a canonical name pair, into a hashtable. *)
+let naive_no_traffic (snap : Routing.Simulate.snapshot) =
+  let used = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun _ (t : Routing.Dataplane.trace) ->
+      List.iter
+        (fun path ->
+          let rec edges = function
+            | u :: (v :: _ as rest) ->
+                Hashtbl.replace used (Redteam.Attack.canonical_edge (u, v)) ();
+                edges rest
+            | _ -> ()
+          in
+          edges path)
+        t.delivered)
+    (Routing.Simulate.dataplane snap);
+  List.filter
+    (fun e -> not (Hashtbl.mem used e))
+    (Netcore.Graph.edges (Routing.Device.router_graph snap.net))
+
+let links_t = Alcotest.(list (pair string string))
+
+let test_no_traffic_catalog () =
+  List.iter
+    (fun id ->
+      List.iter
+        (fun k_r ->
+          let params = { Confmask.Workflow.default_params with k_r; k_h = 2 } in
+          let r =
+            Confmask.Workflow.run_exn ~params
+              (Netgen.Nets.configs (Netgen.Nets.find id))
+          in
+          check links_t
+            (Printf.sprintf "net %s, k_R %d" id k_r)
+            (naive_no_traffic r.anon_snapshot)
+            (Redteam.Links.no_traffic_links r.anon_snapshot))
+        [ 2; 6 ])
+    [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ]
+
+(* A generated network whose first router drops everything it receives:
+   the links around it carry no delivered path. *)
+let test_no_traffic_acl () =
+  let spec = Crucible.Gen.spec ~seed:7 () in
+  let victim = List.hd spec.Netgen.Netspec.routers in
+  let deny_all =
+    {
+      Configlang.Ast.acl_name = "DENYALL";
+      acl_rules =
+        [
+          {
+            Configlang.Ast.acl_action = Configlang.Ast.Deny;
+            acl_src = None;
+            acl_dst = None;
+          };
+        ];
+    }
+  in
+  let configs =
+    List.map
+      (fun (c : Configlang.Ast.config) ->
+        if c.hostname <> victim then c
+        else
+          {
+            c with
+            interfaces =
+              List.map
+                (fun (i : Configlang.Ast.interface) ->
+                  { i with if_acl_in = Some deny_all.acl_name })
+                c.interfaces;
+            acls = deny_all :: c.acls;
+          })
+      (Netgen.Emit.emit spec)
+  in
+  let snap = Routing.Simulate.run_exn configs in
+  let flagged = Redteam.Links.no_traffic_links snap in
+  check Alcotest.bool "the filtered router's links are flagged" true
+    (List.exists (fun (u, v) -> u = victim || v = victim) flagged);
+  check links_t "equals the naive walk" (naive_no_traffic snap) flagged
+
 let () =
   Alcotest.run "redteam"
     [
@@ -243,5 +325,9 @@ let () =
           Alcotest.test_case "check infers ground truth" `Quick
             test_audit_check_infers_truth;
           Alcotest.test_case "attack subset" `Quick test_audit_subset;
+          Alcotest.test_case "no_traffic = naive walk on nets A-H" `Quick
+            test_no_traffic_catalog;
+          Alcotest.test_case "no_traffic = naive walk under ACLs" `Quick
+            test_no_traffic_acl;
         ] );
     ]

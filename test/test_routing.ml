@@ -1321,6 +1321,95 @@ let prop_engine_disk_cache =
       let warm2 = replay ~cache:(Engine.open_cache dir) states in
       fibs_agree cold warm1 && fibs_agree cold warm2)
 
+(* ---------------- per-snapshot data-plane memo ---------------- *)
+
+let fec_classes = Netcore.Telemetry.counter "fec.classes"
+
+(* The [fec.classes] delta of [f ()]: one extraction adds its class
+   count, so a memo hit adds nothing. *)
+let classes_ticked f =
+  Netcore.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled false) @@ fun () ->
+  let before = Netcore.Telemetry.value fec_classes in
+  let x = f () in
+  (x, Netcore.Telemetry.value fec_classes - before)
+
+let net_b () = Simulate.run_exn (Netgen.Nets.configs (Netgen.Nets.find "B"))
+
+let test_memo_shared () =
+  let s = net_b () in
+  let (dp1, dp2), ticks =
+    classes_ticked (fun () ->
+        let dp1 = Simulate.dataplane s in
+        (dp1, Simulate.dataplane s))
+  in
+  check Alcotest.bool "second call returns the same table" true (dp1 == dp2);
+  let _, once = classes_ticked (fun () -> Simulate.dataplane (net_b ())) in
+  check Alcotest.bool "an extraction ticks fec.classes" true (once > 0);
+  check Alcotest.int "two calls extract once" once ticks
+
+let test_memo_max_paths_bypass () =
+  let s = net_b () in
+  let memo = Simulate.dataplane s in
+  let capped = Simulate.dataplane ~max_paths:Dataplane.max_paths_default s in
+  check Alcotest.bool "?max_paths extracts a fresh table" true (capped != memo);
+  check Alcotest.bool "the memo is untouched" true (Simulate.dataplane s == memo)
+
+let test_memo_engine_snapshots () =
+  let eng = Engine.of_configs_exn (Netgen.Nets.configs (Netgen.Nets.find "B")) in
+  let a = Simulate.dataplane (Engine.snapshot eng) in
+  let b = Simulate.dataplane (Engine.snapshot eng) in
+  check Alcotest.bool "each snapshot has its own plane" true (a != b);
+  check Alcotest.bool "with equal traces" true
+    (Hashtbl.length a = Hashtbl.length b
+    && Hashtbl.fold (fun k t ok -> ok && Hashtbl.find_opt b k = Some t) a true)
+
+let test_memo_two_domains () =
+  let pool = Netcore.Pool.create ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Netcore.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun _ ->
+      let s = net_b () in
+      match Netcore.Pool.map pool (fun s -> Simulate.dataplane s) [ s; s ] with
+      | [ a; b ] ->
+          check Alcotest.bool "both domains get the published plane" true (a == b);
+          check Alcotest.bool "which stays the memo" true (Simulate.dataplane s == a)
+      | _ -> Alcotest.fail "two results expected")
+    [ 1; 2; 3; 4 ]
+
+(* A served job's record (equivalence, verification, red team) reuses
+   the planes of the report's two snapshots: one extraction each. *)
+let test_memo_batch_job () =
+  let params = { Confmask.Workflow.default_params with k_r = 6; k_h = 2 } in
+  let r = Confmask.Workflow.run_exn ~params (Netgen.Nets.configs (Netgen.Nets.find "D")) in
+  let _, once =
+    classes_ticked (fun () ->
+        ignore (Simulate.dataplane r.orig_snapshot);
+        ignore (Simulate.dataplane r.anon_snapshot))
+  in
+  let record, ticks =
+    classes_ticked (fun () ->
+        Confmask.Batch.execute ~out:(temp_cache_dir ()) ~cache:None
+          ~format:Configlang.Vendor.Cisco
+          {
+            Confmask.Batch.job_id = "D";
+            job_source = Confmask.Batch.Catalog "D";
+            job_params = params;
+          })
+  in
+  check Alcotest.(option string) "job ok" (Some "ok")
+    (Option.bind (Netcore.Json.member "status" record) Netcore.Json.str);
+  check Alcotest.int "each snapshot extracted once" once ticks
+
+let memo_suite =
+  [
+    Alcotest.test_case "two calls share one plane" `Quick test_memo_shared;
+    Alcotest.test_case "?max_paths bypasses the memo" `Quick test_memo_max_paths_bypass;
+    Alcotest.test_case "engine snapshots do not share" `Quick test_memo_engine_snapshots;
+    Alcotest.test_case "two domains force one snapshot" `Quick test_memo_two_domains;
+    Alcotest.test_case "batch job extracts each snapshot once" `Quick test_memo_batch_job;
+  ]
+
 let engine_suite =
   List.concat_map
     (fun (entry : Netgen.Nets.entry) ->
@@ -1410,6 +1499,7 @@ let () =
             Alcotest.test_case "disk cache: corruption degrades to cold" `Quick
               test_engine_disk_cache_corruption;
           ] );
+      ("memo", memo_suite);
       ( "properties",
         qsuite @ [ QCheck_alcotest.to_alcotest prop_engine_disk_cache ] );
     ]
