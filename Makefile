@@ -1,4 +1,4 @@
-.PHONY: all build test bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
+.PHONY: all build test help-smoke bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
   verify-smoke redteam-smoke fuzz-smoke check clean
 
 all: build
@@ -8,6 +8,28 @@ build:
 
 test:
 	dune runtest
+
+# Help smoke: `--help=plain` of both CLIs, and of every confmask
+# subcommand listed under COMMANDS in the top-level help, must exit 0
+# with nothing on stderr. cmdliner reports doc-markup errors (an illegal
+# escape, say) on stderr while still printing the page and exiting 0.
+HELP_SMOKE := /tmp/confmask-help-smoke
+help-smoke:
+	rm -rf $(HELP_SMOKE) && mkdir -p $(HELP_SMOKE)
+	dune build bin/confmask_cli.exe bin/crucible_cli.exe
+	./_build/default/bin/confmask_cli.exe --help=plain \
+	  | sed -n '/^COMMANDS/,/^[A-Z]/p' | grep -E '^       [a-z]' \
+	  | awk '{print $$1}' > $(HELP_SMOKE)/commands
+	test -s $(HELP_SMOKE)/commands
+	for cmd in "" $$(cat $(HELP_SMOKE)/commands); do \
+	  ./_build/default/bin/confmask_cli.exe $$cmd --help=plain \
+	    > /dev/null 2> $(HELP_SMOKE)/stderr || exit 1; \
+	  if test -s $(HELP_SMOKE)/stderr; then \
+	    echo "confmask $$cmd --help=plain wrote to stderr:"; \
+	    cat $(HELP_SMOKE)/stderr; exit 1; fi; \
+	done
+	./_build/default/bin/crucible_cli.exe --help=plain > /dev/null 2> $(HELP_SMOKE)/stderr
+	! test -s $(HELP_SMOKE)/stderr || (cat $(HELP_SMOKE)/stderr; exit 1)
 
 # Fast end-to-end smoke: the small-network slice of every experiment,
 # then one self-checked anonymization run that must show engine cache
@@ -179,7 +201,7 @@ fuzz-smoke:
 	dune exec bin/crucible_cli.exe -- --seed 0 --cases 200 \
 	  --minimize --corpus-dir crucible-failures
 
-check: build test bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
+check: build test help-smoke bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
   verify-smoke redteam-smoke fuzz-smoke
 
 clean:

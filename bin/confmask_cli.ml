@@ -751,7 +751,7 @@ let call_cmd =
     Cmd.info "call"
       ~doc:"Send one JSON request line to a running confmask serve daemon \
             and print the response line (exit 0 when the response reports \
-            \\\"ok\\\": true, 1 otherwise)"
+            \"ok\": true, 1 otherwise)"
   in
   Cmd.v info Term.(const call $ connect_arg $ request_arg)
 

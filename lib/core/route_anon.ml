@@ -98,63 +98,92 @@ let add_fake_hosts ~k_h configs (snap : Routing.Simulate.snapshot) =
   in
   (Edits.Indexed.to_configs idx, fakes)
 
-(* Routers that can deliver traffic for [fp]: walk every router's FIB and
-   check that all ECMP branches reach a router owning the prefix. Walks
-   share a memo table — on loop-free FIBs (the common case; IGP metrics
-   strictly decrease along next hops) every router is explored once
-   instead of once per ECMP branch per start router. A result is
-   memoized only when its computation never hit the cycle check, i.e.
-   never depended on the path taken to reach it. [owners] maps each
-   interface prefix to the routers owning it ([owners_map]). *)
-let reachable_routers ~owners (snap : Routing.Simulate.snapshot) fp =
-  let owners =
-    Option.value ~default:Sset.empty (Prefix.Map.find_opt fp owners)
+(* Algorithm 2's walk table for one snapshot: for every router (row,
+   indexed by the snapshot's router interner, which is in name order) and
+   every walked destination (column), the next-hop router ids of the
+   route the router's FIB matches, in [rt_nexthops] order — [None] when
+   there is no route or no next hop. The build is router-outer: each
+   router's FIB gets one {!Routing.Fib.probe}, answers every column's
+   longest-prefix match, and the probe is dropped before the next row, so
+   at most one accelerator per worker is live. Next hops are always
+   routers (static next hops resolve through router addresses only). *)
+let walk_table ?pool (snap : Routing.Simulate.snapshot) ids dests =
+  let row r =
+    match Smap.find_opt r snap.fibs with
+    | None -> Array.map (fun _ -> None) dests
+    | Some fib ->
+        let pb = Routing.Fib.probe fib in
+        Array.map
+          (fun d ->
+            match Routing.Fib.probe_lpm pb d with
+            | None -> None
+            | Some { rt_nexthops = []; _ } -> None
+            | Some route ->
+                Some
+                  (Array.of_list
+                     (List.map
+                        (fun (nh : Routing.Fib.nexthop) ->
+                          Interner.find_exn ids nh.nh_router)
+                        route.rt_nexthops)))
+          dests
   in
-  let probe = Prefix.host fp 10 in
-  let memo : (string, bool) Hashtbl.t = Hashtbl.create 64 in
-  (* Returns (delivers, pure); [pure] marks a result independent of the
-     [visiting] path, hence safe to memoize. *)
-  let rec delivers r visiting =
-    match Hashtbl.find_opt memo r with
-    | Some b -> (b, true)
-    | None ->
-        if Sset.mem r owners then begin
-          Hashtbl.replace memo r true;
-          (true, true)
-        end
-        else if Sset.mem r visiting then (false, false)
-        else begin
-          let b, pure =
-            match Smap.find_opt r snap.fibs with
-            | None -> (false, true)
-            | Some fib -> (
-                match Routing.Fib.lookup fib probe with
-                | None -> (false, true)
-                | Some route when route.rt_nexthops = [] -> (false, true)
-                | Some route ->
-                    let visiting = Sset.add r visiting in
-                    List.fold_left
-                      (fun (ok, pure) (nh : Routing.Fib.nexthop) ->
-                        if not ok then (ok, pure)
-                        else
-                          let b, p = delivers nh.nh_router visiting in
-                          (b, pure && p))
-                      (true, true) route.rt_nexthops)
-          in
-          if pure then Hashtbl.replace memo r b;
-          (b, pure)
-        end
+  List.init (Interner.length ids) (Interner.name ids)
+  |> Pool.chunked_map ?pool row
+  |> Array.of_list
+
+(* Walk results as int codes: bit 0 "delivers", bit 1 "impure" — the
+   result depended on the path taken to reach the router (it hit the
+   cycle check), so it must not be memoized. *)
+let delivers_bit = 1
+let impure_bit = 2
+
+(* Routers that can deliver traffic for column [j] of [table]: every
+   ECMP branch must reach a router in [owners] (ids). One DFS per start
+   router, in ascending id order, sharing one memo — on loop-free FIBs
+   (the common case; IGP metrics strictly decrease along next hops) every
+   router is explored once instead of once per ECMP branch per start
+   router. Only pure results are memoized. [visiting] marks the DFS path
+   and is cleared on exit. Owners are seeded as delivering. *)
+let walk_column table ids owners j =
+  let n = Array.length table in
+  (* '\000' unknown, '\001' delivers, '\002' does not. *)
+  let memo = Bytes.make n '\000' in
+  List.iter (fun o -> Bytes.set memo o '\001') owners;
+  let visiting = Bytes.make n '\000' in
+  let rec delivers r =
+    match Bytes.get memo r with
+    | '\001' -> delivers_bit
+    | '\002' -> 0
+    | _ when Bytes.get visiting r = '\001' -> impure_bit
+    | _ ->
+        let res =
+          match table.(r).(j) with
+          | None -> 0
+          | Some nhs ->
+              Bytes.set visiting r '\001';
+              (* Short-circuit fold: stop at the first branch that does
+                 not deliver, carrying impurity from every branch taken. *)
+              let acc = ref delivers_bit and i = ref 0 in
+              while !acc land delivers_bit <> 0 && !i < Array.length nhs do
+                let c = delivers nhs.(!i) in
+                acc := c land delivers_bit lor ((!acc lor c) land impure_bit);
+                incr i
+              done;
+              Bytes.set visiting r '\000';
+              !acc
+        in
+        if res land impure_bit = 0 then
+          Bytes.set memo r (if res land delivers_bit <> 0 then '\001' else '\002');
+        res
   in
-  Smap.fold
-    (fun rname _ acc ->
-      if fst (delivers rname Sset.empty) then rname :: acc else acc)
-    snap.net.routers []
-  |> List.sort String.compare
+  let out = ref [] in
+  for r = 0 to n - 1 do
+    if delivers r land delivers_bit <> 0 then out := Interner.name ids r :: !out
+  done;
+  List.rev !out
 
 (* Interface prefix -> owning routers, for the whole network: one pass
-   over every interface instead of one full scan per walked prefix.
-   Built once per simulation state and shared across all of that
-   state's walks. *)
+   over every interface instead of one full scan per walked prefix. *)
 let owners_map (net : Routing.Device.network) =
   Smap.fold
     (fun rname (r : Routing.Device.router) acc ->
@@ -167,6 +196,26 @@ let owners_map (net : Routing.Device.network) =
           Prefix.Map.add p (Sset.add rname cur) acc)
         acc r.r_ifaces)
     net.routers Prefix.Map.empty
+
+let reachable_routers ?pool (snap : Routing.Simulate.snapshot) fps =
+  if fps = [] then []
+  else
+    let ids = Routing.Compiled.routers snap.compiled in
+    let owners = owners_map snap.net in
+    let table =
+      walk_table ?pool snap ids
+        (Array.of_list
+           (List.map (fun fp -> Routing.Fib.dest (Prefix.host fp 10)) fps))
+    in
+    Pool.chunked_map ?pool
+      (fun (j, fp) ->
+        let owners =
+          match Prefix.Map.find_opt fp owners with
+          | None -> []
+          | Some s -> List.map (Interner.find_exn ids) (Sset.elements s)
+        in
+        (fp, walk_column table ids owners j))
+      (List.mapi (fun j fp -> (j, fp)) fps)
 
 (* The routers [routers0] that the current reachable set [now] lost. *)
 let lost_routers routers0 now =
@@ -211,15 +260,10 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                     (Smap.find_opt fh snap.net.hosts))
                 fake_hosts
             in
-            (* Baseline reachability per fake prefix (before any noise).
-               Each walk's memo table is local to its prefix, so the walks
-               are independent and run in parallel. *)
+            (* Baseline reachability per fake prefix (before any noise). *)
             let baseline =
               Telemetry.with_span "anon.baseline_walks" @@ fun () ->
-              let owners = owners_map snap.net in
-              Pool.parallel_map ?pool
-                (fun fp -> (fp, reachable_routers ~owners snap fp))
-                fake_prefixes
+              reachable_routers ?pool snap fake_prefixes
             in
             (* Plan filters: per (router, fake prefix, next hop), with
                probability p. The row scan stays in [host_routes] order —
@@ -278,9 +322,8 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                cache entry was last validated against, so validity only
                ever needs the one-step delta. Invalidation runs over the
                whole cache each round, keeping the invariant for entries
-               outside [suspect] too. Fresh walks run in parallel; results
-               fold back in suspect order, so the job count is
-               unobservable. *)
+               outside [suspect] too. The suspects missing from the cache
+               are walked together on one walk table of [snap']. *)
             let rec repair eng prev_fibs walks configs active removed
                 guard suspect =
               Telemetry.incr c_iterations;
@@ -309,32 +352,29 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                                  d))
                           walks
                   in
-                  let results =
+                  let fresh =
                     Telemetry.with_span "anon.repair_walks" @@ fun () ->
-                    let owners = owners_map snap'.net in
-                    Pool.parallel_map ?pool
-                      (fun (fp, routers0) ->
-                        match Prefix.Map.find_opt fp walks with
-                        | Some now -> (fp, routers0, now, false)
-                        | None ->
-                            (fp, routers0, reachable_routers ~owners snap' fp, true))
-                      suspect
-                  in
-                  let walks =
-                    List.fold_left
-                      (fun w (fp, _, now, fresh) ->
-                        if fresh then Prefix.Map.add fp now w else w)
-                      walks results
+                    reachable_routers ?pool snap'
+                      (List.filter_map
+                         (fun (fp, _) ->
+                           if Prefix.Map.mem fp walks then None else Some fp)
+                         suspect)
                   in
                   Telemetry.add c_walks_skipped
-                    (List.length
-                       (List.filter (fun (_, _, _, fresh) -> not fresh) results));
+                    (List.length suspect - List.length fresh);
+                  let walks =
+                    List.fold_left
+                      (fun w (fp, now) -> Prefix.Map.add fp now w)
+                      walks fresh
+                  in
                   let broken =
                     List.filter_map
-                      (fun (fp, routers0, now, _) ->
-                        let lost = lost_routers routers0 now in
+                      (fun (fp, routers0) ->
+                        let lost =
+                          lost_routers routers0 (Prefix.Map.find fp walks)
+                        in
                         if lost = [] then None else Some (fp, lost))
-                      results
+                      suspect
                   in
                   if broken = [] then Ok (eng, configs, active, removed)
                   else if guard <= 0 then

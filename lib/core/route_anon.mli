@@ -32,3 +32,15 @@ val anonymize :
     equivalence. [k_h = 1] adds no fake hosts and no filters. The noise
     and repair loops simulate through an incremental {!Routing.Engine} —
     pass [engine] (e.g. from [Route_equiv.fix]) to reuse its caches. *)
+
+val reachable_routers :
+  ?pool:Netcore.Pool.t ->
+  Routing.Simulate.snapshot ->
+  Netcore.Prefix.t list ->
+  (Netcore.Prefix.t * string list) list
+(** [reachable_routers snap fps]: Algorithm 2's reachability check, as
+    the repair loop runs it. For each prefix, in input order, the routers
+    (ascending by name) from which every forwarding branch toward the
+    prefix's [.10] address reaches a router with an interface in the
+    prefix; a forwarding loop does not deliver. The walks run on dense
+    router ids over one walk table of [snap] (see DESIGN §4). *)

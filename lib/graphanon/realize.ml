@@ -4,119 +4,145 @@ let c_rounds = Telemetry.counter "graphanon.rounds"
 let c_stuck = Telemetry.counter "graphanon.stuck"
 let c_added = Telemetry.counter "graphanon.edges_added"
 
+(* One randomized realization, on dense ids in [Graph.nodes] (= name)
+   order, so id order is name order throughout. The state is a degree
+   array, an edge set keyed [u * n + v] (u < v), per-node neighbor lists
+   and an edge count; the returned graph folds the added edges into [g].
+   Every random draw sees the same candidate list, count or index as the
+   name-keyed formulation would: the RNG draw sequence, and with it the
+   added edges and their order, is unchanged (DESIGN §4). *)
 let one_attempt ?(allowed = fun _ _ -> true) ~rng ~k g =
-  let n = Graph.num_nodes g in
+  let names = Array.of_list (Graph.nodes g) in
+  let n = Array.length names in
+  let id = Hashtbl.create n in
+  Array.iteri (fun i v -> Hashtbl.replace id v i) names;
+  let deg = Array.make n 0 in
+  let nbrs = Array.make n [] in
+  let edges = Hashtbl.create (2 * n) in
+  let key u v = if u < v then (u * n) + v else (v * n) + u in
+  let mem_edge u v = Hashtbl.mem edges (key u v) in
+  let m = ref 0 in
+  let link u v =
+    Hashtbl.replace edges (key u v) ();
+    deg.(u) <- deg.(u) + 1;
+    deg.(v) <- deg.(v) + 1;
+    nbrs.(u) <- v :: nbrs.(u);
+    nbrs.(v) <- u :: nbrs.(v);
+    incr m
+  in
+  Array.iteri
+    (fun u name ->
+      Graph.Sset.iter
+        (fun w ->
+          let v = Hashtbl.find id w in
+          if u < v then link u v)
+        (Graph.neighbors name g))
+    names;
   let added = ref [] in
-  let add u v g =
+  let add u v =
     Telemetry.incr c_added;
-    added := (u, v) :: !added;
-    Graph.add_edge u v g
+    added := (names.(u), names.(v)) :: !added;
+    link u v
+  in
+  (* k-degree anonymity as a histogram over the degree array (degrees
+     are below [n]). *)
+  let count = Array.make (max n 1) 0 in
+  let is_k_anonymous () =
+    Array.fill count 0 (Array.length count) 0;
+    Array.iter (fun d -> count.(d) <- count.(d) + 1) deg;
+    Array.for_all (fun c -> c = 0 || c >= k) count
   in
   (* One matching pass: pair up deficient nodes greedily, largest
-     deficiency first, random choice among allowed non-adjacent partners. *)
-  let matching_pass ~respect_allowed g targets =
-    let deficiency = Hashtbl.create 16 in
-    List.iter
-      (fun (v, t) ->
-        let d = t - Graph.degree v g in
-        if d > 0 then Hashtbl.replace deficiency v d)
-      targets;
-    let get v = Option.value ~default:0 (Hashtbl.find_opt deficiency v) in
-    let dec v =
-      let d = get v - 1 in
-      if d <= 0 then Hashtbl.remove deficiency v else Hashtbl.replace deficiency v d
-    in
-    let rec loop g =
+     deficiency first (ties by id, i.e. by name), random choice among
+     allowed non-adjacent partners. [dfc.(v) = 0] means v is not
+     deficient; [live] holds the deficient ids, ascending. *)
+  let matching_pass ~respect_allowed targets =
+    let dfc = Array.init n (fun v -> max 0 (targets.(v) - deg.(v))) in
+    let live = ref (List.filter (fun v -> dfc.(v) > 0) (List.init n Fun.id)) in
+    let dec v = dfc.(v) <- dfc.(v) - 1 in
+    let rec loop () =
+      live := List.filter (fun v -> dfc.(v) > 0) !live;
       let deficient =
-        Hashtbl.fold (fun v d acc -> (v, d) :: acc) deficiency []
-        |> List.sort (fun (a, da) (b, db) ->
-               match Int.compare db da with 0 -> String.compare a b | c -> c)
+        List.stable_sort (fun a b -> Int.compare dfc.(b) dfc.(a)) !live
       in
       match deficient with
-      | [] | [ _ ] -> g
-      | (v, _) :: rest ->
+      | [] | [ _ ] -> ()
+      | v :: rest ->
           let candidates =
             List.filter
-              (fun (u, _) ->
-                (not (Graph.mem_edge u v g))
-                && ((not respect_allowed) || allowed u v))
+              (fun u ->
+                (not (mem_edge u v))
+                && ((not respect_allowed) || allowed names.(u) names.(v)))
               rest
           in
           if candidates = [] then begin
             (* No partner for the hardest node: drop it for this pass. *)
-            Hashtbl.remove deficiency v;
-            loop g
+            dfc.(v) <- 0;
+            loop ()
           end
           else begin
-            let u, _ = Rng.pick rng candidates in
+            let u = Rng.pick rng candidates in
             dec u;
             dec v;
-            loop (add u v g)
+            add u v;
+            loop ()
           end
     in
-    loop g
+    loop ()
   in
   (* Outer relaxation: recompute targets on current degrees until the
      graph is k-anonymous. Degrees are monotonically non-decreasing and
      bounded by n-1, so this terminates; the guard is belt and braces. *)
-  let rec outer g round =
+  let rec outer round =
     Telemetry.incr c_rounds;
-    if Gmetrics.is_k_degree_anonymous k g then g
-    else if round > 4 * n + 8 then g
+    if n = 0 || is_k_anonymous () then ()
+    else if round > 4 * n + 8 then ()
     else begin
-      let nodes = Graph.nodes g in
-      let degrees = List.map (fun v -> Graph.degree v g) nodes in
-      let targets = Degree_anon.anonymize_sequence ~k degrees in
-      let node_targets = List.combine nodes targets in
-      let g' = matching_pass ~respect_allowed:true g node_targets in
-      let g' =
-        if Gmetrics.is_k_degree_anonymous k g' then g'
-        else matching_pass ~respect_allowed:false g' node_targets
+      let targets =
+        Array.of_list (Degree_anon.anonymize_sequence ~k (Array.to_list deg))
       in
-      if Graph.num_edges g' = Graph.num_edges g then begin
+      let m0 = !m in
+      matching_pass ~respect_allowed:true targets;
+      if not (is_k_anonymous ()) then
+        matching_pass ~respect_allowed:false targets;
+      if !m = m0 then begin
         Telemetry.incr c_stuck;
         (* Stuck: the remaining deficient nodes are pairwise adjacent.
            Connect a uniformly random non-adjacent pair to shake the
            histogram, then retry. Drawn as [Rng.pick] over the (u, v)
-           pairs with u < v in sorted-node order would — same count,
-           same index, same pair — but by locating the index instead of
-           materializing all O(n^2) candidates. *)
-        let nodes = Array.of_list (Graph.nodes g') in
-        let n_nodes = Array.length nodes in
-        let total = (n_nodes * (n_nodes - 1) / 2) - Graph.num_edges g' in
-        if total = 0 then g' (* complete graph: trivially anonymous *)
-        else begin
+           pairs with u < v would — same count, same index, same pair —
+           but by locating the index instead of materializing all
+           O(n^2) candidates. *)
+        let total = (n * (n - 1) / 2) - !m in
+        if total > 0 (* else complete: trivially anonymous *) then begin
           let i = Rng.int rng total in
-          (* Walk u in sorted order, skipping each u's count of
-             non-neighbors above it, then walk to the i-th such v. *)
-          let rec locate pos i =
-            let u = nodes.(pos) in
-            let nbrs = Graph.neighbors u g' in
-            let above = n_nodes - pos - 1 in
+          (* Walk u in id order, skipping each u's count of non-neighbors
+             above it, then walk to the i-th such v. *)
+          let rec locate u i =
             let nbrs_above =
-              Graph.Sset.cardinal
-                (Graph.Sset.filter (fun v -> String.compare u v < 0) nbrs)
+              List.fold_left (fun c w -> if w > u then c + 1 else c) 0 nbrs.(u)
             in
-            let count_u = above - nbrs_above in
-            if i >= count_u then locate (pos + 1) (i - count_u)
+            let count_u = n - u - 1 - nbrs_above in
+            if i >= count_u then locate (u + 1) (i - count_u)
             else
-              let rec nth_v vpos i =
-                let v = nodes.(vpos) in
-                if Graph.Sset.mem v nbrs then nth_v (vpos + 1) i
+              let rec nth_v v i =
+                if mem_edge u v then nth_v (v + 1) i
                 else if i = 0 then v
-                else nth_v (vpos + 1) (i - 1)
+                else nth_v (v + 1) (i - 1)
               in
-              (u, nth_v (pos + 1) i)
+              (u, nth_v (u + 1) i)
           in
           let u, v = locate 0 i in
-          outer (add u v g') (round + 1)
+          add u v;
+          outer (round + 1)
         end
       end
-      else outer g' (round + 1)
+      else outer (round + 1)
     end
   in
-  let g' = outer g 0 in
-  (g', List.rev !added)
+  outer 0;
+  let added = List.rev !added in
+  (List.fold_left (fun g (u, v) -> Graph.add_edge u v g) g added, added)
 
 let add_edges ?allowed ?(attempts = 3) ~rng ~k g =
   let n = Graph.num_nodes g in

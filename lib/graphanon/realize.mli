@@ -10,6 +10,17 @@
 
 open Netcore
 
+val one_attempt :
+  ?allowed:(string -> string -> bool) ->
+  rng:Rng.t ->
+  k:int ->
+  Graph.t ->
+  Graph.t * (string * string) list
+(** One randomized realization, as {!add_edges} runs each attempt (on a
+    [Rng.split] of its generator): the supergraph and the added edges in
+    the order they were added. Exposed so tests can pin its output and
+    its random draw sequence to the name-keyed reference. *)
+
 val add_edges :
   ?allowed:(string -> string -> bool) ->
   ?attempts:int ->

@@ -128,6 +128,206 @@ let prop_realize =
       Gmetrics.is_k_degree_anonymous k g'
       && List.for_all (fun (u, v) -> Graph.mem_edge u v g') (Graph.edges g))
 
+(* The name-keyed realization [Realize.one_attempt] replaced, kept as
+   the naive reference: a persistent [Graph.t] threaded through every
+   step, degrees re-derived from it each round. Returns the counts the
+   production code ticks as [graphanon.rounds] / [graphanon.stuck]. *)
+let ref_one_attempt ?(allowed = fun _ _ -> true) ~rng ~k g =
+  let n = Graph.num_nodes g in
+  let added = ref [] and rounds = ref 0 and stuck = ref 0 in
+  let add u v g =
+    added := (u, v) :: !added;
+    Graph.add_edge u v g
+  in
+  let matching_pass ~respect_allowed g targets =
+    let deficiency = Hashtbl.create 16 in
+    List.iter
+      (fun (v, t) ->
+        let d = t - Graph.degree v g in
+        if d > 0 then Hashtbl.replace deficiency v d)
+      targets;
+    let get v = Option.value ~default:0 (Hashtbl.find_opt deficiency v) in
+    let dec v =
+      let d = get v - 1 in
+      if d <= 0 then Hashtbl.remove deficiency v else Hashtbl.replace deficiency v d
+    in
+    let rec loop g =
+      let deficient =
+        Hashtbl.fold (fun v d acc -> (v, d) :: acc) deficiency []
+        |> List.sort (fun (a, da) (b, db) ->
+               match Int.compare db da with 0 -> String.compare a b | c -> c)
+      in
+      match deficient with
+      | [] | [ _ ] -> g
+      | (v, _) :: rest ->
+          let candidates =
+            List.filter
+              (fun (u, _) ->
+                (not (Graph.mem_edge u v g))
+                && ((not respect_allowed) || allowed u v))
+              rest
+          in
+          if candidates = [] then begin
+            Hashtbl.remove deficiency v;
+            loop g
+          end
+          else begin
+            let u, _ = Rng.pick rng candidates in
+            dec u;
+            dec v;
+            loop (add u v g)
+          end
+    in
+    loop g
+  in
+  let rec outer g round =
+    incr rounds;
+    if Gmetrics.is_k_degree_anonymous k g then g
+    else if round > 4 * n + 8 then g
+    else begin
+      let nodes = Graph.nodes g in
+      let degrees = List.map (fun v -> Graph.degree v g) nodes in
+      let targets = Graphanon.Degree_anon.anonymize_sequence ~k degrees in
+      let node_targets = List.combine nodes targets in
+      let g' = matching_pass ~respect_allowed:true g node_targets in
+      let g' =
+        if Gmetrics.is_k_degree_anonymous k g' then g'
+        else matching_pass ~respect_allowed:false g' node_targets
+      in
+      if Graph.num_edges g' = Graph.num_edges g then begin
+        incr stuck;
+        let nodes = Array.of_list (Graph.nodes g') in
+        let n_nodes = Array.length nodes in
+        let total = (n_nodes * (n_nodes - 1) / 2) - Graph.num_edges g' in
+        if total = 0 then g'
+        else begin
+          let i = Rng.int rng total in
+          let rec locate pos i =
+            let u = nodes.(pos) in
+            let nbrs = Graph.neighbors u g' in
+            let above = n_nodes - pos - 1 in
+            let nbrs_above =
+              Graph.Sset.cardinal
+                (Graph.Sset.filter (fun v -> String.compare u v < 0) nbrs)
+            in
+            let count_u = above - nbrs_above in
+            if i >= count_u then locate (pos + 1) (i - count_u)
+            else
+              let rec nth_v vpos i =
+                let v = nodes.(vpos) in
+                if Graph.Sset.mem v nbrs then nth_v (vpos + 1) i
+                else if i = 0 then v
+                else nth_v (vpos + 1) (i - 1)
+              in
+              (u, nth_v (pos + 1) i)
+          in
+          let u, v = locate 0 i in
+          outer (add u v g') (round + 1)
+        end
+      end
+      else outer g' (round + 1)
+    end
+  in
+  let g' = outer g 0 in
+  (g', List.rev !added, (!rounds, !stuck))
+
+(* Nodes "r0".."r(n-1)": name order differs from numeric order, so the
+   id mapping is exercised. Each pair is an edge with probability
+   [density]; near-complete graphs force the stuck branch. *)
+let random_graph ~seed ~n ~density =
+  let rng = Rng.create seed in
+  let name i = Printf.sprintf "r%d" i in
+  let g =
+    ref (List.fold_left (fun g i -> Graph.add_node (name i) g) Graph.empty
+           (List.init n Fun.id))
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Rng.float rng < density then g := Graph.add_edge (name i) (name j) !g
+    done
+  done;
+  !g
+
+(* Mirrors the same-AS predicate of topology anonymization. *)
+let same_group u v = Hashtbl.hash u mod 3 = Hashtbl.hash v mod 3
+
+(* Production and reference from equal generators: same graph, same
+   added edges in the same order, and the generators left in the same
+   state. Returns the reference's stuck-round count. *)
+let realizations_agree ?allowed ~seed ~k g =
+  let r1 = Rng.create seed and r2 = Rng.create seed in
+  let g1, a1 = Graphanon.Realize.one_attempt ?allowed ~rng:r1 ~k g in
+  let g2, a2, (_, stuck) = ref_one_attempt ?allowed ~rng:r2 ~k g in
+  ( Graph.equal g1 g2 && a1 = a2 && Rng.int r1 1_000_000 = Rng.int r2 1_000_000,
+    stuck )
+
+let prop_realize_matches_reference =
+  QCheck2.Test.make ~name:"realize: one attempt = name-keyed reference" ~count:150
+    QCheck2.Gen.(
+      let* n = int_range 2 60 in
+      let* k = int_range 1 (min n 6) in
+      let* density = oneofl [ 0.0; 0.05; 0.15; 0.4; 0.8; 0.95; 1.0 ] in
+      let* seed = int_bound 100_000 in
+      let* constrained = bool in
+      return (n, k, density, seed, constrained))
+    (fun (n, k, density, seed, constrained) ->
+      let g = random_graph ~seed ~n ~density in
+      let allowed = if constrained then Some same_group else None in
+      fst (realizations_agree ?allowed ~seed ~k g))
+
+let test_realize_stuck_matches_reference () =
+  (* Near-complete graphs: the deficient nodes end up pairwise adjacent,
+     so the random-pair fallback ([locate]) runs. *)
+  let stuck = ref 0 in
+  for seed = 0 to 39 do
+    let n = 5 + (seed mod 26) in
+    let g = random_graph ~seed ~n ~density:0.9 in
+    List.iter
+      (fun allowed ->
+        let ok, s = realizations_agree ?allowed ~seed ~k:(min n 4) g in
+        check Alcotest.bool (Printf.sprintf "seed %d n %d" seed n) true ok;
+        stuck := !stuck + s)
+      [ None; Some same_group ]
+  done;
+  check Alcotest.bool "stuck branch taken" true (!stuck > 0)
+
+let test_realize_w1000_counters () =
+  let net =
+    Routing.Device.compile_exn (Netgen.Nets.configs (Netgen.Nets.find "W1000"))
+  in
+  let g = Routing.Device.router_graph net in
+  let values () =
+    List.map
+      (fun name -> Telemetry.value (Telemetry.counter name))
+      [ "graphanon.rounds"; "graphanon.stuck"; "graphanon.edges_added" ]
+  in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = values () in
+  let _, edges = Graphanon.Realize.add_edges ~rng:(Rng.create 42) ~k:6 g in
+  let after = values () in
+  Telemetry.set_enabled was;
+  let got = List.map2 (fun a b -> a - b) after before in
+  (* [add_edges]' best-of-three loop, over the reference. *)
+  let rng = Rng.create 42 in
+  let want, best =
+    List.fold_left
+      (fun ((rounds, stuck, added), best) _ ->
+        let _, a, (r, s) = ref_one_attempt ~rng:(Rng.split rng) ~k:6 g in
+        let best =
+          match best with
+          | Some b when List.length b <= List.length a -> Some b
+          | _ -> Some a
+        in
+        ((rounds + r, stuck + s, added + List.length a), best))
+      ((0, 0, 0), None)
+      [ 1; 2; 3 ]
+  in
+  let rounds, stuck, added = want in
+  check Alcotest.(list int) "rounds, stuck, edges_added" [ rounds; stuck; added ] got;
+  check Alcotest.(pair int int) "W1000 at k 6" (661, 637) (rounds, stuck);
+  check Alcotest.(list (pair string string)) "added edges" (Option.get best) edges
+
 (* -------------------- NetHide -------------------- *)
 
 let grid =
@@ -544,6 +744,7 @@ let qsuite =
     [
       prop_degree_anon;
       prop_realize;
+      prop_realize_matches_reference;
       prop_pan_prefix;
       prop_pan_bijective;
       prop_redact_no_leak;
@@ -566,6 +767,10 @@ let () =
           Alcotest.test_case "star graph" `Quick test_realize_star;
           Alcotest.test_case "constraint respected" `Quick test_realize_respects_allowed_when_possible;
           Alcotest.test_case "k too large" `Quick test_realize_k_exceeds_nodes;
+          Alcotest.test_case "stuck branch = reference" `Quick
+            test_realize_stuck_matches_reference;
+          Alcotest.test_case "W1000 counters = reference" `Quick
+            test_realize_w1000_counters;
         ] );
       ( "nethide",
         [

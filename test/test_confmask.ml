@@ -520,6 +520,167 @@ let prop_pool_determinism =
                jobs)
         [ 2; 4 ])
 
+(* ---- Algorithm 2's reachability walk ---- *)
+
+module Sset = Set.Make (String)
+
+(* The naive reference for [Route_anon.reachable_routers]: the
+   string-keyed walk — one [Fib.lookup] per visited router, a name-keyed
+   memo and a visiting set — with owners found by scanning every
+   interface. *)
+let naive_reachable (snap : Routing.Simulate.snapshot) fp =
+  let owners =
+    Routing.Device.Smap.fold
+      (fun rname (r : Routing.Device.router) acc ->
+        if
+          List.exists
+            (fun i -> Netcore.Prefix.equal (Routing.Device.ifc_prefix i) fp)
+            r.r_ifaces
+        then Sset.add rname acc
+        else acc)
+      snap.net.routers Sset.empty
+  in
+  let probe = Netcore.Prefix.host fp 10 in
+  let memo : (string, bool) Hashtbl.t = Hashtbl.create 64 in
+  let rec delivers r visiting =
+    match Hashtbl.find_opt memo r with
+    | Some b -> (b, true)
+    | None ->
+        if Sset.mem r owners then begin
+          Hashtbl.replace memo r true;
+          (true, true)
+        end
+        else if Sset.mem r visiting then (false, false)
+        else begin
+          let b, pure =
+            match Routing.Device.Smap.find_opt r snap.fibs with
+            | None -> (false, true)
+            | Some fib -> (
+                match Routing.Fib.lookup fib probe with
+                | None -> (false, true)
+                | Some route when route.rt_nexthops = [] -> (false, true)
+                | Some route ->
+                    let visiting = Sset.add r visiting in
+                    List.fold_left
+                      (fun (ok, pure) (nh : Routing.Fib.nexthop) ->
+                        if not ok then (ok, pure)
+                        else
+                          let b, p = delivers nh.nh_router visiting in
+                          (b, pure && p))
+                      (true, true) route.rt_nexthops)
+          in
+          if pure then Hashtbl.replace memo r b;
+          (b, pure)
+        end
+  in
+  Routing.Device.Smap.fold
+    (fun rname _ acc ->
+      if fst (delivers rname Sset.empty) then rname :: acc else acc)
+    snap.net.routers []
+  |> List.sort String.compare
+
+let walks_t = Alcotest.(list (pair string (list string)))
+
+let check_walks name snap fps =
+  let show = List.map (fun (fp, rs) -> (Netcore.Prefix.to_string fp, rs)) in
+  check walks_t name
+    (show (List.map (fun fp -> (fp, naive_reachable snap fp)) fps))
+    (show (Route_anon.reachable_routers snap fps))
+
+(* Deny filters planted on the fake-prefix FIB rows like Algorithm 2's
+   noise, denser than the default so that many walks dead-end. *)
+let plant_noise ~seed (snap : Routing.Simulate.snapshot) configs fps =
+  let rng = Netcore.Rng.create seed in
+  let edits =
+    List.concat_map
+      (fun (r, fib) ->
+        List.concat_map
+          (fun fp ->
+            match Routing.Fib.find fib fp with
+            | Some route ->
+                List.filter_map
+                  (fun nxt ->
+                    if Netcore.Rng.bool rng ~p:0.3 then
+                      Option.map
+                        (fun a -> (r, fun c -> Attach.deny_at c a fp))
+                        (Attach.point snap.net r nxt)
+                    else None)
+                  (Routing.Fib.nexthop_names route)
+            | None -> [])
+          fps)
+      (Routing.Device.Smap.bindings snap.fibs)
+  in
+  Edits.update_all configs edits
+
+let test_walks_match_naive_on_catalog () =
+  let broken = ref 0 in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun k_r ->
+          let r =
+            Workflow.run_exn
+              ~params:{ (params ~k_r ()) with noise = 0.0 }
+              (Netgen.Nets.configs (Netgen.Nets.find id))
+          in
+          let snap = r.anon_snapshot in
+          let fps =
+            List.map
+              (fun (fh, _) ->
+                Routing.Device.host_prefix
+                  (Routing.Device.Smap.find fh snap.net.hosts))
+              r.fake_hosts
+          in
+          let name = Printf.sprintf "net %s k_R %d" id k_r in
+          check_walks (name ^ ": fake hosts") snap fps;
+          let noisy =
+            Routing.Simulate.run_exn (plant_noise ~seed:k_r snap r.anon_configs fps)
+          in
+          check_walks (name ^ ": noise planted") noisy fps;
+          if
+            Route_anon.reachable_routers snap fps
+            <> Route_anon.reachable_routers noisy fps
+          then incr broken)
+        [ 2; 6 ])
+    [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ];
+  (* The planted filters must break some walks, or the second check
+     would only repeat the first. *)
+  check Alcotest.bool "noise broke walks" true (!broken > 0)
+
+(* r0 - r1 - r2 - r3, OSPF throughout; r3 owns 10.9.9.0/24, but r1 and
+   r2 point static routes for it at each other. Every walk toward it
+   through r1 or r2 hits the cycle check, and those impure results must
+   not be memoized. *)
+let static_loop_net () =
+  let config lines = Configlang.Parser.parse_exn (String.concat "\n" lines) in
+  let ospf = [ "router ospf 1"; " network 10.0.0.0 0.255.255.255 area 0" ] in
+  let iface name addr =
+    [ "interface " ^ name; " ip address " ^ addr ^ " 255.255.255.0"; "!" ]
+  in
+  [
+    config ([ "hostname r0" ] @ iface "Eth0" "10.0.1.1" @ ospf);
+    config
+      ([ "hostname r1" ] @ iface "Eth0" "10.0.1.2" @ iface "Eth1" "10.0.2.1"
+      @ [ "ip route 10.9.9.0 255.255.255.0 10.0.2.2" ] @ ospf);
+    config
+      ([ "hostname r2" ] @ iface "Eth0" "10.0.2.2" @ iface "Eth1" "10.0.3.1"
+      @ [ "ip route 10.9.9.0 255.255.255.0 10.0.2.1" ] @ ospf);
+    config ([ "hostname r3" ] @ iface "Eth0" "10.0.3.2" @ iface "Eth1" "10.9.9.1" @ ospf);
+  ]
+
+let test_walks_match_naive_on_static_loop () =
+  let snap = Routing.Simulate.run_exn (static_loop_net ()) in
+  let fps =
+    List.map Netcore.Prefix.of_string_exn
+      [ "10.9.9.0/24"; "10.0.3.0/24"; "10.0.1.0/24" ]
+  in
+  check_walks "static loop" snap fps;
+  check walks_t "loop delivers only at the owner"
+    [ ("10.9.9.0/24", [ "r3" ]) ]
+    (List.map
+       (fun (fp, rs) -> (Netcore.Prefix.to_string fp, rs))
+       (Route_anon.reachable_routers snap [ List.hd fps ]))
+
 (* ---- golden outputs ---- *)
 
 (* Digests of the anonymized configurations of the catalog networks at
@@ -607,6 +768,13 @@ let () =
         [
           Alcotest.test_case "deny/undeny roundtrip" `Quick test_edits_deny_roundtrip;
           Alcotest.test_case "fresh iface names" `Quick test_fresh_iface_name;
+        ] );
+      ( "walks",
+        [
+          Alcotest.test_case "indexed walk = naive walk on nets A-H" `Quick
+            test_walks_match_naive_on_catalog;
+          Alcotest.test_case "indexed walk = naive walk on a static loop" `Quick
+            test_walks_match_naive_on_static_loop;
         ] );
       ( "golden",
         [ Alcotest.test_case "anonymized outputs of nets A-H" `Quick test_golden_outputs ] );
