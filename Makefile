@@ -1,5 +1,5 @@
 .PHONY: all build test help-smoke bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
-  verify-smoke redteam-smoke fuzz-smoke check clean
+  verify-smoke redteam-smoke fuzz-smoke examples-smoke check clean
 
 all: build
 
@@ -165,8 +165,9 @@ verify-smoke:
 
 # Red-team smoke: the brute force must recover a planted legacy
 # small-int PII key and come up empty against a full-width 64-bit hex
-# key; the per-cell batch record must embed the redteam audit, and a
-# resumed batch must reproduce the manifest byte for byte.
+# key; the PII run's config utility must equal the plain run's; the
+# per-cell batch record must embed the redteam audit, and a resumed
+# batch must reproduce the manifest byte for byte.
 REDTEAM_SMOKE := /tmp/confmask-redteam-smoke
 redteam-smoke:
 	rm -rf $(REDTEAM_SMOKE) && mkdir -p $(REDTEAM_SMOKE)
@@ -180,7 +181,15 @@ redteam-smoke:
 	grep -q '"recall":1' $(REDTEAM_SMOKE)/weak.json
 	grep -q '"recovered_seed":7' $(REDTEAM_SMOKE)/weak.json
 	dune exec bin/confmask_cli.exe -- anonymize --in $(REDTEAM_SMOKE)/orig \
-	  --out $(REDTEAM_SMOKE)/strong --pii --pii-key 0xdeadbeefcafef00d
+	  --out $(REDTEAM_SMOKE)/strong --pii --pii-key 0xdeadbeefcafef00d \
+	  > $(REDTEAM_SMOKE)/strong.out
+	# The scrub renames every device; U_C must still pair each shared
+	# file with its original and read as it does without the scrub.
+	dune exec bin/confmask_cli.exe -- anonymize --in $(REDTEAM_SMOKE)/orig \
+	  --out $(REDTEAM_SMOKE)/plain > $(REDTEAM_SMOKE)/plain.out
+	grep 'U_C' $(REDTEAM_SMOKE)/strong.out > $(REDTEAM_SMOKE)/strong.uc
+	grep 'U_C' $(REDTEAM_SMOKE)/plain.out > $(REDTEAM_SMOKE)/plain.uc
+	cmp $(REDTEAM_SMOKE)/strong.uc $(REDTEAM_SMOKE)/plain.uc
 	dune exec bin/confmask_cli.exe -- redteam --orig $(REDTEAM_SMOKE)/orig \
 	  --anon $(REDTEAM_SMOKE)/strong --attacks key_bruteforce \
 	  --key 0xdeadbeefcafef00d --key-range 4096 --json > $(REDTEAM_SMOKE)/strong.json
@@ -201,7 +210,17 @@ fuzz-smoke:
 	dune exec bin/crucible_cli.exe -- --seed 0 --cases 200 \
 	  --minimize --corpus-dir crucible-failures
 
-check: build test help-smoke bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
+# The five examples must run to completion, and the Appendix B audit
+# must find Theorem B.7 holding on its run.
+EXAMPLES_SMOKE := /tmp/confmask-examples-smoke
+examples-smoke:
+	rm -rf $(EXAMPLES_SMOKE) && mkdir -p $(EXAMPLES_SMOKE)
+	dune build ./examples
+	for ex in quickstart troubleshooting bgp_enterprise fattree_scale properties_audit; do \
+	  ./_build/default/examples/$$ex.exe > $(EXAMPLES_SMOKE)/$$ex.out || exit 1; done
+	grep -q 'Theorem B.7 holds on this run: true' $(EXAMPLES_SMOKE)/properties_audit.out
+
+check: build test help-smoke examples-smoke bench-smoke batch-smoke serve-smoke cache-upgrade-smoke \
   verify-smoke redteam-smoke fuzz-smoke
 
 clean:

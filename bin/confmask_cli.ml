@@ -153,7 +153,14 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
       List.iter (fun fr -> Printf.fprintf oc "fake-router %s\n" fr) r.fake_router_names;
       close_out oc;
       let topo = Confmask.Metrics.topology_of_snapshot r.anon_snapshot in
-      let uc = Confmask.Metrics.config_utility ~orig:r.orig_configs ~anon:r.anon_configs in
+      (* U_C pairs files by hostname, so the originals take the names
+         the PII scrub gave them. *)
+      let renamed (c : Configlang.Ast.config) =
+        let hostname = List.assoc_opt c.hostname r.name_map in
+        { c with hostname = Option.value ~default:c.hostname hostname }
+      in
+      let orig = List.map renamed r.orig_configs in
+      let uc = Confmask.Metrics.config_utility ~orig ~anon:r.anon_configs in
       Printf.printf
         "fake links: %d\nfake hosts: %d\nfake routers: %d\n\
          route-equivalence iterations: %d\n\
@@ -468,10 +475,13 @@ let policies_arg =
   Arg.(value & opt (some string) None & info [ "policies" ] ~docv:"FILE"
          ~doc:"Policy file to check: one policy per line — \
                $(b,reach(src, dst)), $(b,waypoint(src, dst, via)), \
-               $(b,isolation(src, dst)), $(b,loadbalance(src, dst, n)) — \
+               $(b,isolation(src, dst)), $(b,loadbalance(src, dst, n)), \
+               $(b,pathlength(src, dst, n)), $(b,blackhole(src, dst)), \
+               $(b,inconsistent(src, dst)), $(b,loop(src, dst)) — \
                with '#' comments, or a JSON array of \
-               {\"type\", \"src\", \"dst\", \"via\", \"paths\"} objects. \
-               Default: the mined specification of the original network.")
+               {\"type\", \"src\", \"dst\", \"via\", \"paths\", \"length\"} \
+               objects. Default: the mined specification of the original \
+               network.")
 
 let verify_json_arg =
   Arg.(value & flag & info [ "json" ]

@@ -76,32 +76,28 @@ let network () =
 
 let print_props label props =
   Printf.printf "\n%s (%d properties)\n" label (List.length props);
-  List.iter
-    (fun p -> Printf.printf "  %s\n" (Confmask.Properties.to_string p))
-    props
+  List.iter (fun p -> Printf.printf "  %s\n" (Spec.Query.to_string p)) props
 
 let () =
   let configs = network () in
   let params = { Confmask.Workflow.default_params with k_r = 4; k_h = 2 } in
   let r = Confmask.Workflow.run_exn ~params configs in
   let hosts = Confmask.Workflow.real_hosts r in
-  let dp0 = Routing.Simulate.dataplane r.orig_snapshot in
-  let dp1 = Routing.Simulate.dataplane r.anon_snapshot in
-  print_props "Original network" (Confmask.Properties.mine ~hosts dp0);
-  let diff = Confmask.Properties.compare_properties ~hosts ~orig:dp0 ~anon:dp1 in
+  let props snap = Spec.mine_properties ~hosts (Routing.Simulate.dataplane snap) in
+  let orig = props r.orig_snapshot in
+  print_props "Original network" orig;
+  let diff = Spec.compare_specs ~orig ~anon:(props r.anon_snapshot) in
   Printf.printf "\nAfter anonymization (%d fake links, %d fake hosts):\n"
     (List.length r.fake_edges) (List.length r.fake_hosts);
   Printf.printf "  kept:   %d properties\n" (List.length diff.kept);
   Printf.printf "  lost:   %d\n" (List.length diff.lost);
-  Printf.printf "  gained: %d\n" (List.length diff.gained);
+  Printf.printf "  gained: %d\n" (List.length diff.introduced);
+  List.iter (fun p -> Printf.printf "  LOST %s\n" (Spec.Query.to_string p)) diff.lost;
   List.iter
-    (fun p -> Printf.printf "  LOST %s\n" (Confmask.Properties.to_string p))
-    diff.lost;
-  List.iter
-    (fun p -> Printf.printf "  GAINED %s\n" (Confmask.Properties.to_string p))
-    diff.gained;
+    (fun p -> Printf.printf "  GAINED %s\n" (Spec.Query.to_string p))
+    diff.introduced;
   Printf.printf "\nTheorem B.7 holds on this run: %b\n"
-    (Confmask.Properties.preserved diff);
+    (diff.lost = [] && diff.introduced = []);
   (* The ACL stanzas survive verbatim in the shared configs. *)
   let a2 = List.find (fun (c : Ast.config) -> c.hostname = "a2") r.anon_configs in
   Printf.printf "security ACL still in the shared a2.cfg: %b\n"

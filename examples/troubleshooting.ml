@@ -36,9 +36,7 @@ let inject_qos (c : Ast.config) =
   | "agg1-1" -> { c with extra = c.extra @ congested_agg_qos }
   | _ -> c
 
-let waypoints paths =
-  List.concat_map (fun p -> List.filteri (fun i _ -> i > 0 && i < List.length p - 1) p) paths
-  |> List.sort_uniq String.compare
+let waypoints paths = List.concat_map Spec.Query.interior paths |> List.sort_uniq String.compare
 
 let () =
   let configs = List.map inject_qos (Netgen.Nets.configs (Netgen.Nets.find "G")) in

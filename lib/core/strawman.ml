@@ -85,7 +85,7 @@ let strawman2 ?engine ~orig ~fake_edges:_ configs =
      destination prefix — filter that prefix at that router toward that
      next hop (§4.3, Figure 4c: one hop fixed per pair per iteration). *)
   let locate_fix (snap : Routing.Simulate.snapshot) path =
-    let routers = List.filteri (fun i _ -> i > 0 && i < List.length path - 1) path in
+    let routers = Spec.Query.interior path in
     let dst = List.nth path (List.length path - 1) in
     let hp = Routing.Device.host_prefix (Smap.find dst snap.net.hosts) in
     let rec scan = function

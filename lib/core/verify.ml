@@ -21,7 +21,7 @@ let check ?policies ?rename ~(orig : Routing.Simulate.snapshot)
   let policies =
     match policies with
     | Some ps -> ps
-    | None -> List.map Spec.to_query (Spec.mine dp_orig)
+    | None -> Spec.mine dp_orig
   in
   let entries =
     Query.differential ?rename ~orig:dp_orig ~anon:dp_anon

@@ -437,40 +437,56 @@ let scrub =
 
 module Query = Spec.Query
 
-(* The recipient's view of functional equivalence: every policy mined
-   from the original network (reachability, waypoints, load-balance
-   width — all between real nodes, all holding on the original by
-   construction) must still hold on the anonymized network. Fake
-   elements may add capacity but must never break reachability, divert
-   traffic off its waypoints, or narrow a load-balanced pair. A [Lost]
-   verdict is the interesting failure; any [fake_only] / [introduced] /
-   [holds_neither] verdict would mean the differential checker itself
-   mis-handled a mined-on-original policy, so those fail too, named
-   distinctly. A single-host net mines an empty specification and
+(* The recipient's view of functional equivalence, checked twice.
+
+   First, every policy mined from the original network (reachability,
+   waypoints, load-balance width — all between real nodes, all holding
+   on the original by construction) must still hold on the anonymized
+   network. Fake elements may add capacity but must never break
+   reachability, divert traffic off its waypoints, or narrow a
+   load-balanced pair. A [Lost] verdict is the interesting failure; any
+   [fake_only] / [introduced] / [holds_neither] verdict would mean the
+   differential checker itself mis-handled a mined-on-original policy,
+   so those fail too, named distinctly.
+
+   Second, Theorem B.7 over the real hosts: the Appendix B property sets
+   of the two planes are equal, and every property of the original is
+   [holds_both] under the differential check, so every evaluation arm
+   runs on every fuzzed net. A single-host net mines empty sets and
    passes vacuously. *)
 let policy_transfer_check ~seed spec =
   let params = wf_params ~seed in
   match Confmask.Workflow.run ~params (Netgen.Emit.emit spec) with
   | Error m -> fail "workflow error: %s" m
   | Ok r -> (
-      let v = Confmask.Verify.of_report r in
+      let hosts = Confmask.Workflow.real_hosts r in
+      let dp_orig = Routing.Simulate.dataplane r.orig_snapshot in
+      let props = Spec.mine_properties ~hosts dp_orig in
+      let b7 =
+        Spec.compare_specs ~orig:props
+          ~anon:(Spec.mine_properties ~hosts (Routing.Simulate.dataplane r.anon_snapshot))
+      in
+      let v = Confmask.Verify.of_report ~policies:(Spec.mine dp_orig @ props) r in
       match
-        List.find_opt
-          (fun (e : Query.entry) -> e.e_verdict <> Query.Holds_both)
-          v.entries
+        ( List.find_opt (fun (e : Query.entry) -> e.e_verdict <> Query.Holds_both) v.entries,
+          b7.lost,
+          b7.introduced )
       with
-      | None -> Pass
-      | Some e ->
+      | Some e, _, _ ->
           fail "mined policy %s is %s after anonymization"
             (Query.to_string e.e_policy)
-            (Query.verdict_to_string e.e_verdict))
+            (Query.verdict_to_string e.e_verdict)
+      | None, p :: _, _ -> fail "Theorem B.7: %s lost" (Query.to_string p)
+      | None, [], p :: _ -> fail "Theorem B.7: %s gained" (Query.to_string p)
+      | None, [], [] -> Pass)
 
 let policy_transfer =
   {
     name = "policy_transfer";
     doc =
       "every policy mined from the original network (reach, waypoint, \
-       load-balance) still holds on the anonymized one";
+       load-balance) still holds on the anonymized one, and the Appendix B \
+       properties over real hosts are the same on both (Theorem B.7)";
     check = policy_transfer_check;
   }
 

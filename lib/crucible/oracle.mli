@@ -29,8 +29,11 @@
     - [policy_transfer] — metamorphic: every policy mined from the
       original network ({!Spec.mine} — reachability, waypoints,
       load-balance width, all between real nodes) must still hold on
-      the anonymized network ({!Confmask.Verify}); any verdict other
-      than [holds_both] is a failure;
+      the anonymized network ({!Confmask.Verify}); then Theorem B.7
+      over the real hosts: {!Spec.mine_properties} gives equal sets on
+      the two planes, and every property of the original is
+      [holds_both] under the differential check. Any other verdict or
+      any lost or gained property is a failure;
     - [deanon_budget] — red team: run the de-anonymization attack suite
       ({!Confmask.Audit}) against a PII-scrubbed output and assert the
       guaranteed budget — planted legacy small-int keys are recovered by

@@ -3,27 +3,92 @@ type policy =
   | Waypoint of string * string * string
   | Isolation of string * string
   | Loadbalance of string * string * int
+  | Path_length of string * string * int
+  | Black_hole of string * string
+  | Multipath_inconsistent of string * string
+  | Routing_loop of string * string
 
-let to_string = function
-  | Reachability (s, d) -> Printf.sprintf "reach(%s, %s)" s d
-  | Waypoint (s, d, w) -> Printf.sprintf "waypoint(%s, %s, %s)" s d w
-  | Isolation (s, d) -> Printf.sprintf "isolation(%s, %s)" s d
-  | Loadbalance (s, d, n) -> Printf.sprintf "loadbalance(%s, %s, %d)" s d n
+(* ---- one description per family ---- *)
+
+(* What a family takes after its two endpoints, and the JSON field that
+   carries it. Counts are at least 1. *)
+type _ arg = Pair : unit arg | Node : string -> string arg | Count : string -> int arg
+
+type 'a family = {
+  kind : string;  (* the text form's name and the JSON "type" *)
+  synonyms : string list;  (* also accepted by both parsers *)
+  arg : 'a arg;
+  make : string -> string -> 'a -> policy;
+}
+
+type any_family = Family : 'a family -> any_family
+type view = View : 'a family * string * string * 'a -> view
+
+let pair kind synonyms make = { kind; synonyms; arg = Pair; make = (fun s d () -> make s d) }
+let reach = pair "reach" [ "reachability" ] (fun s d -> Reachability (s, d))
+let waypoint =
+  { kind = "waypoint"; synonyms = []; arg = Node "via"; make = (fun s d w -> Waypoint (s, d, w)) }
+let isolation = pair "isolation" [ "isolated" ] (fun s d -> Isolation (s, d))
+let counted kind field make = { kind; synonyms = []; arg = Count field; make }
+let loadbalance = counted "loadbalance" "paths" (fun s d n -> Loadbalance (s, d, n))
+let pathlength = counted "pathlength" "length" (fun s d n -> Path_length (s, d, n))
+let blackhole = pair "blackhole" [] (fun s d -> Black_hole (s, d))
+let inconsistent = pair "inconsistent" [] (fun s d -> Multipath_inconsistent (s, d))
+let loop = pair "loop" [] (fun s d -> Routing_loop (s, d))
+
+let families =
+  [
+    Family reach; Family waypoint; Family isolation; Family loadbalance;
+    Family pathlength; Family blackhole; Family inconsistent; Family loop;
+  ]
+
+let view = function
+  | Reachability (s, d) -> View (reach, s, d, ())
+  | Waypoint (s, d, w) -> View (waypoint, s, d, w)
+  | Isolation (s, d) -> View (isolation, s, d, ())
+  | Loadbalance (s, d, n) -> View (loadbalance, s, d, n)
+  | Path_length (s, d, n) -> View (pathlength, s, d, n)
+  | Black_hole (s, d) -> View (blackhole, s, d, ())
+  | Multipath_inconsistent (s, d) -> View (inconsistent, s, d, ())
+  | Routing_loop (s, d) -> View (loop, s, d, ())
+
+(* The third argument as text and as its JSON field, if there is one. *)
+let third : type a. a arg -> a -> (string * (string * Netcore.Json.t)) option =
+ fun arg x ->
+  match arg with
+  | Pair -> None
+  | Node field -> Some (x, (field, Netcore.Json.Str x))
+  | Count field -> Some (string_of_int x, (field, Netcore.Json.Num (float_of_int x)))
+
+let to_string p =
+  match view p with
+  | View (f, s, d, x) ->
+      let rest = Option.to_list (Option.map fst (third f.arg x)) in
+      Printf.sprintf "%s(%s)" f.kind (String.concat ", " (s :: d :: rest))
+
+let to_json p =
+  let module J = Netcore.Json in
+  match view p with
+  | View (f, s, d, x) ->
+      J.Obj
+        ([ ("type", J.Str f.kind); ("src", J.Str s); ("dst", J.Str d) ]
+        @ Option.to_list (Option.map snd (third f.arg x)))
 
 let endpoints = function
-  | Reachability (s, d) | Waypoint (s, d, _) | Isolation (s, d)
-  | Loadbalance (s, d, _) ->
+  | Reachability (s, d) | Waypoint (s, d, _) | Isolation (s, d) | Loadbalance (s, d, _)
+  | Path_length (s, d, _) | Black_hole (s, d) | Multipath_inconsistent (s, d)
+  | Routing_loop (s, d) ->
       (s, d)
 
-let nodes = function
-  | Reachability (s, d) | Isolation (s, d) | Loadbalance (s, d, _) -> [ s; d ]
-  | Waypoint (s, d, w) -> [ s; d; w ]
+let nodes p =
+  let s, d = endpoints p in
+  match p with Waypoint (_, _, w) -> [ s; d; w ] | _ -> [ s; d ]
 
-let map_names f = function
-  | Reachability (s, d) -> Reachability (f s, f d)
-  | Waypoint (s, d, w) -> Waypoint (f s, f d, f w)
-  | Isolation (s, d) -> Isolation (f s, f d)
-  | Loadbalance (s, d, n) -> Loadbalance (f s, f d, n)
+let map_names (g : string -> string) p =
+  let rename : type a. a arg -> a -> a =
+   fun arg x -> match arg with Node _ -> g x | Pair | Count _ -> x
+  in
+  match view p with View (f, s, d, x) -> f.make (g s) (g d) (rename f.arg x)
 
 (* ---- parsing ---- *)
 
@@ -42,52 +107,55 @@ let valid_name s =
          | _ -> true)
        s
 
+let err fmt = Printf.ksprintf (fun m -> Error m) fmt
+let ( let* ) = Result.bind
+
+(* The policy of the family named [kind], its arguments read by JSON
+   field: ["src"], ["dst"], then the family's own. Both written forms
+   end here. *)
+let build kind ~name ~number =
+  let kind = String.lowercase_ascii kind in
+  match List.find_opt (fun (Family f) -> f.kind = kind || List.mem kind f.synonyms) families with
+  | None -> err "unknown policy kind %S" kind
+  | Some (Family f) ->
+      let name field =
+        let* n = name field in
+        if valid_name n then Ok n else err "bad %s name %S" field n
+      in
+      let count field =
+        match number field with
+        | Some n when n >= 1 -> Ok n
+        | Some n -> err "%s must be >= 1, got %d" field n
+        | None -> err "missing or bad %s" field
+      in
+      let third : type a. a arg -> (a, string) result = function
+        | Pair -> Ok ()
+        | Node field -> name field
+        | Count field -> count field
+      in
+      let* s = name "src" in
+      let* d = name "dst" in
+      let* x = third f.arg in
+      Ok (f.make s d x)
+
 let parse_policy line =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let s = trim line in
   match String.index_opt s '(' with
   | None -> err "expected KIND(ARGS): %s" s
+  | Some _ when s.[String.length s - 1] <> ')' -> err "missing closing parenthesis: %s" s
   | Some i ->
-      if String.length s = 0 || s.[String.length s - 1] <> ')' then
-        err "missing closing parenthesis: %s" s
-      else
-        let kind = trim (String.sub s 0 i) in
-        let args =
-          String.sub s (i + 1) (String.length s - i - 2)
-          |> String.split_on_char ',' |> List.map trim
-        in
-        let name what n =
-          if valid_name n then Ok n else err "bad %s name %S" what n
-        in
-        let ( let* ) = Result.bind in
-        let arity n =
-          if List.length args = n then Ok ()
-          else err "%s takes %d arguments, got %d" kind n (List.length args)
-        in
-        let two mk =
-          let* () = arity 2 in
-          let* s = name "source" (List.nth args 0) in
-          let* d = name "destination" (List.nth args 1) in
-          Ok (mk s d)
-        in
-        match String.lowercase_ascii kind with
-        | "reach" | "reachability" -> two (fun s d -> Reachability (s, d))
-        | "isolation" | "isolated" -> two (fun s d -> Isolation (s, d))
-        | "waypoint" ->
-            let* () = arity 3 in
-            let* s = name "source" (List.nth args 0) in
-            let* d = name "destination" (List.nth args 1) in
-            let* w = name "waypoint" (List.nth args 2) in
-            Ok (Waypoint (s, d, w))
-        | "loadbalance" -> (
-            let* () = arity 3 in
-            let* s = name "source" (List.nth args 0) in
-            let* d = name "destination" (List.nth args 1) in
-            match int_of_string_opt (List.nth args 2) with
-            | Some n when n >= 1 -> Ok (Loadbalance (s, d, n))
-            | Some n -> err "loadbalance path count must be >= 1, got %d" n
-            | None -> err "bad loadbalance path count %S" (List.nth args 2))
-        | k -> err "unknown policy kind %S" k
+      let kind = trim (String.sub s 0 i) in
+      let args =
+        String.sub s (i + 1) (String.length s - i - 2)
+        |> String.split_on_char ',' |> List.map trim
+      in
+      (* Positional: the fields in order. *)
+      let arg field = List.nth_opt args (match field with "src" -> 0 | "dst" -> 1 | _ -> 2) in
+      let name field = Option.to_result ~none:("missing " ^ field) (arg field) in
+      let* p = build kind ~name ~number:(fun f -> Option.bind (arg f) int_of_string_opt) in
+      let arity = match view p with View (f, _, _, x) -> if third f.arg x = None then 2 else 3 in
+      if List.length args = arity then Ok p
+      else err "%s takes %d arguments, got %d" kind arity (List.length args)
 
 let parse_text text =
   let lines = String.split_on_char '\n' text in
@@ -109,34 +177,17 @@ let parse_text text =
 
 let parse_json text =
   let module J = Netcore.Json in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   match J.parse text with
   | Error m -> err "bad JSON: %s" m
   | Ok (J.Arr items) ->
       let policy_of i item =
         let str k = Option.bind (J.member k item) J.str in
-        let get k =
-          match str k with
-          | Some v when valid_name v -> Ok v
-          | Some v -> err "policy %d: bad %s name %S" i k v
-          | None -> err "policy %d: missing field %S" i k
-        in
-        let ( let* ) = Result.bind in
-        let* s = get "src" in
-        let* d = get "dst" in
-        match str "type" with
-        | Some ("reach" | "reachability") -> Ok (Reachability (s, d))
-        | Some ("isolation" | "isolated") -> Ok (Isolation (s, d))
-        | Some "waypoint" ->
-            let* w = get "via" in
-            Ok (Waypoint (s, d, w))
-        | Some "loadbalance" -> (
-            match Option.bind (J.member "paths" item) J.int with
-            | Some n when n >= 1 -> Ok (Loadbalance (s, d, n))
-            | Some n -> err "policy %d: paths must be >= 1, got %d" i n
-            | None -> err "policy %d: missing integer field \"paths\"" i)
-        | Some t -> err "policy %d: unknown type %S" i t
-        | None -> err "policy %d: missing field \"type\"" i
+        let name k = Option.to_result ~none:(Printf.sprintf "missing field %S" k) (str k) in
+        let number k = Option.bind (J.member k item) J.int in
+        Result.map_error (Printf.sprintf "policy %d: %s" i)
+          (match str "type" with
+          | None -> err "missing field \"type\""
+          | Some t -> build t ~name ~number)
       in
       let rec go i acc = function
         | [] -> Ok (List.rev acc)
@@ -179,22 +230,37 @@ let interior = function
       in
       drop_last hops
 
+let no_trace =
+  { Routing.Dataplane.delivered = []; dropped = []; filtered = []; looped = []; truncated = false }
+
 let eval dp p =
-  let s, d = endpoints p in
-  let paths = Routing.Dataplane.paths dp ~src:s ~dst:d in
+  let t = Option.value ~default:no_trace (Hashtbl.find_opt dp (endpoints p)) in
+  let paths = t.delivered and lossy = t.dropped @ t.filtered in
+  let verdict holds ~witness ~counterexample =
+    if holds then { holds; witness = cap witness; counterexample = [] }
+    else { holds; witness = []; counterexample = cap counterexample }
+  in
   match p with
-  | Reachability _ ->
-      { holds = paths <> []; witness = cap paths; counterexample = [] }
-  | Isolation _ -> { holds = paths = []; witness = []; counterexample = cap paths }
+  | Reachability _ -> verdict (paths <> []) ~witness:paths ~counterexample:[]
+  | Isolation _ -> verdict (paths = []) ~witness:[] ~counterexample:paths
   | Waypoint (_, _, w) ->
       let missing = List.filter (fun p -> not (List.mem w (interior p))) paths in
-      if paths <> [] && missing = [] then
-        { holds = true; witness = cap paths; counterexample = [] }
-      else { holds = false; witness = []; counterexample = cap missing }
+      verdict (paths <> [] && missing = []) ~witness:paths ~counterexample:missing
   | Loadbalance (_, _, n) ->
-      if List.length paths >= n then
-        { holds = true; witness = cap paths; counterexample = [] }
-      else { holds = false; witness = []; counterexample = cap paths }
+      verdict (List.length paths >= n) ~witness:paths ~counterexample:paths
+  | Path_length (_, _, n) ->
+      (* [n] counts routers: a path's two host endpoints are not hops. *)
+      let off = List.filter (fun p -> List.length p - 2 <> n) paths in
+      verdict (paths <> [] && off = []) ~witness:paths ~counterexample:off
+  | Black_hole _ -> verdict (lossy <> []) ~witness:lossy ~counterexample:paths
+  | Multipath_inconsistent _ -> (
+      match paths with
+      | delivered :: _ when lossy <> [] ->
+          verdict true ~witness:(delivered :: lossy) ~counterexample:[]
+      (* One of the two lists is empty: the other shows the consistent
+         behaviour. *)
+      | _ -> verdict false ~witness:[] ~counterexample:(paths @ lossy))
+  | Routing_loop _ -> verdict (t.looped <> []) ~witness:t.looped ~counterexample:paths
 
 (* ---- differential verification ---- *)
 

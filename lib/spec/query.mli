@@ -1,14 +1,14 @@
-(** Policy query language and differential verification engine.
+(** The property language: every policy the system mines, verifies or
+    reads from an operator, parsed from a small text or JSON policy
+    format, evaluated against an extracted {!Routing.Dataplane.t}, and
+    checked differentially on an original vs. anonymized network pair
+    with a typed verdict and witness/counterexample paths per policy.
 
-    Where {!Spec} mines whole-dataplane policy sets, this module lets an
-    operator (or a recipient of anonymized configurations — the Seagull
-    consumer) ask targeted questions: four policy classes — the three
-    property families of Plankton/Config2Spec (reachability, waypoint,
-    isolation) plus load balancing — parsed from a small text or JSON
-    policy format, evaluated against an extracted
-    {!Routing.Dataplane.t}, and checked differentially on an original
-    vs. anonymized network pair with a typed verdict and
-    witness/counterexample paths per policy.
+    Eight families: the three Config2Spec mines for Figure 9
+    (reachability, waypoint, load balancing), isolation, and the four
+    Appendix B adds for Theorem B.7 (path length, black hole, multipath
+    inconsistency, routing loop). {!Spec} holds the miners; the
+    verifier's queries (the Seagull consumer) use the same type.
 
     Evaluation is per-policy table lookups on an already-extracted data
     plane, so the expensive part (simulation + FEC-collapsed trace
@@ -16,23 +16,39 @@
     policies costs O(classes) for the extraction plus O(P) lookups, not
     O(host-pairs × P). *)
 
+(** Constructors are declared in polymorphic-compare order: sorted
+    mined lists and [confmask verify --json] entries follow it. *)
 type policy =
   | Reachability of string * string
-      (** [Reachability (src, dst)]: at least one forwarding path *)
+      (** [Reachability (src, dst)]: at least one delivered path *)
   | Waypoint of string * string * string
       (** [Waypoint (src, dst, w)]: [src] reaches [dst] and router [w]
-          is on every path *)
+          is on every delivered path (B.5) *)
   | Isolation of string * string
-      (** [Isolation (src, dst)]: no forwarding path at all *)
+      (** [Isolation (src, dst)]: no delivered path at all *)
   | Loadbalance of string * string * int
       (** [Loadbalance (src, dst, n)]: traffic spreads over at least
-          [n] paths *)
+          [n] delivered paths *)
+  | Path_length of string * string * int
+      (** [Path_length (src, dst, n)]: every delivered path, and at
+          least one, crosses exactly [n] routers *)
+  | Black_hole of string * string
+      (** some walk is dropped (no route) or filtered (ACL) before
+          delivery (B.3) *)
+  | Multipath_inconsistent of string * string
+      (** delivered on some path, dropped or filtered on another (B.4) *)
+  | Routing_loop of string * string  (** some walk revisits a router (B.6) *)
 
 val to_string : policy -> string
 (** Canonical text form, one policy per line in a policy file:
     [reach(s, d)], [waypoint(s, d, w)], [isolation(s, d)],
-    [loadbalance(s, d, n)]. {!Spec.policy_to_string} output parses back
-    to the corresponding query policy. *)
+    [loadbalance(s, d, n)], [pathlength(s, d, n)], [blackhole(s, d)],
+    [inconsistent(s, d)], [loop(s, d)]. *)
+
+val to_json : policy -> Netcore.Json.t
+(** The JSON object form {!parse} reads: ["type"] (the text form's
+    name), ["src"], ["dst"], and ["via"] for a waypoint, ["paths"] for
+    load balancing, ["length"] for a path length. *)
 
 val endpoints : policy -> string * string
 
@@ -44,18 +60,17 @@ val map_names : (string -> string) -> policy -> policy
     an anonymization's node correspondence). *)
 
 val parse_policy : string -> (policy, string) result
-(** One policy from its text form. Accepts the canonical [reach]
-    spelling and the long [reachability] synonym; tolerates whitespace
-    around names. *)
+(** One policy from its text form. Accepts the canonical names and the
+    synonyms [reachability] and [isolated]; tolerates whitespace around
+    names. Counts must be at least 1. *)
 
 val parse : string -> (policy list, string) result
 (** A whole policy file. Two formats, auto-detected:
 
     - text: one policy per line, [#] starts a comment, blank lines
       ignored (errors name the offending line number);
-    - JSON (first non-blank character is ['[']): an array of objects
-      [{"type": "reachability"|"waypoint"|"isolation"|"loadbalance",
-      "src": S, "dst": D, "via": W?, "paths": N?}]. *)
+    - JSON (first non-blank character is ['[']): an array of
+      {!to_json} objects. *)
 
 (** {1 Evaluation} *)
 

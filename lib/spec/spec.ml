@@ -1,45 +1,58 @@
-type policy =
-  | Reachability of string * string
-  | Waypoint of string * string * string
-  | Loadbalance of string * string * int
+module Query = Query
 
-let policy_to_string = function
-  | Reachability (s, d) -> Printf.sprintf "reach(%s, %s)" s d
-  | Waypoint (s, d, w) -> Printf.sprintf "waypoint(%s, %s, %s)" s d w
-  | Loadbalance (s, d, n) -> Printf.sprintf "loadbalance(%s, %s, %d)" s d n
-
-let endpoints = function
-  | Reachability (s, d) | Waypoint (s, d, _) | Loadbalance (s, d, _) -> (s, d)
-
-(* Interior routers shared by every path of the pair. *)
-let common_waypoints paths =
+(* Reachability and the waypoints every delivered path crosses: the part
+   of a pair's specification both miners share. *)
+let reach_and_waypoints (s, d) paths =
   match List.map Query.interior paths with
   | [] -> []
   | first :: others ->
-      List.filter (fun w -> List.for_all (List.mem w) others) first
-      |> List.sort_uniq String.compare
-
-let policies_of_pair (s, d) paths =
-  if paths = [] then []
-  else
-    Reachability (s, d)
-    :: (List.map (fun w -> Waypoint (s, d, w)) (common_waypoints paths)
-       @ if List.length paths >= 2 then [ Loadbalance (s, d, List.length paths) ] else [])
+      Query.Reachability (s, d)
+      :: (List.filter (fun w -> List.for_all (List.mem w) others) first
+         |> List.sort_uniq String.compare
+         |> List.map (fun w -> Query.Waypoint (s, d, w)))
 
 let mine_paths pairs =
-  List.concat_map (fun (pair, paths) -> policies_of_pair pair paths) pairs
+  List.concat_map
+    (fun (((s, d) as pair), paths) ->
+      let n = List.length paths in
+      reach_and_waypoints pair paths @ if n >= 2 then [ Query.Loadbalance (s, d, n) ] else [])
+    pairs
   |> List.sort_uniq compare
 
 let mine dp = mine_paths (Routing.Dataplane.all_delivered dp)
 
+let appendix_b ((s, d) as pair) (t : Routing.Dataplane.trace) =
+  let lossy = t.dropped <> [] || t.filtered <> [] in
+  let lengths =
+    match List.sort_uniq compare (List.map List.length t.delivered) with
+    | [ l ] -> [ Query.Path_length (s, d, l - 2) (* count routers only *) ]
+    | _ -> []
+  in
+  reach_and_waypoints pair t.delivered
+  @ lengths
+  @ (if lossy then [ Query.Black_hole (s, d) ] else [])
+  @ (if lossy && t.delivered <> [] then [ Query.Multipath_inconsistent (s, d) ] else [])
+  @ if t.looped <> [] then [ Query.Routing_loop (s, d) ] else []
+
+let mine_properties ?hosts dp =
+  let keep =
+    match hosts with
+    | None -> fun _ -> true
+    | Some hs -> fun (s, d) -> List.mem s hs && List.mem d hs
+  in
+  Hashtbl.fold
+    (fun pair trace acc -> if keep pair then appendix_b pair trace @ acc else acc)
+    dp []
+  |> List.sort_uniq compare
+
 type diff = {
-  kept : policy list;
-  lost : policy list;
-  introduced : policy list;
+  kept : Query.policy list;
+  lost : Query.policy list;
+  introduced : Query.policy list;
 }
 
 module Pset = Set.Make (struct
-  type t = policy
+  type t = Query.policy
 
   let compare = compare
 end)
@@ -57,16 +70,9 @@ let kept_fraction d =
   let total = List.length d.kept + List.length d.lost in
   if total = 0 then 1.0 else float_of_int (List.length d.kept) /. float_of_int total
 
-module Query = Query
-
-let to_query = function
-  | Reachability (s, d) -> Query.Reachability (s, d)
-  | Waypoint (s, d, w) -> Query.Waypoint (s, d, w)
-  | Loadbalance (s, d, n) -> Query.Loadbalance (s, d, n)
-
 let introduced_involving d ~hosts =
   List.filter
     (fun p ->
-      let s, dst = endpoints p in
+      let s, dst = Query.endpoints p in
       not (List.mem s hosts && List.mem dst hosts))
     d.introduced

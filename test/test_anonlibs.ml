@@ -412,13 +412,13 @@ let paths_fixture =
 let test_spec_mining () =
   let specs = Spec.mine_paths paths_fixture in
   let has p = List.mem p specs in
-  check Alcotest.bool "reach" true (has (Spec.Reachability ("h1", "h2")));
-  check Alcotest.bool "waypoint r1" true (has (Spec.Waypoint ("h1", "h2", "r1")));
-  check Alcotest.bool "waypoint common only" true (has (Spec.Waypoint ("h1", "h3", "r1")));
-  check Alcotest.bool "no divergent waypoint" false (has (Spec.Waypoint ("h1", "h3", "r2")));
-  check Alcotest.bool "loadbalance" true (has (Spec.Loadbalance ("h1", "h3", 2)));
+  check Alcotest.bool "reach" true (has (Spec.Query.Reachability ("h1", "h2")));
+  check Alcotest.bool "waypoint r1" true (has (Spec.Query.Waypoint ("h1", "h2", "r1")));
+  check Alcotest.bool "waypoint common only" true (has (Spec.Query.Waypoint ("h1", "h3", "r1")));
+  check Alcotest.bool "no divergent waypoint" false (has (Spec.Query.Waypoint ("h1", "h3", "r2")));
+  check Alcotest.bool "loadbalance" true (has (Spec.Query.Loadbalance ("h1", "h3", 2)));
   check Alcotest.bool "no single-path loadbalance" false
-    (List.exists (function Spec.Loadbalance ("h1", "h2", _) -> true | _ -> false) specs)
+    (List.exists (function Spec.Query.Loadbalance ("h1", "h2", _) -> true | _ -> false) specs)
 
 let test_spec_diff () =
   let orig = Spec.mine_paths paths_fixture in
@@ -433,16 +433,17 @@ let test_spec_diff () =
   in
   let anon = Spec.mine_paths anon_paths in
   let d = Spec.compare_specs ~orig ~anon in
-  check Alcotest.bool "reach kept" true (List.mem (Spec.Reachability ("h1", "h2")) d.kept);
-  check Alcotest.bool "waypoint r2 lost" true (List.mem (Spec.Waypoint ("h1", "h2", "r2")) d.lost);
+  check Alcotest.bool "reach kept" true (List.mem (Spec.Query.Reachability ("h1", "h2")) d.kept);
+  check Alcotest.bool "waypoint r2 lost" true
+    (List.mem (Spec.Query.Waypoint ("h1", "h2", "r2")) d.lost);
   check Alcotest.bool "fake reach introduced" true
-    (List.mem (Spec.Reachability ("h1", "fh1")) d.introduced);
+    (List.mem (Spec.Query.Reachability ("h1", "fh1")) d.introduced);
   let frac = Spec.kept_fraction d in
   check Alcotest.bool "fraction in (0,1)" true (frac > 0.0 && frac < 1.0);
   let fake_only = Spec.introduced_involving d ~hosts:[ "h1"; "h2"; "h3" ] in
   check Alcotest.bool "introduced classified as fake-host specs" true
     (List.for_all
-       (fun p -> let _, dst = Spec.endpoints p in dst = "fh1")
+       (fun p -> let _, dst = Spec.Query.endpoints p in dst = "fh1")
        fake_only
     && fake_only <> [])
 
@@ -452,7 +453,7 @@ let test_spec_mine_simulation () =
   (* FatTree04: every pair reachable, cross-pod pairs load-balanced. *)
   check Alcotest.bool "many specs" true (List.length specs > 240);
   check Alcotest.bool "has loadbalance" true
-    (List.exists (function Spec.Loadbalance _ -> true | _ -> false) specs)
+    (List.exists (function Spec.Query.Loadbalance _ -> true | _ -> false) specs)
 
 (* -------------------- Pii -------------------- *)
 

@@ -4,6 +4,7 @@
    inconsistencies caused by access lists. *)
 
 open Routing
+module Q = Spec.Query
 
 let check = Alcotest.check
 let paths_t = Alcotest.(list (list string))
@@ -129,44 +130,41 @@ let test_multipath_inconsistency () =
     t.delivered;
   check Alcotest.bool "other branch filtered" true (t.filtered <> []);
   let dp = Simulate.dataplane s in
-  let props = Confmask.Properties.mine dp in
+  let props = Spec.mine_properties dp in
   check Alcotest.bool "multipath inconsistency mined" true
-    (List.mem (Confmask.Properties.Multipath_inconsistent ("ha", "hc")) props);
-  check Alcotest.bool "black hole mined" true
-    (List.mem (Confmask.Properties.Black_hole ("ha", "hc")) props);
+    (List.mem (Q.Multipath_inconsistent ("ha", "hc")) props);
+  check Alcotest.bool "black hole mined" true (List.mem (Q.Black_hole ("ha", "hc")) props);
   check Alcotest.bool "reverse consistent" false
-    (List.mem (Confmask.Properties.Multipath_inconsistent ("hc", "ha")) props)
+    (List.mem (Q.Multipath_inconsistent ("hc", "ha")) props)
 
 let test_properties_mining () =
   let s = Simulate.run_exn (line_net ~acl:acl_binding ()) in
   let dp = Simulate.dataplane s in
-  let props = Confmask.Properties.mine dp in
+  let props = Spec.mine_properties dp in
   let has p = List.mem p props in
-  check Alcotest.bool "h2 reaches h1" true (has (Confmask.Properties.Reachable ("h2", "h1")));
-  check Alcotest.bool "h1 does not reach h2" false
-    (has (Confmask.Properties.Reachable ("h1", "h2")));
-  check Alcotest.bool "black hole" true (has (Confmask.Properties.Black_hole ("h1", "h2")));
-  check Alcotest.bool "path length mined" true
-    (has (Confmask.Properties.Path_length ("h2", "h1", 2)));
-  check Alcotest.bool "waypoint mined" true
-    (has (Confmask.Properties.Waypointed ("h2", "h1", "r1")))
+  check Alcotest.bool "h2 reaches h1" true (has (Q.Reachability ("h2", "h1")));
+  check Alcotest.bool "h1 does not reach h2" false (has (Q.Reachability ("h1", "h2")));
+  check Alcotest.bool "black hole" true (has (Q.Black_hole ("h1", "h2")));
+  check Alcotest.bool "path length mined" true (has (Q.Path_length ("h2", "h1", 2)));
+  check Alcotest.bool "waypoint mined" true (has (Q.Waypoint ("h2", "h1", "r1")))
 
 (* Theorem B.7, operationally: anonymize a network containing an ACL black
    hole and check that every property — including the black hole and the
    multipath inconsistency — survives unchanged. *)
+(* The Appendix B property sets of a workflow run's two planes, over its
+   real hosts. *)
+let b7_diff (r : Confmask.Workflow.report) =
+  let hosts = Confmask.Workflow.real_hosts r in
+  let props snap = Spec.mine_properties ~hosts (Simulate.dataplane snap) in
+  Spec.compare_specs ~orig:(props r.orig_snapshot) ~anon:(props r.anon_snapshot)
+
 let theorem_b7 name configs =
   let params = { Confmask.Workflow.default_params with k_r = 4; k_h = 2 } in
-  let r = Confmask.Workflow.run_exn ~params configs in
-  let hosts = Confmask.Workflow.real_hosts r in
-  let diff =
-    Confmask.Properties.compare_properties ~hosts
-      ~orig:(Routing.Simulate.dataplane r.orig_snapshot)
-      ~anon:(Routing.Simulate.dataplane r.anon_snapshot)
-  in
-  if not (Confmask.Properties.preserved diff) then
+  let diff = b7_diff (Confmask.Workflow.run_exn ~params configs) in
+  if diff.lost <> [] || diff.introduced <> [] then
     Alcotest.failf "%s: lost %s / gained %s" name
-      (String.concat ", " (List.map Confmask.Properties.to_string diff.lost))
-      (String.concat ", " (List.map Confmask.Properties.to_string diff.gained));
+      (String.concat ", " (List.map Q.to_string diff.lost))
+      (String.concat ", " (List.map Q.to_string diff.introduced));
   check Alcotest.bool (name ^ ": some properties exist") true (diff.kept <> [])
 
 let test_theorem_b7_blackhole () = theorem_b7 "line+acl" (line_net ~acl:acl_binding ())
@@ -176,71 +174,133 @@ let test_theorem_b7_fattree () =
   (* A bigger run without ACLs: reachability, lengths, waypoints, ECMP. *)
   theorem_b7 "fattree04" (Netgen.Nets.configs (Netgen.Nets.find "G"))
 
+(* A random WAN with one random deny-ACL: one random host pair's traffic
+   dropped inbound at one random router interface. Yields the configs and
+   the seed. *)
+let acl_net_gen =
+  QCheck2.Gen.(
+    map
+      (fun (n, extra, seed, pick) ->
+        let spec =
+          Netgen.Wan.waxman ~seed ~name:"rb" ~routers:n ~router_links:(n - 1 + extra)
+            ~hosts:(min n 4)
+        in
+        let configs = Netgen.Emit.emit spec in
+        let hosts = List.map fst spec.Netgen.Netspec.hosts in
+        let src_h = List.nth hosts (pick mod List.length hosts) in
+        let dst_h = List.nth hosts ((pick / 7) mod List.length hosts) in
+        let subnet_of h =
+          let c = List.find (fun (c : Configlang.Ast.config) -> c.hostname = h) configs in
+          Option.get (Configlang.Ast.interface_prefix (List.hd c.interfaces))
+        in
+        let routers = spec.Netgen.Netspec.routers in
+        let victim = List.nth routers ((pick / 3) mod List.length routers) in
+        let configs =
+          List.map
+            (fun (c : Configlang.Ast.config) ->
+              if c.hostname <> victim then c
+              else
+                let acl =
+                  {
+                    Configlang.Ast.acl_name = "RNDKILL";
+                    acl_rules =
+                      [
+                        {
+                          Configlang.Ast.acl_action = Configlang.Ast.Deny;
+                          acl_src = Some (subnet_of src_h);
+                          acl_dst = Some (subnet_of dst_h);
+                        };
+                        {
+                          Configlang.Ast.acl_action = Configlang.Ast.Permit;
+                          acl_src = None;
+                          acl_dst = None;
+                        };
+                      ];
+                  }
+                in
+                let interfaces =
+                  match c.interfaces with
+                  | i :: rest -> { i with Configlang.Ast.if_acl_in = Some "RNDKILL" } :: rest
+                  | [] -> []
+                in
+                { c with interfaces; acls = [ acl ] })
+            configs
+        in
+        (configs, seed))
+      (tup4 (int_range 4 9) (int_range 0 5) (int_bound 50000) (int_bound 1000)))
+
 (* qcheck: inject a random deny-ACL into a random WAN, then check that the
    pipeline preserves every Appendix-B property. *)
 let prop_b7_random =
   QCheck2.Test.make ~name:"theorem B.7 on random nets with random ACLs" ~count:10
-    QCheck2.Gen.(
-      tup4 (int_range 4 9) (int_range 0 5) (int_bound 50000) (int_bound 1000))
-    (fun (n, extra, seed, pick) ->
-      let spec =
-        Netgen.Wan.waxman ~seed ~name:"rb" ~routers:n ~router_links:(n - 1 + extra)
-          ~hosts:(min n 4)
-      in
-      let configs = Netgen.Emit.emit spec in
-      (* Drop one random host pair's traffic inbound at one random router
-         interface. *)
-      let hosts = List.map fst spec.Netgen.Netspec.hosts in
-      let src_h = List.nth hosts (pick mod List.length hosts) in
-      let dst_h = List.nth hosts ((pick / 7) mod List.length hosts) in
-      let subnet_of h =
-        let c = List.find (fun (c : Configlang.Ast.config) -> c.hostname = h) configs in
-        Option.get (Configlang.Ast.interface_prefix (List.hd c.interfaces))
-      in
-      let routers = spec.Netgen.Netspec.routers in
-      let victim = List.nth routers ((pick / 3) mod List.length routers) in
-      let configs =
-        List.map
-          (fun (c : Configlang.Ast.config) ->
-            if c.hostname <> victim then c
-            else
-              let acl =
-                {
-                  Configlang.Ast.acl_name = "RNDKILL";
-                  acl_rules =
-                    [
-                      {
-                        Configlang.Ast.acl_action = Configlang.Ast.Deny;
-                        acl_src = Some (subnet_of src_h);
-                        acl_dst = Some (subnet_of dst_h);
-                      };
-                      {
-                        Configlang.Ast.acl_action = Configlang.Ast.Permit;
-                        acl_src = None;
-                        acl_dst = None;
-                      };
-                    ];
-                }
-              in
-              let interfaces =
-                match c.interfaces with
-                | i :: rest -> { i with Configlang.Ast.if_acl_in = Some "RNDKILL" } :: rest
-                | [] -> []
-              in
-              { c with interfaces; acls = [ acl ] })
-          configs
-      in
+    acl_net_gen (fun (configs, seed) ->
       let params =
         { Confmask.Workflow.default_params with k_r = 3; k_h = 2; seed }
       in
       match Confmask.Workflow.run ~params configs with
       | Error m -> QCheck2.Test.fail_reportf "pipeline failed: %s" m
       | Ok r ->
-          let hosts = Confmask.Workflow.real_hosts r in
-          Confmask.Properties.preserved
-            (Confmask.Properties.compare_properties ~hosts
-               ~orig:(Routing.Simulate.dataplane r.orig_snapshot)
-               ~anon:(Routing.Simulate.dataplane r.anon_snapshot)))
+          let diff = b7_diff r in
+          diff.lost = [] && diff.introduced = [])
+
+(* Miners and evaluator agree on one plane: every policy either miner
+   returns holds under [Q.eval], and for every pair each Appendix B family
+   holds exactly when it is mined — path length at every length from 1
+   to the longest path, waypoint at every router. Returns how many black
+   holes were mined, or a description of the first disagreement. *)
+let miner_eval_agreement configs =
+  let s = Simulate.run_exn configs in
+  let dp = Simulate.dataplane s in
+  let c2s = Spec.mine dp and props = Spec.mine_properties dp in
+  let routers = List.map fst (Device.Smap.bindings s.net.routers) in
+  let candidates (src, dst) (t : Dataplane.trace) =
+    let longest = List.fold_left (fun m p -> max m (List.length p)) 0 t.delivered in
+    [
+      Q.Reachability (src, dst); Q.Black_hole (src, dst);
+      Q.Multipath_inconsistent (src, dst); Q.Routing_loop (src, dst);
+    ]
+    @ List.init longest (fun n -> Q.Path_length (src, dst, n + 1))
+    @ List.map (fun w -> Q.Waypoint (src, dst, w)) routers
+  in
+  let holds p = (Q.eval dp p).Q.holds in
+  match List.find_opt (fun p -> not (holds p)) (c2s @ props) with
+  | Some p -> Error ("mined " ^ Q.to_string p ^ " does not hold")
+  | None -> (
+      let disagreement =
+        Hashtbl.fold
+          (fun pair t acc ->
+            match acc with
+            | Some _ -> acc
+            | None ->
+                List.find_opt (fun p -> holds p <> List.mem p props) (candidates pair t))
+          dp None
+      in
+      match disagreement with
+      | Some p ->
+          Error (Printf.sprintf "%s: eval %b, mined %b" (Q.to_string p) (holds p) (not (holds p)))
+      | None ->
+          Ok (List.length (List.filter (function Q.Black_hole _ -> true | _ -> false) props)))
+
+let prop_miner_eval_agreement =
+  QCheck2.Test.make ~name:"miners and eval agree on random nets with random ACLs"
+    ~count:20 acl_net_gen (fun (configs, _) ->
+      match miner_eval_agreement configs with
+      | Ok _ -> true
+      | Error m -> QCheck2.Test.fail_reportf "%s" m)
+
+(* The agreement above is not vacuous: over a fixed draw of the same
+   generator, some net mines a black hole. *)
+let test_agreement_sees_black_holes () =
+  let rand = Random.State.make [| 7 |] in
+  let holes =
+    List.map
+      (fun (configs, _) ->
+        match miner_eval_agreement configs with
+        | Ok n -> n
+        | Error m -> Alcotest.failf "%s" m)
+      (QCheck2.Gen.generate ~rand ~n:20 acl_net_gen)
+  in
+  check Alcotest.bool "some net mines a black hole" true (List.exists (fun n -> n > 0) holes)
 
 (* qcheck: the FEC-collapsed data-plane extraction (trace one representative
    per ordered class pair, fan out to the whole class) must agree trace for
@@ -291,7 +351,7 @@ let prop_sharded_spf =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_b7_random; prop_fec_extraction; prop_sharded_spf ]
+    [ prop_b7_random; prop_miner_eval_agreement; prop_fec_extraction; prop_sharded_spf ]
 
 let () =
   Alcotest.run "properties"
@@ -310,6 +370,8 @@ let () =
           Alcotest.test_case "theorem B.7 with black hole" `Quick test_theorem_b7_blackhole;
           Alcotest.test_case "theorem B.7 with multipath" `Quick test_theorem_b7_multipath;
           Alcotest.test_case "theorem B.7 on fattree" `Quick test_theorem_b7_fattree;
+          Alcotest.test_case "miner/eval agreement sees black holes" `Quick
+            test_agreement_sees_black_holes;
         ] );
       ("qcheck", qsuite);
     ]

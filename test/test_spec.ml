@@ -1,6 +1,6 @@
-(* Tests for the specification miner's edge cases and the policy query
-   engine: parser round-trips (including on the miner's own printed
-   form), evaluation against fabricated and simulated data planes, the
+(* Tests for the specification miners' edge cases and the policy query
+   engine: parser round-trips of both written forms of every family,
+   evaluation against fabricated and simulated data planes, the
    differential verdicts, and extraction invariance — the production
    data plane (FEC collapse, compiled kernels) and the reference's
    per-pair traceroutes must produce identical outcomes, witness paths
@@ -52,7 +52,7 @@ let mine_loadbalance_boundary () =
   let mined = Spec.mine two in
   Alcotest.(check bool)
     "two paths mine loadbalance(a, b, 2)" true
-    (List.mem (Spec.Loadbalance ("a", "b", 2)) mined);
+    (List.mem (Q.Loadbalance ("a", "b", 2)) mined);
   (* The mined count is exact: eval holds at n = count ... *)
   Alcotest.(check bool)
     "eval holds at the mined count" true
@@ -66,7 +66,7 @@ let mine_loadbalance_boundary () =
   Alcotest.(check bool)
     "a single path mines no loadbalance policy" false
     (List.exists
-       (function Spec.Loadbalance _ -> true | _ -> false)
+       (function Q.Loadbalance _ -> true | _ -> false)
        (Spec.mine one))
 
 let introduced_one_fake_endpoint () =
@@ -74,9 +74,9 @@ let introduced_one_fake_endpoint () =
     Spec.compare_specs ~orig:[]
       ~anon:
         [
-          Spec.Reachability ("h1", "fake9");
-          Spec.Reachability ("fake9", "h1");
-          Spec.Reachability ("h1", "h2");
+          Q.Reachability ("h1", "fake9");
+          Q.Reachability ("fake9", "h1");
+          Q.Reachability ("h1", "h2");
         ]
   in
   let benign = Spec.introduced_involving d ~hosts:[ "h1"; "h2" ] in
@@ -85,7 +85,7 @@ let introduced_one_fake_endpoint () =
   Alcotest.(check int) "two fake-endpoint policies" 2 (List.length benign);
   Alcotest.(check bool)
     "both-real policy excluded" false
-    (List.mem (Spec.Reachability ("h1", "h2")) benign)
+    (List.mem (Q.Reachability ("h1", "h2")) benign)
 
 (* ---- query parser ---- *)
 
@@ -95,6 +95,10 @@ let policy_cases =
     Q.Waypoint ("h1", "h2", "r3");
     Q.Isolation ("dmz-h", "core-h");
     Q.Loadbalance ("h1", "h2", 3);
+    Q.Path_length ("h1", "h2", 4);
+    Q.Black_hole ("h1", "h2");
+    Q.Multipath_inconsistent ("h1", "h2");
+    Q.Routing_loop ("h1", "h2");
   ]
 
 let parse_roundtrip () =
@@ -107,24 +111,6 @@ let parse_roundtrip () =
       | Error m -> Alcotest.failf "%s failed to parse: %s" (Q.to_string p) m)
     policy_cases
 
-let parse_miner_output () =
-  (* The miner's printed form is valid query syntax, and lifts to the
-     same policy as Spec.to_query. *)
-  List.iter
-    (fun sp ->
-      match Q.parse_policy (Spec.policy_to_string sp) with
-      | Ok q when q = Spec.to_query sp -> ()
-      | Ok q ->
-          Alcotest.failf "%s lifted to %s" (Spec.policy_to_string sp)
-            (Q.to_string q)
-      | Error m ->
-          Alcotest.failf "%s failed to parse: %s" (Spec.policy_to_string sp) m)
-    [
-      Spec.Reachability ("h1", "h2");
-      Spec.Waypoint ("h1", "h2", "r3");
-      Spec.Loadbalance ("h1", "h2", 4);
-    ]
-
 let parse_file_text () =
   let text =
     "# the operator's contract\n\
@@ -132,7 +118,11 @@ let parse_file_text () =
      \n\
      waypoint(h1, h2, fw)  # via the firewall\n\
      isolation(h3, h1)\n\
-     loadbalance(h1, h2, 2)\n"
+     loadbalance(h1, h2, 2)\n\
+     pathlength(h1, h2, 3)\n\
+     blackhole(h3, h1)\n\
+     inconsistent(h3, h1)\n\
+     loop(h2, h3)\n"
   in
   match Q.parse text with
   | Error m -> Alcotest.failf "parse failed: %s" m
@@ -141,7 +131,8 @@ let parse_file_text () =
         "policies in file order"
         [
           "reach(h1, h2)"; "waypoint(h1, h2, fw)"; "isolation(h3, h1)";
-          "loadbalance(h1, h2, 2)";
+          "loadbalance(h1, h2, 2)"; "pathlength(h1, h2, 3)"; "blackhole(h3, h1)";
+          "inconsistent(h3, h1)"; "loop(h2, h3)";
         ]
         (List.map Q.to_string ps)
 
@@ -150,7 +141,9 @@ let parse_file_json () =
     {|[ {"type": "reachability", "src": "h1", "dst": "h2"},
        {"type": "waypoint", "src": "h1", "dst": "h2", "via": "fw"},
        {"type": "isolation", "src": "h3", "dst": "h1"},
-       {"type": "loadbalance", "src": "h1", "dst": "h2", "paths": 2} ]|}
+       {"type": "loadbalance", "src": "h1", "dst": "h2", "paths": 2},
+       {"type": "pathlength", "src": "h1", "dst": "h2", "length": 3},
+       {"type": "blackhole", "src": "h3", "dst": "h1"} ]|}
   in
   match Q.parse text with
   | Error m -> Alcotest.failf "parse failed: %s" m
@@ -159,7 +152,7 @@ let parse_file_json () =
         "JSON array, auto-detected"
         [
           "reach(h1, h2)"; "waypoint(h1, h2, fw)"; "isolation(h3, h1)";
-          "loadbalance(h1, h2, 2)";
+          "loadbalance(h1, h2, 2)"; "pathlength(h1, h2, 3)"; "blackhole(h3, h1)";
         ]
         (List.map Q.to_string ps)
 
@@ -175,6 +168,9 @@ let parse_rejects () =
       "waypoint(a, b)";
       "loadbalance(a, b, x)";
       "loadbalance(a, b, 0)";
+      "pathlength(a, b, 0)";
+      "pathlength(a, b)";
+      "blackhole(a, b, c)";
       "frob(a, b)";
       "reach(a, b";
       "reach(a b, c)";
@@ -196,6 +192,7 @@ let parse_rejects () =
       {|[{"src": "a", "dst": "b"}]|};
       {|[{"type": "waypoint", "src": "a", "dst": "b"}]|};
       {|[{"type": "loadbalance", "src": "a", "dst": "b", "paths": 0}]|};
+      {|[{"type": "pathlength", "src": "a", "dst": "b"}]|};
       {|["reach(a, b)"]|};
     ]
 
@@ -261,25 +258,30 @@ let evidence_capped () =
 
 (* ---- qcheck properties ---- *)
 
+(* Any name [Q.parse] accepts: no delimiter, blank or control byte. *)
+let name_gen =
+  let open QCheck2.Gen in
+  let byte = map Char.chr (int_range 0x21 0xff) in
+  string_size ~gen:byte (int_range 1 8)
+  |> map (String.map (function '(' | ')' | ',' | '#' -> '_' | c -> c))
+
+let policy_gen =
+  let open QCheck2.Gen in
+  let count = int_range 1 9 in
+  oneof
+    [
+      map2 (fun s d -> Q.Reachability (s, d)) name_gen name_gen;
+      map3 (fun s d w -> Q.Waypoint (s, d, w)) name_gen name_gen name_gen;
+      map2 (fun s d -> Q.Isolation (s, d)) name_gen name_gen;
+      map3 (fun s d n -> Q.Loadbalance (s, d, n)) name_gen name_gen count;
+      map3 (fun s d n -> Q.Path_length (s, d, n)) name_gen name_gen count;
+      map2 (fun s d -> Q.Black_hole (s, d)) name_gen name_gen;
+      map2 (fun s d -> Q.Multipath_inconsistent (s, d)) name_gen name_gen;
+      map2 (fun s d -> Q.Routing_loop (s, d)) name_gen name_gen;
+    ]
+
 let qcheck_parse_roundtrip =
   let open QCheck2 in
-  let name_gen =
-    Gen.map
-      (fun (c, s) -> Printf.sprintf "%c%s" c s)
-      (Gen.pair (Gen.char_range 'a' 'z')
-         (Gen.string_size ~gen:(Gen.char_range 'a' 'z') (Gen.int_range 0 6)))
-  in
-  let policy_gen =
-    Gen.oneof
-      [
-        Gen.map2 (fun s d -> Q.Reachability (s, d)) name_gen name_gen;
-        Gen.map3 (fun s d w -> Q.Waypoint (s, d, w)) name_gen name_gen name_gen;
-        Gen.map2 (fun s d -> Q.Isolation (s, d)) name_gen name_gen;
-        Gen.map3
-          (fun s d n -> Q.Loadbalance (s, d, n))
-          name_gen name_gen (Gen.int_range 1 9);
-      ]
-  in
   Test.make ~name:"policy file = parse . print" ~count:100
     (Gen.list_size (Gen.int_range 0 12) policy_gen)
     (fun ps ->
@@ -288,8 +290,16 @@ let qcheck_parse_roundtrip =
       | Ok ps' -> ps' = ps
       | Error m -> Test.fail_reportf "printed file failed to parse: %s" m)
 
+let qcheck_policy_forms =
+  (* Both written forms of one policy, in every family, read back to it. *)
+  let open QCheck2 in
+  Test.make ~name:"every family: text and JSON forms parse back" ~count:500
+    ~print:Q.to_string policy_gen (fun p ->
+      let json = Netcore.Json.to_string (Netcore.Json.Arr [ Q.to_json p ]) in
+      Q.parse_policy (Q.to_string p) = Ok p && Q.parse json = Ok [ p ])
+
 let qcheck_mined_holds =
-  (* The miner's output is sound by construction: every mined policy
+  (* The miners' output is sound by construction: every mined policy
      evaluates to holds on the very data plane it was mined from. *)
   let open QCheck2 in
   Test.make ~name:"mined policies hold on their own data plane" ~count:20
@@ -299,12 +309,10 @@ let qcheck_mined_holds =
       let snap = Routing.Simulate.run_exn (Netgen.Emit.emit spec) in
       let dp = Routing.Simulate.dataplane snap in
       List.for_all
-        (fun sp ->
-          let o = Q.eval dp (Spec.to_query sp) in
-          o.Q.holds
-          || Test.fail_reportf "seed %d: mined %s does not hold" seed
-               (Spec.policy_to_string sp))
-        (Spec.mine dp))
+        (fun p ->
+          (Q.eval dp p).Q.holds
+          || Test.fail_reportf "seed %d: mined %s does not hold" seed (Q.to_string p))
+        (Spec.mine dp @ Spec.mine_properties dp))
 
 (* ---- invariance: FEC collapse and compiled kernels ---- *)
 
@@ -327,10 +335,14 @@ let mode_invariance () =
       let dp = Routing.Simulate.dataplane snap in
       let dp_ref = Crucible.Reference.dataplane snap in
       let policies =
-        List.map Spec.to_query (Spec.mine dp)
+        Spec.mine dp @ Spec.mine_properties dp
         @
         match Dataplane.all_delivered dp with
-        | ((s, d), _) :: _ -> [ Q.Isolation (s, d); Q.Reachability (s, "no-such-host") ]
+        | ((s, d), _) :: _ ->
+            [
+              Q.Isolation (s, d); Q.Reachability (s, "no-such-host");
+              Q.Black_hole (s, d); Q.Path_length (s, d, 1);
+            ]
         | [] -> []
       in
       List.iter
@@ -355,7 +367,6 @@ let () =
       ( "parser",
         [
           case "round-trip" parse_roundtrip;
-          case "miner output parses" parse_miner_output;
           case "text policy file" parse_file_text;
           case "json policy file" parse_file_json;
           case "rejections" parse_rejects;
@@ -367,6 +378,6 @@ let () =
         ] );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_parse_roundtrip; qcheck_mined_holds ] );
+          [ qcheck_parse_roundtrip; qcheck_policy_forms; qcheck_mined_holds ] );
       ("modes", [ case "fec and kernel invariance" mode_invariance ]);
     ]
