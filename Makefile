@@ -143,8 +143,8 @@ cache-upgrade-smoke:
 # cell through the batch driver, verify the anonymized configs against
 # the original with `confmask verify` — the mined specification must
 # transfer (nonzero holds_both, nothing lost, so exit code 0) — and the
-# per-cell result.json must embed the verification record that a
-# resumed batch reproduces byte-identically.
+# per-cell result.json must embed the verification record and the
+# redteam audit, which a resumed batch reproduces byte-identically.
 VERIFY_SMOKE := /tmp/confmask-verify-smoke
 verify-smoke:
 	rm -rf $(VERIFY_SMOKE) && mkdir -p $(VERIFY_SMOKE)
@@ -152,6 +152,7 @@ verify-smoke:
 	dune exec bin/confmask_cli.exe -- batch --nets A --kr 6 --kh 2 \
 	  --out $(VERIFY_SMOKE)/batch
 	grep -q '"verification"' $(VERIFY_SMOKE)/batch/A-kr6-kh2/result.json
+	grep -q '"redteam"' $(VERIFY_SMOKE)/batch/A-kr6-kh2/result.json
 	dune exec bin/confmask_cli.exe -- verify --orig $(VERIFY_SMOKE)/orig \
 	  --anon $(VERIFY_SMOKE)/batch/A-kr6-kh2/configs --json > $(VERIFY_SMOKE)/verify.json
 	grep -Eq '"holds_both": *[1-9]' $(VERIFY_SMOKE)/verify.json
@@ -163,26 +164,33 @@ verify-smoke:
 	  --resume --out $(VERIFY_SMOKE)/batch
 	cmp $(VERIFY_SMOKE)/manifest.first.json $(VERIFY_SMOKE)/batch/manifest.json
 
-# Red-team smoke: the brute force must recover a planted legacy
-# small-int PII key and come up empty against a full-width 64-bit hex
-# key; the PII run's config utility must equal the plain run's; the
-# per-cell batch record must embed the redteam audit, and a resumed
-# batch must reproduce the manifest byte for byte.
+# Red-team smoke: the brute force must recover a planted legacy key
+# (0x863b891f4c0abd4f is Pan.key_of_int 7) and come up empty against a
+# full-width 64-bit hex key. A key shorter than 16 hex digits is an
+# input error (exit 1). A key alone turns the scrub on, so no original
+# device name is written, and the PII run's config utility must equal
+# the plain run's.
 REDTEAM_SMOKE := /tmp/confmask-redteam-smoke
 redteam-smoke:
 	rm -rf $(REDTEAM_SMOKE) && mkdir -p $(REDTEAM_SMOKE)
 	dune exec bin/confmask_cli.exe -- generate --net A --out $(REDTEAM_SMOKE)/orig
 	dune exec bin/confmask_cli.exe -- anonymize --in $(REDTEAM_SMOKE)/orig \
-	  --out $(REDTEAM_SMOKE)/weak --pii --pii-key 7
+	  --out $(REDTEAM_SMOKE)/weak --pii-key 0x863b891f4c0abd4f
 	dune exec bin/confmask_cli.exe -- redteam --orig $(REDTEAM_SMOKE)/orig \
-	  --anon $(REDTEAM_SMOKE)/weak --attacks key_bruteforce --key 7 \
-	  --key-range 64 --json > $(REDTEAM_SMOKE)/weak.json
+	  --anon $(REDTEAM_SMOKE)/weak --attacks key_bruteforce \
+	  --key 0x863b891f4c0abd4f --key-range 64 --json > $(REDTEAM_SMOKE)/weak.json
 	grep -q '"attack":"key_bruteforce"' $(REDTEAM_SMOKE)/weak.json
 	grep -q '"recall":1' $(REDTEAM_SMOKE)/weak.json
 	grep -q '"recovered_seed":7' $(REDTEAM_SMOKE)/weak.json
 	dune exec bin/confmask_cli.exe -- anonymize --in $(REDTEAM_SMOKE)/orig \
-	  --out $(REDTEAM_SMOKE)/strong --pii --pii-key 0xdeadbeefcafef00d \
+	  --out $(REDTEAM_SMOKE)/short --pii-key 7 2> $(REDTEAM_SMOKE)/short.err; \
+	  test $$? -eq 1
+	grep -q '16 hex digits' $(REDTEAM_SMOKE)/short.err
+	dune exec bin/confmask_cli.exe -- anonymize --in $(REDTEAM_SMOKE)/orig \
+	  --out $(REDTEAM_SMOKE)/strong --pii-key 0xdeadbeefcafef00d \
 	  > $(REDTEAM_SMOKE)/strong.out
+	test -s $(REDTEAM_SMOKE)/strong/confmask-secrets.txt
+	test ! -e $(REDTEAM_SMOKE)/strong/a1.cfg
 	# The scrub renames every device; U_C must still pair each shared
 	# file with its original and read as it does without the scrub.
 	dune exec bin/confmask_cli.exe -- anonymize --in $(REDTEAM_SMOKE)/orig \
@@ -195,13 +203,6 @@ redteam-smoke:
 	  --key 0xdeadbeefcafef00d --key-range 4096 --json > $(REDTEAM_SMOKE)/strong.json
 	grep -q '"recall":0' $(REDTEAM_SMOKE)/strong.json
 	grep -q '"claims":0' $(REDTEAM_SMOKE)/strong.json
-	dune exec bin/confmask_cli.exe -- batch --nets A --kr 6 --kh 2 \
-	  --out $(REDTEAM_SMOKE)/batch
-	grep -q '"redteam"' $(REDTEAM_SMOKE)/batch/A-kr6-kh2/result.json
-	cp $(REDTEAM_SMOKE)/batch/manifest.json $(REDTEAM_SMOKE)/manifest.first.json
-	dune exec bin/confmask_cli.exe -- batch --nets A --kr 6 --kh 2 \
-	  --resume --out $(REDTEAM_SMOKE)/batch
-	cmp $(REDTEAM_SMOKE)/manifest.first.json $(REDTEAM_SMOKE)/batch/manifest.json
 
 # Randomized differential/metamorphic fuzz of the whole pipeline: 200
 # generated networks against every crucible oracle; failures are shrunk

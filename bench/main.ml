@@ -466,10 +466,12 @@ let redteam () =
       let configs = Netgen.Nets.configs (Netgen.Nets.find id) in
       List.iter
         (fun k_r ->
-          (* The legacy default key (key_of_int seed) is exactly the weak
-             configuration the brute-force attack is built to punish. *)
+          (* A legacy small-int key is exactly the weak configuration
+             the brute-force attack is built to punish. *)
+          let pii_key = Some (Pii.Pan.key_of_int 42) in
           let params =
-            { Confmask.Workflow.default_params with k_r; k_h = 2; pii = true }
+            { Confmask.Workflow.default_params with
+              k_r; k_h = 2; pii = true; pii_key }
           in
           match Confmask.Workflow.run ~params configs with
           | Error m -> Printf.printf "%-3s %4d failed: %s\n" id k_r m

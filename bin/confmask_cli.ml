@@ -100,17 +100,11 @@ let selfcheck_arg =
 
 (* ---- anonymize ---- *)
 
-(* PII keys on the command line: a bare decimal is the legacy small-int
-   form (Pan.key_of_int — brute-forceable, fine for tests), anything
-   else must be a full 64-bit hex key ("0xdeadbeefcafef00d"). *)
+(* Every PII key on the command line is a full 64-bit hex key. *)
 let parse_key s =
-  match int_of_string_opt s with
-  | Some n when String.for_all (fun c -> c >= '0' && c <= '9') s ->
-      Pii.Pan.key_of_int n
-  | _ -> (
-      match Pii.Pan.key_of_string s with
-      | Ok k -> k
-      | Error m -> Confmask.Batch.input_error "bad key '%s': %s" s m)
+  match Pii.Pan.key_of_string s with
+  | Ok k -> k
+  | Error m -> Confmask.Batch.input_error "bad key '%s': %s" s m
 
 let set_jobs n = if n >= 1 then Netcore.Pool.set_default_jobs n
 
@@ -119,16 +113,17 @@ let jobs_arg =
          ~doc:"Size of the simulation worker pool (default: the number of \
                available cores).")
 
-let anonymize in_dir out_dir format k_r k_h noise seed pii pii_key fake_routers
+let anonymize in_dir out_dir format k_r k_h noise seed pii_key fake_routers
     jobs cache_dir trace metrics_out selfcheck =
   guard @@ fun () ->
   set_jobs jobs;
   setup_telemetry ~trace ~metrics_out ~selfcheck;
   let cache = Option.map Routing.Engine.open_cache cache_dir in
   let configs = read_dir in_dir in
+  let pii_key = Option.map parse_key pii_key in
   let params =
-    { Confmask.Workflow.k_r; k_h; noise; seed; pii;
-      pii_key = Option.map parse_key pii_key; fake_routers }
+    { Confmask.Workflow.k_r; k_h; noise; seed; pii = Option.is_some pii_key;
+      pii_key; fake_routers }
   in
   match Confmask.Workflow.run ~params ?cache configs with
   | Error m ->
@@ -193,17 +188,12 @@ let noise_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
-let pii_arg =
-  Arg.(value & flag & info [ "pii" ]
-         ~doc:"Also run the PII add-on (prefix-preserving IP anonymization, \
-               device renaming, secret redaction).")
-
 let pii_key_arg =
   Arg.(value & opt (some string) None & info [ "pii-key" ] ~docv:"KEY"
-         ~doc:"Key of the prefix-preserving IP map used by $(b,--pii): a \
-               full 64-bit hex key ('0xdeadbeefcafef00d'; recommended) or a \
-               legacy small decimal int (brute-forceable — see the redteam \
-               key_bruteforce attack). Default: derived from $(b,--seed).")
+         ~doc:"Also run the PII add-on (prefix-preserving IP anonymization, \
+               device renaming, secret redaction) under $(docv), a 64-bit \
+               key of exactly 16 hex digits ('0xdeadbeefcafef00d'). Without \
+               it nothing is scrubbed.")
 
 let fake_routers_arg =
   Arg.(value & opt int 0 & info [ "fake-routers" ] ~docv:"N"
@@ -220,7 +210,7 @@ let anonymize_cmd =
   let info = Cmd.info "anonymize" ~doc:"Anonymize a directory of configurations" in
   Cmd.v info
     Term.(const anonymize $ in_arg $ out_arg $ format_arg $ kr_arg $ kh_arg $ noise_arg
-          $ seed_arg $ pii_arg $ pii_key_arg $ fake_routers_arg $ jobs_arg
+          $ seed_arg $ pii_key_arg $ fake_routers_arg $ jobs_arg
           $ cache_arg $ trace_arg $ metrics_out_arg $ selfcheck_arg)
 
 (* ---- simulate ---- *)
@@ -378,9 +368,9 @@ let attacks_arg =
 
 let redteam_key_arg =
   Arg.(value & opt (some string) None & info [ "key" ] ~docv:"KEY"
-         ~doc:"Plant the PII key the pair was scrubbed with, so the \
-               key_bruteforce attack's recovery is verified against it \
-               (decimal legacy int or 0x hex).")
+         ~doc:"Plant the PII key the pair was scrubbed with (16 hex \
+               digits), so the key_bruteforce attack's recovery is verified \
+               against it.")
 
 let key_range_arg =
   Arg.(value & opt (some int) None & info [ "key-range" ] ~docv:"N"
@@ -557,6 +547,8 @@ let batch nets in_dirs k_rs k_hs out format seed noise resume limit cache_dir
   setup_telemetry ~trace ~metrics_out ~selfcheck:false;
   if nets = [] && in_dirs = [] then
     Confmask.Batch.input_error "one of --nets or --in-dirs is required";
+  if tenant <> None && server = None then
+    Confmask.Batch.input_error "--tenant requires --server";
   let job_list =
     Confmask.Batch.grid_jobs ~seed ~noise ~nets ~k_rs ~k_hs ()
     @ Confmask.Batch.dir_jobs ~seed ~noise ~dirs:in_dirs ~k_rs ~k_hs ()
@@ -629,8 +621,8 @@ let server_arg =
 
 let batch_tenant_arg =
   Arg.(value & opt (some string) None & info [ "tenant" ] ~docv:"NAME"
-         ~doc:"With $(b,--server): scrub PII under the daemon-configured key \
-               of tenant $(docv).")
+         ~doc:"Scrub PII under the key the daemon has registered for \
+               tenant $(docv). Requires $(b,--server).")
 
 let batch_cmd =
   let info =
@@ -702,10 +694,10 @@ let workers_arg =
 
 let tenants_arg =
   Arg.(value & opt_all string [] & info [ "tenant" ] ~docv:"NAME=KEY"
-         ~doc:"Register a tenant whose requests scrub PII under key \
-               $(i,KEY) — a full 64-bit hex key ('0x...'; recommended) or \
-               a legacy small decimal int (repeatable). Requests naming an \
-               unregistered tenant are rejected.")
+         ~doc:"Register a tenant whose requests scrub PII under $(i,KEY), \
+               a 64-bit key of exactly 16 hex digits ('0x...'; \
+               repeatable). Requests naming an unregistered tenant are \
+               rejected.")
 
 let serve_cmd =
   let info =

@@ -61,14 +61,6 @@ let of_report ?attacks ?(key_range = Attack.default_key_range)
   (* From a workflow report the ground truth is exact: the injected edge
      list, the scrub's recorded renaming (empty = identity), and — when
      the PII stage ran — the very key it used. *)
-  let planted_key =
-    if r.params.pii then
-      Some
-        (match r.params.pii_key with
-        | Some k -> k
-        | None -> Pii.Pan.key_of_int r.params.seed)
-    else None
-  in
   run ?attacks
     {
       Attack.orig_snapshot = r.orig_snapshot;
@@ -77,7 +69,7 @@ let of_report ?attacks ?(key_range = Attack.default_key_range)
       anon_configs = r.anon_configs;
       fake_edges = Some r.fake_edges;
       correspondence = Some r.name_map;
-      planted_key;
+      planted_key = r.params.pii_key;
       key_range;
     }
 

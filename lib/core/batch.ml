@@ -241,7 +241,6 @@ let job_request ?tenant ~out ~format job =
       ("kh", Json.Num (float_of_int p.k_h));
       ("seed", Json.Num (float_of_int p.seed));
       ("noise", Json.Num p.noise);
-      ("pii", Json.Bool p.pii);
       ("fake_routers", Json.Num (float_of_int p.fake_routers));
       ("out", Json.Str out);
       ("format", Json.Str (format_name format));

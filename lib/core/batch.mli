@@ -146,7 +146,9 @@ val run :
     retried with backoff (the admission-control pushback); an
     unreachable daemon turns into per-job input-class error records.
     [cache] is ignored in this mode — the daemon's cache is the point.
-    [tenant] names the daemon-side PII key to scrub with. *)
+    [tenant] names the daemon-side PII key to scrub with; the request
+    carries no PII switch, since the daemon scrubs exactly when a key
+    resolves. *)
 
 val manifest_path : string -> string
 (** [manifest_path out] is the path of the results manifest under the

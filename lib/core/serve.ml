@@ -37,19 +37,23 @@ let bool_field req name = Option.bind (field req name) Json.bool
 
 let require what = function Some v -> v | None -> bad "missing field '%s'" what
 
-(* A PII key arrives either as a legacy small integer (derived via
-   [Pan.key_of_int] — brute-forceable, kept for compatibility and tests)
-   or as a full 64-bit hex string ("0xdeadbeefcafef00d"). *)
-let key_field req name =
-  match field req name with
-  | None -> None
-  | Some (Json.Num f) when Float.is_integer f ->
-      Some (Pii.Pan.key_of_int (int_of_float f))
-  | Some (Json.Str s) -> (
-      match Pii.Pan.key_of_string s with
-      | Ok k -> Some k
-      | Error m -> bad "field '%s': %s" name m)
-  | Some _ -> bad "field '%s' must be an int or a hex-string key" name
+(* The PII key of a job or redteam request: a daemon-configured tenant's
+   (the tenant wins when both are given) or an explicit [pii_key], which
+   must be a full 64-bit hex string ("0xdeadbeefcafef00d"). *)
+let resolve_key ~tenants req =
+  match str_field req "tenant" with
+  | Some t -> (
+      match List.assoc_opt t tenants with
+      | Some key -> Some key
+      | None -> bad "unknown tenant '%s'" t)
+  | None -> (
+      match field req "pii_key" with
+      | None -> None
+      | Some (Json.Str s) -> (
+          match Pii.Pan.key_of_string s with
+          | Ok k -> Some k
+          | Error m -> bad "field 'pii_key': %s" m)
+      | Some _ -> bad "field 'pii_key' must be a hex-string key")
 
 (* ---- ops ---- *)
 
@@ -96,17 +100,7 @@ let job_response ~cache ~tenants req =
   let d = Workflow.default_params in
   let id = require "id" (str_field req "id") in
   let out = require "out" (str_field req "out") in
-  let pii_key =
-    (* A tenant name pins the prefix-preserving scrub key daemon-side;
-       an explicit pii_key (tests, single-tenant setups) also works.
-       Tenant wins when both are given. *)
-    match str_field req "tenant" with
-    | Some t -> (
-        match List.assoc_opt t tenants with
-        | Some key -> Some key
-        | None -> raise (Bad_request (Printf.sprintf "unknown tenant '%s'" t)))
-    | None -> key_field req "pii_key"
-  in
+  let pii_key = resolve_key ~tenants req in
   let job =
     {
       Batch.job_id = id;
@@ -117,7 +111,11 @@ let job_response ~cache ~tenants req =
           k_h = Option.value ~default:d.k_h (int_field req "kh");
           seed = Option.value ~default:d.seed (int_field req "seed");
           noise = Option.value ~default:d.noise (num_field req "noise");
-          pii = Option.value ~default:d.pii (bool_field req "pii");
+          (* A contradicting explicit "pii" is Workflow.run's input
+             error, answered as the job's error record. *)
+          pii =
+            Option.value ~default:(Option.is_some pii_key)
+              (bool_field req "pii");
           pii_key;
           fake_routers =
             Option.value ~default:d.fake_routers (int_field req "fake_routers");
@@ -190,14 +188,7 @@ let redteam_response ~tenants req =
     | Some _ -> bad "field 'attacks' must be an array of attack names"
   in
   let key_range = int_field req "key_range" in
-  let planted_key =
-    match str_field req "tenant" with
-    | Some t -> (
-        match List.assoc_opt t tenants with
-        | Some key -> Some key
-        | None -> raise (Bad_request (Printf.sprintf "unknown tenant '%s'" t)))
-    | None -> key_field req "pii_key"
-  in
+  let planted_key = resolve_key ~tenants req in
   let load dir =
     match
       let configs = try Batch.read_config_dir dir

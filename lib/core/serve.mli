@@ -26,9 +26,12 @@
        "tenant", "out", "format"}] — run one anonymization job with the
       resident caches; writes [out/<id>/] exactly like the local batch
       driver and answers [{"ok": true, "record": "<result.json line>"}].
-      [tenant] selects a daemon-configured PII key. [pii_key] is either
-      a legacy small int (derived via {!Pii.Pan.key_of_int}) or a full
-      64-bit hex string ({!Pii.Pan.key_of_string}).
+      A job is scrubbed exactly when it carries a PII key: [tenant]
+      selects a daemon-configured one (and wins over [pii_key]), or
+      [pii_key] gives one as a string of exactly 16 hex digits
+      ({!Pii.Pan.key_of_string}); a JSON number is a [bad_request].
+      [pii] defaults to whether a key was resolved; an explicit [pii]
+      that contradicts it comes back as an input-class error record.
     - [{"op": "verify", "orig_dir": DIR, "anon_dir": DIR,
        "policies": TEXT?, "policies_file": PATH?, "entries": BOOL?}] —
       differential policy verification ({!Verify.check}) of two config
@@ -41,9 +44,9 @@
        "attacks": [NAME...]?, "key_range": N?, "tenant"?, "pii_key"?}] —
       red-team audit ({!Audit.check}) of two config directories: run the
       de-anonymization attack suite against the pair and answer the
-      per-attack precision/recall scores. [tenant]/[pii_key] optionally
-      plant the scrub key so the brute-force attack's recovery is
-      verified against it.
+      per-attack precision/recall scores. [tenant]/[pii_key], resolved
+      as for [job], optionally plant the scrub key so the brute-force
+      attack's recovery is verified against it.
     - [{"op": "sleep", "seconds": S}] — occupy a worker (diagnostics /
       admission-control testing only; capped at 10 s).
     - [{"op": "shutdown"}] — acknowledge, then drain in-flight requests

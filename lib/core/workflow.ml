@@ -43,6 +43,8 @@ let ( let* ) = Result.bind
 let run ?(params = default_params) ?cache orig_configs =
   Telemetry.with_span "workflow.run" @@ fun () ->
   if params.k_r < 1 || params.k_h < 1 then Error "workflow: k_r and k_h must be >= 1"
+  else if params.pii <> Option.is_some params.pii_key then
+    Error "workflow: the PII scrub runs exactly when a PII key is given"
   else
     let rng = Rng.create params.seed in
     (* With a persistent cache the baseline goes through the engine, whose
@@ -100,27 +102,19 @@ let run ?(params = default_params) ?cache orig_configs =
     in
     (* Optional add-on: PII scrubbing. *)
     let anon_configs, name_map =
-      if params.pii then
-        (* The scrub key is per-tenant state, not workflow randomness:
-           a tenant-pinned key (the serve daemon's tenant table) keeps
-           one tenant's address mapping stable across runs and distinct
-           from every other tenant's, whatever seeds they pick. *)
-        let key =
-          match params.pii_key with
-          | Some k -> k
-          | None -> Pii.Pan.key_of_int params.seed
-        in
-        Telemetry.with_span "workflow.pii" (fun () ->
-            (* The rename is the node correspondence consumers of the
-               report (the verifier) need to carry original-name
-               policies into the shared namespace; record it per device
-               rather than forcing them to re-derive it. *)
-            let rename = Pii.Scrub.default_rename anon.configs in
-            ( Pii.Scrub.scrub ~rename ~key anon.configs,
-              List.map
-                (fun (c : Configlang.Ast.config) -> (c.hostname, rename c.hostname))
-                anon.configs ))
-      else (anon.configs, [])
+      match params.pii_key with
+      | Some key ->
+          Telemetry.with_span "workflow.pii" (fun () ->
+              (* The rename is the node correspondence consumers of the
+                 report (the verifier) need to carry original-name
+                 policies into the shared namespace; record it per device
+                 rather than forcing them to re-derive it. *)
+              let rename = Pii.Scrub.default_rename anon.configs in
+              ( Pii.Scrub.scrub ~rename ~key anon.configs,
+                List.map
+                  (fun (c : Configlang.Ast.config) -> (c.hostname, rename c.hostname))
+                  anon.configs ))
+      | None -> (anon.configs, [])
     in
     let* anon_snapshot =
       (* Without PII scrubbing, [anon.engine] already holds the final
@@ -155,8 +149,10 @@ let real_hosts r =
 
 let functional_equivalence r =
   if r.params.pii then
-    (* Names and addresses were rewritten; equivalence is only meaningful
-       up to the renaming, which the PII test suite checks separately. *)
+    (* Asserted, not measured: names and addresses were rewritten, and
+       nothing checks equivalence up to the renaming yet. A scrub of the
+       original nets changes some delivered paths on net B (BGP's final
+       tie-break on the lowest neighbor address is the likely cause). *)
     true
   else begin
     let topo_preserved =

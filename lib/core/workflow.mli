@@ -8,14 +8,15 @@ type params = {
   k_h : int;  (** route anonymity parameter (paper default 2) *)
   noise : float;  (** Algorithm 2 noise coefficient (paper default 0.1) *)
   seed : int;  (** all randomness derives from this seed *)
-  pii : bool;  (** run the PII add-on as a final stage *)
+  pii : bool;
+      (** run the PII add-on as a final stage; must equal
+          [pii_key <> None] *)
   pii_key : Pii.Pan.key option;
-      (** key of the prefix-preserving IP map; [None] derives it from
-          [seed] via {!Pii.Pan.key_of_int} (the legacy, brute-forceable
-          default — fine for tests, not for sharing). Real deployments
-          should supply a full 64-bit key ({!Pii.Pan.key_of_string}). The
-          serve daemon pins it per tenant so one tenant's address mapping
-          is stable across runs and distinct from every other tenant's. *)
+      (** key of the prefix-preserving IP map: a job is scrubbed exactly
+          when it carries one. There is no default key; a full 64-bit key
+          comes from {!Pii.Pan.key_of_string}. The serve daemon pins it per
+          tenant so one tenant's address mapping is stable across runs and
+          distinct from every other tenant's. *)
   fake_routers : int;
       (** §9 extension: fake routers to add before topology anonymization
           (IGP-only networks; 0 disables) *)
@@ -54,12 +55,14 @@ val run :
   ?cache:Netcore.Diskcache.t ->
   Configlang.Ast.config list ->
   (report, string) result
-(** [cache] plugs a persistent cross-run simulation cache (see
-    {!Routing.Engine.open_cache}) into every simulation of the workflow:
-    the baseline runs through {!Routing.Engine.of_configs} (bit-identical
-    to [Simulate.run], but restorable from disk) and the route-equivalence
-    and route-anonymity fixpoints reuse SPF/DV/BGP entries written by
-    previous processes. Results are identical with and without it. *)
+(** [Error] when [k_r] or [k_h] is below 1, when [pii] and [pii_key]
+    disagree, or when a simulation fails. [cache] plugs a persistent
+    cross-run simulation cache (see {!Routing.Engine.open_cache}) into
+    every simulation of the workflow: the baseline runs through
+    {!Routing.Engine.of_configs} (bit-identical to [Simulate.run], but
+    restorable from disk) and the route-equivalence and route-anonymity
+    fixpoints reuse SPF/DV/BGP entries written by previous processes.
+    Results are identical with and without it. *)
 
 val run_exn :
   ?params:params ->
@@ -70,7 +73,9 @@ val run_exn :
 val functional_equivalence : report -> bool
 (** Definition 3.3 restricted to real hosts: identical delivered path sets
     for every ordered pair of original hosts, all original routers, hosts
-    and links still present. *)
+    and links still present. Under PII the value is asserted [true], not
+    measured: the scrub renames devices and addresses, and no check maps
+    the paths through that renaming yet. *)
 
 val real_hosts : report -> string list
 val anon_texts : report -> (string * string) list

@@ -408,7 +408,8 @@ let contains ~needle hay =
 
 let scrub_check ~seed spec =
   let configs = Netgen.Emit.emit spec in
-  let params = { (wf_params ~seed) with pii = true } in
+  let key = Pii.Pan.key_of_int seed in
+  let params = { (wf_params ~seed) with pii = true; pii_key = Some key } in
   match Confmask.Workflow.run ~params configs with
   | Error m -> fail "workflow error: %s" m
   | Ok r ->

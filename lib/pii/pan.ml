@@ -13,18 +13,17 @@ let key_to_string k = Printf.sprintf "0x%016Lx" k
 let is_hex_digit c =
   (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
-(* Full-width keys arrive as hex strings because a 64-bit value neither
-   fits an OCaml int on all platforms nor survives a JSON number (floats
-   hold 53 mantissa bits). Decimal strings stay reserved for the legacy
-   [key_of_int] path so callers can route on syntax. *)
+(* Keys arrive as hex strings because a 64-bit value neither fits an
+   OCaml int on all platforms nor survives a JSON number (floats hold 53
+   mantissa bits). Exactly 16 digits: a shorter string would silently
+   become a key with a brute-forceable number of leading zero bits. *)
 let key_of_string s =
   let s =
     if String.length s >= 2 && (String.sub s 0 2 = "0x" || String.sub s 0 2 = "0X")
     then String.sub s 2 (String.length s - 2)
     else s
   in
-  let n = String.length s in
-  if n = 0 || n > 16 then Error "key must be 1-16 hex digits"
+  if String.length s <> 16 then Error "key must be exactly 16 hex digits"
   else if not (String.for_all is_hex_digit s) then
     Error (Printf.sprintf "invalid hex digit in key '%s'" s)
   else

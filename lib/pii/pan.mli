@@ -14,15 +14,19 @@ type key
 
 val key_of_int : int -> key
 (** Derive a key from a small integer (pre-mixed so consecutive ints give
-    unrelated keys). Convenient for tests and seeded pipelines, but the
-    effective key space is the int argument's — a brute-force replay of
-    {!addr} over a seed range recovers it (see [Redteam.Addrs]). Use
-    {!key_of_string} with a full 64-bit hex key for real deployments. *)
+    unrelated keys). The effective key space is the int argument's, so a
+    brute-force replay of {!addr} over a seed range recovers it (see
+    [Redteam.Addrs]): this is the red team's model of the legacy key
+    space and a convenience for tests, never a product key. Its output
+    is a full-width key, so [key_of_string (key_to_string (key_of_int n))]
+    reproduces it. *)
 
 val key_of_string : string -> (key, string) result
-(** Parse a full-width key from 1-16 hex digits, with or without a [0x]
-    prefix ("0xdeadbeefcafef00d"). All 64 bits are used. Returns [Error]
-    with a message on malformed input. *)
+(** Parse a key from exactly 16 hex digits, with or without a [0x]
+    prefix ("0xdeadbeefcafef00d"). All 64 bits are used. This is the only
+    way a product surface obtains a key; decimal strings and shorter hex
+    strings are [Error]s, so an old small-int key cannot silently become
+    a key with a tiny search space. *)
 
 val key_to_string : key -> string
 (** Canonical hex form ["0x%016x"]; [key_of_string] round-trips it. *)

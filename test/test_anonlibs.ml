@@ -560,7 +560,8 @@ let test_pan_key_of_string () =
       match Pii.Pan.key_of_string s with
       | Ok _ -> Alcotest.failf "malformed key %S accepted" s
       | Error _ -> ())
-    [ ""; "0x"; "zz"; "0xdeadbeefcafef00d7"; "12 34"; "-5" ]
+    (* Short keys are rejected, not zero-extended into a tiny key space. *)
+    [ ""; "0x"; "zz"; "0xdeadbeefcafef00d7"; "12 34"; "-5"; "7"; "0x7"; "deadbeef" ]
 
 let test_scrub_consistency () =
   (* Scrubbed configs must still compile and keep full reachability. *)

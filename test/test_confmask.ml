@@ -10,6 +10,10 @@ let check = Alcotest.check
 let params ?(k_r = 4) ?(k_h = 2) ?(seed = 42) () =
   { Workflow.default_params with k_r; k_h; seed }
 
+(* The PII stage under a fixed test key. *)
+let with_pii p =
+  { p with Workflow.pii = true; pii_key = Some (Pii.Pan.key_of_int 42) }
+
 let run_entry ?k_r ?k_h ?seed (e : Netgen.Nets.entry) =
   Workflow.run_exn
     ~params:(params ?k_r ?k_h ?seed ())
@@ -124,7 +128,7 @@ let test_kh1_no_fake_hosts () =
 let test_fake_routers_with_pii () =
   let configs = Netgen.Nets.configs (Netgen.Nets.find "G") in
   let p =
-    { (params ~k_r:4 ()) with Workflow.fake_routers = 2; pii = true }
+    with_pii { (params ~k_r:4 ()) with Workflow.fake_routers = 2 }
   in
   let r = Workflow.run_exn ~params:p configs in
   (* Scrubbed + extended network still compiles and routes fully. *)
@@ -246,7 +250,7 @@ let test_config_utility_bounds () =
 let test_pii_addon () =
   let r =
     Workflow.run_exn
-      ~params:{ (params ()) with pii = true }
+      ~params:(with_pii (params ()))
       (Netgen.Nets.configs (Netgen.Nets.find "A"))
   in
   (* Scrubbed configs still compile and give full reachability. *)
@@ -271,6 +275,20 @@ let test_pii_addon () =
       if List.mem c.hostname orig_names then
         Alcotest.failf "pii: hostname %s leaked" c.hostname)
     r.anon_configs
+
+(* A job is scrubbed exactly when it carries a key: a switch without a
+   key, or a key without the switch, is an input error. *)
+let test_pii_needs_key () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "A") in
+  let key = (with_pii (params ())).pii_key in
+  List.iter
+    (fun (pii, pii_key) ->
+      match Workflow.run ~params:{ (params ()) with pii; pii_key } configs with
+      | Ok _ ->
+          Alcotest.failf "pii = %b with pii_key = %b accepted" pii
+            (Option.is_some pii_key)
+      | Error _ -> ())
+    [ (true, None); (false, key) ]
 
 (* ---- §9 extension: network scale obfuscation ---- *)
 
@@ -751,6 +769,7 @@ let () =
           Alcotest.test_case "100% kept paths" `Quick test_kept_paths_100_percent;
           Alcotest.test_case "config utility bounds" `Quick test_config_utility_bounds;
           Alcotest.test_case "pii add-on" `Quick test_pii_addon;
+          Alcotest.test_case "pii needs a key" `Quick test_pii_needs_key;
         ] );
       ( "scale-extension",
         [

@@ -20,6 +20,8 @@ let parse_exn s =
 
 let get_str resp name = Option.bind (Json.member name (parse_exn resp)) Json.str
 let get_bool resp name = Option.bind (Json.member name (parse_exn resp)) Json.bool
+let grid ks = Confmask.Batch.grid_jobs ~nets:[ "A" ] ~k_rs:ks ~k_hs:[ 2 ] ()
+let str_of name record = Option.bind (Json.member name record) Json.str
 
 let expect_ok resp =
   check Alcotest.(option bool) "ok" (Some true) (get_bool resp "ok")
@@ -49,14 +51,58 @@ let test_dispatch_bad_requests () =
       {|{"op": "job", "id": "x", "source": {"weird": 1}, "out": "o"}|};
       {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o",
          "format": "wat"}|};
+      (* A JSON number cannot carry a full 64-bit key; none is accepted. *)
+      {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o",
+         "pii_key": 7}|};
     ]
+
+let acme_key = Pii.Pan.key_of_int 7
 
 let test_dispatch_unknown_tenant () =
   expect_error
-    (bare_handle ~tenants:[ ("acme", Pii.Pan.key_of_int 7) ]
+    (bare_handle ~tenants:[ ("acme", acme_key) ]
        {|{"op": "job", "id": "x", "source": {"catalog": "A"},
           "out": "o", "tenant": "evil"}|})
     "unknown_tenant"
+
+let job_record resp =
+  expect_ok resp;
+  match get_str resp "record" with
+  | Some record -> parse_exn record
+  | None -> Alcotest.failf "no record in %s" resp
+
+let test_dispatch_tenant_job_scrubs () =
+  (* Naming a tenant is enough: the job carries a key, so it is
+     scrubbed, and no file takes an original device's name. *)
+  let out = temp_dir () in
+  let record =
+    job_record
+      (bare_handle ~tenants:[ ("acme", acme_key) ]
+         (Printf.sprintf
+            {|{"op": "job", "id": "t", "source": {"catalog": "A"}, "tenant": "acme", "out": "%s"}|}
+            out))
+  in
+  check Alcotest.(option string) "status" (Some "ok") (str_of "status" record);
+  let written = Sys.readdir (Filename.concat out "t/configs") in
+  List.iter
+    (fun (c : Configlang.Ast.config) ->
+      if Array.mem (c.hostname ^ ".cfg") written then
+        Alcotest.failf "original hostname %s written" c.hostname)
+    (Netgen.Nets.configs (Netgen.Nets.find "A"))
+
+let test_dispatch_pii_without_key () =
+  (* A PII switch with no key source is the workflow's input error,
+     answered as the job's error record. *)
+  let record =
+    job_record
+      (bare_handle ~tenants:[]
+         (Printf.sprintf
+            {|{"op": "job", "id": "p", "source": {"catalog": "A"}, "pii": true, "out": "%s"}|}
+            (temp_dir ())))
+  in
+  check Alcotest.(pair (option string) (option string)) "input-class error"
+    (Some "error", Some "input")
+    (str_of "status" record, str_of "class" record)
 
 let test_dispatch_never_raises () =
   (* Whatever arrives on the wire, the dispatcher answers with a line. *)
@@ -247,9 +293,7 @@ let test_live_tenant_keys () =
   (* The same job under two tenants scrubs PII under different keys, so
      the digests differ; an explicit pii_key equal to a tenant's key
      reproduces that tenant's digest. *)
-  let tenants =
-    [ ("acme", Pii.Pan.key_of_int 7); ("globex", Pii.Pan.key_of_int 1234) ]
-  in
+  let tenants = [ ("acme", acme_key); ("globex", Pii.Pan.key_of_int 1234) ] in
   with_server ~tenants @@ fun addr _ ->
   let req extra id =
     Printf.sprintf
@@ -263,18 +307,35 @@ let test_live_tenant_keys () =
   in
   let acme = digest {|, "tenant": "acme"|} "t1" in
   let globex = digest {|, "tenant": "globex"|} "t2" in
-  let by_key = digest {|, "pii_key": 7|} "t3" in
-  (* The hex-string wire form of the same key must land on the same
-     mapping as the legacy int form. *)
-  let by_hex =
+  let by_key =
     digest
-      (Printf.sprintf {|, "pii_key": "%s"|}
-         (Pii.Pan.key_to_string (Pii.Pan.key_of_int 7)))
-      "t4"
+      (Printf.sprintf {|, "pii_key": "%s"|} (Pii.Pan.key_to_string acme_key))
+      "t3"
   in
   check Alcotest.bool "tenant keys separate the outputs" true (acme <> globex);
-  check Alcotest.string "tenant = explicit key" acme by_key;
-  check Alcotest.string "hex form = int form" acme by_hex
+  check Alcotest.string "tenant = explicit key" acme by_key
+
+let test_live_batch_tenant () =
+  (* The batch client naming a tenant scrubs under that tenant's key:
+     the same digest as the in-process job carrying the key itself. *)
+  let job = List.hd (grid [ 6 ]) in
+  let reference =
+    Confmask.Batch.execute ~out:(temp_dir ()) ~cache:None
+      ~format:Configlang.Vendor.Cisco
+      {
+        job with
+        job_params =
+          { job.job_params with pii = true; pii_key = Some acme_key };
+      }
+  in
+  with_server ~tenants:[ ("acme", acme_key) ] @@ fun addr _ ->
+  let o =
+    Confmask.Batch.run ~server:addr ~tenant:"acme" ~out:(temp_dir ()) [ job ]
+  in
+  check Alcotest.int "ok" 1 o.ok;
+  check Alcotest.(option string) "served digest = keyed in-process digest"
+    (str_of "digest" reference)
+    (str_of "digest" (List.assoc job.job_id o.records))
 
 let test_live_shutdown_drains () =
   let dir = temp_dir () in
@@ -314,8 +375,6 @@ let test_live_shutdown_drains () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let result_path out id = Filename.concat (Filename.concat out id) "result.json"
-let grid ks = Confmask.Batch.grid_jobs ~nets:[ "A" ] ~k_rs:ks ~k_hs:[ 2 ] ()
-let str_of name record = Option.bind (Json.member name record) Json.str
 
 (* The manifest on disk parses, and its counts match the outcome's. *)
 let check_manifest out (o : Confmask.Batch.outcome) =
@@ -399,6 +458,10 @@ let () =
           Alcotest.test_case "bad requests are typed errors" `Quick
             test_dispatch_bad_requests;
           Alcotest.test_case "unknown tenant" `Quick test_dispatch_unknown_tenant;
+          Alcotest.test_case "tenant alone scrubs" `Quick
+            test_dispatch_tenant_job_scrubs;
+          Alcotest.test_case "pii without a key" `Quick
+            test_dispatch_pii_without_key;
           Alcotest.test_case "never raises" `Quick test_dispatch_never_raises;
           Alcotest.test_case "verify: bad requests" `Quick
             test_dispatch_verify_bad_requests;
@@ -412,6 +475,8 @@ let () =
             test_live_concurrent_jobs_byte_compatible;
           Alcotest.test_case "queue-full rejection" `Quick test_live_queue_full;
           Alcotest.test_case "per-tenant pii keys" `Quick test_live_tenant_keys;
+          Alcotest.test_case "batch client tenant scrubs" `Quick
+            test_live_batch_tenant;
           Alcotest.test_case "shutdown drains in-flight" `Quick
             test_live_shutdown_drains;
         ] );
