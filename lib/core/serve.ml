@@ -245,6 +245,7 @@ let handle ~server ~cache ~tenants line =
 let rejected = function
   | Server.Queue_full -> error "queue_full"
   | Server.Draining -> error "draining"
+  | Server.Too_long -> error "request_too_long"
 
 let on_error e = error ~detail:(Printexc.to_string e) "internal"
 

@@ -13,8 +13,10 @@
     Protocol: one JSON object per line in, one per line out. Every
     response carries ["ok": true|false]; failures carry a typed
     ["error"] — ["queue_full"] (admission control), ["draining"]
-    (shutdown in progress), ["bad_request"], ["unknown_tenant"],
-    ["internal"] — plus a human ["detail"] where useful. Operations:
+    (shutdown in progress), ["request_too_long"] (a request line over
+    1 MiB; the daemon answers once and closes the connection),
+    ["bad_request"], ["unknown_tenant"], ["internal"] — plus a human
+    ["detail"] where useful. Operations:
 
     - [{"op": "ping"}] — liveness.
     - [{"op": "stats"}] — queue/served/rejected gauges, uptime, plus
@@ -39,7 +41,8 @@
       policy text/JSON, a daemon-readable file, or — default — the
       mined specification of [orig_dir]) on each side, and answer the
       per-verdict summary counts plus, with ["entries": true], the full
-      per-policy verdict/witness list.
+      per-policy verdict/witness list. Inline [policies] must fit in the
+      1 MiB request line; a larger set goes through [policies_file].
     - [{"op": "redteam", "orig_dir": DIR, "anon_dir": DIR,
        "attacks": [NAME...]?, "key_range": N?, "tenant"?, "pii_key"?}] —
       red-team audit ({!Audit.check}) of two config directories: run the

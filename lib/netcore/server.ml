@@ -32,7 +32,7 @@ let addr_to_string = function
   | Unix_sock p -> "unix:" ^ p
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
 
-type reject = Queue_full | Draining
+type reject = Queue_full | Draining | Too_long
 
 type config = {
   addr : addr;
@@ -206,8 +206,77 @@ let chomp line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
+(* The cap on one request line. Jobs, verify and redteam name their
+   config directories by path, so a line is a few hundred bytes; the one
+   inline payload, verify's ["policies"] text, must fit under it, and a
+   larger policy set goes through ["policies_file"]. *)
+let max_line = 1 lsl 20
+
+(* A connection's input, read in chunks straight from the socket. *)
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
+let reader fd = { fd; chunk = Bytes.create 65536; pos = 0; len = 0 }
+
+(* [input_line] with a cap: [`Too_long] as soon as the line passes
+   [max_line] bytes, without reading the rest of it (so at most one
+   chunk past the cap is held). Like [input_line], a final line without
+   a newline is returned and a stream that ends before any byte raises
+   [End_of_file]. *)
+let read_line r =
+  let line = Buffer.create 256 in
+  let rec go () =
+    if r.pos = r.len then begin
+      let rec fill () =
+        try Unix.read r.fd r.chunk 0 (Bytes.length r.chunk)
+        with Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
+      in
+      r.pos <- 0;
+      r.len <- fill ();
+      if r.len > 0 then go ()
+      else if Buffer.length line = 0 then raise End_of_file
+      else `Line (Buffer.contents line)
+    end
+    else
+      let stop =
+        match Bytes.index_from_opt r.chunk r.pos '\n' with
+        | Some i when i < r.len -> i
+        | _ -> r.len
+      in
+      Buffer.add_subbytes line r.chunk r.pos (stop - r.pos);
+      r.pos <- min r.len (stop + 1);
+      if Buffer.length line > max_line then `Too_long
+      else if stop < r.len then `Line (Buffer.contents line)
+      else go ()
+  in
+  go ()
+
+(* After the [Too_long] rejection: half-close, then discard what the
+   client still sends, at most [4 * max_line] bytes within 1 s. Closing a
+   TCP socket with unread input sends a reset, which can destroy the
+   rejection before the client reads it; once the input is drained the
+   close is a plain end of stream. *)
+let drain_rejected r =
+  (try Unix.shutdown r.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let deadline = Clock.now () +. 1.0 in
+  let rec go left =
+    let wait = deadline -. Clock.now () in
+    if left > 0 && wait > 0. then
+      match Unix.select [ r.fd ] [] [] wait with
+      | [], _, _ -> ()
+      | _ -> (
+          match Unix.read r.fd r.chunk 0 (min left (Bytes.length r.chunk)) with
+          | 0 -> ()
+          | n -> go (left - n))
+  in
+  try go (4 * max_line) with Unix.Unix_error _ -> ()
+
 let conn_loop t fd =
-  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let r = reader fd and oc = Unix.out_channel_of_descr fd in
   let respond line =
     output_string oc line;
     output_char oc '\n';
@@ -219,54 +288,66 @@ let conn_loop t fd =
         Condition.broadcast t.idle);
     (try Unix.close fd with Unix.Unix_error _ -> ())
   in
+  (* Queue one request and write its response; [End_of_file] when the
+     response could not be written. *)
+  let serve_line line =
+    let verdict =
+      Mutex.protect t.lock (fun () ->
+          if t.draining || Atomic.get t.stop then begin
+            t.rejected_draining <- t.rejected_draining + 1;
+            Telemetry.incr c_rejected;
+            `Reject Draining
+          end
+          else if Queue.length t.queue >= t.cfg.queue_cap then begin
+            t.rejected_full <- t.rejected_full + 1;
+            Telemetry.incr c_rejected;
+            `Reject Queue_full
+          end
+          else begin
+            let p =
+              {
+                req = line;
+                cell_lock = Mutex.create ();
+                cell_filled = Condition.create ();
+                resp = None;
+              }
+            in
+            Queue.push p t.queue;
+            t.accepted <- t.accepted + 1;
+            t.unwritten <- t.unwritten + 1;
+            Telemetry.incr c_accepted;
+            Condition.broadcast t.nonempty;
+            `Admitted p
+          end)
+    in
+    match verdict with
+    | `Reject reason -> respond (t.cfg.rejected reason)
+    | `Admitted p ->
+        let resp =
+          Mutex.protect p.cell_lock (fun () ->
+              while p.resp = None do
+                Condition.wait p.cell_filled p.cell_lock
+              done;
+              Option.get p.resp)
+        in
+        let wrote = try respond resp; true with Sys_error _ -> false in
+        Mutex.protect t.lock (fun () ->
+            t.unwritten <- t.unwritten - 1;
+            Condition.broadcast t.idle);
+        if not wrote then raise End_of_file
+  in
   (try
      let rec serve () =
-       let line = chomp (input_line ic) in
-       let verdict =
-         Mutex.protect t.lock (fun () ->
-             if t.draining || Atomic.get t.stop then begin
-               t.rejected_draining <- t.rejected_draining + 1;
-               Telemetry.incr c_rejected;
-               `Reject Draining
-             end
-             else if Queue.length t.queue >= t.cfg.queue_cap then begin
-               t.rejected_full <- t.rejected_full + 1;
-               Telemetry.incr c_rejected;
-               `Reject Queue_full
-             end
-             else begin
-               let p =
-                 {
-                   req = line;
-                   cell_lock = Mutex.create ();
-                   cell_filled = Condition.create ();
-                   resp = None;
-                 }
-               in
-               Queue.push p t.queue;
-               t.accepted <- t.accepted + 1;
-               t.unwritten <- t.unwritten + 1;
-               Telemetry.incr c_accepted;
-               Condition.broadcast t.nonempty;
-               `Admitted p
-             end)
-       in
-       (match verdict with
-       | `Reject reason -> respond (t.cfg.rejected reason)
-       | `Admitted p ->
-           let resp =
-             Mutex.protect p.cell_lock (fun () ->
-                 while p.resp = None do
-                   Condition.wait p.cell_filled p.cell_lock
-                 done;
-                 Option.get p.resp)
-           in
-           let wrote = try respond resp; true with Sys_error _ -> false in
-           Mutex.protect t.lock (fun () ->
-               t.unwritten <- t.unwritten - 1;
-               Condition.broadcast t.idle);
-           if not wrote then raise End_of_file);
-       serve ()
+       match read_line r with
+       | `Line line ->
+           serve_line (chomp line);
+           serve ()
+       | `Too_long ->
+           (* One typed rejection, then hang up: the rest of the line is
+              unread, so there is no next request boundary to resync on. *)
+           Telemetry.incr c_rejected;
+           respond (t.cfg.rejected Too_long);
+           drain_rejected r
      in
      serve ()
    with
@@ -313,7 +394,7 @@ let run t =
   (match t.cfg.addr with
   | Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
   | Tcp _ -> ());
-  (* Unblock connection threads parked in [input_line]; each closes its
+  (* Unblock connection threads parked in [read_line]; each closes its
      own fd on the way out. *)
   let fds, threads =
     Mutex.protect t.lock (fun () -> (t.conn_fds, t.conn_threads))

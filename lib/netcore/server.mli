@@ -26,7 +26,13 @@
     silent latency. After {!initiate_shutdown}, new requests are
     rejected with [rejected Draining] while queued and in-flight
     requests complete and their responses are delivered (the graceful
-    drain), then {!run} returns.
+    drain), then {!run} returns. A request line longer than 1 MiB is
+    answered once with [rejected Too_long] and its connection is
+    closed; the server never holds more of one line than that plus one
+    64 KiB read. Before closing it half-closes and discards up to 4 MiB
+    more of the client's input for at most 1 s, so over TCP the
+    rejection is not lost to a connection reset; a client that sends
+    more than that may still see one.
 
     Telemetry: each request runs under a ["serve.request"] span;
     [serve.accepted], [serve.served], [serve.rejected] and
@@ -42,8 +48,10 @@ val addr_of_string : string -> (addr, string) result
 
 val addr_to_string : addr -> string
 
-type reject = Queue_full | Draining
-(** Why the server refused a request without running the handler. *)
+type reject = Queue_full | Draining | Too_long
+(** Why the server refused a request without running the handler.
+    [Too_long]: the request line passed 1 MiB (newline excluded); the
+    server answers once and closes the connection. *)
 
 type config = {
   addr : addr;

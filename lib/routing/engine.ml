@@ -68,7 +68,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-2/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-3/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -133,7 +133,11 @@ type t = {
   compiled : Compiled.t;  (* reused across topology-preserving edits *)
   fps : string Smap.t;  (* full fingerprint per router *)
   doms : dom_cache Dmap.t;
-  cands : Fib.route list Smap.t;  (* per-router non-BGP candidates *)
+  (* Per-router non-BGP candidates, split (connected @ static, IGP). The
+     IGP part is physically the list its domain cache holds, so an edit
+     that leaves a router's selection alone shares it instead of copying
+     it, and the base-FIB gate below sees it with [==]. *)
+  cands : (Fib.route list * Fib.route list) Smap.t;
   base : Fib.t Smap.t;
   bgp : Fib.route list Smap.t;
   fibs : Fib.t Smap.t;
@@ -314,7 +318,8 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
   }
 
 (* Per-router candidates of a domain, in the ospf @ rip @ eigrp order the
-   from-scratch path produces. *)
+   from-scratch path produces. A member without DV routes gets its OSPF
+   selection list itself, not a copy. *)
 let domain_cache_candidates dc =
   List.fold_left
     (fun acc m ->
@@ -323,9 +328,10 @@ let domain_cache_candidates dc =
       in
       let rip = Option.value ~default:[] (Smap.find_opt m dc.dc_rip) in
       let eigrp = Option.value ~default:[] (Smap.find_opt m dc.dc_eigrp) in
-      match ospf @ rip @ eigrp with
-      | [] -> acc
-      | routes -> Smap.add m routes acc)
+      match (ospf, rip, eigrp) with
+      | [], [], [] -> acc
+      | routes, [], [] -> Smap.add m routes acc
+      | _ -> Smap.add m (ospf @ rip @ eigrp) acc)
     Smap.empty dc.dc_members
 
 (* The whole-state payload of a from-scratch build. [net] is recompiled
@@ -333,7 +339,7 @@ let domain_cache_candidates dc =
    the key was derived from, so neither is stored. *)
 type persisted_state = {
   ps_doms : dom_cache Dmap.t;
-  ps_cands : Fib.route list Smap.t;
+  ps_cands : (Fib.route list * Fib.route list) Smap.t;
   ps_base : Fib.t Smap.t;
   ps_bgp : Fib.route list Smap.t;
   ps_fibs : Fib.t Smap.t;
@@ -344,17 +350,22 @@ let bgp_key fps = "bgp:" ^ Digest.to_hex (digest (Smap.bindings fps))
 
 let build ?pool ?cache ?prev configs =
   Telemetry.with_span "engine.build" @@ fun () ->
-  match Device.compile configs with
+  let compiled_net =
+    Telemetry.with_span "engine.compile" @@ fun () ->
+    Result.map
+      (fun (net : Device.network) ->
+        (* The compiled form depends on interface-level topology only, so
+           the filter edits the fixpoints issue reuse it wholesale; it is
+           never persisted (cheap to rebuild, and full of closures-free
+           but large hash tables the structural caches don't need). *)
+        ( net,
+          Compiled.get ?prev:(Option.map (fun p -> p.compiled) prev) net,
+          Smap.map full_fp net.routers ))
+      (Device.compile configs)
+  in
+  match compiled_net with
   | Error m -> Error m
-  | Ok net ->
-      (* The compiled form depends on interface-level topology only, so
-         the filter edits the fixpoints issue reuse it wholesale; it is
-         never persisted (cheap to rebuild, and full of closures-free but
-         large hash tables the structural caches don't need). *)
-      let compiled =
-        Compiled.get ?prev:(Option.map (fun p -> p.compiled) prev) net
-      in
-      let fps = Smap.map full_fp net.routers in
+  | Ok (net, compiled, fps) ->
       let restored =
         (* Whole-state restore is only sound (and only worth storing) for
            from-scratch builds: with a [prev] the in-memory deltas are
@@ -405,27 +416,38 @@ let build ?pool ?cache ?prev configs =
           (Simulate.igp_domains net)
         |> List.fold_left (fun acc (k, v) -> Dmap.add k v acc) Dmap.empty
       in
-      let igp =
-        Dmap.fold
-          (fun _ dc acc -> Simulate.merge_candidates acc (domain_cache_candidates dc))
-          doms Smap.empty
-      in
       let cands =
+        Telemetry.with_span "engine.candidates" @@ fun () ->
+        (* Domains are disjoint, so the union never concatenates: every
+           IGP list stays the one its domain cache holds. *)
+        let igp =
+          Dmap.fold
+            (fun _ dc acc -> Simulate.merge_candidates acc (domain_cache_candidates dc))
+            doms Smap.empty
+        in
         Smap.mapi
           (fun name r ->
-            Simulate.connected_routes r
-            @ Simulate.static_routes net r
-            @ Option.value ~default:[] (Smap.find_opt name igp))
+            ( Simulate.local_candidates net r,
+              Option.value ~default:[] (Smap.find_opt name igp) ))
           net.routers
       in
       let base =
+        Telemetry.with_span "engine.base_fibs" @@ fun () ->
         Smap.mapi
-          (fun name c ->
+          (fun name (local, igp) ->
+            (* The short local lists compare structurally. The IGP list is
+               usually the previous state's own list (its selection was
+               reused), and polymorphic [=] does not short-circuit on
+               physical equality, so test [==] first. Local routes are
+               connected/static and IGP routes never are, so the split
+               gate is exactly the old gate on [local @ igp]. *)
             let reusable =
               match prev with
               | Some p -> (
                   match Smap.find_opt name p.cands with
-                  | Some c' when c = c' -> Smap.find_opt name p.base
+                  | Some (local', igp')
+                    when local = local' && (igp == igp' || igp = igp') ->
+                      Smap.find_opt name p.base
                   | _ -> None)
               | None -> None
             in
@@ -435,7 +457,7 @@ let build ?pool ?cache ?prev configs =
                 fib
             | None ->
                 Telemetry.incr c_fib_build;
-                Fib.of_candidates c)
+                Simulate.base_fib ~local igp)
           cands
       in
       (* A router's base FIB equals the previous engine's, physically (the
@@ -490,6 +512,7 @@ let build ?pool ?cache ?prev configs =
                     b)
           in
           let fibs =
+            Telemetry.with_span "engine.final_fibs" @@ fun () ->
             Smap.mapi
               (fun name fib ->
                 let bc = Option.value ~default:[] (Smap.find_opt name bgp) in

@@ -39,7 +39,9 @@
     [engine.fib_reuse]/[engine.fib_build], [engine.edits], and the disk
     hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
     [engine.bgp_disk]) and spans
-    ([engine.build], [engine.domains], [engine.bgp]). With the self-check
+    ([engine.build] and its stages [engine.compile], [engine.domains],
+    [engine.candidates], [engine.base_fibs], [engine.bgp],
+    [engine.final_fibs]). With the self-check
     on ({!set_selfcheck}, the CLI's [--selfcheck]), every {!apply_edit}
     additionally shadows the incremental result with a from-scratch
     [Simulate.run] and raises [Failure] naming the divergent routers if

@@ -142,15 +142,18 @@ let domain_candidates ?pool (net : Device.network) d =
   in
   merge_candidates (merge_candidates ospf rip) eigrp
 
+let local_candidates net r = connected_routes r @ static_routes net r
+
+(* IGP candidates arrive in the descending-prefix order batched selection
+   emits, so after the handful of connected and static routes they merge
+   in linearly; [add_sorted_desc] falls back to per-candidate inserts if a
+   protocol mix breaks the order. Only the short local list is sorted. *)
+let base_fib ~local igp = Fib.add_sorted_desc (Fib.of_candidates local) igp
+
 let base_fibs_of_candidates (net : Device.network) igp_candidates =
   Smap.mapi
     (fun name (r : Device.router) ->
-      (* IGP candidates arrive in the descending-prefix order batched
-         selection emits, so after the handful of connected and static
-         routes they merge in linearly; [add_sorted_desc] falls back to
-         per-candidate inserts if a protocol mix breaks the order. *)
-      Fib.add_sorted_desc
-        (Fib.of_candidates (connected_routes r @ static_routes net r))
+      base_fib ~local:(local_candidates net r)
         (Option.value ~default:[] (Smap.find_opt name igp_candidates)))
     net.routers
 

@@ -57,10 +57,17 @@ val host_prefixes : Device.network -> (Netcore.Prefix.t * string) list
 
 (** {1 Building blocks shared with the incremental engine} *)
 
-val connected_routes : Device.router -> Fib.route list
+val local_candidates : Device.network -> Device.router -> Fib.route list
+(** A router's connected routes, then its static routes whose next hop
+    resolves over a connected subnet. *)
 
-val static_routes : Device.network -> Device.router -> Fib.route list
-(** Static routes whose next hop resolves over a connected subnet. *)
+val base_fib : local:Fib.route list -> Fib.route list -> Fib.t
+(** [base_fib ~local igp] is a router's FIB before BGP:
+    [Fib.add_sorted_desc (Fib.of_candidates local) igp], which equals
+    [Fib.of_candidates (local @ igp)]. The one base-FIB constructor of
+    both this reference path and the engine. Only [local] is sorted:
+    [igp] comes strictly descending by prefix from route selection and
+    merges in one linear pass. *)
 
 type igp_domain = {
   dom_key : [ `As of int | `Residual | `Global ];
@@ -82,8 +89,3 @@ val domain_candidates :
   igp_domain ->
   Fib.route list Smap.t
 (** OSPF @ RIP @ EIGRP candidates of one domain's members. *)
-
-val base_fibs_of_candidates :
-  Device.network -> Fib.route list Smap.t -> Fib.t Smap.t
-(** Per-router FIBs from connected, static and the given IGP candidates
-    (everything except BGP). *)

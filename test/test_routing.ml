@@ -924,6 +924,64 @@ let prop_lpm_equiv =
         (fun a -> Fib.lookup fib a = Fib.probe_lpm pb (Fib.dest a))
         probes)
 
+(* The base-FIB constructor the engine and [Simulate] share: the local
+   list sorted whole, the IGP list merged in. Prefixes come from a small
+   pool (host bits set, so canonicalization matters) so local and IGP
+   candidates collide, and metrics and next hops from small pools so equal
+   costs merge next hops. Three IGP shapes: strictly descending (the
+   linear merge), shuffled (the fallback fold), and descending with each
+   prefix repeated at equal cost through other next hops (also the
+   fallback, exercising ECMP merges). *)
+let prop_base_fib_constructor =
+  let open QCheck2.Gen in
+  let prefix =
+    map2
+      (fun a len -> Netcore.Prefix.v (Netcore.Ipv4.of_int ((a lsl 22) lor 0x155)) len)
+      (int_bound 7) (oneofl [ 8; 10; 16; 24 ])
+  in
+  let nexthop =
+    map2
+      (fun r i -> { Fib.nh_router = r; nh_iface = i })
+      (oneofl [ "r1"; "r2"; "r3" ]) (oneofl [ "e0"; "e1" ])
+  in
+  let route protos =
+    map4
+      (fun p proto metric nhs ->
+        { Fib.rt_prefix = p; rt_proto = proto; rt_metric = metric; rt_nexthops = nhs })
+      prefix (oneofl protos) (int_bound 2) (list_size (int_range 1 2) nexthop)
+  in
+  let desc rs =
+    List.sort_uniq
+      (fun (a : Fib.route) b -> Netcore.Prefix.compare b.rt_prefix a.rt_prefix)
+      rs
+  in
+  let igp =
+    let routes = small_list (route [ Fib.Ospf; Fib.Rip; Fib.Eigrp ]) in
+    oneof
+      [
+        map desc routes;
+        routes;
+        map2
+          (fun rs nh ->
+            List.concat_map
+              (fun (r : Fib.route) -> [ r; { r with rt_nexthops = [ nh ] } ])
+              (desc rs))
+          routes nexthop;
+      ]
+  in
+  QCheck2.Test.make
+    ~name:"base FIB: add_sorted_desc of_candidates = of_candidates = add_candidate fold"
+    ~count:500
+    (pair (small_list (route [ Fib.Connected; Fib.Static ])) igp)
+    (fun (local, igp) ->
+      let fold =
+        List.fold_left (fun t r -> Fib.add_candidate r t) Fib.empty (local @ igp)
+      in
+      let merged = Fib.add_sorted_desc (Fib.of_candidates local) igp in
+      merged = Fib.of_candidates (local @ igp)
+      && merged = fold
+      && Simulate.base_fib ~local igp = fold)
+
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
      distance map as the reference persistent-queue Dijkstra over string
@@ -1041,6 +1099,7 @@ let qsuite =
       prop_metric_decreases;
       prop_all_pairs_routable;
       prop_lpm_equiv;
+      prop_base_fib_constructor;
       prop_csr_dijkstra_equiv;
       prop_kernels_equiv;
       prop_acl_extraction;
@@ -1188,6 +1247,73 @@ let engine_equiv_case ~seed (entry : Netgen.Nets.entry) () =
     eng := Engine.apply_edit_exn !eng !configs;
     agree step
   done
+
+(* The routers whose FIB differs between two FIB maps, sorted by name. *)
+let fib_changes before after =
+  Device.Smap.merge
+    (fun _ a b -> if a = b then None else Some ())
+    before after
+  |> Device.Smap.bindings |> List.map fst
+
+(* Algorithm 2's shape: one edit denies many (router, host prefix) pairs
+   across many routers — each along the router's current next hop, so
+   the edit moves routes — and the next edit rolls most of them back,
+   then a no-op edit. After each step the FIBs equal a from-scratch
+   [Simulate.run], and [Engine.delta] is exactly the set of routers whose
+   final FIB changed: [Route_anon]'s walk cache skips every router
+   outside it. *)
+let engine_delta_case ~seed (entry : Netgen.Nets.entry) () =
+  let rng = Netcore.Rng.create seed in
+  let eng = ref (Engine.of_configs_exn (Netgen.Nets.configs entry)) in
+  check Alcotest.(option (list string)) "from-scratch build has no delta" None
+    (Engine.delta !eng);
+  let step name configs =
+    let before = Engine.fibs !eng in
+    eng := Engine.apply_edit_exn !eng configs;
+    let fresh = Simulate.run_exn configs in
+    if not (Device.Smap.equal ( = ) (Engine.fibs !eng) fresh.fibs) then
+      Alcotest.failf "net %s seed %d: FIBs diverge from scratch after %s"
+        entry.id seed name;
+    let want = fib_changes before (Engine.fibs !eng) in
+    check Alcotest.(option (list string))
+      (Printf.sprintf "net %s seed %d: delta after %s" entry.id seed name)
+      (Some want) (Engine.delta !eng);
+    want
+  in
+  let net = Engine.network !eng in
+  let configs = Engine.configs !eng in
+  let hps = List.map fst (Simulate.host_prefixes net) in
+  let denies =
+    Device.Smap.fold
+      (fun r fib acc ->
+        List.fold_left
+          (fun acc hp ->
+            match Fib.find fib hp with
+            | Some { rt_nexthops = nh :: _; _ } when Netcore.Rng.int rng 3 = 0
+              -> (
+                match Confmask.Attach.point net r nh.nh_router with
+                | Some at -> (r, at, hp) :: acc
+                | None -> acc)
+            | _ -> acc)
+          acc hps)
+      (Engine.fibs !eng) []
+  in
+  let apply f configs denies =
+    List.fold_left
+      (fun configs (r, at, hp) ->
+        Confmask.Edits.update configs r (fun c -> f c at hp))
+      configs denies
+  in
+  let denied = apply Confmask.Attach.deny_at configs denies in
+  let moved = step "the noise edit" denied in
+  if denies <> [] && moved = [] then
+    Alcotest.failf "net %s seed %d: %d denies moved no FIB" entry.id seed
+      (List.length denies);
+  let rollback = List.filteri (fun i _ -> i mod 4 <> 0) denies in
+  let rolled = apply Confmask.Attach.undeny_at denied rollback in
+  ignore (step "the rollback edit" rolled);
+  check Alcotest.(list string) "a no-op edit changes no FIB" []
+    (step "a no-op edit" rolled)
 
 (* A no-op edit must take the BGP-skip gate (the fingerprint-only test),
    not fall through to a recompute, and must leave the FIBs intact. Runs
@@ -1421,6 +1547,14 @@ let engine_suite =
             (engine_equiv_case ~seed entry))
         [ 7; 21 ])
     (Netgen.Nets.small ())
+  @ List.map
+      (fun (entry : Netgen.Nets.entry) ->
+        Alcotest.test_case
+          (Printf.sprintf "delta = changed FIBs under noise and rollback (%s)"
+             entry.id)
+          `Quick
+          (engine_delta_case ~seed:3 entry))
+      (Netgen.Nets.small ())
 
 let () =
   Alcotest.run "routing"

@@ -185,9 +185,21 @@ let test_dispatch_verify_self () =
 
 (* ---- a live server ---- *)
 
-let with_server ?(queue_cap = 8) ?(workers = 2) ?(tenants = []) f =
-  let dir = temp_dir () in
-  let addr = Server.Unix_sock (Filename.concat dir "s.sock") in
+(* A loopback TCP port that was free a moment ago. *)
+let free_tcp_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> port
+  | Unix.ADDR_UNIX _ -> assert false
+
+let with_server ?(tcp = false) ?(queue_cap = 8) ?(workers = 2) ?(tenants = [])
+    f =
+  let addr =
+    if tcp then Server.Tcp ("127.0.0.1", free_tcp_port ())
+    else Server.Unix_sock (Filename.concat (temp_dir ()) "s.sock")
+  in
   let t =
     Confmask.Serve.create
       { Confmask.Serve.addr; queue_cap; workers; cache = None; tenants }
@@ -288,6 +300,75 @@ let test_live_queue_full () =
   check Alcotest.bool "rejection counted" true
     (Option.bind (Json.member "rejected_full" (parse_exn stats)) Json.int
      >= Some 1)
+
+let test_live_oversized_line ~tcp () =
+  (* A 2 MiB request line with no newline: the daemon reads no further
+     than its cap, answers once with a typed error and hangs up, and a
+     new connection is still served. Over TCP the rejection must survive
+     the hang-up, which a close with unread input turns into a reset. *)
+  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe)
+  @@ fun () ->
+  with_server ~tcp @@ fun addr _ ->
+  let ic, oc = Server.connect addr in
+  let fd = Unix.descr_of_out_channel oc in
+  let line = Bytes.make (2 * 1024 * 1024) 'x' in
+  (* The server answers mid-line, so the response is read concurrently
+     with the write. The write fails if the server hangs up without
+     draining the line, and the hang-up then reads as a reset rather
+     than an end of stream. Ending the stream after the line keeps a
+     server that waits for a newline from hanging the test: it then
+     answers the whole line as a request. *)
+  let wrote = Atomic.make false in
+  let writer =
+    Thread.create
+      (fun () ->
+        try
+          ignore (Unix.write fd line 0 (Bytes.length line));
+          Atomic.set wrote true;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  let resp = input_line ic in
+  Thread.join writer;
+  let after =
+    match input_line ic with
+    | l -> "a second line " ^ l
+    | exception End_of_file -> "end of stream"
+    | exception Sys_error e -> e
+  in
+  close_out_noerr oc;
+  expect_error resp "request_too_long";
+  check Alcotest.bool "the rest of the line was drained" true
+    (Atomic.get wrote);
+  check Alcotest.string "connection closed after the rejection"
+    "end of stream" after;
+  expect_ok (Server.request addr {|{"op": "ping"}|})
+
+let test_live_pipelined () =
+  (* Three requests in one write, the last with a CRLF ending and the
+     stream then ended without a final newline after a fourth: each is
+     answered, in order, and the connection then ends cleanly. *)
+  with_server @@ fun addr _ ->
+  let ic, oc = Server.connect addr in
+  output_string oc
+    "{\"op\": \"ping\"}\n{\"op\": \"nope\"}\n{\"op\": \"ping\"}\r\n{\"op\": \"ping\"}";
+  flush oc;
+  Unix.shutdown (Unix.descr_of_out_channel oc) Unix.SHUTDOWN_SEND;
+  let resps = List.init 4 (fun _ -> input_line ic) in
+  let ended =
+    match input_line ic with _ -> false | exception End_of_file -> true
+  in
+  close_out_noerr oc;
+  (match resps with
+  | [ a; b; c; d ] ->
+      expect_ok a;
+      expect_error b "bad_request";
+      expect_ok c;
+      expect_ok d
+  | _ -> assert false);
+  check Alcotest.bool "end of stream after the last response" true ended
 
 let test_live_tenant_keys () =
   (* The same job under two tenants scrubs PII under different keys, so
@@ -474,6 +555,12 @@ let () =
           Alcotest.test_case "concurrent jobs byte-compatible" `Quick
             test_live_concurrent_jobs_byte_compatible;
           Alcotest.test_case "queue-full rejection" `Quick test_live_queue_full;
+          Alcotest.test_case "oversized request line" `Quick
+            (test_live_oversized_line ~tcp:false);
+          Alcotest.test_case "oversized request line over tcp" `Quick
+            (test_live_oversized_line ~tcp:true);
+          Alcotest.test_case "pipelined requests in one write" `Quick
+            test_live_pipelined;
           Alcotest.test_case "per-tenant pii keys" `Quick test_live_tenant_keys;
           Alcotest.test_case "batch client tenant scrubs" `Quick
             test_live_batch_tenant;
