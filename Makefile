@@ -36,10 +36,14 @@ help-smoke:
 # reuse in its telemetry (pool counters are 0 on single-core runners,
 # so the grep checks engine counters only). The compiled.reuse grep
 # proves the compiled-network cache is live: filter-only edits must
-# reuse the compiled core instead of rebuilding it. A second run, on
+# reuse the compiled core instead of rebuilding it. The spf_extend grep
+# proves Algorithm 1 starts from the baseline engine: the fake links
+# extend its SPF state instead of a second full SPF. A second run, on
 # net G (FatTree04: several hosts per edge router), must show the fast
 # paths live on the CLI path: delta-driven equivalence scans, cached
-# reachability walks and a nonzero FEC collapse.
+# reachability walks and a nonzero FEC collapse. FatTree04 is already
+# 6-degree anonymous, so a third run at k_R = 10 (8 fake links) checks
+# the SPF extension on an OSPF-only net.
 bench-smoke:
 	dune exec bench/main.exe -- --fast --only table2 --only fig5 --only fig6
 	rm -rf /tmp/confmask-smoke && mkdir -p /tmp/confmask-smoke
@@ -49,12 +53,16 @@ bench-smoke:
 	grep -Eq '"engine\.spf_reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
 	grep -Eq '"engine\.fib_reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
 	grep -Eq '"compiled\.reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
+	grep -Eq '"engine\.spf_extend": *[1-9]' /tmp/confmask-smoke/metrics.json
 	dune exec bin/confmask_cli.exe -- generate --net G --out /tmp/confmask-smoke/g
 	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/g \
 	  --out /tmp/confmask-smoke/g-anon --metrics-out /tmp/confmask-smoke/g-metrics.json
 	grep -Eq '"equiv\.delta_routers": *[1-9]' /tmp/confmask-smoke/g-metrics.json
 	grep -Eq '"anon\.walks_skipped": *[1-9]' /tmp/confmask-smoke/g-metrics.json
 	grep -Eq '"fec\.collapsed": *[1-9]' /tmp/confmask-smoke/g-metrics.json
+	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/g --kr 10 \
+	  --out /tmp/confmask-smoke/g10-anon --metrics-out /tmp/confmask-smoke/g10-metrics.json
+	grep -Eq '"engine\.spf_extend": *[1-9]' /tmp/confmask-smoke/g10-metrics.json
 
 # Batch driver + persistent cache smoke: run a tiny grid with a job
 # limit (leaving one job pending), resume it to completion with warm

@@ -47,39 +47,37 @@ let run ?(params = default_params) ?cache orig_configs =
     Error "workflow: the PII scrub runs exactly when a PII key is given"
   else
     let rng = Rng.create params.seed in
-    (* With a persistent cache the baseline goes through the engine, whose
-       from-scratch result is bit-identical to [Simulate.run] but can be
-       restored from a previous process's whole-state entry. *)
-    let simulate configs =
-      match cache with
-      | None -> Routing.Simulate.run configs
-      | Some _ ->
-          Result.map Routing.Engine.snapshot
-            (Routing.Engine.of_configs ?cache configs)
-    in
-    (* Preprocess: the original topology and routes are the baseline. *)
-    let* orig_snapshot =
+    (* Preprocess: the original topology and routes are the baseline. It
+       is the engine's first state, so the route-equivalence stage
+       extends it instead of simulating the anonymized network cold. A
+       cold engine build is bit-identical to [Simulate.run], and with a
+       persistent cache it can be restored from a previous process's
+       whole-state entry. *)
+    let* orig_engine =
       Telemetry.with_span "workflow.baseline" @@ fun () ->
       Result.map_error (fun m -> "workflow: original network: " ^ m)
-        (simulate orig_configs)
+        (Routing.Engine.of_configs ?cache orig_configs)
     in
+    let orig_snapshot = Routing.Engine.snapshot orig_engine in
     (* §9 extension (optional): grow the router set first, so the k-degree
        guarantee also covers the fake routers. The extended network keeps
        the original data plane by construction, so it serves as the
-       baseline for the route-equivalence stage. *)
-    let* base_configs, base_snapshot, fake_router_names =
-      if params.fake_routers = 0 then Ok (orig_configs, orig_snapshot, [])
+       baseline for the route-equivalence stage. New routers change the
+       SPF scope, so this edit takes the engine's full-SPF path. *)
+    let* base_configs, base_engine, fake_router_names =
+      if params.fake_routers = 0 then Ok (orig_configs, orig_engine, [])
       else
         let* n =
           Node_anon.add ~rng ~count:params.fake_routers ~orig:orig_snapshot
             orig_configs
         in
-        let* snap =
+        let* eng =
           Result.map_error (fun m -> "workflow: extended network: " ^ m)
-            (simulate n.configs)
+            (Routing.Engine.apply_edit orig_engine n.configs)
         in
-        Ok (n.configs, snap, n.fake_routers)
+        Ok (n.configs, eng, n.fake_routers)
     in
+    let base_snapshot = Routing.Engine.snapshot base_engine in
     (* Step 1: topology anonymization. The [workflow.*] phase spans mirror
        [workflow.baseline]/[workflow.pii] so the bench harness reads one
        uniform per-phase breakdown. *)
@@ -90,8 +88,8 @@ let run ?(params = default_params) ?cache orig_configs =
     (* Step 2.1: route equivalence. *)
     let* equiv =
       Telemetry.with_span "workflow.equiv" @@ fun () ->
-      Route_equiv.fix ?cache ~orig:base_snapshot ~fake_edges:topo.fake_edges
-        topo.configs
+      Route_equiv.fix ~engine:base_engine ~orig:base_snapshot
+        ~fake_edges:topo.fake_edges topo.configs
     in
     (* Step 2.2: route anonymity, reusing the engine state route
        equivalence converged with. *)

@@ -106,6 +106,77 @@ let kernel_divergence ?(kernels = production) (snap : Routing.Simulate.snapshot)
     then Some "data-plane traces"
     else None
 
+(* -------------------- fake-link edits -------------------- *)
+
+(* A point-to-point OSPF link between [u] and [v], built with the edits
+   topology anonymization makes for a fake link: a fresh /30, one new
+   interface per end with the given OSPF cost, and the subnet in both
+   routers' IGP network statements. *)
+let add_link configs ~u ~v ?cost_uv ?cost_vu () =
+  let alloc =
+    Prefix.alloc_create ~avoid:(Confmask.Edits.used_prefixes configs) ()
+  in
+  let subnet = Prefix.alloc_fresh alloc ~len:30 in
+  let link_end addr cost peer c =
+    let name = Confmask.Edits.fresh_iface_name c in
+    let c =
+      Confmask.Edits.add_interface c ~name ~addr ~plen:30 ?cost
+        ~desc:("to-" ^ peer) ()
+    in
+    Confmask.Edits.add_igp_network c subnet
+  in
+  Confmask.Edits.update_all configs
+    [
+      (u, link_end (Prefix.host subnet 1) cost_uv v);
+      (v, link_end (Prefix.host subnet 2) cost_vu u);
+    ]
+
+(* Up to [count] new links between distinct non-adjacent OSPF routers of
+   one IGP domain that reach each other. Each direction costs the
+   original shortest-path distance (the SFE cost rule), or with [below]
+   a random cost strictly under it, which shortens some paths. *)
+let add_links ~rng ~below ~count (net : Routing.Device.network) configs =
+  let runs_ospf r =
+    match Smap.find_opt r net.routers with
+    | Some r -> r.Routing.Device.r_ospf <> None
+    | None -> false
+  in
+  let pairs =
+    List.concat_map
+      (fun (d : Routing.Simulate.igp_domain) ->
+        let members = List.filter runs_ospf d.dom_members in
+        let dists =
+          List.map (fun u -> (u, Routing.Ospf.min_cost ~scope:d.dom_scope net u)) members
+        in
+        let dist u v = Smap.find_opt v (List.assoc u dists) in
+        List.concat_map
+          (fun u ->
+            List.filter_map
+              (fun v ->
+                if String.compare u v >= 0 || Routing.Device.find_adj net u v <> None
+                then None
+                else
+                  match (dist u v, dist v u) with
+                  | Some duv, Some dvu when (not below) || (duv >= 2 && dvu >= 2) ->
+                      Some (u, v, duv, dvu)
+                  | _ -> None)
+              members)
+          members)
+      (Routing.Simulate.igp_domains net)
+  in
+  let under d = 1 + Rng.int rng (d - 1) in
+  let rec go configs pairs n =
+    if n = 0 || pairs = [] then configs
+    else
+      let ((u, v, duv, dvu) as pair) = Rng.pick rng pairs in
+      let cost_uv, cost_vu = if below then (under duv, under dvu) else (duv, dvu) in
+      go
+        (add_link configs ~u ~v ~cost_uv ~cost_vu ())
+        (List.filter (fun p -> p <> pair) pairs)
+        (n - 1)
+  in
+  go configs pairs count
+
 let diff_fib_check kernels ~seed spec =
   let configs0 = Netgen.Emit.emit spec in
   (* Single- vs multi-domain pool: parallelism must not change results. *)
@@ -139,9 +210,11 @@ let diff_fib_check kernels ~seed spec =
       | None ->
       (* Edit walk covering every edit family the anonymization pipeline
          issues — deny filters and their rollback (the fixpoints),
-         interface additions (fake hosts and fake links), and link-cost
-         rewrites (the cost rule of topology anonymization) — each step
-         re-checked against a fresh simulation. *)
+         interface additions (fake hosts), fake links at the SFE min cost
+         and below it (the engine extends its distance fields across the
+         first and must recompute what the second relaxes), and
+         link-cost rewrites — each step re-checked against a fresh
+         simulation. *)
       let rng = Rng.create (seed lxor 0x2c9277b5) in
       let configs = ref configs0 in
       let denies = ref [] in
@@ -155,11 +228,13 @@ let diff_fib_check kernels ~seed spec =
           List.filter (fun (_, adjs) -> adjs <> []) (Smap.bindings net.adjs)
         in
         let kind =
-          let k = Rng.int rng 10 in
+          let k = Rng.int rng 12 in
           if k < 4 then `Deny
           else if k < 6 then if !denies = [] then `Deny else `Undeny
           else if k < 8 then `AddIface
-          else `Cost
+          else if k < 10 then `Cost
+          else if k < 11 then `LinkMin
+          else `LinkBelow
         in
         (match kind with
         | `Deny -> (
@@ -202,6 +277,8 @@ let diff_fib_check kernels ~seed spec =
                       ~desc:"crucible" ()
                   in
                   Confmask.Edits.add_igp_network c subnet)
+        | `LinkMin -> configs := add_links ~rng ~below:false ~count:1 net !configs
+        | `LinkBelow -> configs := add_links ~rng ~below:true ~count:1 net !configs
         | `Cost -> (
             match adj_routers with
             | [] -> ()

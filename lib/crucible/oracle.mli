@@ -10,8 +10,9 @@
     - [diff_fib] — differential simulation: sequential vs parallel
       {!Netcore.Pool}, incremental {!Routing.Engine} vs from-scratch
       {!Routing.Simulate}, and the production kernels vs {!Reference}
-      ({!kernel_divergence}), including a short random edit walk
-      re-checked after every step;
+      ({!kernel_divergence}), including a short random edit walk (deny
+      filters, interface additions, fake links at and below the SFE min
+      cost, cost rewrites) re-checked after every step;
     - [workflow] — anonymization invariants after {!Confmask.Workflow}:
       k-degree anonymity of the anonymized topology, functional
       equivalence checked by {!Reference.equivalence} (original
@@ -90,6 +91,36 @@ val diff_fib_with : kernels -> t
 (** [diff_fib] run against other kernels: [diff_fib = diff_fib_with
     production]. Tests pass deliberately faulty kernels to show the
     oracle catches them. *)
+
+(** {1 Fake-link edits} *)
+
+val add_link :
+  Configlang.Ast.config list ->
+  u:string ->
+  v:string ->
+  ?cost_uv:int ->
+  ?cost_vu:int ->
+  unit ->
+  Configlang.Ast.config list
+(** [add_link configs ~u ~v ()] connects routers [u] and [v] the way
+    topology anonymization adds a fake link ({!Confmask.Edits}): a fresh
+    /30, one new interface per end ([cost_uv] on [u]'s, [cost_vu] on
+    [v]'s, the default cost when absent) and the subnet in both routers'
+    IGP network statements. *)
+
+val add_links :
+  rng:Netcore.Rng.t ->
+  below:bool ->
+  count:int ->
+  Routing.Device.network ->
+  Configlang.Ast.config list ->
+  Configlang.Ast.config list
+(** [add_links ~rng ~below ~count net configs] adds up to [count] links
+    with {!add_link} between distinct, non-adjacent OSPF routers of one
+    IGP domain of [net] that reach each other. Each direction costs the
+    shortest-path distance in [net] (the SFE cost rule, which shortens
+    no path), or with [below] a random cost strictly under it (which
+    shortens some). Fewer links are added when fewer pairs qualify. *)
 
 val find : string -> (t, string) result
 (** Lookup by name; the error lists the valid names. *)

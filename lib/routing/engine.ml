@@ -1,6 +1,7 @@
 open Netcore
 module Smap = Device.Smap
 module Ast = Configlang.Ast
+module Sset = Set.Make (String)
 
 module Dmap = Map.Make (struct
   type t = [ `As of int | `Residual | `Global ]
@@ -18,6 +19,10 @@ let digest v = Digest.string (Marshal.to_string v [])
    denominators come in pairs so reports can form hit rates. *)
 let c_spf_reuse = Telemetry.counter "engine.spf_reuse"
 let c_spf_full = Telemetry.counter "engine.spf_full"
+
+(* SPF refreshes that extended the previous distance fields across added
+   adjacencies instead of a full [Ospf.prepare]. *)
+let c_spf_extend = Telemetry.counter "engine.spf_extend"
 let c_sel_patch = Telemetry.counter "engine.sel_patch"
 let c_dv_recompute = Telemetry.counter "engine.dv_recompute"
 let c_bgp_skip = Telemetry.counter "engine.bgp_skip"
@@ -68,7 +73,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-3/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-4/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -264,15 +269,26 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
           let st = Option.get c.dc_state in
           (Some st, select st (reuse_with c []))
       | Some c when c.dc_state <> None -> (
-          (* SPF inputs changed; when no router-to-router adjacency moved
-             (stub attachments only) the old distance fields survive. *)
+          (* SPF inputs changed. When the edit kept every adjacency
+             (stub attachments) and at most added some (fake links), the
+             distance fields no added edge relaxes survive. A router
+             whose adjacency row changed redoes its whole selection;
+             every other member patches the prefixes whose fields
+             changed. *)
           match
             Ospf.prepare_update ~scope:d.dom_scope ?pool
               ~prev:(Option.get c.dc_state) net
           with
-          | Some (st, changed) ->
+          | Some (st, changed, []) ->
               Telemetry.incr c_spf_reuse;
               (Some st, select st (reuse_with c changed))
+          | Some (st, changed, moved) ->
+              Telemetry.incr c_spf_extend;
+              let moved = Sset.of_list moved in
+              ( Some st,
+                select st (fun st m r fp ->
+                    if Sset.mem m moved then None
+                    else reuse_with c changed st m r fp) )
           | None -> full ())
       | _ -> full ()
   in

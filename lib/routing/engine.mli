@@ -14,6 +14,11 @@
       — distribute-list edits, the only edit the fixpoints issue, never
       invalidate it; per-router OSPF route selection is recomputed only
       for members whose filters changed;
+    - an edit that keeps every adjacency (stub attachments) or only adds
+      some (fake links) extends the SPF state: distance fields no added edge can shorten
+      are kept, the rest are recomputed ({!Ospf.prepare_update}), and
+      only routers whose adjacency row changed redo their whole
+      selection;
     - RIP/EIGRP propagate filters, so a DV-relevant change at any member
       recomputes that domain's DV routes;
     - BGP is a global fixpoint and is redone whenever anything changed.
@@ -34,7 +39,8 @@
     tests and the [--selfcheck] shadow path.
 
     Cache reuse is observable through [Netcore.Telemetry] counters
-    ([engine.spf_reuse]/[engine.spf_full], [engine.sel_patch],
+    ([engine.spf_reuse]/[engine.spf_extend]/[engine.spf_full],
+    [engine.sel_patch],
     [engine.dv_recompute], [engine.bgp_skip]/[engine.bgp_compute],
     [engine.fib_reuse]/[engine.fib_build], [engine.edits], and the disk
     hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],

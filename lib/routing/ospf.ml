@@ -60,16 +60,6 @@ let scoped_csr ~rev it adjs =
   in
   Compiled.Csr.of_edges ~n:(Interner.length it) edges
 
-(* Fold a distance array back into the canonical [Smap] the callers (and
-   the disk-cached [state] type) expect, whatever order the kernel
-   visited the vertices in. *)
-let distances_of_array it dist =
-  let out = ref Smap.empty in
-  for i = 0 to Interner.length it - 1 do
-    if dist.(i) < max_int then out := Smap.add (Interner.name it i) dist.(i) !out
-  done;
-  !out
-
 (* Multi-source distances as a canonical [Smap]. A seed outside the
    scoped graph has no incident edges, so its distance is its least seed
    cost. *)
@@ -82,13 +72,17 @@ let distances_csr it csr seeds =
         | None -> Either.Right (r, c))
       seeds
   in
-  let out = distances_of_array it (Compiled.Csr.dijkstra csr ~seeds:ids) in
+  let dist = Compiled.Csr.dijkstra csr ~seeds:ids in
+  let out = ref Smap.empty in
+  for i = 0 to Interner.length it - 1 do
+    if dist.(i) < max_int then out := Smap.add (Interner.name it i) dist.(i) !out
+  done;
   List.fold_left
     (fun out (r, c) ->
       Smap.update r
         (function Some d -> Some (min d c) | None -> Some c)
         out)
-    out extras
+    !out extras
 
 (* ---- sharded SPF with per-advertiser dedup ----
 
@@ -123,9 +117,11 @@ let distinct_seed_ids it bindings =
     bindings;
   List.rev !order
 
-(* Per-prefix distance arrays over the interner ids (non-interned seeds
-   are not represented — [materialize_dists] folds them back in). Uses
-   the per-advertiser dedup unless the scope has more distinct
+(* Per-prefix distance arrays over the interner ids, [max_int] where a
+   router cannot reach the prefix. Non-interned seeds get no entry: such
+   a router has no scoped adjacency, so no interned router can route
+   through it, and it selects no route itself because it is a seed.
+   Uses the per-advertiser dedup unless the scope has more distinct
    advertisers than prefixes, where per-prefix multi-source runs are
    strictly fewer Dijkstras. *)
 let dist_arrays ?pool it rcsr bindings =
@@ -157,7 +153,7 @@ let dist_arrays ?pool it rcsr bindings =
                     Array.unsafe_set dist i (d + c)
                 done)
           seeds;
-        (p, seeds, dist))
+        (p, (seeds, dist)))
       bindings
   end
   else
@@ -169,36 +165,15 @@ let dist_arrays ?pool it rcsr bindings =
             (fun (r, c) -> Option.map (fun v -> (v, c)) (Interner.find it r))
             seeds
         in
-        (p, seeds, Compiled.Csr.dijkstra rcsr ~seeds:ids))
+        (p, (seeds, Compiled.Csr.dijkstra rcsr ~seeds:ids)))
       bindings
 
-(* Fold one per-prefix array back into the canonical Smap binding the
-   [state] type stores — the same keys, values and insertion sequence as
-   [distances_csr], so marshalled states stay byte-identical. *)
-let materialize_dists it (p, seeds, dist) =
-  let out = distances_of_array it dist in
-  let out =
-    List.fold_left
-      (fun out (r, c) ->
-        if Interner.find it r <> None then out
-        else
-          Smap.update r
-            (function Some d -> Some (min d c) | None -> Some c)
-            out)
-      out seeds
-  in
-  (p, (seeds, out))
-
-(* The per-prefix distance bindings of a scope: sharded per-advertiser
-   arrays, folded back into canonical maps. *)
-let scope_dists ?pool adjs bindings =
+(* The per-prefix distance bindings of a scope, in [bindings] order. The
+   scoped graph is only compiled when some prefix needs a Dijkstra. *)
+let scope_dists ?pool it adjs bindings =
   match bindings with
   | [] -> []
-  | _ ->
-      let it = scoped_interner adjs in
-      let rcsr = scoped_csr ~rev:true it adjs in
-      Pool.chunked_map ?pool (materialize_dists it)
-        (dist_arrays ?pool it rcsr bindings)
+  | _ -> dist_arrays ?pool it (scoped_csr ~rev:true it adjs) bindings
 
 let advertised_prefixes ?(scope = all) (net : Device.network) =
   Smap.fold
@@ -218,71 +193,139 @@ let advertised_prefixes ?(scope = all) (net : Device.network) =
           acc r.r_ifaces)
     net.routers Prefix.Map.empty
 
-(* The SPF state of one IGP domain: the scoped adjacencies and, per
-   advertised prefix, the routers it is connected to and the reverse
-   shortest-path distance of every scoped router toward it. This is the
-   expensive part of OSPF — it depends only on interfaces, costs and
-   [network] statements, never on distribute-list filters, so the
-   incremental engine reuses it across filter-only edits. *)
+(* The SPF state of one IGP domain: the scoped adjacencies, the interner
+   over their routers (ids in ascending name order), and per advertised
+   prefix the routers it is connected to and the reverse shortest-path
+   distance of every interned router toward it, as a dense array indexed
+   by router id. This is the expensive part of OSPF — it depends only on
+   interfaces, costs and [network] statements, never on distribute-list
+   filters, so the incremental engine reuses it across filter-only
+   edits. The arrays are never written after [dist_arrays] returns, so
+   states share them freely. *)
 type state = {
   st_adjs : Device.adj list Smap.t;
-  st_dists : ((string * int) list * int Smap.t) Prefix.Map.t;
+  st_ids : Interner.t;
+  st_dists : ((string * int) list * int array) Prefix.Map.t;
 }
+
+let dists_of_list l =
+  List.fold_left (fun m (p, v) -> Prefix.Map.add p v m) Prefix.Map.empty l
 
 let prepare ?(scope = all) ?pool (net : Device.network) =
   Telemetry.with_span "ospf.prepare" @@ fun () ->
   let adjs = ospf_adjs ~scope net in
+  let it = scoped_interner adjs in
   let prefixes = advertised_prefixes ~scope net in
   (* One reverse Dijkstra per advertised prefix (deduped per advertiser
      on the sharded path), embarrassingly parallel. *)
-  let dists = scope_dists ?pool adjs (Prefix.Map.bindings prefixes) in
   {
     st_adjs = adjs;
-    st_dists =
-      List.fold_left
-        (fun m (p, v) -> Prefix.Map.add p v m)
-        Prefix.Map.empty dists;
+    st_ids = it;
+    st_dists = dists_of_list (scope_dists ?pool it adjs (Prefix.Map.bindings prefixes));
   }
 
-(* Refresh a state after an edit that kept every router-to-router OSPF
-   adjacency intact (e.g. attaching stub networks for fake hosts): only
-   prefixes whose advertising seeds changed need new Dijkstras, every
-   other distance field is carried over. Returns the new state plus the
-   prefixes whose distances changed (including removed ones) so selection
-   can be patched, or None when the adjacencies differ and a full
-   [prepare] is required. *)
+(* What SPF and route selection read of one adjacency. *)
+let adj_key (a : Device.adj) = (a.a_out_iface.ifc_name, a.a_to, a.a_out_iface.ifc_cost)
+
+(* The adjacencies [new_row] adds to [old_row], or None when [old_row]
+   has one that [new_row] lacks (a removed or re-costed link). Rows are
+   compared as multisets of [adj_key]s. *)
+let added_adjs old_row new_row =
+  let sorted row = List.sort compare (List.map adj_key row) in
+  let rec diff acc o n =
+    match (o, n) with
+    | [], rest -> Some (List.rev_append acc rest)
+    | _ :: _, [] -> None
+    | x :: o', y :: n' ->
+        let c = compare x y in
+        if c = 0 then diff acc o' n'
+        else if c > 0 then diff (y :: acc) o n'
+        else None
+  in
+  diff [] (sorted old_row) (sorted new_row)
+
+(* Refresh a state after an edit that kept the scoped router set and
+   every existing adjacency (stub attachments), and possibly added some
+   (fake links). A distance field carries over, physically, when its
+   seeds are unchanged and no added directed edge u->v of cost c relaxes
+   it, i.e. d(u) <= c + d(v) holds for each: the old field then still
+   satisfies every edge of the new graph, so it is still the
+   shortest-path fixpoint. This is checked, not assumed — ConfMask's SFE
+   cost rule makes fake links pass it, but nothing here relies on that.
+   Every other prefix gets a fresh Dijkstra on the new graph. Returns the
+   new state, the prefixes whose distances changed (including removed
+   ones) and the routers whose adjacency row changed — a row that only
+   lists its adjacencies in a new order counts, because row order is
+   next-hop order — or None when an adjacency was removed or re-costed
+   or the router set moved and a full [prepare] is required. *)
 let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
   Telemetry.with_span "ospf.prepare_update" @@ fun () ->
   let adjs = ospf_adjs ~scope net in
-  if not (Smap.equal ( = ) adjs prev.st_adjs) then None
-  else
-    let prefixes = advertised_prefixes ~scope net in
-    let fresh =
-      Prefix.Map.fold
-        (fun p seeds acc ->
-          match Prefix.Map.find_opt p prev.st_dists with
-          | Some (seeds', _) when seeds = seeds' -> acc
-          | _ -> (p, seeds) :: acc)
-        prefixes []
-    in
-    let removed =
-      Prefix.Map.fold
-        (fun p _ acc -> if Prefix.Map.mem p prefixes then acc else p :: acc)
-        prev.st_dists []
-    in
-    (* The scoped graph is only compiled when something actually needs a
-       new Dijkstra ([scope_dists] short-circuits on []). *)
-    let recomputed = scope_dists ?pool adjs fresh in
-    let dists =
-      List.fold_left
-        (fun m (p, v) -> Prefix.Map.add p v m)
-        (Prefix.Map.filter
-           (fun p _ -> Prefix.Map.mem p prefixes)
-           prev.st_dists)
-        recomputed
-    in
-    let changed = removed @ List.map fst recomputed in
-    Some ({ st_adjs = prev.st_adjs; st_dists = dists }, changed)
+  let rows =
+    if not (Smap.equal (fun _ _ -> true) adjs prev.st_adjs) then None
+    else
+      Smap.fold
+        (fun r new_row acc ->
+          match acc with
+          | None -> None
+          | Some (routers, edges) -> (
+              let old_row = Smap.find r prev.st_adjs in
+              if List.equal (fun a b -> adj_key a = adj_key b) old_row new_row
+              then acc
+              else
+                match added_adjs old_row new_row with
+                | None -> None
+                | Some added ->
+                    Some
+                      ( r :: routers,
+                        List.map (fun (_, v, c) -> (r, v, c)) added @ edges )))
+        adjs
+        (Some ([], []))
+  in
+  match rows with
+  | None -> None
+  | Some (changed_routers, added) ->
+      let it = prev.st_ids in
+      let added =
+        List.map
+          (fun (u, v, c) -> (Interner.find_exn it u, Interner.find_exn it v, c))
+          added
+      in
+      let relaxed dist =
+        List.exists
+          (fun (u, v, c) ->
+            let dv = dist.(v) in
+            dv < max_int && c + dv < dist.(u))
+          added
+      in
+      let prefixes = advertised_prefixes ~scope net in
+      let fresh =
+        Prefix.Map.fold
+          (fun p seeds acc ->
+            match Prefix.Map.find_opt p prev.st_dists with
+            | Some (seeds', dist) when seeds = seeds' && not (relaxed dist) -> acc
+            | _ -> (p, seeds) :: acc)
+          prefixes []
+        |> List.rev
+      in
+      let removed =
+        Prefix.Map.fold
+          (fun p _ acc -> if Prefix.Map.mem p prefixes then acc else p :: acc)
+          prev.st_dists []
+      in
+      let recomputed = scope_dists ?pool it adjs fresh in
+      let dists =
+        List.fold_left
+          (fun m (p, v) -> Prefix.Map.add p v m)
+          (Prefix.Map.filter
+             (fun p _ -> Prefix.Map.mem p prefixes)
+             prev.st_dists)
+          recomputed
+      in
+      Some
+        ( { st_adjs = adjs; st_ids = it; st_dists = dists },
+          removed @ List.map fst recomputed,
+          List.rev changed_routers )
 
 (* Rebind a state's adjacencies to the current network. The distance
    fields of a state are a function of SPF-relevant inputs only (the
@@ -291,41 +334,29 @@ let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
    deliberately exclude. A state restored from the disk cache therefore
    recomputes its adjacencies here, so it is structurally identical to a
    fresh [prepare] and later [prepare_update] equality checks see no
-   phantom change. *)
+   phantom change. The router set, hence the interner, is covered by the
+   fingerprints and kept. *)
 let rescope ?(scope = all) (net : Device.network) (st : state) =
   { st with st_adjs = ospf_adjs ~scope net }
 
-(* Route selection for one (router, prefix) pair against a prepared
-   state: a function of the router's own filters and scoped adjacencies
-   only. *)
-let select_one ~filters ~adjs r p (seeds, dist) =
-  match Smap.find_opt r dist with
-  | None -> None
-  | Some dr ->
-      if List.mem_assoc r seeds then None
-      else
-        let nexthops =
-          List.filter_map
-            (fun (a : Device.adj) ->
-              match Smap.find_opt a.a_to dist with
-              | Some dn when a.a_out_iface.ifc_cost + dn = dr ->
-                  if Device.iface_filter_denies filters a.a_out_iface.ifc_name p
-                  then None
-                  else
-                    Some
-                      { Fib.nh_router = a.a_to; nh_iface = a.a_out_iface.ifc_name }
-              | Some _ | None -> None)
-            adjs
-        in
-        if nexthops = [] then None
-        else
-          Some
-            {
-              Fib.rt_prefix = p;
-              rt_proto = Fib.Ospf;
-              rt_metric = dr;
-              rt_nexthops = nexthops;
-            }
+(* ---- route selection ----
+
+   A router's OSPF selection for one prefix reads its distance to the
+   prefix, its adjacency row, its peers' distances and its own
+   distribute-list filters. [rows_of] resolves the rows of a set of
+   routers once into flat arrays, with one prebuilt next-hop record and
+   singleton list per edge: next hops are identical for every prefix the
+   edge serves, so sharing them saves an allocation per (router, prefix,
+   edge) hit without changing anything structural equality sees. *)
+type rows = {
+  off : int array;  (* row [k]'s edges are [off.(k) .. off.(k + 1) - 1] *)
+  e_to : int array;  (* peer router id *)
+  e_cost : int array;
+  e_iface : string array;
+  e_nh : Fib.nexthop array;
+  e_nh1 : Fib.nexthop list array;
+  filt : (string * Ast.prefix_list) list array;  (* per row *)
+}
 
 let router_filters (net : Device.network) r =
   match Smap.find_opt r net.routers with
@@ -333,17 +364,117 @@ let router_filters (net : Device.network) r =
   | Some router -> (
       match router.Device.r_ospf with Some o -> o.op_filters | None -> [])
 
-(* Route selection for one router against a prepared state: cheap, and a
-   function of the router's own filters and scoped adjacencies only. *)
+(* The rows of routers [names], row [k] for [names.(k)]. *)
+let rows_of st (net : Device.network) names =
+  let adj_rows =
+    Array.map
+      (fun r -> Option.value ~default:[] (Smap.find_opt r st.st_adjs))
+      names
+  in
+  let m = Array.fold_left (fun m row -> m + List.length row) 0 adj_rows in
+  let rows =
+    {
+      off = Array.make (Array.length names + 1) 0;
+      e_to = Array.make m 0;
+      e_cost = Array.make m 0;
+      e_iface = Array.make m "";
+      e_nh = Array.make m { Fib.nh_router = ""; nh_iface = "" };
+      e_nh1 = Array.make m [];
+      filt = Array.map (router_filters net) names;
+    }
+  in
+  let pos = ref 0 in
+  Array.iteri
+    (fun k row ->
+      rows.off.(k) <- !pos;
+      List.iter
+        (fun (a : Device.adj) ->
+          let e = !pos in
+          incr pos;
+          let nh = { Fib.nh_router = a.a_to; nh_iface = a.a_out_iface.ifc_name } in
+          rows.e_to.(e) <- Interner.find_exn st.st_ids a.a_to;
+          rows.e_cost.(e) <- a.a_out_iface.ifc_cost;
+          rows.e_iface.(e) <- a.a_out_iface.ifc_name;
+          rows.e_nh.(e) <- nh;
+          rows.e_nh1.(e) <- [ nh ])
+        row)
+    adj_rows;
+  rows.off.(Array.length names) <- !pos;
+  rows
+
+(* Selection of row [k], whose router has id [v], for prefix [p] with
+   distance array [dist]; the caller has already excluded [p]'s seeds,
+   which select nothing. Next hops are the row's edges on a shortest
+   path that the router's filters do not deny, in row order. *)
+let select_row rows k v p dist =
+  let dr = Array.unsafe_get dist v in
+  if dr = max_int then None
+  else begin
+    let filters = rows.filt.(k) in
+    let no_filters = filters == [] in
+    (* The hit test appears twice, hand-inlined: a [hit e] closure here
+       costs an allocation per (prefix, router). Count first: a single
+       next hop — the common case — reuses the edge's preallocated
+       singleton list. *)
+    let count = ref 0 and last = ref 0 in
+    for e = rows.off.(k) to rows.off.(k + 1) - 1 do
+      let dn = Array.unsafe_get dist (Array.unsafe_get rows.e_to e) in
+      if
+        dn < max_int
+        && Array.unsafe_get rows.e_cost e + dn = dr
+        && (no_filters
+           || not
+                (Device.iface_filter_denies filters
+                   (Array.unsafe_get rows.e_iface e) p))
+      then begin
+        incr count;
+        last := e
+      end
+    done;
+    if !count = 0 then None
+    else
+      let nexthops =
+        if !count = 1 then Array.unsafe_get rows.e_nh1 !last
+        else begin
+          let nhs = ref [] in
+          for e = rows.off.(k + 1) - 1 downto rows.off.(k) do
+            let dn = Array.unsafe_get dist (Array.unsafe_get rows.e_to e) in
+            if
+              dn < max_int
+              && Array.unsafe_get rows.e_cost e + dn = dr
+              && (no_filters
+                 || not
+                      (Device.iface_filter_denies filters
+                         (Array.unsafe_get rows.e_iface e) p))
+            then nhs := Array.unsafe_get rows.e_nh e :: !nhs
+          done;
+          !nhs
+        end
+      in
+      Some
+        { Fib.rt_prefix = p; rt_proto = Fib.Ospf; rt_metric = dr; rt_nexthops = nexthops }
+  end
+
+let rec is_seed r = function
+  | [] -> false
+  | (s, _) :: tl -> String.equal s r || is_seed r tl
+
+(* Route selection for one router against a prepared state: a function
+   of the router's own filters and scoped adjacencies only. A router
+   outside the interner selects nothing: it is at most a seed. *)
 let routes_for st (net : Device.network) r =
-  let filters = router_filters net r in
-  let adjs = Option.value ~default:[] (Smap.find_opt r st.st_adjs) in
-  Prefix.Map.fold
-    (fun p v acc ->
-      match select_one ~filters ~adjs r p v with
-      | None -> acc
-      | Some route -> route :: acc)
-    st.st_dists []
+  match Interner.find st.st_ids r with
+  | None -> []
+  | Some v ->
+      let rows = rows_of st net [| r |] in
+      Prefix.Map.fold
+        (fun p (seeds, dist) acc ->
+          if is_seed r seeds then acc
+          else
+            match select_row rows 0 v p dist with
+            | None -> acc
+            | Some route -> route :: acc)
+        st.st_dists []
 
 (* ---- filter-delta selection ----
 
@@ -403,23 +534,24 @@ let changed_filter_prefixes old_f new_f =
   in
   per_iface [] ifaces
 
-(* Patch a previous [routes_for] result after a filter-only change:
-   recompute selection for the [affected] prefixes and splice the results
-   into [prev], preserving the descending-prefix order [routes_for]
-   produces. Correct only when the SPF state is unchanged and every
-   prefix outside [affected] keeps its filter decision. *)
+(* Patch a previous [routes_for] result: recompute selection for the
+   [affected] prefixes and splice the results into [prev], preserving
+   the descending-prefix order [routes_for] produces. Correct when the
+   router's adjacency row is unchanged and every prefix outside
+   [affected] kept both its distance field and its filter decision. *)
 let routes_for_update st (net : Device.network) r ~prev ~affected =
-  let filters = router_filters net r in
-  let adjs = Option.value ~default:[] (Smap.find_opt r st.st_adjs) in
+  let rows = rows_of st net [| r |] in
+  let id = Interner.find st.st_ids r in
   let news =
     (* A prefix no longer advertised still needs a [None] entry so the
        merge drops its previous route. *)
     List.map
       (fun p ->
         ( p,
-          Option.bind
-            (Prefix.Map.find_opt p st.st_dists)
-            (fun v -> select_one ~filters ~adjs r p v) ))
+          match (id, Prefix.Map.find_opt p st.st_dists) with
+          | Some v, Some (seeds, dist) when not (is_seed r seeds) ->
+              select_row rows 0 v p dist
+          | _ -> None ))
       affected
     |> List.sort_uniq (fun (a, _) (b, _) -> Prefix.compare b a)
   in
@@ -445,65 +577,30 @@ let routes_for_update st (net : Device.network) r ~prev ~affected =
 
 (* ---- batched selection ----
 
-   Route selection for every scoped router in one sweep. [routes_for]
-   performs P×V [Smap.find_opt] probes (one per (router, prefix) pair,
-   plus one per adjacency); here each per-prefix distance field is
-   splatted into a dense array once and every router's pre-resolved
-   adjacency row is scanned against it. Produces, per router, exactly
-   the route list [routes_for] builds — same routes, same
-   descending-prefix order, same nexthop order — because per prefix it
-   evaluates the very conditions of [select_one] on the same adjacency
-   sequence.
+   [routes_for] over every scoped router at once, from a prepared state:
+   each per-prefix distance array is swept once across every router's
+   row, so [Smap.find_opt m (select_all st net) |> Option.value
+   ~default:[]] equals [routes_for st net m] — same routes, same
+   descending-prefix order, same nexthop order — for every router [m]:
+   both evaluate [select_row] on the same rows, and routers outside the
+   interner select nothing either way.
 
    The per-prefix sweeps are sharded in contiguous ascending-prefix
    chunks; each chunk accumulates per-router route lists, and chunks are
    stitched as [later @ earlier] so the final per-router list is the
    descending-prefix order of the sequential fold. *)
-let select_core ?pool it (net : Device.network) adjs dists =
+let select_all ?pool (st : state) (net : Device.network) =
+  Telemetry.with_span "ospf.select_all" @@ fun () ->
+  let it = st.st_ids in
   let n = Interner.length it in
-  (* Flattened adjacency in CSR form with one prebuilt next-hop record
-     per edge: next hops are identical for every prefix the edge serves,
-     so sharing the records saves an allocation per (router, prefix,
-     edge) hit without changing anything structural equality sees. *)
-  let filt_rows = Array.make (max 1 n) [] in
-  let rows = Array.make (max 1 n) [] in
-  let n_edges = ref 0 in
-  Interner.iter it (fun v name ->
-      let row = Option.value ~default:[] (Smap.find_opt name adjs) in
-      rows.(v) <- row;
-      n_edges := !n_edges + List.length row;
-      filt_rows.(v) <- router_filters net name);
-  let off = Array.make (max 1 (n + 1)) 0 in
-  let e_to = Array.make (max 1 !n_edges) 0 in
-  let e_cost = Array.make (max 1 !n_edges) 0 in
-  let e_iface = Array.make (max 1 !n_edges) "" in
-  let e_nh =
-    Array.make (max 1 !n_edges) { Fib.nh_router = ""; nh_iface = "" }
-  in
-  let e_nh1 : Fib.nexthop list array = Array.make (max 1 !n_edges) [] in
-  let pos = ref 0 in
-  for v = 0 to n - 1 do
-    off.(v) <- !pos;
-    List.iter
-      (fun (a : Device.adj) ->
-        let e = !pos in
-        incr pos;
-        e_to.(e) <- Interner.find_exn it a.a_to;
-        e_cost.(e) <- a.a_out_iface.ifc_cost;
-        e_iface.(e) <- a.a_out_iface.ifc_name;
-        e_nh.(e) <-
-          { Fib.nh_router = a.a_to; nh_iface = a.a_out_iface.ifc_name };
-        e_nh1.(e) <- [ e_nh.(e) ])
-      rows.(v)
-  done;
-  off.(n) <- !pos;
+  let rows = rows_of st net (Array.init n (Interner.name it)) in
   let process chunk =
     let acc = Array.make (max 1 n) [] in
     (* Seed membership per prefix, generation-stamped to avoid clearing. *)
     let seedgen = Array.make (max 1 n) (-1) in
     let gen = ref (-1) in
     List.iter
-      (fun (p, seeds, dist) ->
+      (fun (p, (seeds, dist)) ->
         incr gen;
         List.iter
           (fun (r, _) ->
@@ -512,64 +609,19 @@ let select_core ?pool it (net : Device.network) adjs dists =
             | None -> ())
           seeds;
         for v = 0 to n - 1 do
-          let dr = Array.unsafe_get dist v in
-          if dr < max_int && seedgen.(v) <> !gen then begin
-            let filters = filt_rows.(v) in
-            let no_filters = filters == [] in
-            (* The hit test appears twice, hand-inlined: a [hit e]
-               closure here costs an allocation per (prefix, router). *)
-            (* Count first: a single next hop — the common case — reuses
-               the edge's preallocated singleton list. *)
-            let count = ref 0 and last = ref 0 in
-            for e = off.(v) to off.(v + 1) - 1 do
-              let dn = Array.unsafe_get dist (Array.unsafe_get e_to e) in
-              if
-                dn < max_int
-                && Array.unsafe_get e_cost e + dn = dr
-                && (no_filters
-                   || not
-                        (Device.iface_filter_denies filters
-                           (Array.unsafe_get e_iface e) p))
-              then begin
-                incr count;
-                last := e
-              end
-            done;
-            if !count > 0 then begin
-              let nexthops =
-                if !count = 1 then Array.unsafe_get e_nh1 !last
-                else begin
-                  let nhs = ref [] in
-                  for e = off.(v + 1) - 1 downto off.(v) do
-                    let dn = Array.unsafe_get dist (Array.unsafe_get e_to e) in
-                    if
-                      dn < max_int
-                      && Array.unsafe_get e_cost e + dn = dr
-                      && (no_filters
-                         || not
-                              (Device.iface_filter_denies filters
-                                 (Array.unsafe_get e_iface e) p))
-                    then nhs := Array.unsafe_get e_nh e :: !nhs
-                  done;
-                  !nhs
-                end
-              in
-              acc.(v) <-
-                {
-                  Fib.rt_prefix = p;
-                  rt_proto = Fib.Ospf;
-                  rt_metric = dr;
-                  rt_nexthops = nexthops;
-                }
-                :: acc.(v)
-            end
-          end
+          if seedgen.(v) <> !gen then
+            match select_row rows v v p dist with
+            | Some route -> acc.(v) <- route :: acc.(v)
+            | None -> ()
         done)
       chunk;
     acc
   in
   let into = Pool.effective_jobs ?pool () * 4 in
-  let accs = Pool.parallel_map ?pool process (Pool.chunks ~into dists) in
+  let accs =
+    Pool.parallel_map ?pool process
+      (Pool.chunks ~into (Prefix.Map.bindings st.st_dists))
+  in
   let result = Array.make (max 1 n) [] in
   List.iter
     (fun acc ->
@@ -582,41 +634,8 @@ let select_core ?pool it (net : Device.network) adjs dists =
       if result.(v) <> [] then out := Smap.add name result.(v) !out);
   !out
 
-(* [routes_for] over every scoped router at once, from a prepared state:
-   [Smap.find_opt m (select_all st net) |> Option.value ~default:[]]
-   equals [routes_for st net m] for every scoped router [m]. *)
-let select_all ?pool (st : state) (net : Device.network) =
-  Telemetry.with_span "ospf.select_all" @@ fun () ->
-  let it = scoped_interner st.st_adjs in
-  let n = Interner.length it in
-  let dists =
-    Pool.chunked_map ?pool
-      (fun (p, (seeds, dmap)) ->
-        let dist = Array.make (max 1 n) max_int in
-        Smap.iter
-          (fun r d ->
-            match Interner.find it r with
-            | Some v -> dist.(v) <- d
-            | None -> ())
-          dmap;
-        (p, seeds, dist))
-      (Prefix.Map.bindings st.st_dists)
-  in
-  select_core ?pool it net st.st_adjs dists
-
-(* The per-prefix distance arrays feed batched selection directly: the
-   canonical per-prefix [Smap]s of a [state] are never materialized here
-   (only [prepare], whose states the engine caches and persists to disk,
-   pays for them). Routers outside the scoped OSPF graph select no
-   routes, so sweeping interner ids instead of [net.routers] yields the
-   same map as [routes_for] over every scoped router. *)
 let compute ?(scope = all) ?pool (net : Device.network) =
-  let adjs = ospf_adjs ~scope net in
-  let bindings = Prefix.Map.bindings (advertised_prefixes ~scope net) in
-  let it = scoped_interner adjs in
-  let rcsr = scoped_csr ~rev:true it adjs in
-  let da = dist_arrays ?pool it rcsr bindings in
-  select_core ?pool it net adjs da
+  select_all ?pool (prepare ~scope ?pool net) net
 
 (* One scope's forward-distance machinery, prepared once and reused
    across sources: the interner and forward CSR, whose construction

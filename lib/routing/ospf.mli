@@ -18,10 +18,15 @@
 module Smap = Device.Smap
 
 type state
-(** SPF state of one domain: scoped adjacencies plus, per advertised
-    prefix, its connected routers and the distance of every scoped router
-    toward it. Valid as long as no in-scope router changes its interfaces,
-    costs or IGP [network] statements. *)
+(** SPF state of one domain: the scoped adjacencies, an interner over the
+    scoped routers (ids in ascending name order), and per advertised
+    prefix its connected routers (seeds) and a dense [int array] indexed
+    by router id holding every router's distance toward it ([max_int]
+    when unreachable). Seeds outside the interner have no entry: they
+    have no scoped adjacency, and a seed selects no route. Valid as long
+    as no in-scope router changes its interfaces, costs or IGP [network]
+    statements. The arrays are immutable once built, so states derived by
+    {!prepare_update} share them physically. *)
 
 val prepare :
   ?scope:(string -> bool) -> ?pool:Netcore.Pool.t -> Device.network -> state
@@ -33,14 +38,20 @@ val prepare_update :
   ?pool:Netcore.Pool.t ->
   prev:state ->
   Device.network ->
-  (state * Netcore.Prefix.t list) option
+  (state * Netcore.Prefix.t list * string list) option
 (** [prepare_update ~prev net] refreshes [prev] after an edit that kept
-    every router-to-router OSPF adjacency intact (e.g. attaching stub
-    networks): only prefixes whose advertising seeds changed get new
-    Dijkstras, everything else is carried over. Returns the new state and
-    the prefixes whose distances changed (including ones no longer
-    advertised), or [None] when the adjacencies differ and a full
-    {!prepare} is needed. *)
+    the scoped router set and every existing (router, out-interface,
+    peer, cost) adjacency (stub attachments), possibly adding new ones
+    (fake links). A prefix keeps its distance array, physically shared,
+    when its seeds are unchanged and every added directed adjacency
+    u->v of cost c satisfies d(u) <= c + d(v) on that array (checked at
+    run time); every other prefix gets a fresh Dijkstra on the new
+    graph. Returns the new state, the prefixes whose distances changed
+    (including ones no longer advertised) and the routers whose
+    adjacency row changed (it gained an adjacency, or lists its
+    adjacencies in a new order, which orders next hops), or [None] when
+    the router set changed or an adjacency was removed or re-costed and a
+    full {!prepare} is needed. *)
 
 val rescope : ?scope:(string -> bool) -> Device.network -> state -> state
 (** [rescope net st] replaces [st]'s embedded adjacencies with the ones
@@ -60,9 +71,9 @@ val select_all :
 (** Batched {!routes_for} over every scoped router at once:
     [Smap.find_opt r (select_all st net) |> Option.value ~default:[]]
     equals [routes_for st net r] for every router [r] in the state's
-    scope (routers with no routes have no binding). One dense sweep per
-    prefix, sharded across [pool] — much cheaper than per-router map
-    probing when most routers need selection. *)
+    scope (routers with no routes have no binding). One sweep per
+    prefix over its distance array, sharded across [pool] — cheaper than
+    per-router selection when most routers need it. *)
 
 val changed_filter_prefixes :
   (string * Configlang.Ast.prefix_list) list ->
@@ -83,20 +94,21 @@ val routes_for_update :
   affected:Netcore.Prefix.t list ->
   Fib.route list
 (** [routes_for_update st net r ~prev ~affected] patches a previous
-    [routes_for] result after a filter-only change: selection is redone
-    for the [affected] prefixes only and spliced into [prev]. Produces
-    exactly what [routes_for st net r] would, provided [st] is unchanged
-    and every prefix outside [affected] kept its filter decision (as
-    guaranteed by {!changed_filter_prefixes}). *)
+    [routes_for] result: selection is redone for the [affected] prefixes
+    only and spliced into [prev]. Produces exactly what
+    [routes_for st net r] would, provided [r]'s adjacency row is
+    unchanged and every prefix outside [affected] kept its distance
+    field (as {!prepare_update} reports) and its filter decision (as
+    {!changed_filter_prefixes} bounds). *)
 
 val compute :
   ?scope:(string -> bool) ->
   ?pool:Netcore.Pool.t ->
   Device.network ->
   Fib.route list Smap.t
-(** OSPF candidate routes per router ([prepare] + [routes_for] for every
-    scoped router). [scope] restricts the domain (used to run one OSPF
-    instance per AS in BGP networks); it defaults to all routers. *)
+(** OSPF candidate routes per router: [select_all (prepare ~scope net) net].
+    [scope] restricts the domain (used to run one OSPF instance per AS in
+    BGP networks); it defaults to all routers. *)
 
 val min_cost :
   ?scope:(string -> bool) -> Device.network -> string -> int Smap.t

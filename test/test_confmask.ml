@@ -734,6 +734,33 @@ let test_golden_outputs () =
         (Digest.to_hex (Digest.string text)))
     golden_digests
 
+(* The same digests on the fake-router path (§9 extension, two fake
+   routers) for two OSPF-only catalog nets. Growing the router set makes
+   the engine take its full-SPF fallback rather than extend the
+   baseline's distance fields, so these pin that branch's bytes. *)
+let golden_fake_router_digests =
+  [ ("D", "d28197c29b079d0e295d7ac2aaf48c20"); ("G", "7fad168aa960d2e217065d8b973e4662") ]
+
+let test_golden_fake_routers () =
+  List.iter
+    (fun (id, expected) ->
+      let p =
+        { (params ~k_r:6 ~k_h:2 ~seed:Workflow.default_params.seed ()) with
+          Workflow.fake_routers = 2 }
+      in
+      let r =
+        Workflow.run_exn ~params:p (Netgen.Nets.configs (Netgen.Nets.find id))
+      in
+      let text =
+        String.concat ""
+          (List.map
+             (fun (h, t) -> h ^ "\000" ^ t ^ "\000")
+             (Workflow.anon_texts r))
+      in
+      check Alcotest.string ("net " ^ id ^ " with 2 fake routers") expected
+        (Digest.to_hex (Digest.string text)))
+    golden_fake_router_digests
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -796,6 +823,10 @@ let () =
             test_walks_match_naive_on_static_loop;
         ] );
       ( "golden",
-        [ Alcotest.test_case "anonymized outputs of nets A-H" `Quick test_golden_outputs ] );
+        [
+          Alcotest.test_case "anonymized outputs of nets A-H" `Quick test_golden_outputs;
+          Alcotest.test_case "anonymized outputs with fake routers" `Quick
+            test_golden_fake_routers;
+        ] );
       ("qcheck", qsuite);
     ]

@@ -1447,6 +1447,238 @@ let prop_engine_disk_cache =
       let warm2 = replay ~cache:(Engine.open_cache dir) states in
       fibs_agree cold warm1 && fibs_agree cold warm2)
 
+(* ---------------- engine: SPF extension across added links ---------------- *)
+
+(* [f ()] and the deltas of the named telemetry counters across it. *)
+let counter_deltas names f =
+  Netcore.Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled false)
+  @@ fun () ->
+  let cs = List.map Netcore.Telemetry.counter names in
+  let before = List.map Netcore.Telemetry.value cs in
+  let x = f () in
+  (x, List.map2 (fun c b -> Netcore.Telemetry.value c - b) cs before)
+
+let spf_counters = [ "engine.spf_extend"; "engine.spf_full" ]
+
+let ospf_only = { Crucible.Gen.default with bgp_fraction = 0.0 }
+
+let by_prefix m =
+  Device.Smap.map
+    (List.sort (fun (a : Fib.route) (b : Fib.route) ->
+         Netcore.Prefix.compare a.rt_prefix b.rt_prefix))
+    m
+
+(* Links at the SFE min cost shorten no path, so the engine extends the
+   original's SPF state instead of recomputing it, and the result is
+   [Simulate.run]'s. At the OSPF layer, the extended state
+   selects exactly the cold state's routes and the naive reference's. *)
+let prop_engine_extends_min_cost_links =
+  QCheck2.Test.make
+    ~name:"engine: min-cost links extend the original's SPF state" ~count:40
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 5))
+    (fun (seed, count) ->
+      let configs =
+        Netgen.Emit.emit (Crucible.Gen.spec ~params:ospf_only ~seed ())
+      in
+      let eng0 = Engine.of_configs_exn configs in
+      let net0 = Engine.network eng0 in
+      let configs' =
+        Crucible.Oracle.add_links ~rng:(Netcore.Rng.create seed) ~below:false
+          ~count net0 configs
+      in
+      QCheck2.assume (configs' != configs);
+      let eng1, deltas =
+        counter_deltas spf_counters (fun () -> Engine.apply_edit_exn eng0 configs')
+      in
+      let fresh = Simulate.run_exn configs' in
+      let net1 = fresh.net in
+      if deltas <> [ 1; 0 ] then
+        QCheck2.Test.fail_reportf "spf_extend/spf_full deltas %s"
+          (String.concat "/" (List.map string_of_int deltas));
+      if not (Device.Smap.equal ( = ) (Engine.fibs eng1) fresh.fibs) then
+        QCheck2.Test.fail_report "extended FIBs differ from Simulate.run";
+      match Ospf.prepare_update ~prev:(Ospf.prepare net0) net1 with
+      | None -> QCheck2.Test.fail_report "min-cost links fell back to prepare"
+      | Some (st, _, moved) ->
+          let routes = Ospf.select_all st net1 in
+          moved <> []
+          && Device.Smap.equal ( = ) routes (Ospf.compute net1)
+          && Device.Smap.equal ( = ) (by_prefix routes)
+               (by_prefix (Crucible.Reference.ospf_routes net1)))
+
+(* Every OSPF-advertised prefix of [net] with its seeds. *)
+let advertised (net : Device.network) =
+  Device.Smap.fold
+    (fun name (r : Device.router) acc ->
+      List.fold_left
+        (fun acc (i : Device.iface) ->
+          if Device.ospf_enabled r i then
+            (Device.ifc_prefix i, (name, i.ifc_cost)) :: acc
+          else acc)
+        acc r.r_ifaces)
+    net.routers []
+  |> List.sort_uniq compare
+  |> List.fold_left
+       (fun acc (p, seed) ->
+         match acc with
+         | (q, seeds) :: tl when Netcore.Prefix.compare p q = 0 ->
+             (q, seed :: seeds) :: tl
+         | _ -> (p, [ seed ]) :: acc)
+       []
+
+(* A link planted below the min cost shortens some paths. The engine
+   still extends the state, but every prefix the link relaxes — and only
+   those, besides the link's own subnet — gets a fresh Dijkstra. *)
+let test_engine_planted_relaxing_link () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "D") in
+  let eng0 = Engine.of_configs_exn configs in
+  let net = Engine.network eng0 in
+  let dist u = Crucible.Reference.min_cost net u in
+  (* The first non-adjacent pair, in name order, at least 3 apart both
+     ways; the link costs one less than the min cost in each direction. *)
+  let u, v, cost_uv, cost_vu =
+    let routers = List.map fst (Device.Smap.bindings net.routers) in
+    List.concat_map (fun u -> List.map (fun v -> (u, v)) routers) routers
+    |> List.find_map (fun (u, v) ->
+           let d x y = Option.value ~default:0 (Device.Smap.find_opt y (dist x)) in
+           if
+             String.compare u v < 0
+             && Device.find_adj net u v = None
+             && d u v >= 3 && d v u >= 3
+           then Some (u, v, d u v - 1, d v u - 1)
+           else None)
+    |> Option.get
+  in
+  let configs' = Crucible.Oracle.add_link configs ~u ~v ~cost_uv ~cost_vu () in
+  (* Reference distances toward a prefix: the least path cost to one of
+     its advertisers plus that advertiser's stub cost. *)
+  let toward x seeds =
+    let d = dist x in
+    List.fold_left
+      (fun acc (s, c) ->
+        match Device.Smap.find_opt s d with
+        | Some ds -> min acc (ds + c)
+        | None -> acc)
+      max_int seeds
+  in
+  let relaxed =
+    List.filter
+      (fun (_, seeds) ->
+        let du = toward u seeds and dv = toward v seeds in
+        (dv < max_int && cost_uv + dv < du) || (du < max_int && cost_vu + du < dv))
+      (advertised net)
+  in
+  let eng1, deltas =
+    counter_deltas
+      (spf_counters @ [ "ospf.dijkstras" ])
+      (fun () -> Engine.apply_edit_exn eng0 configs')
+  in
+  let fresh = Simulate.run_exn configs' in
+  let _, cold = counter_deltas [ "ospf.dijkstras" ] (fun () -> Ospf.prepare fresh.net) in
+  check Alcotest.bool "the planted link relaxes some prefix" true (relaxed <> []);
+  (match deltas with
+  | [ extend; full; dijkstras ] ->
+      check Alcotest.(pair int int) "extended, not rebuilt" (1, 0) (extend, full);
+      (* One Dijkstra per distinct advertiser of the recomputed prefixes
+         (the relaxed ones and the link's /30, advertised by [u] and
+         [v]), or one per prefix when that is fewer. *)
+      let advertisers =
+        List.sort_uniq String.compare
+          (u :: v :: List.concat_map (fun (_, seeds) -> List.map fst seeds) relaxed)
+      in
+      check Alcotest.int "Dijkstras for the relaxed prefixes and the link's"
+        (min (List.length advertisers) (List.length relaxed + 1))
+        dijkstras;
+      check Alcotest.bool "fewer Dijkstras than a cold prepare" true
+        (dijkstras < List.hd cold)
+  | _ -> assert false);
+  check Alcotest.bool "FIBs equal Simulate.run" true
+    (Device.Smap.equal ( = ) (Engine.fibs eng1) fresh.fibs)
+
+(* Edits the extension does not cover take the full SPF: a removed
+   adjacency, a re-costed one, and a new router. *)
+let test_engine_spf_fallbacks () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "D") in
+  let eng0 = Engine.of_configs_exn configs in
+  let net = Engine.network eng0 in
+  let r, (a : Device.adj) =
+    let r, adjs = List.find (fun (_, l) -> l <> []) (Device.Smap.bindings net.adjs) in
+    (r, List.hd adjs)
+  in
+  let iface = a.a_out_iface.ifc_name in
+  let on_iface f =
+    Confmask.Edits.update configs r (fun c ->
+        {
+          c with
+          interfaces =
+            List.filter_map
+              (fun (i : Configlang.Ast.interface) ->
+                if String.equal i.if_name iface then f i else Some i)
+              c.interfaces;
+        })
+  in
+  let removed = on_iface (fun _ -> None) in
+  let recosted =
+    on_iface (fun i -> Some { i with if_cost = Some (a.a_out_iface.ifc_cost + 5) })
+  in
+  let grown =
+    match
+      Confmask.Node_anon.add ~rng:(Netcore.Rng.create 1) ~count:1
+        ~orig:(Engine.snapshot eng0) configs
+    with
+    | Ok n -> n.configs
+    | Error m -> Alcotest.fail m
+  in
+  List.iter
+    (fun (name, configs') ->
+      let eng1, deltas =
+        counter_deltas spf_counters (fun () -> Engine.apply_edit_exn eng0 configs')
+      in
+      check Alcotest.(list int) (name ^ ": spf_extend/spf_full") [ 0; 1 ] deltas;
+      check Alcotest.bool (name ^ ": FIBs equal Simulate.run") true
+        (Device.Smap.equal ( = ) (Engine.fibs eng1) (Simulate.run_exn configs').fibs))
+    [ ("removed adjacency", removed); ("re-costed adjacency", recosted);
+      ("new router", grown) ]
+
+(* A state restored from the disk cache — whole, or one domain's SPF
+   entry through [Ospf.rescope] — extends like a computed one: the
+   result equals the cold build of the extended network. *)
+let test_engine_restored_state_extends () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "D") in
+  let net = (Simulate.run_exn configs).net in
+  let configs' =
+    Crucible.Oracle.add_links ~rng:(Netcore.Rng.create 3) ~below:false ~count:3
+      net configs
+  in
+  let cold = Engine.fibs (Engine.of_configs_exn configs') in
+  let extend_restored ~populate name counter =
+    let dir = temp_cache_dir () in
+    ignore (Engine.of_configs_exn ~cache:(Engine.open_cache dir) populate);
+    let restored, hits =
+      counter_deltas [ counter ] (fun () ->
+          Engine.of_configs_exn ~cache:(Engine.open_cache dir) configs)
+    in
+    check Alcotest.(list int) (name ^ ": restored from disk") [ 1 ] hits;
+    let eng, deltas =
+      counter_deltas spf_counters (fun () -> Engine.apply_edit_exn restored configs')
+    in
+    check Alcotest.(list int) (name ^ ": spf_extend/spf_full") [ 1; 0 ] deltas;
+    check Alcotest.bool (name ^ ": equals the cold build") true
+      (Device.Smap.equal ( = ) (Engine.fibs eng) cold)
+  in
+  extend_restored ~populate:configs "whole state" "engine.state_disk";
+  (* A deny filter leaves the SPF key alone but changes the whole-state
+     key, so the original's build restores only the SPF entry. *)
+  let filtered =
+    let r, adjs = List.find (fun (_, l) -> l <> []) (Device.Smap.bindings net.adjs) in
+    let hp = fst (List.hd (Simulate.host_prefixes net)) in
+    Confmask.Edits.update configs r (fun c ->
+        Confmask.Edits.deny_on_iface c
+          ~iface:(List.hd adjs).Device.a_out_iface.ifc_name hp)
+  in
+  extend_restored ~populate:filtered "SPF entry" "engine.spf_disk"
+
 (* ---------------- per-snapshot data-plane memo ---------------- *)
 
 let fec_classes = Netcore.Telemetry.counter "fec.classes"
@@ -1632,8 +1864,16 @@ let () =
               test_engine_disk_cache_warm_equals_cold;
             Alcotest.test_case "disk cache: corruption degrades to cold" `Quick
               test_engine_disk_cache_corruption;
+            Alcotest.test_case "planted relaxing link recomputes only what it relaxes"
+              `Quick test_engine_planted_relaxing_link;
+            Alcotest.test_case "removed, re-costed links and new routers take the full SPF"
+              `Quick test_engine_spf_fallbacks;
+            Alcotest.test_case "restored state extends like the cold build" `Quick
+              test_engine_restored_state_extends;
           ] );
       ("memo", memo_suite);
       ( "properties",
-        qsuite @ [ QCheck_alcotest.to_alcotest prop_engine_disk_cache ] );
+        qsuite
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_engine_disk_cache; prop_engine_extends_min_cost_links ] );
     ]
