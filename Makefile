@@ -34,9 +34,7 @@ help-smoke:
 # Fast end-to-end smoke: the small-network slice of every experiment,
 # then one self-checked anonymization run that must show engine cache
 # reuse in its telemetry (pool counters are 0 on single-core runners,
-# so the grep checks engine counters only). The compiled.reuse grep
-# proves the compiled-network cache is live: filter-only edits must
-# reuse the compiled core instead of rebuilding it. The spf_extend grep
+# so the grep checks engine counters only). The spf_extend grep
 # proves Algorithm 1 starts from the baseline engine: the fake links
 # extend its SPF state instead of a second full SPF. A second run, on
 # net G (FatTree04: several hosts per edge router), must show the fast
@@ -52,7 +50,6 @@ bench-smoke:
 	  --out /tmp/confmask-smoke/anon --selfcheck --metrics-out /tmp/confmask-smoke/metrics.json
 	grep -Eq '"engine\.spf_reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
 	grep -Eq '"engine\.fib_reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
-	grep -Eq '"compiled\.reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
 	grep -Eq '"engine\.spf_extend": *[1-9]' /tmp/confmask-smoke/metrics.json
 	dune exec bin/confmask_cli.exe -- generate --net G --out /tmp/confmask-smoke/g
 	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/g \

@@ -702,8 +702,8 @@ let tenants_arg =
 let serve_cmd =
   let info =
     Cmd.info "serve"
-      ~doc:"Run the resident anonymization daemon: the worker pool, compiled \
-            networks and the persistent simulation cache stay warm across \
+      ~doc:"Run the resident anonymization daemon: the worker pool and \
+            the persistent simulation cache stay warm across \
             requests arriving as JSON lines over a Unix or TCP socket, with \
             a bounded queue, typed overload rejections and graceful \
             drain-on-shutdown"

@@ -200,7 +200,7 @@ let owners_map (net : Routing.Device.network) =
 let reachable_routers ?pool (snap : Routing.Simulate.snapshot) fps =
   if fps = [] then []
   else
-    let ids = Routing.Compiled.routers snap.compiled in
+    let ids = Routing.Device.router_ids snap.net in
     let owners = owners_map snap.net in
     let table =
       walk_table ?pool snap ids

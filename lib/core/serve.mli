@@ -2,8 +2,8 @@
     resident line-delimited JSON protocol.
 
     One process holds everything that is expensive to warm — the
-    {!Netcore.Pool} worker domains, the engine's compiled-network reuse,
-    and the persistent {!Netcore.Diskcache} — and answers requests over
+    {!Netcore.Pool} worker domains and the persistent
+    {!Netcore.Diskcache} — and answers requests over
     a Unix or TCP socket ({!Netcore.Server} supplies the transport,
     bounded queue, admission control and graceful drain). The batch
     driver runs as a client of this daemon ([confmask batch --server]),

@@ -350,15 +350,22 @@ let workflow_check ~seed spec =
         with
         | Error m -> fail "functional equivalence violated: %s" m
         | Ok () -> (
-            (* Determinism: a second run under the same seed must be
-               byte-identical, parallel pool and all. *)
-            match Confmask.Workflow.run ~params configs with
+            (* Determinism: a second run under the same seed, on the same
+               configs listed in a shuffled order, must give every device
+               the same bytes, parallel pool and all. *)
+            let shuffled = Rng.shuffle (Rng.create seed) configs in
+            let texts r =
+              List.sort
+                (fun (a, _) (b, _) -> String.compare a b)
+                (Confmask.Workflow.anon_texts r)
+            in
+            match Confmask.Workflow.run ~params shuffled with
             | Error m -> fail "workflow error on re-run: %s" m
             | Ok r2 ->
-                if
-                  Confmask.Workflow.anon_texts r
-                  <> Confmask.Workflow.anon_texts r2
-                then Fail "output not byte-identical under a fixed seed"
+                if texts r <> texts r2 then
+                  Fail
+                    "output not byte-identical under a fixed seed and a \
+                     shuffled config list"
                 else Pass)
 
 let workflow =
@@ -366,7 +373,7 @@ let workflow =
     name = "workflow";
     doc =
       "k-degree anonymity, functional equivalence on the reference data \
-       plane, seed determinism";
+       plane, determinism under a fixed seed and a shuffled config list";
     check = workflow_check;
   }
 

@@ -17,8 +17,8 @@
       k-degree anonymity of the anonymized topology, functional
       equivalence checked by {!Reference.equivalence} (original
       nodes/links/hosts preserved and identical delivered path sets on
-      the reference data plane), and byte-identical output on a second
-      run under the same seed;
+      the reference data plane), and byte-identical output per device on
+      a second run under the same seed with the config list shuffled;
     - [rename] — metamorphic: permuting router names (same declaration
       order, so the emitter assigns identical addresses) must permute the
       FIBs without changing their structure;

@@ -44,8 +44,9 @@ val min_cost :
 
 val dataplane : Routing.Simulate.snapshot -> Routing.Dataplane.t
 (** One {!Routing.Dataplane.traceroute} per ordered pair of distinct
-    hosts: hashed tables and {!Routing.Fib.lookup}, no classes, no
-    probes. The model of [Routing.Simulate.dataplane]. *)
+    hosts: [List.find_opt] scans and {!Routing.Fib.lookup}, no lookup
+    tables, no classes, no probes. The model of
+    [Routing.Simulate.dataplane]. *)
 
 (** {1 Functional equivalence} *)
 

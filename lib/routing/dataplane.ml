@@ -55,10 +55,12 @@ let host_info (net : Device.network) name =
       }
 
 (* The per-hop lookups a walk runs on. Two implementations with
-   identical first-match semantics: [plain_lookups] hashes the network on
-   the spot and asks FIBs with [Fib.lookup] (single-pair [traceroute]),
-   and [probe_lookups] reuses the tables of a [Compiled.t] and probes
-   precomputed FIB accelerators (extraction). *)
+   identical first-match semantics: [plain_lookups] is their
+   specification — [List.find_opt] scans over the router's interfaces
+   and adjacency row, and [Fib.lookup] (single-pair [traceroute], the
+   naive reference) — and [probe_lookups] reads the network's
+   [Device] tables and probes precomputed FIB accelerators
+   (extraction). *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
@@ -68,30 +70,22 @@ type lookups = {
       (* router -> destination host -> FIB longest-prefix match *)
 }
 
-let add_if_absent tbl key v =
-  if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
-
 let plain_lookups (net : Device.network) fibs =
-  let ifaces = Hashtbl.create 256 in
-  Smap.iter
-    (fun name (r : Device.router) ->
-      List.iter
-        (fun (i : Device.iface) -> add_if_absent ifaces (name, i.ifc_name) i)
-        r.r_ifaces)
-    net.routers;
-  let arrivals = Hashtbl.create 256 in
-  Smap.iter
-    (fun name adjs ->
-      List.iter
-        (fun (a : Device.adj) ->
-          add_if_absent arrivals
-            (name, a.a_out_iface.ifc_name, a.a_to)
-            a.a_in_iface)
-        adjs)
-    net.adjs;
   {
-    lk_iface = (fun r n -> Hashtbl.find_opt ifaces (r, n));
-    lk_arrival = (fun r o nh -> Hashtbl.find_opt arrivals (r, o, nh));
+    lk_iface =
+      (fun r n ->
+        Option.bind (Smap.find_opt r net.routers) (fun (rt : Device.router) ->
+            List.find_opt
+              (fun (i : Device.iface) -> String.equal i.ifc_name n)
+              rt.r_ifaces));
+    lk_arrival =
+      (fun r o nh ->
+        Option.bind (Smap.find_opt r net.adjs) (fun row ->
+            List.find_opt
+              (fun (a : Device.adj) ->
+                String.equal a.a_out_iface.ifc_name o && String.equal a.a_to nh)
+              row)
+        |> Option.map (fun (a : Device.adj) -> a.a_in_iface));
     lk_route =
       (fun r di ->
         match Smap.find_opt r fibs with
@@ -104,10 +98,10 @@ let probe_table fibs =
   Smap.iter (fun name fib -> Hashtbl.replace probes name (Fib.probe fib)) fibs;
   probes
 
-let probe_lookups c probes =
+let probe_lookups net probes =
   {
-    lk_iface = Compiled.find_iface c;
-    lk_arrival = Compiled.arrival_iface c;
+    lk_iface = Device.find_iface net;
+    lk_arrival = Device.arrival_iface net;
     lk_route =
       (fun r di ->
         match Hashtbl.find_opt probes r with
@@ -117,9 +111,8 @@ let probe_lookups c probes =
 
 (* The walk itself, identical on every lookup implementation: a DFS over
    the ECMP branching in next-hop list order, so truncation at
-   [max_paths] cuts the same paths either way. [lk] is lazy so the
-   same-subnet short-circuit never pays for table construction. *)
-let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
+   [max_paths] cuts the same paths either way. *)
+let trace_hosts ?(max_paths = max_paths_default) (lk : lookups)
     ~(si : host_info) ~(di : host_info) =
   let src = si.hi_name and dst = di.hi_name in
   let src_addr = si.hi_host.h_addr and dst_addr = di.hi_host.h_addr in
@@ -133,7 +126,6 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
       truncated = false;
     }
   else begin
-    let lk = Lazy.force lk in
     let dst_attachments = di.hi_datts in
     let dst_routers = di.hi_drouters in
     let delivered = ref [] and dropped = ref [] and filtered = ref [] in
@@ -195,9 +187,8 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups Lazy.t)
   end
 
 let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
-  trace_hosts ?max_paths
-    (lazy (plain_lookups net fibs))
-    ~si:(host_info net src) ~di:(host_info net dst)
+  trace_hosts ?max_paths (plain_lookups net fibs) ~si:(host_info net src)
+    ~di:(host_info net dst)
 
 type t = (string * string, trace) Hashtbl.t
 
@@ -489,13 +480,12 @@ let shortcut_trace src dst =
    The table is populated source-major in host order, the order a plain
    loop over every pair would use, so every [Hashtbl.fold] consumer sees
    a canonical iteration sequence. *)
-let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
-    fibs =
+let extract ?(max_paths = max_paths_default) (net : Device.network) fibs =
   let memo_ok = no_acls net in
   (* One probe accelerator per FIB, shared by classification and every
      walk, with or without packet filters. *)
   let probes = probe_table fibs in
-  let lk = probe_lookups c probes in
+  let lk = probe_lookups net probes in
   let infos = List.map (fun (n, _) -> host_info net n) (Smap.bindings net.hosts) in
   let acls = enumerate_acls net in
   (* Class index per host, in first-seen (canonical host) order. *)
@@ -625,7 +615,7 @@ let extract ?(max_paths = max_paths_default) ~compiled:c (net : Device.network)
                     memo_trace node ~cap:max_paths ~si)
               with
               | Some t -> t
-              | None -> trace_hosts ~max_paths (Lazy.from_val lk) ~si ~di
+              | None -> trace_hosts ~max_paths lk ~si ~di
             in
             (key, t))
           group)

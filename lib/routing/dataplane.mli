@@ -5,7 +5,10 @@
     (ECMP produces a branching DAG), enforcing interface packet filters
     (access groups) at every hop, and reporting delivered paths plus any
     dropped (no route), filtered (ACL deny — a black hole in the Appendix
-    B sense), or looping walks. *)
+    B sense), or looping walks. Walks read the next-hop order of the
+    FIBs and the interface and arrival tables {!Device.compile} builds
+    into the network; {!traceroute} scans the lists those tables are
+    specified by instead, and is the naive reference. *)
 
 module Smap = Device.Smap
 
@@ -31,24 +34,25 @@ val traceroute :
   trace
 (** All forwarding paths from host [src] to host [dst], for packets with
     the hosts' addresses. Raises [Invalid_argument] if either host is
-    unknown. Builds its per-router interface/adjacency index once per
-    call and probes FIBs with {!Fib.lookup}; callers tracing many pairs
-    should use {!extract}, which shares the compiled tables across all
-    pairs and traces one pair per forwarding-equivalence class. *)
+    unknown. The naive form of a walk: each hop scans the router's
+    interfaces and adjacency row with [List.find_opt] and asks its FIB
+    with {!Fib.lookup}, so it does not read the network's lookup tables
+    and can serve as their reference; callers tracing many pairs should
+    use {!extract}, which walks on those tables and traces one pair per
+    forwarding-equivalence class. *)
 
 type t = (string * string, trace) Hashtbl.t
 (** The full data plane, keyed by (source host, destination host). *)
 
-val extract :
-  ?max_paths:int -> compiled:Compiled.t -> Device.network -> Fib.t Smap.t -> t
+val extract : ?max_paths:int -> Device.network -> Fib.t Smap.t -> t
 (** Traces for every ordered pair of distinct hosts, each equal to what
     {!traceroute} returns for that pair. Hosts are grouped into
     forwarding-equivalence classes; one representative pair per ordered
-    class pair is traced on the precompiled interface/arrival tables and
-    one {!Fib.probe} per router (with a per-destination suffix memo when
-    the network has no packet filters) and its trace renamed onto the
-    class's other pairs. [compiled] must be the network's compiled
-    form. {!Simulate.dataplane} memoizes the result per snapshot and
+    class pair is traced on the network's interface/arrival tables
+    ({!Device.find_iface}, {!Device.arrival_iface}) and one {!Fib.probe}
+    per router (with a per-destination suffix memo when the network has
+    no packet filters) and its trace renamed onto the class's other
+    pairs. {!Simulate.dataplane} memoizes the result per snapshot and
     hands the same table to every caller, so consumers of a plane treat
     it as read-only. *)
 

@@ -70,13 +70,22 @@ type adj = {
   a_in_iface : iface;
 }
 
+type tables = {
+  t_ids : Interner.t;
+  t_ifaces : (string * string, iface) Hashtbl.t;
+  t_arrivals : (string * string * string, iface) Hashtbl.t;
+}
+
 type network = {
   routers : router Smap.t;
   hosts : host Smap.t;
   adjs : adj list Smap.t;
   attachments : (string * iface) list Smap.t;
   addr_owner : string Prefix.Map.t;
+  tables : tables;
 }
+
+let c_build = Telemetry.counter "compiled.build"
 
 exception Compile_error of string
 
@@ -190,6 +199,39 @@ let compile_host (c : Ast.config) =
   | [] -> err "host %s has no addressed interface" c.hostname
   | _ -> err "host %s has more than one addressed interface" c.hostname
 
+let compare_adj a b =
+  match String.compare a.a_to b.a_to with
+  | 0 -> String.compare a.a_out_iface.ifc_name b.a_out_iface.ifc_name
+  | c -> c
+
+(* First-wins insertion: the tables answer what a first-match
+   [List.find_opt] scan answers, and [Hashtbl.find] returns the most
+   recently added binding. *)
+let add_if_absent tbl key v =
+  if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
+
+let build_tables routers adjs =
+  Telemetry.incr c_build;
+  let ids = Interner.create ~capacity:(Smap.cardinal routers) () in
+  Smap.iter (fun name _ -> ignore (Interner.intern ids name)) routers;
+  let count f m = Smap.fold (fun _ v n -> n + List.length (f v)) m 0 in
+  let ifaces = Hashtbl.create (count (fun r -> r.r_ifaces) routers) in
+  Smap.iter
+    (fun name r ->
+      List.iter (fun i -> add_if_absent ifaces (name, i.ifc_name) i) r.r_ifaces)
+    routers;
+  let arrivals = Hashtbl.create (count Fun.id adjs) in
+  Smap.iter
+    (fun name row ->
+      List.iter
+        (fun a ->
+          add_if_absent arrivals
+            (name, a.a_out_iface.ifc_name, a.a_to)
+            a.a_in_iface)
+        row)
+    adjs;
+  { t_ids = ids; t_ifaces = ifaces; t_arrivals = arrivals }
+
 let compile configs =
   try
     let seen = Hashtbl.create 16 in
@@ -208,7 +250,7 @@ let compile configs =
     in
     (* Index router interfaces by connected subnet and detect duplicate
        addresses. *)
-    let by_subnet = Hashtbl.create 64 in
+    let by_subnet = ref Prefix.Map.empty in
     let addr_owner = ref Prefix.Map.empty in
     Smap.iter
       (fun name r ->
@@ -221,32 +263,40 @@ let compile configs =
                   (Ipv4.to_string i.ifc_addr) other name
             | None -> ());
             addr_owner := Prefix.Map.add a32 name !addr_owner;
-            let p = ifc_prefix i in
-            let existing = Option.value ~default:[] (Hashtbl.find_opt by_subnet p) in
-            Hashtbl.replace by_subnet p ((name, i) :: existing))
+            by_subnet :=
+              Prefix.Map.update (ifc_prefix i)
+                (fun l -> Some ((name, i) :: Option.value ~default:[] l))
+                !by_subnet)
           r.r_ifaces)
       routers;
-    let adjs = ref Smap.empty in
-    let push_adj a =
-      adjs :=
-        Smap.update a.a_from
-          (function None -> Some [ a ] | Some l -> Some (a :: l))
-          !adjs
-    in
-    Hashtbl.iter
+    let by_subnet = !by_subnet in
+    let rows = Hashtbl.create (Smap.cardinal routers) in
+    Prefix.Map.iter
       (fun _p members ->
         List.iter
           (fun (u, ui) ->
             List.iter
               (fun (v, vi) ->
                 if not (String.equal u v) then
-                  push_adj { a_from = u; a_out_iface = ui; a_to = v; a_in_iface = vi })
+                  Hashtbl.replace rows u
+                    ({ a_from = u; a_out_iface = ui; a_to = v; a_in_iface = vi }
+                    :: Option.value ~default:[] (Hashtbl.find_opt rows u)))
               members)
           members)
       by_subnet;
+    (* Every row in (peer, out-interface name) order, the order
+       [Fib.merge_nexthops] keeps next hops in: an edit that adds
+       unrelated subnets leaves the rows it does not touch as they were.
+       The sort is stable over a fold in ascending-subnet order, so even
+       ties (a peer reached twice out of one interface name) have a fixed
+       order. *)
     let adjs =
-      Smap.fold (fun name _ acc -> if Smap.mem name acc then acc else Smap.add name [] acc)
-        routers !adjs
+      Smap.mapi
+        (fun name _ ->
+          match Hashtbl.find_opt rows name with
+          | None -> []
+          | Some row -> List.stable_sort compare_adj (List.rev row))
+        routers
     in
     (* Attach each host to the routers on its subnet; a configured gateway
        narrows the attachment to the router owning that address. *)
@@ -255,7 +305,7 @@ let compile configs =
         (fun h ->
           let hp = host_prefix h in
           let candidates =
-            Option.value ~default:[] (Hashtbl.find_opt by_subnet hp)
+            Option.value ~default:[] (Prefix.Map.find_opt hp by_subnet)
           in
           let selected =
             match h.h_gateway with
@@ -271,7 +321,15 @@ let compile configs =
           List.sort (fun (a, _) (b, _) -> String.compare a b) selected)
         hosts
     in
-    Ok { routers; hosts; adjs; attachments; addr_owner = !addr_owner }
+    Ok
+      {
+        routers;
+        hosts;
+        adjs;
+        attachments;
+        addr_owner = !addr_owner;
+        tables = build_tables routers adjs;
+      }
   with Compile_error m -> Error m
 
 let compile_exn configs =
@@ -291,15 +349,24 @@ let full_graph net =
       List.fold_left (fun g (rname, _) -> Graph.add_edge hname rname g) g atts)
     net.attachments g
 
+(* The row is sorted by (peer, out-interface name), so the first
+   adjacency of least cost also has the least interface name. *)
 let find_adj net u v =
-  match Smap.find_opt u net.adjs with
-  | None -> None
-  | Some adjs ->
-      List.filter (fun a -> String.equal a.a_to v) adjs
-      |> List.sort (fun a b -> Int.compare a.a_out_iface.ifc_cost b.a_out_iface.ifc_cost)
-      |> function
-      | [] -> None
-      | a :: _ -> Some a
+  List.fold_left
+    (fun best a ->
+      if not (String.equal a.a_to v) then best
+      else
+        match best with
+        | Some b when b.a_out_iface.ifc_cost <= a.a_out_iface.ifc_cost -> best
+        | _ -> Some a)
+    None
+    (Option.value ~default:[] (Smap.find_opt u net.adjs))
+
+let router_ids net = net.tables.t_ids
+let find_iface net router name = Hashtbl.find_opt net.tables.t_ifaces (router, name)
+
+let arrival_iface net router out_name nh =
+  Hashtbl.find_opt net.tables.t_arrivals (router, out_name, nh)
 
 let owner_of_addr net addr =
   Prefix.Map.find_opt (Prefix.v addr 32) net.addr_owner

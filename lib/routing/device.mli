@@ -3,8 +3,12 @@
     [compile] turns a set of parsed CiscoLite configurations into the
     semantic model the protocol engines run on: routers with resolved
     protocol processes and filters, hosts, the derived layer-3 adjacency
-    (interfaces sharing a subnet), and host attachment points. This is the
-    Batfish-equivalent "vendor-independent model" of the reproduction. *)
+    (interfaces sharing a subnet), host attachment points, and the lookup
+    tables the hot kernels read (dense router ids, per-interface and
+    per-arrival tables). This is the Batfish-equivalent
+    "vendor-independent model" of the reproduction, and [compile] is its
+    only compiler: every order and first-match rule of the model is
+    fixed here. *)
 
 open Netcore
 
@@ -82,20 +86,30 @@ type adj = {
 
 module Smap : Map.S with type key = string
 
+type tables
+(** The lookup tables of a network, read through {!router_ids},
+    {!find_iface} and {!arrival_iface}. *)
+
 type network = {
   routers : router Smap.t;
   hosts : host Smap.t;
-  adjs : adj list Smap.t;  (** outgoing adjacencies per router *)
+  adjs : adj list Smap.t;
+      (** outgoing adjacencies per router (every router has a row),
+          sorted by (peer, out-interface name) — the next-hop order of
+          {!Fib.merge_nexthops} *)
   attachments : (string * iface) list Smap.t;
       (** host name -> (gateway router, router-side interface) *)
   addr_owner : string Prefix.Map.t;
       (** /32 of every router interface address -> router name *)
+  tables : tables;  (** built from [routers] and [adjs] by {!compile} *)
 }
 
 val compile : Configlang.Ast.config list -> (network, string) result
 (** Validates and links the configurations. Errors include duplicate
     hostnames, hosts without an addressed interface, references to
-    undefined prefix lists, and duplicate interface addresses. *)
+    undefined prefix lists, and duplicate interface addresses. A
+    successful result does not depend on the order of the list. Ticks the
+    [compiled.build] telemetry counter. *)
 
 val compile_exn : Configlang.Ast.config list -> network
 
@@ -107,8 +121,22 @@ val full_graph : network -> Graph.t
 (** Routers and hosts. *)
 
 val find_adj : network -> string -> string -> adj option
-(** [find_adj net u v] is the (lowest-cost) directed adjacency from router
-    [u] to router [v], if they share a subnet. *)
+(** [find_adj net u v] is the directed adjacency from router [u] to
+    router [v] of lowest cost, then of lowest out-interface name, if
+    they share a subnet. *)
+
+val router_ids : network -> Interner.t
+(** Router names interned in ascending (= [Smap] key) order. *)
+
+val find_iface : network -> string -> string -> iface option
+(** [find_iface net router name]: the first interface of [router] named
+    [name], as [List.find_opt] over [r_ifaces] returns it. *)
+
+val arrival_iface : network -> string -> string -> string -> iface option
+(** [arrival_iface net router out_name nh]: the interface a packet
+    enters [nh] on when [router] forwards it out of [out_name] — the
+    [a_in_iface] of the first adjacency of [router]'s row with that out
+    interface and peer. *)
 
 val owner_of_addr : network -> Ipv4.t -> string option
 (** The router owning an interface address. *)

@@ -73,7 +73,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-4/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-5/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -135,7 +135,6 @@ type t = {
   cache : Diskcache.t option;
   configs : Ast.config list;
   net : Device.network;
-  compiled : Compiled.t;  (* reused across topology-preserving edits *)
   fps : string Smap.t;  (* full fingerprint per router *)
   doms : dom_cache Dmap.t;
   (* Per-router non-BGP candidates, split (connected @ static, IGP). The
@@ -152,10 +151,9 @@ type t = {
   delta : string list option;
 }
 
-let snapshot t = Simulate.make_snapshot ~net:t.net ~fibs:t.fibs ~compiled:t.compiled
+let snapshot t = Simulate.make_snapshot ~net:t.net ~fibs:t.fibs
 let configs t = t.configs
 let network t = t.net
-let compiled t = t.compiled
 let fibs t = t.fibs
 let cache t = t.cache
 let pool t = t.pool
@@ -369,19 +367,12 @@ let build ?pool ?cache ?prev configs =
   let compiled_net =
     Telemetry.with_span "engine.compile" @@ fun () ->
     Result.map
-      (fun (net : Device.network) ->
-        (* The compiled form depends on interface-level topology only, so
-           the filter edits the fixpoints issue reuse it wholesale; it is
-           never persisted (cheap to rebuild, and full of closures-free
-           but large hash tables the structural caches don't need). *)
-        ( net,
-          Compiled.get ?prev:(Option.map (fun p -> p.compiled) prev) net,
-          Smap.map full_fp net.routers ))
+      (fun (net : Device.network) -> (net, Smap.map full_fp net.routers))
       (Device.compile configs)
   in
   match compiled_net with
   | Error m -> Error m
-  | Ok (net, compiled, fps) ->
+  | Ok (net, fps) ->
       let restored =
         (* Whole-state restore is only sound (and only worth storing) for
            from-scratch builds: with a [prev] the in-memory deltas are
@@ -399,7 +390,6 @@ let build ?pool ?cache ?prev configs =
               cache;
               configs;
               net;
-              compiled;
               fps;
               doms = ps.ps_doms;
               cands = ps.ps_cands;
@@ -587,7 +577,6 @@ let build ?pool ?cache ?prev configs =
           cache;
           configs;
           net;
-          compiled;
           fps;
           doms;
           cands;
@@ -606,15 +595,6 @@ let of_configs ?pool ?cache configs = build ?pool ?cache configs
 let selfcheck = Atomic.make false
 let set_selfcheck b = Atomic.set selfcheck b
 
-(* Compare semantically, not structurally: an incrementally patched route
-   selection may list equal routes in a different order than the scratch
-   path, and merged next-hop sets can arrive in different orders. *)
-let canon_fib fib =
-  List.map
-    (fun (r : Fib.route) ->
-      (r.rt_prefix, r.rt_proto, r.rt_metric, Fib.nexthop_names r))
-    (Fib.routes fib)
-
 let selfcheck_divergence t =
   match Simulate.run ?pool:t.pool t.configs with
   | Error m -> Some (Printf.sprintf "reference simulation failed: %s" m)
@@ -623,7 +603,7 @@ let selfcheck_divergence t =
         Smap.merge
           (fun name inc ref_ ->
             match (inc, ref_) with
-            | Some a, Some b when canon_fib a = canon_fib b -> None
+            | Some a, Some b when a = b -> None
             | None, None -> None
             | _ -> Some name)
           t.fibs reference.fibs

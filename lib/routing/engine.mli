@@ -17,11 +17,16 @@
     - an edit that keeps every adjacency (stub attachments) or only adds
       some (fake links) extends the SPF state: distance fields no added edge can shorten
       are kept, the rest are recomputed ({!Ospf.prepare_update}), and
-      only routers whose adjacency row changed redo their whole
-      selection;
+      only routers whose adjacency row gained an adjacency redo their
+      whole selection;
     - RIP/EIGRP propagate filters, so a DV-relevant change at any member
       recomputes that domain's DV routes;
     - BGP is a global fixpoint and is redone whenever anything changed.
+
+    Every build, edits included, compiles its configs afresh with
+    {!Device.compile}; the network it holds carries its own lookup
+    tables, so no compiled form is cached beside it that an edit could
+    leave stale.
 
     Results are bit-identical to [Simulate.run] on the same configs: the
     property tests in [test/test_routing.ml] compare FIBs structurally
@@ -50,8 +55,9 @@
     [engine.final_fibs]). With the self-check
     on ({!set_selfcheck}, the CLI's [--selfcheck]), every {!apply_edit}
     additionally shadows the incremental result with a from-scratch
-    [Simulate.run] and raises [Failure] naming the divergent routers if
-    the FIBs differ semantically. *)
+    [Simulate.run] and raises [Failure] naming the routers whose FIBs
+    are not structurally equal — the check the property tests make,
+    sound because both paths build FIBs in one canonical form. *)
 
 module Smap = Device.Smap
 
@@ -105,12 +111,6 @@ val snapshot : t -> Simulate.snapshot
 val configs : t -> Configlang.Ast.config list
 
 val network : t -> Device.network
-
-val compiled : t -> Compiled.t
-(** The network's compiled form (interned ids, CSR adjacency, interface
-    tables). Cached alongside the fingerprints: {!apply_edit} reuses it
-    whenever the edit preserves interface-level topology — observable as
-    [compiled.reuse] vs [compiled.build] telemetry. *)
 
 val fibs : t -> Fib.t Smap.t
 

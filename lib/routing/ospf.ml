@@ -58,7 +58,7 @@ let scoped_csr ~rev it adjs =
           acc outs)
       adjs []
   in
-  Compiled.Csr.of_edges ~n:(Interner.length it) edges
+  Csr.of_edges ~n:(Interner.length it) edges
 
 (* Multi-source distances as a canonical [Smap]. A seed outside the
    scoped graph has no incident edges, so its distance is its least seed
@@ -72,7 +72,7 @@ let distances_csr it csr seeds =
         | None -> Either.Right (r, c))
       seeds
   in
-  let dist = Compiled.Csr.dijkstra csr ~seeds:ids in
+  let dist = Csr.dijkstra csr ~seeds:ids in
   let out = ref Smap.empty in
   for i = 0 to Interner.length it - 1 do
     if dist.(i) < max_int then out := Smap.add (Interner.name it i) dist.(i) !out
@@ -133,7 +133,7 @@ let dist_arrays ?pool it rcsr bindings =
       (Pool.chunked_map ?pool
          (fun v ->
            Telemetry.incr c_dijkstras;
-           (v, Compiled.Csr.dijkstra rcsr ~seeds:[ (v, 0) ]))
+           (v, Csr.dijkstra rcsr ~seeds:[ (v, 0) ]))
          seed_ids);
     Telemetry.add c_sssp_saved
       (max 0 (List.length bindings - List.length seed_ids));
@@ -165,7 +165,7 @@ let dist_arrays ?pool it rcsr bindings =
             (fun (r, c) -> Option.map (fun v -> (v, c)) (Interner.find it r))
             seeds
         in
-        (p, (seeds, Compiled.Csr.dijkstra rcsr ~seeds:ids)))
+        (p, (seeds, Csr.dijkstra rcsr ~seeds:ids)))
       bindings
 
 (* The per-prefix distance bindings of a scope, in [bindings] order. The
@@ -224,25 +224,27 @@ let prepare ?(scope = all) ?pool (net : Device.network) =
     st_dists = dists_of_list (scope_dists ?pool it adjs (Prefix.Map.bindings prefixes));
   }
 
-(* What SPF and route selection read of one adjacency. *)
-let adj_key (a : Device.adj) = (a.a_out_iface.ifc_name, a.a_to, a.a_out_iface.ifc_cost)
+(* What SPF and route selection read of one adjacency, in the order
+   [Device.compile] sorts rows by (peer, then out-interface name). *)
+let adj_key (a : Device.adj) = (a.a_to, a.a_out_iface.ifc_name, a.a_out_iface.ifc_cost)
 
 (* The adjacencies [new_row] adds to [old_row], or None when [old_row]
-   has one that [new_row] lacks (a removed or re-costed link). Rows are
-   compared as multisets of [adj_key]s. *)
+   has one that [new_row] lacks (a removed or re-costed link). One
+   linear merge over the rows as they are: an old adjacency only ever
+   matches an equal new one, so a [Some] answer is always right, and on
+   rows in key order it is also found whenever it exists. *)
 let added_adjs old_row new_row =
-  let sorted row = List.sort compare (List.map adj_key row) in
   let rec diff acc o n =
     match (o, n) with
-    | [], rest -> Some (List.rev_append acc rest)
+    | [], rest -> Some (List.rev_append acc (List.map adj_key rest))
     | _ :: _, [] -> None
     | x :: o', y :: n' ->
-        let c = compare x y in
+        let c = compare (adj_key x) (adj_key y) in
         if c = 0 then diff acc o' n'
-        else if c > 0 then diff (y :: acc) o n'
+        else if c > 0 then diff (adj_key y :: acc) o n'
         else None
   in
-  diff [] (sorted old_row) (sorted new_row)
+  diff [] old_row new_row
 
 (* Refresh a state after an edit that kept the scoped router set and
    every existing adjacency (stub attachments), and possibly added some
@@ -254,10 +256,9 @@ let added_adjs old_row new_row =
    cost rule makes fake links pass it, but nothing here relies on that.
    Every other prefix gets a fresh Dijkstra on the new graph. Returns the
    new state, the prefixes whose distances changed (including removed
-   ones) and the routers whose adjacency row changed — a row that only
-   lists its adjacencies in a new order counts, because row order is
-   next-hop order — or None when an adjacency was removed or re-costed
-   or the router set moved and a full [prepare] is required. *)
+   ones) and the routers whose adjacency row gained an adjacency, or
+   None when an adjacency was removed or re-costed or the router set
+   moved and a full [prepare] is required. *)
 let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
   Telemetry.with_span "ospf.prepare_update" @@ fun () ->
   let adjs = ospf_adjs ~scope net in
@@ -269,16 +270,13 @@ let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
           match acc with
           | None -> None
           | Some (routers, edges) -> (
-              let old_row = Smap.find r prev.st_adjs in
-              if List.equal (fun a b -> adj_key a = adj_key b) old_row new_row
-              then acc
-              else
-                match added_adjs old_row new_row with
-                | None -> None
-                | Some added ->
-                    Some
-                      ( r :: routers,
-                        List.map (fun (_, v, c) -> (r, v, c)) added @ edges )))
+              match added_adjs (Smap.find r prev.st_adjs) new_row with
+              | None -> None
+              | Some [] -> acc
+              | Some added ->
+                  Some
+                    ( r :: routers,
+                      List.map (fun (v, _, c) -> (r, v, c)) added @ edges )))
         adjs
         (Some ([], []))
   in
@@ -640,7 +638,7 @@ let compute ?(scope = all) ?pool (net : Device.network) =
 (* One scope's forward-distance machinery, prepared once and reused
    across sources: the interner and forward CSR, whose construction
    dominates a single-source query on large networks. *)
-type cost_state = { cs_names : Interner.t; cs_csr : Compiled.Csr.t }
+type cost_state = { cs_names : Interner.t; cs_csr : Csr.t }
 
 let min_cost_state ?(scope = all) (net : Device.network) =
   let adjs = ospf_adjs ~scope net in

@@ -48,10 +48,9 @@ val prepare_update :
     run time); every other prefix gets a fresh Dijkstra on the new
     graph. Returns the new state, the prefixes whose distances changed
     (including ones no longer advertised) and the routers whose
-    adjacency row changed (it gained an adjacency, or lists its
-    adjacencies in a new order, which orders next hops), or [None] when
-    the router set changed or an adjacency was removed or re-costed and a
-    full {!prepare} is needed. *)
+    adjacency row gained an adjacency, or [None] when the router set
+    changed or an adjacency was removed or re-costed and a full
+    {!prepare} is needed. *)
 
 val rescope : ?scope:(string -> bool) -> Device.network -> state -> state
 (** [rescope net st] replaces [st]'s embedded adjacencies with the ones

@@ -7,14 +7,12 @@ type plane = Dataplane.t option Atomic.t
 type snapshot = {
   net : Device.network;
   fibs : Fib.t Smap.t;
-  compiled : Compiled.t;
   plane : plane;
 }
 
 (* Every snapshot starts with an empty plane cell, so a snapshot built
    from other FIBs can never inherit an extraction of different ones. *)
-let make_snapshot ~net ~fibs ~compiled =
-  { net; fibs; compiled; plane = Atomic.make None }
+let make_snapshot ~net ~fibs = { net; fibs; plane = Atomic.make None }
 
 (* A static route is usable when its next hop lies on one of the router's
    connected subnets; the adjacency identifies the neighbor device. *)
@@ -183,8 +181,7 @@ let run_net ?pool (net : Device.network) =
 let run ?pool configs =
   match Device.compile configs with
   | Error _ as e -> e
-  | Ok net ->
-      Ok (make_snapshot ~net ~fibs:(run_net ?pool net) ~compiled:(Compiled.build net))
+  | Ok net -> Ok (make_snapshot ~net ~fibs:(run_net ?pool net))
 
 let run_exn ?pool configs =
   match run ?pool configs with Ok s -> s | Error m -> failwith m
@@ -193,7 +190,7 @@ let run_exn ?pool configs =
    two domains force it at once: racing extractions both finish, the
    first to publish wins, and every caller returns the published table. *)
 let dataplane ?max_paths s =
-  let extract () = Dataplane.extract ?max_paths ~compiled:s.compiled s.net s.fibs in
+  let extract () = Dataplane.extract ?max_paths s.net s.fibs in
   if Option.is_some max_paths then extract ()
   else
     match Atomic.get s.plane with

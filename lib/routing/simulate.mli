@@ -3,7 +3,10 @@
     Compiles configurations, runs the protocol engines — one IGP domain
     per AS when BGP is present, a single domain otherwise — merges
     candidate routes into per-router FIBs by administrative distance, and
-    exposes the data plane.
+    exposes the data plane. Compilation is {!Device.compile}'s alone:
+    the network a snapshot holds carries the lookup tables its data
+    plane is walked on, so a snapshot is a network, its FIBs and the
+    memo of their data plane.
 
     This is the from-scratch reference path; [Routing.Engine] layers
     incremental recomputation on top of the same building blocks and is
@@ -19,16 +22,13 @@ type plane
 type snapshot = private {
   net : Device.network;
   fibs : Fib.t Smap.t;
-  compiled : Compiled.t;
-      (** the network's compiled form, shared with data-plane extraction *)
   plane : plane;
 }
 (** Private so that every snapshot comes from {!make_snapshot} with an
-    empty plane cell: no copy with other FIBs can carry a stale plane. *)
+    empty plane cell: no copy with other FIBs can carry a stale plane.
+    The lookup tables extraction walks on are part of [net]. *)
 
-val make_snapshot :
-  net:Device.network -> fibs:Fib.t Smap.t -> compiled:Compiled.t -> snapshot
-(** [compiled] must be [net]'s compiled form. *)
+val make_snapshot : net:Device.network -> fibs:Fib.t Smap.t -> snapshot
 
 val run :
   ?pool:Netcore.Pool.t ->

@@ -1011,8 +1011,8 @@ let prop_csr_dijkstra_equiv =
       let id i = Netcore.Interner.intern it (name i) in
       let iedges = List.map (fun ((u, v), c) -> (id u, id v, c)) edges in
       let iseeds = List.map (fun (s, c) -> (id s, c)) seeds in
-      let csr = Compiled.Csr.of_edges ~n:(Netcore.Interner.length it) iedges in
-      let dist = Compiled.Csr.dijkstra csr ~seeds:iseeds in
+      let csr = Csr.of_edges ~n:(Netcore.Interner.length it) iedges in
+      let dist = Csr.dijkstra csr ~seeds:iseeds in
       let from_array = ref Device.Smap.empty in
       Netcore.Interner.iter it (fun i n ->
           if dist.(i) < max_int then
@@ -1679,6 +1679,82 @@ let test_engine_restored_state_extends () =
   in
   extend_restored ~populate:filtered "SPF entry" "engine.spf_disk"
 
+(* Stub subnets on one router add no adjacency, so every router's row
+   stays what it was and the engine keeps the whole SPF state. Row order
+   must not follow hash order over the subnet table, which 100 more
+   subnets resize: a reordered row makes its router redo its selection. *)
+let test_engine_stub_subnets_keep_rows () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "D") in
+  let eng0 = Engine.of_configs_exn configs in
+  let alloc =
+    Netcore.Prefix.alloc_create ~avoid:(Confmask.Edits.used_prefixes configs) ()
+  in
+  let add_stub c =
+    let p = Netcore.Prefix.alloc_fresh alloc ~len:24 in
+    Confmask.Edits.add_interface c ~name:(Confmask.Edits.fresh_iface_name c)
+      ~addr:(Netcore.Prefix.host p 1) ~plen:24 ()
+  in
+  let configs' =
+    Confmask.Edits.update configs "bics-r00" (fun c ->
+        List.fold_left (fun c _ -> add_stub c) c (List.init 100 Fun.id))
+  in
+  let eng1, deltas =
+    counter_deltas
+      [ "engine.spf_reuse"; "engine.spf_extend"; "engine.spf_full" ]
+      (fun () -> Engine.apply_edit_exn eng0 configs')
+  in
+  let rows eng = (Engine.network eng).adjs in
+  let moved =
+    Device.Smap.merge
+      (fun _ a b -> if a = b then None else Some ())
+      (rows eng0) (rows eng1)
+  in
+  check Alcotest.(list string) "no router's adjacency row changed" []
+    (List.map fst (Device.Smap.bindings moved));
+  (match deltas with
+  | [ reuse; extend; full ] ->
+      check Alcotest.bool "the SPF state is reused" true (reuse > 0);
+      check Alcotest.(pair int int) "neither extended nor rebuilt" (0, 0)
+        (extend, full)
+  | _ -> assert false);
+  check Alcotest.bool "FIBs equal Simulate.run" true
+    (Device.Smap.equal ( = ) (Engine.fibs eng1) (Simulate.run_exn configs').fibs)
+
+(* [Device.compile] fixes every order of the model itself: rows are in
+   (peer, out-interface name) order, and a shuffled config list gives
+   the same rows, attachments, table answers and FIBs. *)
+let prop_compile_order_free =
+  QCheck2.Test.make ~name:"compile: config list order changes nothing" ~count:50
+    QCheck2.Gen.(pair (int_bound 100_000) (int_bound 100_000))
+    (fun (seed, shuffle_seed) ->
+      let configs = Netgen.Emit.emit (Crucible.Gen.spec ~seed ()) in
+      let shuffled = Netcore.Rng.shuffle (Netcore.Rng.create shuffle_seed) configs in
+      let a = Device.compile_exn configs and b = Device.compile_exn shuffled in
+      let same_tables =
+        Device.Smap.for_all
+          (fun name (r : Device.router) ->
+            List.for_all
+              (fun (i : Device.iface) ->
+                Device.find_iface a name i.ifc_name = Device.find_iface b name i.ifc_name)
+              r.r_ifaces
+            && List.for_all
+                 (fun (adj : Device.adj) ->
+                   let o = adj.a_out_iface.ifc_name in
+                   Device.arrival_iface a name o adj.a_to
+                   = Device.arrival_iface b name o adj.a_to)
+                 (Device.Smap.find name a.adjs))
+          a.routers
+      in
+      let key (adj : Device.adj) = (adj.a_to, adj.a_out_iface.ifc_name) in
+      Device.Smap.for_all
+        (fun _ row -> List.map key row = List.sort compare (List.map key row))
+        a.adjs
+      && Device.Smap.equal ( = ) a.adjs b.adjs
+      && Device.Smap.equal ( = ) a.attachments b.attachments
+      && same_tables
+      && Device.Smap.equal ( = ) (Simulate.run_exn configs).fibs
+           (Simulate.run_exn shuffled).fibs)
+
 (* ---------------- per-snapshot data-plane memo ---------------- *)
 
 let fec_classes = Netcore.Telemetry.counter "fec.classes"
@@ -1870,10 +1946,16 @@ let () =
               `Quick test_engine_spf_fallbacks;
             Alcotest.test_case "restored state extends like the cold build" `Quick
               test_engine_restored_state_extends;
+            Alcotest.test_case "stub subnets keep every adjacency row" `Quick
+              test_engine_stub_subnets_keep_rows;
           ] );
       ("memo", memo_suite);
       ( "properties",
         qsuite
         @ List.map QCheck_alcotest.to_alcotest
-            [ prop_engine_disk_cache; prop_engine_extends_min_cost_links ] );
+            [
+              prop_engine_disk_cache;
+              prop_engine_extends_min_cost_links;
+              prop_compile_order_free;
+            ] );
     ]
