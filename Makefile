@@ -36,7 +36,9 @@ help-smoke:
 # reuse in its telemetry (pool counters are 0 on single-core runners,
 # so the grep checks engine counters only). The spf_extend grep
 # proves Algorithm 1 starts from the baseline engine: the fake links
-# extend its SPF state instead of a second full SPF. A second run, on
+# extend its SPF state instead of a second full SPF, and the fib_patch
+# grep that at least one base FIB was patched rather than rebuilt, which
+# --selfcheck then shadows with a from-scratch simulation. A second run, on
 # net G (FatTree04: several hosts per edge router), must show the fast
 # paths live on the CLI path: delta-driven equivalence scans, cached
 # reachability walks and a nonzero FEC collapse. FatTree04 is already
@@ -51,6 +53,7 @@ bench-smoke:
 	grep -Eq '"engine\.spf_reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
 	grep -Eq '"engine\.fib_reuse": *[1-9]' /tmp/confmask-smoke/metrics.json
 	grep -Eq '"engine\.spf_extend": *[1-9]' /tmp/confmask-smoke/metrics.json
+	grep -Eq '"engine\.fib_patch": *[1-9]' /tmp/confmask-smoke/metrics.json
 	dune exec bin/confmask_cli.exe -- generate --net G --out /tmp/confmask-smoke/g
 	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/g \
 	  --out /tmp/confmask-smoke/g-anon --metrics-out /tmp/confmask-smoke/g-metrics.json

@@ -129,6 +129,12 @@ let num n = Json.Num (float_of_int n)
    0.667. Every field but [seconds] and [telemetry] is deterministic
    given the seeded workflow: a re-executed cell reproduces them. *)
 let ok_record ~id ~seconds ~digest ~deltas (r : Workflow.report) =
+  (* The verification record and the audit extract and memoize both full
+     planes, so the equivalence check after them reads the anonymized
+     plane from the memo instead of tracing its real-host pairs again. *)
+  let verification = Verify.record (Verify.of_report r) in
+  let redteam = Audit.record (Audit.of_report r) in
+  let equivalent = Workflow.functional_equivalence r in
   Json.round3
     (Json.Obj
        [
@@ -141,13 +147,13 @@ let ok_record ~id ~seconds ~digest ~deltas (r : Workflow.report) =
          ("equiv_iterations", num r.equiv_iterations);
          ("filters_added", num (r.equiv_filters + r.anon_filters_added));
          ("filters_removed", num r.anon_filters_removed);
-         ("functional_equivalence", Json.Bool (Workflow.functional_equivalence r));
+         ("functional_equivalence", Json.Bool equivalent);
          (* How much of the original network's mined specification
             transfers to this cell's anonymized output. *)
-         ("verification", Verify.record (Verify.of_report r));
+         ("verification", verification);
          (* The measured security budget of this cell: what each
             de-anonymization attack recovered. *)
-         ("redteam", Audit.record (Audit.of_report r));
+         ("redteam", redteam);
          ("digest", Json.Str digest);
          ("telemetry", Json.Obj (List.map (fun (n, v) -> (n, num v)) deltas));
        ])

@@ -8,15 +8,6 @@ type outcome = {
   engine : Routing.Engine.t;
 }
 
-module Key = struct
-  type t = string * Prefix.t
-
-  let compare (r1, p1) (r2, p2) =
-    match String.compare r1 r2 with 0 -> Prefix.compare p1 p2 | c -> c
-end
-
-module Kmap = Map.Make (Key)
-
 module Pset = Set.Make (struct
   type t = string * string
 
@@ -27,37 +18,54 @@ let c_iterations = Telemetry.counter "equiv.iterations"
 let c_filters = Telemetry.counter "equiv.filters_added"
 let c_delta = Telemetry.counter "equiv.delta_routers"
 
-let nexthop_map snap =
-  List.fold_left
-    (fun acc (r, hp, nxts) -> Kmap.add (r, hp) nxts acc)
-    Kmap.empty
-    (Routing.Simulate.host_routes snap)
+(* One router's next hops toward the host prefixes [hps], in [hps]
+   order: the [(host prefix, sorted next-hop routers)] entries of the
+   [⟨r, h_d, nxt⟩ ∈ DP] triples Algorithm 1 iterates, for routes that
+   have next hops. *)
+let router_row hps fib =
+  List.filter_map
+    (fun (hp, _) ->
+      match Routing.Fib.find fib hp with
+      | Some (route : Routing.Fib.route) when route.rt_nexthops <> [] ->
+          Some (hp, Routing.Fib.nexthop_names route)
+      | Some _ | None -> None)
+    hps
 
-let restrict_to host_prefixes m =
-  let s = Prefix.Set.of_list host_prefixes in
-  Kmap.filter (fun (_, p) _ -> Prefix.Set.mem p s) m
+let snapshot_rows (snap : Routing.Simulate.snapshot) =
+  let hps = Routing.Simulate.host_prefixes snap.net in
+  Smap.map (router_row hps) snap.fibs
+
+(* The rows compared with the original's: entries toward the original's
+   host prefixes, once per prefix (hosts sharing a subnet repeat it in
+   [host_prefixes] order, adjacent). *)
+let restrict orig_prefixes row =
+  let rec go = function
+    | (hp, _) :: ((hp', _) :: _ as tl) when Prefix.equal hp hp' -> go tl
+    | ((hp, _) as e) :: tl ->
+        if Prefix.Set.mem hp orig_prefixes then e :: go tl else go tl
+    | [] -> []
+  in
+  go row
+
+(* [agrees orig anon]: every router's row, restricted to the original's
+   host prefixes, equals its original row, a router missing on either
+   side counting as [[]]. [orig] is already restricted. *)
+let agrees orig_prefixes orig anon =
+  let row m r = Option.value ~default:[] (Smap.find_opt r m) in
+  Smap.for_all (fun r a -> restrict orig_prefixes a = row orig r) anon
+  && Smap.for_all (fun r o -> o = [] || Smap.mem r anon) orig
+
+(* [row] without its entries below [hp]: rows are in host-prefix order. *)
+let rec drop_below hp = function
+  | (p, _) :: tl when Prefix.compare p hp < 0 -> drop_below hp tl
+  | row -> row
+
+let original_prefixes (orig : Routing.Simulate.snapshot) =
+  Prefix.Set.of_list (List.map fst (Routing.Simulate.host_prefixes orig.net))
 
 let fib_equal_on_hosts ~orig snap =
-  let hps = List.map fst (Routing.Simulate.host_prefixes orig.Routing.Simulate.net) in
-  let a = restrict_to hps (nexthop_map orig) in
-  let b = restrict_to hps (nexthop_map snap) in
-  Kmap.equal (List.equal String.equal) a b
-
-(* One router's rows of the [host_routes] relation, in host-prefix order —
-   exactly the rows [Routing.Simulate.host_routes] would sort together
-   under this router's name, so concatenating per-router results in name
-   order reproduces the full sorted relation. *)
-let router_row hps fibs r =
-  match Smap.find_opt r fibs with
-  | None -> []
-  | Some fib ->
-      List.filter_map
-        (fun (hp, _) ->
-          match Routing.Fib.find fib hp with
-          | Some (route : Routing.Fib.route) when route.rt_nexthops <> [] ->
-              Some (hp, Routing.Fib.nexthop_names route)
-          | Some _ | None -> None)
-        hps
+  let ps = original_prefixes orig in
+  agrees ps (Smap.map (restrict ps) (snapshot_rows orig)) (snapshot_rows snap)
 
 let fix ?engine ?cache ~orig ~fake_edges configs =
   Telemetry.with_span "equiv.fix" @@ fun () ->
@@ -72,10 +80,7 @@ let fix ?engine ?cache ~orig ~fake_edges configs =
   let fake u v =
     Pset.mem (if String.compare u v <= 0 then (u, v) else (v, u)) fake_set
   in
-  let orig_nexthops = nexthop_map orig in
-  let orig_set r hp =
-    Option.value ~default:[] (Kmap.find_opt (r, hp) orig_nexthops)
-  in
+  let orig_rows = snapshot_rows orig in
   let initial =
     match engine with
     | Some e -> Routing.Engine.apply_edit e configs
@@ -93,10 +98,20 @@ let fix ?engine ?cache ~orig ~fake_edges configs =
     let pool = Routing.Engine.pool eng0 in
     let snap0 = Routing.Engine.snapshot eng0 in
     let hps = Routing.Simulate.host_prefixes snap0.net in
+    (* Both rows are in host-prefix order, so a prefix's original next
+       hops are found by walking the router's original row alongside. *)
     let wrong_of r row =
+      let orig_row =
+        ref (Option.value ~default:[] (Smap.find_opt r orig_rows))
+      in
       List.concat_map
         (fun (hp, nxts) ->
-          let ok = orig_set r hp in
+          orig_row := drop_below hp !orig_row;
+          let ok =
+            match !orig_row with
+            | (p, ok) :: _ when Prefix.equal p hp -> ok
+            | _ -> []
+          in
           List.filter_map
             (fun nxt ->
               if (not (List.mem nxt ok)) && fake r nxt then Some (r, hp, nxt)
@@ -109,46 +124,31 @@ let fix ?engine ?cache ~orig ~fake_edges configs =
       Telemetry.add c_delta (List.length names);
       Pool.chunked_map ?pool
         (fun r ->
-          let row = router_row hps fibs r in
+          let row =
+            match Smap.find_opt r fibs with
+            | Some fib -> router_row hps fib
+            | None -> []
+          in
           (r, row, wrong_of r row))
         names
     in
-    (* [rows]/[wrongs]/[anon] are threaded incrementally: a rescanned
-       router's old row keys leave the anon-side next-hop map and its new
-       row's enter it, so convergence never reassembles the full
-       relation. *)
-    let merge (rows, wrongs, anon) scanned =
+    let merge (rows, wrongs) scanned =
       List.fold_left
-        (fun (rows, wrongs, anon) (r, row, w) ->
-          let anon =
-            match Smap.find_opt r rows with
-            | None -> anon
-            | Some old ->
-                List.fold_left (fun m (hp, _) -> Kmap.remove (r, hp) m) anon old
-          in
-          let anon =
-            List.fold_left (fun m (hp, nxts) -> Kmap.add (r, hp) nxts m) anon row
-          in
-          (Smap.add r row rows, Smap.add r w wrongs, anon))
-        (rows, wrongs, anon) scanned
+        (fun (rows, wrongs) (r, row, w) -> (Smap.add r row rows, Smap.add r w wrongs))
+        (rows, wrongs) scanned
     in
     let all_names fibs = List.map fst (Smap.bindings fibs) in
-    (* The convergence predicate of [fib_equal_on_hosts], with the orig
-       side reused from the map built once above and the anon side the
-       incrementally maintained map. *)
-    let converged anon =
-      let hps_orig =
-        List.map fst (Routing.Simulate.host_prefixes orig.Routing.Simulate.net)
-      in
-      Kmap.equal (List.equal String.equal)
-        (restrict_to hps_orig orig_nexthops)
-        (restrict_to hps_orig anon)
+    (* The predicate of [fib_equal_on_hosts], on the maintained rows. *)
+    let converged =
+      let ps = original_prefixes orig in
+      let orig_restricted = Smap.map (restrict ps) orig_rows in
+      fun rows -> agrees ps orig_restricted rows
     in
-    let rec loop eng configs rows wrongs anon iter filters =
+    let rec loop eng configs rows wrongs iter filters =
       Telemetry.incr c_iterations;
       let wrong = List.concat_map snd (Smap.bindings wrongs) in
       if wrong = [] then
-        if converged anon then
+        if converged rows then
           Ok { configs; iterations = iter; filters_added = filters; engine = eng }
         else
           Error
@@ -175,18 +175,13 @@ let fix ?engine ?cache ~orig ~fake_edges configs =
               | Some d -> d
               | None -> all_names fibs
             in
-            let rows, wrongs, anon =
-              merge (rows, wrongs, anon) (scan fibs names)
-            in
-            loop eng configs rows wrongs anon (iter + 1)
-              (filters + List.length wrong)
+            let rows, wrongs = merge (rows, wrongs) (scan fibs names) in
+            loop eng configs rows wrongs (iter + 1) (filters + List.length wrong)
     in
-    let rows, wrongs, anon =
-      merge
-        (Smap.empty, Smap.empty, Kmap.empty)
-        (scan snap0.fibs (all_names snap0.fibs))
+    let rows, wrongs =
+      merge (Smap.empty, Smap.empty) (scan snap0.fibs (all_names snap0.fibs))
     in
-    loop eng0 configs rows wrongs anon 1 0
+    loop eng0 configs rows wrongs 1 0
   in
   match initial with
   | Error m -> Error ("route_equiv: simulation failed: " ^ m)

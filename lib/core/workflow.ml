@@ -163,10 +163,14 @@ let functional_equivalence r =
       && Smap.for_all (fun h _ -> Smap.mem h r.anon_snapshot.net.hosts)
            r.orig_snapshot.net.hosts
     in
+    (* The original's hosts are exactly the real hosts, so its whole
+       plane is the one to memoize. The anonymized side traces only the
+       real-host pairs, unless its full plane is already memoized. *)
+    let hosts = real_hosts r in
     topo_preserved
-    && Routing.Dataplane.equal_on ~hosts:(real_hosts r)
+    && Routing.Dataplane.equal_on ~hosts
          (Routing.Simulate.dataplane r.orig_snapshot)
-         (Routing.Simulate.dataplane r.anon_snapshot)
+         (Routing.Simulate.dataplane_on ~hosts r.anon_snapshot)
   end
 
 let anon_texts r =

@@ -73,7 +73,11 @@ val run_exn :
 val functional_equivalence : report -> bool
 (** Definition 3.3 restricted to real hosts: identical delivered path sets
     for every ordered pair of original hosts, all original routers, hosts
-    and links still present. Under PII the value is asserted [true], not
+    and links still present. The original snapshot's plane is extracted
+    and memoized ({!Routing.Simulate.dataplane}); on the anonymized
+    snapshot only the real-host pairs are traced
+    ({!Routing.Simulate.dataplane_on}), unless its full plane is already
+    memoized. Under PII the value is asserted [true], not
     measured: the scrub renames devices and addresses, and no check maps
     the paths through that renaming yet. *)
 

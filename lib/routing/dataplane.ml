@@ -479,14 +479,24 @@ let shortcut_trace src dst =
    member pair per ordered class pair, rename onto the other members.
    The table is populated source-major in host order, the order a plain
    loop over every pair would use, so every [Hashtbl.fold] consumer sees
-   a canonical iteration sequence. *)
-let extract ?(max_paths = max_paths_default) (net : Device.network) fibs =
+   a canonical iteration sequence. With [hosts], only those hosts are
+   classified and paired: a pair's trace depends on the pair alone, so
+   leaving other hosts out changes no trace. *)
+let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs =
   let memo_ok = no_acls net in
   (* One probe accelerator per FIB, shared by classification and every
      walk, with or without packet filters. *)
   let probes = probe_table fibs in
   let lk = probe_lookups net probes in
-  let infos = List.map (fun (n, _) -> host_info net n) (Smap.bindings net.hosts) in
+  let names =
+    let all = List.map fst (Smap.bindings net.hosts) in
+    match hosts with
+    | None -> all
+    | Some hs ->
+        let keep = Sset.of_list hs in
+        List.filter (fun n -> Sset.mem n keep) all
+  in
+  let infos = List.map (host_info net) names in
   let acls = enumerate_acls net in
   (* Class index per host, in first-seen (canonical host) order. *)
   let class_of = Hashtbl.create 64 in

@@ -44,9 +44,12 @@ val traceroute :
 type t = (string * string, trace) Hashtbl.t
 (** The full data plane, keyed by (source host, destination host). *)
 
-val extract : ?max_paths:int -> Device.network -> Fib.t Smap.t -> t
+val extract :
+  ?max_paths:int -> ?hosts:string list -> Device.network -> Fib.t Smap.t -> t
 (** Traces for every ordered pair of distinct hosts, each equal to what
-    {!traceroute} returns for that pair. Hosts are grouped into
+    {!traceroute} returns for that pair. [hosts] limits sources and
+    destinations to the network's hosts it names (default: every host);
+    each trace is still {!traceroute}'s for its pair. Hosts are grouped into
     forwarding-equivalence classes; one representative pair per ordered
     class pair is traced on the network's interface/arrival tables
     ({!Device.find_iface}, {!Device.arrival_iface}) and one {!Fib.probe}

@@ -29,6 +29,10 @@ let c_bgp_skip = Telemetry.counter "engine.bgp_skip"
 let c_bgp_compute = Telemetry.counter "engine.bgp_compute"
 let c_fib_reuse = Telemetry.counter "engine.fib_reuse"
 let c_fib_build = Telemetry.counter "engine.fib_build"
+
+(* Base FIBs patched on the prefixes whose selected route changed
+   instead of built: [fib_build] counts full constructions only. *)
+let c_fib_patch = Telemetry.counter "engine.fib_patch"
 let c_edits = Telemetry.counter "engine.edits"
 
 (* Persistent-cache hits, one counter per entry kind. Each is the disk
@@ -348,6 +352,14 @@ let domain_cache_candidates dc =
       | _ -> Smap.add m (ospf @ rip @ eigrp) acc)
     Smap.empty dc.dc_members
 
+(* Every OSPF member's selection list, the very list
+   [domain_cache_candidates] hands over when the member has no DV
+   routes: an IGP list physically equal to it is strictly descending. *)
+let selection_lists doms =
+  Dmap.fold
+    (fun _ dc acc -> Smap.fold (fun m (_, _, rs) acc -> Smap.add m rs acc) dc.dc_sel acc)
+    doms Smap.empty
+
 (* The whole-state payload of a from-scratch build. [net] is recompiled
    from the configs on restore (cheap, deterministic) and [fps] is what
    the key was derived from, so neither is stored. *)
@@ -439,6 +451,15 @@ let build ?pool ?cache ?prev configs =
       in
       let base =
         Telemetry.with_span "engine.base_fibs" @@ fun () ->
+        let new_sel = selection_lists doms in
+        let old_sel =
+          match prev with Some p -> selection_lists p.doms | None -> Smap.empty
+        in
+        let is_selection sels name igp =
+          match Smap.find_opt name sels with
+          | Some routes -> routes == igp
+          | None -> false
+        in
         Smap.mapi
           (fun name (local, igp) ->
             (* The short local lists compare structurally. The IGP list is
@@ -447,21 +468,26 @@ let build ?pool ?cache ?prev configs =
                physical equality, so test [==] first. Local routes are
                connected/static and IGP routes never are, so the split
                gate is exactly the old gate on [local @ igp]. *)
-            let reusable =
+            let prior =
               match prev with
               | Some p -> (
-                  match Smap.find_opt name p.cands with
-                  | Some (local', igp')
-                    when local = local' && (igp == igp' || igp = igp') ->
-                      Smap.find_opt name p.base
+                  match (Smap.find_opt name p.cands, Smap.find_opt name p.base) with
+                  | Some (local', igp'), Some fib when local = local' ->
+                      Some (igp', fib)
                   | _ -> None)
               | None -> None
             in
-            match reusable with
-            | Some fib ->
+            match prior with
+            | Some (igp', fib) when igp == igp' || igp = igp' ->
                 Telemetry.incr c_fib_reuse;
                 fib
-            | None ->
+            | Some (igp', fib)
+              when is_selection new_sel name igp && is_selection old_sel name igp' ->
+                (* Both IGP lists are selection lists, strictly descending:
+                   rebuild only the prefixes whose route changed. *)
+                Telemetry.incr c_fib_patch;
+                Simulate.patch_base_fib ~local ~old_igp:igp' fib igp
+            | _ ->
                 Telemetry.incr c_fib_build;
                 Simulate.base_fib ~local igp)
           cands

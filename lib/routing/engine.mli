@@ -21,6 +21,12 @@
       whole selection;
     - RIP/EIGRP propagate filters, so a DV-relevant change at any member
       recomputes that domain's DV routes;
+    - a router whose local routes are unchanged and whose old and new
+      IGP lists are both its OSPF selection list itself (strictly
+      descending by prefix) has its previous base FIB patched on the
+      prefixes whose route changed ({!Simulate.patch_base_fib}); a
+      RIP/EIGRP member's [ospf @ rip @ eigrp] list is not sorted, so its
+      base FIB is built in full;
     - BGP is a global fixpoint and is redone whenever anything changed.
 
     Every build, edits included, compiles its configs afresh with
@@ -47,7 +53,8 @@
     ([engine.spf_reuse]/[engine.spf_extend]/[engine.spf_full],
     [engine.sel_patch],
     [engine.dv_recompute], [engine.bgp_skip]/[engine.bgp_compute],
-    [engine.fib_reuse]/[engine.fib_build], [engine.edits], and the disk
+    [engine.fib_reuse]/[engine.fib_patch]/[engine.fib_build] (reused,
+    patched and fully built FIBs), [engine.edits], and the disk
     hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
     [engine.bgp_disk]) and spans
     ([engine.build] and its stages [engine.compile], [engine.domains],

@@ -242,6 +242,64 @@ let add_sorted_desc t cs =
         if !k = n + m then out else Array.sub out 0 !k
       end
 
+(* First slot whose prefix is not below [p], searching [lo, hi). *)
+let lower_bound t p lo hi =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Prefix.compare t.(mid).rt_prefix p < 0 then go (mid + 1) hi
+      else go lo mid
+  in
+  go lo hi
+
+(* [replace t changes]: each listed slot is rebuilt from its candidates
+   by the [merge_into] fold [of_candidates] runs, or dropped when there
+   are none; the untouched runs between listed prefixes are copied in
+   blocks. *)
+let replace t changes =
+  let slots =
+    List.map
+      (fun (p, cs) ->
+        (p, match cs with [] -> None | r :: tl -> Some (List.fold_left merge_into r tl)))
+      changes
+  in
+  let n = Array.length t in
+  (* Positions in [t], ascending like [changes], and the output length. *)
+  let _, placed, len =
+    List.fold_left
+      (fun (lo, acc, len) (p, slot) ->
+        let at = lower_bound t p lo n in
+        let present = at < n && Prefix.equal t.(at).rt_prefix p in
+        let len = len - Bool.to_int present + Bool.to_int (Option.is_some slot) in
+        ((if present then at + 1 else at), (at, present, slot) :: acc, len))
+      (0, [], n) slots
+  in
+  let placed = List.rev placed in
+  if len = 0 then empty
+  else
+    (* A nonempty result from an empty [t] has a rebuilt slot. *)
+    let fill =
+      if n > 0 then t.(0)
+      else Option.get (List.find_map (fun (_, _, s) -> s) placed)
+    in
+    let out = Array.make len fill in
+    let i, k =
+      List.fold_left
+        (fun (i, k) (at, present, slot) ->
+          Array.blit t i out k (at - i);
+          let k = k + (at - i) in
+          let i = if present then at + 1 else at in
+          match slot with
+          | Some r ->
+              out.(k) <- r;
+              (i, k + 1)
+          | None -> (i, k))
+        (0, 0) placed
+    in
+    Array.blit t i out k (n - i);
+    out
+
 let find t p =
   let rec go lo hi =
     if lo >= hi then None

@@ -52,6 +52,14 @@ val add_sorted_desc : t -> route list -> t
     selection emits per router — it runs as one linear merge; any other
     order falls back to the fold. *)
 
+val replace : t -> (Prefix.t * route list) list -> t
+(** [replace t changes], with [changes] strictly ascending by prefix and
+    every candidate of [(p, cs)] for prefix [p], equals [of_candidates
+    (rs @ List.concat_map snd changes)] where [rs] are [t]'s routes for
+    the prefixes not listed: each listed slot is rebuilt from its
+    candidates in order, or dropped when they are [[]], and the rest of
+    [t] is copied unchanged. *)
+
 val find : t -> Prefix.t -> route option
 (** Exact-prefix lookup. *)
 

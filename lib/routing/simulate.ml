@@ -148,6 +148,37 @@ let local_candidates net r = connected_routes r @ static_routes net r
    protocol mix breaks the order. Only the short local list is sorted. *)
 let base_fib ~local igp = Fib.add_sorted_desc (Fib.of_candidates local) igp
 
+(* The changed prefixes come from walking both descending lists together
+   down to the first tail they share physically, skipping records they
+   share: selection keeps every record it did not recompute, so the walk
+   pays for what changed plus the head it rebuilt. Each changed prefix
+   is consed as visited, so the list comes out ascending. *)
+let patch_base_fib ~local ~old_igp fib igp =
+  let rec diff acc (o : Fib.route list) (n : Fib.route list) =
+    if o == n then acc
+    else
+      match (o, n) with
+      | [], [] -> acc
+      | a :: o', [] -> diff ((a.rt_prefix, None) :: acc) o' []
+      | [], b :: n' -> diff ((b.rt_prefix, Some b) :: acc) [] n'
+      | a :: o', b :: n' ->
+          if a == b then diff acc o' n'
+          else
+            let c = Netcore.Prefix.compare a.rt_prefix b.rt_prefix in
+            if c = 0 then diff ((b.rt_prefix, Some b) :: acc) o' n'
+            else if c > 0 then diff ((a.rt_prefix, None) :: acc) o' n
+            else diff ((b.rt_prefix, Some b) :: acc) o n'
+  in
+  Fib.replace fib
+    (List.map
+       (fun (p, route) ->
+         ( p,
+           List.filter
+             (fun (r : Fib.route) -> Netcore.Prefix.equal r.rt_prefix p)
+             local
+           @ Option.to_list route ))
+       (diff [] old_igp igp))
+
 let base_fibs_of_candidates (net : Device.network) igp_candidates =
   Smap.mapi
     (fun name (r : Device.router) ->
@@ -199,6 +230,13 @@ let dataplane ?max_paths s =
         let dp = extract () in
         if Atomic.compare_and_set s.plane None (Some dp) then dp
         else Option.get (Atomic.get s.plane)
+
+(* A read of the memo that never fills it: a partial table must not be
+   mistaken for the whole plane by a later caller. *)
+let dataplane_on ~hosts s =
+  match Atomic.get s.plane with
+  | Some dp -> dp
+  | None -> Dataplane.extract ~hosts s.net s.fibs
 
 let host_prefixes (net : Device.network) =
   Smap.fold

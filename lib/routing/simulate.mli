@@ -47,6 +47,12 @@ val dataplane : ?max_paths:int -> snapshot -> Dataplane.t
     read-only; copy it ([Hashtbl.copy]) before changing it. An explicit
     [max_paths] bypasses the memo and extracts a fresh table. *)
 
+val dataplane_on : hosts:string list -> snapshot -> Dataplane.t
+(** A data plane that holds at least the pairs among [hosts]: the
+    snapshot's memoized plane when {!dataplane} has already extracted
+    it, and otherwise [Dataplane.extract ~hosts], which is not memoized.
+    Read only the pairs among [hosts]. *)
+
 val host_routes : snapshot -> (string * Netcore.Prefix.t * string list) list
 (** Flattened FIB view [(router, host prefix, sorted next-hop routers)],
     restricted to destinations that are host subnets — the
@@ -68,6 +74,18 @@ val base_fib : local:Fib.route list -> Fib.route list -> Fib.t
     both this reference path and the engine. Only [local] is sorted:
     [igp] comes strictly descending by prefix from route selection and
     merges in one linear pass. *)
+
+val patch_base_fib :
+  local:Fib.route list -> old_igp:Fib.route list -> Fib.t -> Fib.route list -> Fib.t
+(** [patch_base_fib ~local ~old_igp fib igp] equals [base_fib ~local igp]
+    whenever [fib = base_fib ~local old_igp] and both IGP lists are
+    strictly descending by prefix — OSPF selection lists, which
+    {!Ospf.routes_for}, {!Ospf.select_all} and {!Ospf.routes_for_update}
+    emit in that order. It rebuilds only the slots of the prefixes whose
+    route differs: the two lists are walked together down to the first
+    tail they share physically, and records they share physically are
+    skipped. Any other list (a member's [ospf @ rip @ eigrp]) goes to
+    {!base_fib}: the walk does not check the order. *)
 
 type igp_domain = {
   dom_key : [ `As of int | `Residual | `Global ];

@@ -290,6 +290,50 @@ let test_pii_needs_key () =
       | Error _ -> ())
     [ (true, None); (false, key) ]
 
+(* The check traces only real-host pairs on a fresh anonymized snapshot
+   (nothing memoized its plane), and must still see one real host's
+   route denied at the router its source host hangs off. The nets are
+   OSPF-only: under BGP the denied OSPF route can give way to an iBGP
+   route over the same path. *)
+let test_equivalence_sees_a_denied_host_route () =
+  List.iter
+    (fun id ->
+      let r = run_entry (Netgen.Nets.find id) in
+      check Alcotest.bool (id ^ ": equivalent as produced") true
+        (Workflow.functional_equivalence r);
+      let net = r.anon_snapshot.net in
+      let hosts = Workflow.real_hosts r in
+      let prefix h =
+        Routing.Device.host_prefix (Routing.Device.Smap.find h net.hosts)
+      in
+      let denial =
+        List.find_map
+          (fun src ->
+            let router, _ = List.hd (Routing.Device.Smap.find src net.attachments) in
+            let fib = Routing.Device.Smap.find router r.anon_snapshot.fibs in
+            List.find_map
+              (fun dst ->
+                match Routing.Fib.find fib (prefix dst) with
+                | Some { rt_nexthops = nh :: _; _ } when dst <> src ->
+                    Some (router, nh.Routing.Fib.nh_router, prefix dst)
+                | _ -> None)
+              hosts)
+          hosts
+      in
+      match denial with
+      | None -> Alcotest.failf "%s: no real host route to deny" id
+      | Some (router, toward, hp) ->
+          let anon_configs = Attach.deny r.anon_configs net ~router ~toward hp in
+          let r' =
+            { r with anon_configs; anon_snapshot = Routing.Simulate.run_exn anon_configs }
+          in
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s denied at %s toward %s breaks equivalence" id
+               (Netcore.Prefix.to_string hp) router toward)
+            false
+            (Workflow.functional_equivalence r'))
+    [ "D"; "G" ]
+
 (* ---- §9 extension: network scale obfuscation ---- *)
 
 let test_fake_routers () =
@@ -785,6 +829,8 @@ let () =
           Alcotest.test_case "k_h = 4" `Quick test_kh4;
           Alcotest.test_case "k_h = 1 disables fake hosts" `Quick test_kh1_no_fake_hosts;
           Alcotest.test_case "fake routers + pii" `Quick test_fake_routers_with_pii;
+          Alcotest.test_case "a denied real-host route breaks equivalence" `Quick
+            test_equivalence_sees_a_denied_host_route;
         ] );
       ( "properties-of-output",
         [

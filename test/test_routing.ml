@@ -924,55 +924,59 @@ let prop_lpm_equiv =
         (fun a -> Fib.lookup fib a = Fib.probe_lpm pb (Fib.dest a))
         probes)
 
-(* The base-FIB constructor the engine and [Simulate] share: the local
-   list sorted whole, the IGP list merged in. Prefixes come from a small
-   pool (host bits set, so canonicalization matters) so local and IGP
-   candidates collide, and metrics and next hops from small pools so equal
-   costs merge next hops. Three IGP shapes: strictly descending (the
-   linear merge), shuffled (the fallback fold), and descending with each
-   prefix repeated at equal cost through other next hops (also the
-   fallback, exercising ECMP merges). *)
-let prop_base_fib_constructor =
-  let open QCheck2.Gen in
-  let prefix =
-    map2
-      (fun a len -> Netcore.Prefix.v (Netcore.Ipv4.of_int ((a lsl 22) lor 0x155)) len)
-      (int_bound 7) (oneofl [ 8; 10; 16; 24 ])
-  in
-  let nexthop =
-    map2
-      (fun r i -> { Fib.nh_router = r; nh_iface = i })
-      (oneofl [ "r1"; "r2"; "r3" ]) (oneofl [ "e0"; "e1" ])
-  in
-  let route protos =
+(* Route generators of the base-FIB properties. Prefixes come from a
+   small pool (host bits set, so canonicalization matters) so local and
+   IGP candidates collide, and metrics and next hops from small pools so
+   equal costs merge next hops. *)
+let gen_prefix =
+  QCheck2.Gen.map2
+    (fun a len -> Netcore.Prefix.v (Netcore.Ipv4.of_int ((a lsl 22) lor 0x155)) len)
+    (QCheck2.Gen.int_bound 7) (QCheck2.Gen.oneofl [ 8; 10; 16; 24 ])
+
+let gen_nexthop =
+  QCheck2.Gen.map2
+    (fun r i -> { Fib.nh_router = r; nh_iface = i })
+    (QCheck2.Gen.oneofl [ "r1"; "r2"; "r3" ]) (QCheck2.Gen.oneofl [ "e0"; "e1" ])
+
+let gen_route protos =
+  QCheck2.Gen.(
     map4
       (fun p proto metric nhs ->
         { Fib.rt_prefix = p; rt_proto = proto; rt_metric = metric; rt_nexthops = nhs })
-      prefix (oneofl protos) (int_bound 2) (list_size (int_range 1 2) nexthop)
-  in
-  let desc rs =
-    List.sort_uniq
-      (fun (a : Fib.route) b -> Netcore.Prefix.compare b.rt_prefix a.rt_prefix)
-      rs
-  in
-  let igp =
-    let routes = small_list (route [ Fib.Ospf; Fib.Rip; Fib.Eigrp ]) in
-    oneof
-      [
-        map desc routes;
-        routes;
-        map2
-          (fun rs nh ->
-            List.concat_map
-              (fun (r : Fib.route) -> [ r; { r with rt_nexthops = [ nh ] } ])
-              (desc rs))
-          routes nexthop;
-      ]
-  in
+      gen_prefix (oneofl protos) (int_bound 2) (list_size (int_range 1 2) gen_nexthop))
+
+let gen_local = QCheck2.Gen.small_list (gen_route [ Fib.Connected; Fib.Static ])
+let igp_protos = [ Fib.Ospf; Fib.Rip; Fib.Eigrp ]
+
+let desc rs =
+  List.sort_uniq (fun (a : Fib.route) b -> Netcore.Prefix.compare b.rt_prefix a.rt_prefix) rs
+
+(* Three IGP shapes: strictly descending (a selection list, the linear
+   merge), shuffled (the fallback fold), and descending with each prefix
+   repeated at equal cost through other next hops (also the fallback,
+   exercising ECMP merges). *)
+let gen_igp =
+  let open QCheck2.Gen in
+  let routes = small_list (gen_route igp_protos) in
+  oneof
+    [
+      map desc routes;
+      routes;
+      map2
+        (fun rs nh ->
+          List.concat_map
+            (fun (r : Fib.route) -> [ r; { r with rt_nexthops = [ nh ] } ])
+            (desc rs))
+        routes gen_nexthop;
+    ]
+
+(* The base-FIB constructor the engine and [Simulate] share: the local
+   list sorted whole, the IGP list merged in. *)
+let prop_base_fib_constructor =
   QCheck2.Test.make
     ~name:"base FIB: add_sorted_desc of_candidates = of_candidates = add_candidate fold"
     ~count:500
-    (pair (small_list (route [ Fib.Connected; Fib.Static ])) igp)
+    (QCheck2.Gen.pair gen_local gen_igp)
     (fun (local, igp) ->
       let fold =
         List.fold_left (fun t r -> Fib.add_candidate r t) Fib.empty (local @ igp)
@@ -981,6 +985,59 @@ let prop_base_fib_constructor =
       merged = Fib.of_candidates (local @ igp)
       && merged = fold
       && Simulate.base_fib ~local igp = fold)
+
+let strictly_descending (l : Fib.route list) =
+  let rec go = function
+    | (a : Fib.route) :: (b :: _ as tl) ->
+        Netcore.Prefix.compare a.rt_prefix b.rt_prefix > 0 && go tl
+    | _ -> true
+  in
+  go l
+
+(* A new IGP list made from an old one the way [Ospf.routes_for_update]
+   makes it: per edited prefix (descending), drop its route and add the
+   edit's route if any, rebuilding the head down to the last edited
+   prefix and sharing every untouched record and the rest of the list
+   physically. *)
+let edit_igp edits old =
+  let edits = List.sort_uniq (fun (a, _) (b, _) -> Netcore.Prefix.compare b a) edits in
+  let rec merge prev edits =
+    match edits with
+    | [] -> prev
+    | (p, ro) :: etl -> (
+        match prev with
+        | (r : Fib.route) :: ptl when Netcore.Prefix.compare r.rt_prefix p > 0 ->
+            r :: merge ptl edits
+        | _ -> (
+            let prev =
+              match prev with
+              | (r : Fib.route) :: ptl when Netcore.Prefix.equal r.rt_prefix p -> ptl
+              | _ -> prev
+            in
+            match ro with
+            | Some (r : Fib.route) -> { r with rt_prefix = p } :: merge prev etl
+            | None -> merge prev etl))
+  in
+  merge old edits
+
+(* The engine patches a base FIB only when both IGP lists are selection
+   lists (strictly descending, the contract [patch_base_fib] relies on);
+   shuffled and duplicate-prefix lists take the full construction. *)
+let prop_base_fib_patch =
+  QCheck2.Test.make ~name:"base FIB: patch from the old IGP list = build from the new"
+    ~count:1000
+    QCheck2.Gen.(
+      triple gen_local gen_igp
+        (small_list (pair gen_prefix (opt (gen_route igp_protos)))))
+    (fun (local, old_igp, edits) ->
+      let igp = edit_igp edits old_igp in
+      let want = Simulate.base_fib ~local igp in
+      let got =
+        if strictly_descending old_igp && strictly_descending igp then
+          Simulate.patch_base_fib ~local ~old_igp (Simulate.base_fib ~local old_igp) igp
+        else Simulate.base_fib ~local igp
+      in
+      got = want)
 
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
@@ -1031,67 +1088,112 @@ let prop_kernels_equiv =
    one host prefix and one permit-any ACL, each bound to a random router
    interface in a random direction. Extraction cannot use the suffix
    memo on such a network and walks the representative pairs one by
-   one; every trace must still equal the reference's plain traceroute
-   (the data-plane part of [kernel_divergence]). *)
+   one. *)
+let acl_configs (seed, picks) =
+  let spec = Crucible.Gen.spec ~seed () in
+  let configs = Netgen.Emit.emit spec in
+  let pick i l = List.nth l (List.nth picks i mod List.length l) in
+  let victim = fst (pick 0 spec.Netgen.Netspec.hosts) in
+  let victim_prefix =
+    let c =
+      List.find (fun (c : Configlang.Ast.config) -> c.hostname = victim) configs
+    in
+    Option.get (Configlang.Ast.interface_prefix (List.hd c.interfaces))
+  in
+  let rule action dst =
+    { Configlang.Ast.acl_action = action; acl_src = None; acl_dst = dst }
+  in
+  let deny_host =
+    {
+      Configlang.Ast.acl_name = "DENYHOST";
+      acl_rules =
+        [
+          rule Configlang.Ast.Deny (Some victim_prefix);
+          rule Configlang.Ast.Permit None;
+        ];
+    }
+  in
+  let permit_any =
+    {
+      Configlang.Ast.acl_name = "PERMITANY";
+      acl_rules = [ rule Configlang.Ast.Permit None ];
+    }
+  in
+  (* Bind [acl] on a random interface of a random router. *)
+  let bind configs (acl : Configlang.Ast.acl) k =
+    let router = pick k spec.routers in
+    List.map
+      (fun (c : Configlang.Ast.config) ->
+        if c.hostname <> router then c
+        else
+          let target = (pick (k + 1) c.interfaces).if_name in
+          let inbound = List.nth picks (k + 2) mod 2 = 0 in
+          let interfaces =
+            List.map
+              (fun (i : Configlang.Ast.interface) ->
+                if i.if_name <> target then i
+                else if inbound then
+                  { i with if_acl_in = Some acl.acl_name }
+                else { i with if_acl_out = Some acl.acl_name })
+              c.interfaces
+          in
+          { c with interfaces; acls = acl :: c.acls })
+      configs
+  in
+  bind (bind configs deny_host 1) permit_any 4
+
+let acl_net_gen =
+  QCheck2.Gen.(pair (int_bound 100000) (list_repeat 7 (int_bound 100000)))
+
+(* Every trace must still equal the reference's plain traceroute (the
+   data-plane part of [kernel_divergence]). *)
 let prop_acl_extraction =
   QCheck2.Test.make ~name:"extraction with packet filters = reference"
-    ~count:40
-    QCheck2.Gen.(pair (int_bound 100000) (list_repeat 7 (int_bound 100000)))
-    (fun (seed, picks) ->
-      let spec = Crucible.Gen.spec ~seed () in
-      let configs = Netgen.Emit.emit spec in
-      let pick i l = List.nth l (List.nth picks i mod List.length l) in
-      let victim = fst (pick 0 spec.Netgen.Netspec.hosts) in
-      let victim_prefix =
-        let c =
-          List.find (fun (c : Configlang.Ast.config) -> c.hostname = victim) configs
-        in
-        Option.get (Configlang.Ast.interface_prefix (List.hd c.interfaces))
-      in
-      let rule action dst =
-        { Configlang.Ast.acl_action = action; acl_src = None; acl_dst = dst }
-      in
-      let deny_host =
-        {
-          Configlang.Ast.acl_name = "DENYHOST";
-          acl_rules =
-            [
-              rule Configlang.Ast.Deny (Some victim_prefix);
-              rule Configlang.Ast.Permit None;
-            ];
-        }
-      in
-      let permit_any =
-        {
-          Configlang.Ast.acl_name = "PERMITANY";
-          acl_rules = [ rule Configlang.Ast.Permit None ];
-        }
-      in
-      (* Bind [acl] on a random interface of a random router. *)
-      let bind configs (acl : Configlang.Ast.acl) k =
-        let router = pick k spec.routers in
-        List.map
-          (fun (c : Configlang.Ast.config) ->
-            if c.hostname <> router then c
-            else
-              let target = (pick (k + 1) c.interfaces).if_name in
-              let inbound = List.nth picks (k + 2) mod 2 = 0 in
-              let interfaces =
-                List.map
-                  (fun (i : Configlang.Ast.interface) ->
-                    if i.if_name <> target then i
-                    else if inbound then
-                      { i with if_acl_in = Some acl.acl_name }
-                    else { i with if_acl_out = Some acl.acl_name })
-                  c.interfaces
-              in
-              { c with interfaces; acls = acl :: c.acls })
-          configs
-      in
-      let configs = bind (bind configs deny_host 1) permit_any 4 in
-      match Crucible.Oracle.kernel_divergence (Simulate.run_exn configs) with
+    ~count:40 acl_net_gen
+    (fun net ->
+      match Crucible.Oracle.kernel_divergence (Simulate.run_exn (acl_configs net)) with
       | None -> true
       | Some what -> QCheck2.Test.fail_reportf "diverges on %s" what)
+
+(* [extract ~hosts] holds exactly the pairs among [hosts], each with the
+   full extraction's trace. [keep] picks the hosts by position. *)
+let partial_extraction_agrees ~keep (s : Simulate.snapshot) =
+  let hosts =
+    List.filteri (fun i _ -> keep i) (List.map fst (Device.Smap.bindings s.net.hosts))
+  in
+  let full = Dataplane.extract s.net s.fibs in
+  let part = Dataplane.extract ~hosts s.net s.fibs in
+  let n = List.length hosts in
+  Hashtbl.length part = n * (n - 1)
+  && List.for_all
+       (fun src ->
+         List.for_all
+           (fun dst ->
+             String.equal src dst
+             || Hashtbl.find_opt part (src, dst) = Some (Hashtbl.find full (src, dst)))
+           hosts)
+       hosts
+
+let test_extract_hosts_catalog () =
+  List.iter
+    (fun (entry : Netgen.Nets.entry) ->
+      let s = Simulate.run_exn (Netgen.Nets.configs entry) in
+      List.iter
+        (fun (what, keep) ->
+          if not (partial_extraction_agrees ~keep s) then
+            Alcotest.failf "net %s: extract ~hosts (%s) differs from the full plane"
+              entry.id what)
+        [ ("odd hosts", fun i -> i mod 2 = 1); ("all but the first", fun i -> i > 0) ])
+    (Netgen.Nets.all ())
+
+let prop_extract_hosts_acl =
+  QCheck2.Test.make ~name:"extract ~hosts = full extraction under packet filters"
+    ~count:40
+    QCheck2.Gen.(pair acl_net_gen (int_bound 1000))
+    (fun (net, mask) ->
+      partial_extraction_agrees
+        ~keep:(fun i -> (mask lsr (i mod 10)) land 1 = 1)
+        (Simulate.run_exn (acl_configs net)))
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -1100,9 +1202,11 @@ let qsuite =
       prop_all_pairs_routable;
       prop_lpm_equiv;
       prop_base_fib_constructor;
+      prop_base_fib_patch;
       prop_csr_dijkstra_equiv;
       prop_kernels_equiv;
       prop_acl_extraction;
+      prop_extract_hosts_acl;
     ]
 
 (* ---------------- worker pool ---------------- *)
@@ -1262,9 +1366,9 @@ let fib_changes before after =
    [Simulate.run], and [Engine.delta] is exactly the set of routers whose
    final FIB changed: [Route_anon]'s walk cache skips every router
    outside it. *)
-let engine_delta_case ~seed (entry : Netgen.Nets.entry) () =
+let engine_delta_case ~seed ~id configs () =
   let rng = Netcore.Rng.create seed in
-  let eng = ref (Engine.of_configs_exn (Netgen.Nets.configs entry)) in
+  let eng = ref (Engine.of_configs_exn configs) in
   check Alcotest.(option (list string)) "from-scratch build has no delta" None
     (Engine.delta !eng);
   let step name configs =
@@ -1273,10 +1377,10 @@ let engine_delta_case ~seed (entry : Netgen.Nets.entry) () =
     let fresh = Simulate.run_exn configs in
     if not (Device.Smap.equal ( = ) (Engine.fibs !eng) fresh.fibs) then
       Alcotest.failf "net %s seed %d: FIBs diverge from scratch after %s"
-        entry.id seed name;
+        id seed name;
     let want = fib_changes before (Engine.fibs !eng) in
     check Alcotest.(option (list string))
-      (Printf.sprintf "net %s seed %d: delta after %s" entry.id seed name)
+      (Printf.sprintf "net %s seed %d: delta after %s" id seed name)
       (Some want) (Engine.delta !eng);
     want
   in
@@ -1307,13 +1411,30 @@ let engine_delta_case ~seed (entry : Netgen.Nets.entry) () =
   let denied = apply Confmask.Attach.deny_at configs denies in
   let moved = step "the noise edit" denied in
   if denies <> [] && moved = [] then
-    Alcotest.failf "net %s seed %d: %d denies moved no FIB" entry.id seed
+    Alcotest.failf "net %s seed %d: %d denies moved no FIB" id seed
       (List.length denies);
   let rollback = List.filteri (fun i _ -> i mod 4 <> 0) denies in
   let rolled = apply Confmask.Attach.undeny_at denied rollback in
   ignore (step "the rollback edit" rolled);
   check Alcotest.(list string) "a no-op edit changes no FIB" []
     (step "a no-op edit" rolled)
+
+(* A catalog net whose OSPF routers also run RIP, as emitted for the
+   same topology. Their IGP candidates are [ospf @ rip], which is not
+   sorted by prefix, so the engine must build their base FIBs in full
+   rather than patch them. A denied OSPF route gives way to the RIP one,
+   so the noise edit moves FIBs. *)
+let with_rip id =
+  let entry = Netgen.Nets.find id in
+  let rip = Netgen.Emit.emit { entry.spec with igp = Netgen.Netspec.Rip } in
+  List.map
+    (fun (c : Configlang.Ast.config) ->
+      match
+        List.find_opt (fun (o : Configlang.Ast.config) -> o.hostname = c.hostname) rip
+      with
+      | Some o when c.ospf <> None -> { c with rip = o.rip }
+      | _ -> c)
+    (Netgen.Nets.configs entry)
 
 (* A no-op edit must take the BGP-skip gate (the fingerprint-only test),
    not fall through to a recompute, and must leave the FIBs intact. Runs
@@ -1758,15 +1879,23 @@ let prop_compile_order_free =
 (* ---------------- per-snapshot data-plane memo ---------------- *)
 
 let fec_classes = Netcore.Telemetry.counter "fec.classes"
+let fec_traced = Netcore.Telemetry.counter "fec.traced"
 
-(* The [fec.classes] delta of [f ()]: one extraction adds its class
-   count, so a memo hit adds nothing. *)
-let classes_ticked f =
+(* [f ()] and how far it moved [fec.classes] and [fec.traced]: one
+   extraction adds its class count and its traced pairs, so a memo hit
+   adds nothing. *)
+let fec_ticked f =
   Netcore.Telemetry.set_enabled true;
   Fun.protect ~finally:(fun () -> Netcore.Telemetry.set_enabled false) @@ fun () ->
-  let before = Netcore.Telemetry.value fec_classes in
+  let value () = Netcore.Telemetry.(value fec_classes, value fec_traced) in
+  let c0, t0 = value () in
   let x = f () in
-  (x, Netcore.Telemetry.value fec_classes - before)
+  let c1, t1 = value () in
+  (x, (c1 - c0, t1 - t0))
+
+let classes_ticked f =
+  let x, (classes, _) = fec_ticked f in
+  (x, classes)
 
 let net_b () = Simulate.run_exn (Netgen.Nets.configs (Netgen.Nets.find "B"))
 
@@ -1812,17 +1941,18 @@ let test_memo_two_domains () =
     [ 1; 2; 3; 4 ]
 
 (* A served job's record (equivalence, verification, red team) reuses
-   the planes of the report's two snapshots: one extraction each. *)
+   the planes of the report's two snapshots: one extraction each, and
+   the equivalence check traces no pair of its own. *)
 let test_memo_batch_job () =
   let params = { Confmask.Workflow.default_params with k_r = 6; k_h = 2 } in
   let r = Confmask.Workflow.run_exn ~params (Netgen.Nets.configs (Netgen.Nets.find "D")) in
-  let _, once =
-    classes_ticked (fun () ->
-        ignore (Simulate.dataplane r.orig_snapshot);
-        ignore (Simulate.dataplane r.anon_snapshot))
+  let extract_both () =
+    ignore (Simulate.dataplane r.orig_snapshot);
+    ignore (Simulate.dataplane r.anon_snapshot)
   in
-  let record, ticks =
-    classes_ticked (fun () ->
+  let _, (once, traced_once) = fec_ticked extract_both in
+  let record, (ticks, traced) =
+    fec_ticked (fun () ->
         Confmask.Batch.execute ~out:(temp_cache_dir ()) ~cache:None
           ~format:Configlang.Vendor.Cisco
           {
@@ -1833,7 +1963,8 @@ let test_memo_batch_job () =
   in
   check Alcotest.(option string) "job ok" (Some "ok")
     (Option.bind (Netcore.Json.member "status" record) Netcore.Json.str);
-  check Alcotest.int "each snapshot extracted once" once ticks
+  check Alcotest.int "each snapshot extracted once" once ticks;
+  check Alcotest.int "pairs traced by the two extractions only" traced_once traced
 
 let memo_suite =
   [
@@ -1856,13 +1987,15 @@ let engine_suite =
         [ 7; 21 ])
     (Netgen.Nets.small ())
   @ List.map
-      (fun (entry : Netgen.Nets.entry) ->
+      (fun (id, configs) ->
         Alcotest.test_case
-          (Printf.sprintf "delta = changed FIBs under noise and rollback (%s)"
-             entry.id)
+          (Printf.sprintf "delta = changed FIBs under noise and rollback (%s)" id)
           `Quick
-          (engine_delta_case ~seed:3 entry))
-      (Netgen.Nets.small ())
+          (engine_delta_case ~seed:3 ~id configs))
+      (List.map
+         (fun (entry : Netgen.Nets.entry) -> (entry.id, Netgen.Nets.configs entry))
+         (Netgen.Nets.small ())
+      @ List.map (fun id -> (id ^ "+rip", with_rip id)) [ "A"; "G" ])
 
 let () =
   Alcotest.run "routing"
@@ -1924,6 +2057,8 @@ let () =
         [
           Alcotest.test_case "loop detection" `Quick test_loop_detection;
           Alcotest.test_case "path cap truncation" `Quick test_truncation;
+          Alcotest.test_case "extract ~hosts = full plane on nets A-H" `Quick
+            test_extract_hosts_catalog;
         ] );
       ( "pool",
         [
