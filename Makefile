@@ -43,7 +43,10 @@ help-smoke:
 # paths live on the CLI path: delta-driven equivalence scans, cached
 # reachability walks and a nonzero FEC collapse. FatTree04 is already
 # 6-degree anonymous, so a third run at k_R = 10 (8 fake links) checks
-# the SPF extension on an OSPF-only net.
+# the SPF extension on an OSPF-only net. A fourth run, on net D with two
+# fake routers, changes the router set under a previous engine, so every
+# member's base FIB takes the constructor's sweep, which --selfcheck
+# shadows with a from-scratch simulation.
 bench-smoke:
 	dune exec bench/main.exe -- --fast --only table2 --only fig5 --only fig6
 	rm -rf /tmp/confmask-smoke && mkdir -p /tmp/confmask-smoke
@@ -63,6 +66,10 @@ bench-smoke:
 	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/g --kr 10 \
 	  --out /tmp/confmask-smoke/g10-anon --metrics-out /tmp/confmask-smoke/g10-metrics.json
 	grep -Eq '"engine\.spf_extend": *[1-9]' /tmp/confmask-smoke/g10-metrics.json
+	dune exec bin/confmask_cli.exe -- generate --net D --out /tmp/confmask-smoke/d
+	dune exec bin/confmask_cli.exe -- anonymize --in /tmp/confmask-smoke/d --fake-routers 2 \
+	  --out /tmp/confmask-smoke/d-anon --selfcheck --metrics-out /tmp/confmask-smoke/d-metrics.json
+	grep -Eq '"engine\.fib_build": *[1-9]' /tmp/confmask-smoke/d-metrics.json
 
 # Batch driver + persistent cache smoke: run a tiny grid with a job
 # limit (leaving one job pending), resume it to completion with warm
@@ -146,6 +153,17 @@ cache-upgrade-smoke:
 	  --out $(CACHE_UPGRADE)/anon2 --cache $(CACHE_UPGRADE)/cache \
 	  --metrics-out $(CACHE_UPGRADE)/metrics.json
 	grep -Eq '"diskcache\.hit": *[1-9]' $(CACHE_UPGRADE)/metrics.json
+	# A current-format directory stamped by the previous engine (whose
+	# domain caches still held per-router selection lists) is wiped too,
+	# and the run succeeds on the fresh store.
+	rm -rf $(CACHE_UPGRADE)/cache && mkdir -p $(CACHE_UPGRADE)/cache
+	printf 'confmask-diskcache 2\nconfmask-engine-5/ocaml-5.1.1\n' > $(CACHE_UPGRADE)/cache/INDEX
+	printf 'stale engine-5 state' > $(CACHE_UPGRADE)/cache/00deadbeef05.v
+	dune exec bin/confmask_cli.exe -- anonymize --in $(CACHE_UPGRADE)/orig \
+	  --out $(CACHE_UPGRADE)/anon3 --cache $(CACHE_UPGRADE)/cache
+	test ! -f $(CACHE_UPGRADE)/cache/00deadbeef05.v
+	grep -q 'confmask-engine-6/' $(CACHE_UPGRADE)/cache/INDEX
+	diff -r $(CACHE_UPGRADE)/anon $(CACHE_UPGRADE)/anon3
 
 # Differential policy verification smoke: anonymize net A's fig-grid
 # cell through the batch driver, verify the anonymized configs against

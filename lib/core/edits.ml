@@ -279,24 +279,24 @@ let list_undeny c name p =
 
 let iface_list_name iface = "DL-" ^ iface
 
+(* The deny goes to every IGP process the router runs: bound to one
+   only, a route of another (EIGRP's distance 90 beats OSPF's 110)
+   would survive it. *)
 let bind_iface_filter c name iface =
   let d = { dl_list = name; dl_iface = iface } in
-  let bound ds = List.exists (fun x -> x.dl_list = name && x.dl_iface = iface) ds in
-  match (c.ospf, c.rip, c.eigrp) with
-  | Some o, _, _ ->
-      if bound o.ospf_distribute_in then c
-      else
-        { c with ospf = Some { o with ospf_distribute_in = o.ospf_distribute_in @ [ d ] } }
-  | None, Some r, _ ->
-      if bound r.rip_distribute_in then c
-      else { c with rip = Some { r with rip_distribute_in = r.rip_distribute_in @ [ d ] } }
-  | None, None, Some e ->
-      if bound e.eigrp_distribute_in then c
-      else
-        { c with
-          eigrp = Some { e with eigrp_distribute_in = e.eigrp_distribute_in @ [ d ] } }
-  | None, None, None ->
-      invalid_arg (c.hostname ^ ": deny_on_iface on a device with no IGP")
+  let bind ds =
+    if List.exists (fun x -> x.dl_list = name && x.dl_iface = iface) ds then ds
+    else ds @ [ d ]
+  in
+  if c.ospf = None && c.rip = None && c.eigrp = None then
+    invalid_arg (c.hostname ^ ": deny_on_iface on a device with no IGP");
+  {
+    c with
+    ospf = Option.map (fun o -> { o with ospf_distribute_in = bind o.ospf_distribute_in }) c.ospf;
+    rip = Option.map (fun r -> { r with rip_distribute_in = bind r.rip_distribute_in }) c.rip;
+    eigrp =
+      Option.map (fun e -> { e with eigrp_distribute_in = bind e.eigrp_distribute_in }) c.eigrp;
+  }
 
 let unbind_iface_filter c name iface =
   let drop ds = List.filter (fun x -> not (x.dl_list = name && x.dl_iface = iface)) ds in

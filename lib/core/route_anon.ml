@@ -217,10 +217,20 @@ let reachable_routers ?pool (snap : Routing.Simulate.snapshot) fps =
         (fp, walk_column table ids owners j))
       (List.mapi (fun j fp -> (j, fp)) fps)
 
-(* The routers [routers0] that the current reachable set [now] lost. *)
+(* The routers [routers0] that the current reachable set [now] lost, in
+   [routers0]'s order. Both lists must ascend by name: [walk_column]
+   emits routers in interner order, which is ascending name order, so
+   one merge finds them. *)
 let lost_routers routers0 now =
-  let now_set = Sset.of_list now in
-  List.filter (fun r -> not (Sset.mem r now_set)) routers0
+  let rec go acc a b =
+    match (a, b) with
+    | [], _ -> List.rev acc
+    | _, [] -> List.rev_append acc a
+    | x :: a', y :: b' ->
+        let c = String.compare x y in
+        if c = 0 then go acc a' b' else if c < 0 then go (x :: acc) a' b else go acc a b'
+  in
+  go [] routers0 now
 
 let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
   Telemetry.with_span "anon.anonymize" @@ fun () ->
@@ -380,23 +390,24 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                   else if guard <= 0 then
                     Error "route_anon: reachability repair did not converge"
                   else begin
+                    let lost_at =
+                      List.fold_left
+                        (fun m (fp, lost) -> Prefix.Map.add fp (Sset.of_list lost) m)
+                        Prefix.Map.empty broken
+                    in
                     let to_remove, keep =
                       List.partition
                         (fun f ->
-                          List.exists
-                            (fun (fp, lost) ->
-                              Prefix.equal f.f_prefix fp && List.mem f.f_router lost)
-                            broken)
+                          match Prefix.Map.find_opt f.f_prefix lost_at with
+                          | Some lost -> Sset.mem f.f_router lost
+                          | None -> false)
                         active
                     in
                     let to_remove, keep =
                       if to_remove <> [] then (to_remove, keep)
                       else
                         List.partition
-                          (fun f ->
-                            List.exists
-                              (fun (fp, _) -> Prefix.equal f.f_prefix fp)
-                              broken)
+                          (fun f -> Prefix.Map.mem f.f_prefix lost_at)
                           active
                     in
                     if to_remove = [] then
@@ -412,13 +423,11 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                                  fun c -> Attach.undeny_at c f.f_attach f.f_prefix ))
                              to_remove)
                       in
+                      let rolled_back =
+                        Prefix.Set.of_list (List.map (fun f -> f.f_prefix) to_remove)
+                      in
                       let suspect =
-                        List.filter
-                          (fun (fp, _) ->
-                            List.exists
-                              (fun f -> Prefix.equal f.f_prefix fp)
-                              to_remove)
-                          baseline
+                        List.filter (fun (fp, _) -> Prefix.Set.mem fp rolled_back) baseline
                       in
                       repair eng snap'.fibs walks configs keep
                         (removed + List.length to_remove)

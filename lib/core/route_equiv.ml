@@ -92,7 +92,7 @@ let fix ?engine ?cache ~orig ~fake_edges configs =
      function of the router's FIB and the (loop-invariant) host-prefix
      list, so an unchanged FIB means an unchanged row. The scan is
      sharded over contiguous router chunks ([Pool.chunked_map], the
-     [Ospf.select_all] convention), whose order-preserving fold-back
+     [Ospf.base_fibs] convention), whose order-preserving fold-back
      keeps the result independent of the job count. *)
   let fix_from eng0 configs =
     let pool = Routing.Engine.pool eng0 in

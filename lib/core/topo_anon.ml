@@ -102,8 +102,9 @@ let anonymize ?(cost_policy = Min_cost) ~rng ~k ~orig:(snap : Routing.Simulate.s
   in
   (* The SFE cost rule queries one source per fake-edge endpoint; prepare
      each scope (the whole IGP, or one AS) once and memoize per-source
-     distance maps — endpoints repeat across fake edges, and the scoped
-     CSR build dominates a single Dijkstra on large networks. *)
+     dense distance arrays over the scope's interner — endpoints repeat
+     across fake edges, and the scoped CSR build dominates a single
+     Dijkstra on large networks. *)
   let cost_states = Hashtbl.create 4 in
   let state_for u =
     let key = Smap.find_opt u asns in
@@ -116,15 +117,21 @@ let anonymize ?(cost_policy = Min_cost) ~rng ~k ~orig:(snap : Routing.Simulate.s
   in
   let dist_cache = Hashtbl.create 16 in
   let min_cost u v =
+    let st = state_for u in
     let d =
       match Hashtbl.find_opt dist_cache u with
       | Some d -> d
       | None ->
-          let d = Routing.Ospf.min_cost_from (state_for u) u in
+          let d = Routing.Ospf.min_cost_array st u in
           Hashtbl.add dist_cache u d;
           d
     in
-    Smap.find_opt v d
+    match d with
+    | None -> if String.equal u v then Some 0 else None
+    | Some d -> (
+        match Routing.Ospf.cost_index st v with
+        | Some j when d.(j) < max_int -> Some d.(j)
+        | Some _ | None -> None)
   in
   let alloc = Prefix.alloc_create ~avoid:(Edits.used_prefixes configs) () in
   let runs_ospf name =

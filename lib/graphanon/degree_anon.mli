@@ -16,6 +16,22 @@ val anonymize_sequence : k:int -> int list -> int list
     sequence shorter than [k] can never be k-anonymous, and silently
     returning the undersized single group would break the contract. *)
 
+type workspace
+(** The arrays of {!anonymize_into}, allocated once and reused across
+    calls: a caller that re-anonymizes a sequence every round (graph
+    realization) allocates nothing per round. *)
+
+val workspace : int -> workspace
+(** [workspace n] serves sequences of up to [n] degrees. *)
+
+val anonymize_into : workspace -> k:int -> int array -> int array -> unit
+(** [anonymize_into ws ~k deg out] writes [anonymize_sequence ~k] of
+    [deg]'s elements into [out.(0) .. out.(n - 1)], [n = Array.length
+    deg], with the same errors. The dynamic program runs on arrays,
+    ordered by a counting sort: degree descending, then position
+    ascending. Raises [Invalid_argument] when [ws] serves fewer than [n]
+    degrees or [out] is shorter than [deg]. *)
+
 val is_k_anonymous : k:int -> int list -> bool
 (** Whether every distinct value occurs at least [k] times (vacuously true
     for the empty list). *)

@@ -56,8 +56,11 @@ let one_attempt ?(allowed = fun _ _ -> true) ~rng ~k g =
      deficiency first (ties by id, i.e. by name), random choice among
      allowed non-adjacent partners. [dfc.(v) = 0] means v is not
      deficient; [live] holds the deficient ids, ascending. *)
+  let dfc = Array.make n 0 in
   let matching_pass ~respect_allowed targets =
-    let dfc = Array.init n (fun v -> max 0 (targets.(v) - deg.(v))) in
+    for v = 0 to n - 1 do
+      dfc.(v) <- max 0 (targets.(v) - deg.(v))
+    done;
     let live = ref (List.filter (fun v -> dfc.(v) > 0) (List.init n Fun.id)) in
     let dec v = dfc.(v) <- dfc.(v) - 1 in
     let rec loop () =
@@ -90,6 +93,11 @@ let one_attempt ?(allowed = fun _ _ -> true) ~rng ~k g =
     in
     loop ()
   in
+  (* The targets, the deficiencies and the dynamic program's arrays are
+     allocated once: fresh n-slot arrays every round would be major-heap
+     allocations pacing the major collector. *)
+  let ws = Degree_anon.workspace n in
+  let targets = Array.make n 0 in
   (* Outer relaxation: recompute targets on current degrees until the
      graph is k-anonymous. Degrees are monotonically non-decreasing and
      bounded by n-1, so this terminates; the guard is belt and braces. *)
@@ -98,9 +106,7 @@ let one_attempt ?(allowed = fun _ _ -> true) ~rng ~k g =
     if n = 0 || is_k_anonymous () then ()
     else if round > 4 * n + 8 then ()
     else begin
-      let targets =
-        Array.of_list (Degree_anon.anonymize_sequence ~k (Array.to_list deg))
-      in
+      Degree_anon.anonymize_into ws ~k deg targets;
       let m0 = !m in
       matching_pass ~respect_allowed:true targets;
       if not (is_k_anonymous ()) then

@@ -54,7 +54,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    the fingerprinted inputs). Four entry kinds, distinguished by a key
    namespace tag so their [Marshal]ed payload types can never mix:
 
-   - ["state:"] — the whole engine state (domains, candidates, base and
+   - ["state:"] — the whole engine state (domains, others FIBs, base and
      final FIBs, BGP routes) of a from-scratch build, keyed by every
      router's full fingerprint. Only written for [prev = None] builds:
      keying one entry per fixpoint iteration would balloon the store
@@ -77,7 +77,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-5/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-6/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -126,13 +126,19 @@ type dom_cache = {
   dc_members : string list;
   dc_spf : string;  (* combined members' spf_fp *)
   dc_state : Ospf.state option;  (* None when no member runs OSPF *)
-  (* member -> sel_fp, distribute-list filters, selected routes *)
-  dc_sel :
-    (string * (string * Ast.prefix_list) list * Fib.route list) Smap.t;
+  (* member -> sel_fp, distribute-list filters; the selection itself
+     lives only in the member's base FIB *)
+  dc_sel : (string * (string * Ast.prefix_list) list) Smap.t;
   dc_dv : string;  (* combined members' dv_fp *)
   dc_rip : Fib.route list Smap.t;
   dc_eigrp : Fib.route list Smap.t;
 }
+
+(* How a member's OSPF selection moved since the previous state: not at
+   all, on a bounded set of prefixes (the ones whose SPF field changed
+   and the ones a filter change can touch), or beyond what can be
+   bounded. *)
+type selection = Same | Patch of Prefix.t list | Full
 
 type t = {
   pool : Pool.t option;
@@ -141,11 +147,9 @@ type t = {
   net : Device.network;
   fps : string Smap.t;  (* full fingerprint per router *)
   doms : dom_cache Dmap.t;
-  (* Per-router non-BGP candidates, split (connected @ static, IGP). The
-     IGP part is physically the list its domain cache holds, so an edit
-     that leaves a router's selection alone shares it instead of copying
-     it, and the base-FIB gate below sees it with [==]. *)
-  cands : (Fib.route list * Fib.route list) Smap.t;
+  (* Per-router others FIB (connected, static, RIP and EIGRP routes),
+     physically the previous state's when structurally equal to it. *)
+  others : Fib.t Smap.t;
   base : Fib.t Smap.t;
   bgp : Fib.route list Smap.t;
   fibs : Fib.t Smap.t;
@@ -181,62 +185,31 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
   in
   let has f = List.exists (fun (_, r) -> f r) routers in
   let state, sel =
-    if not (has (fun r -> r.Device.r_ospf <> None)) then (None, Smap.empty)
+    if not (has (fun r -> r.Device.r_ospf <> None)) then
+      (* No selection: it stayed empty when the previous state had none
+         either. *)
+      let status =
+        match prev with Some c when c.dc_state = None -> Same | _ -> Full
+      in
+      (None, List.map (fun (m, _) -> (m, None, status)) routers)
     else
       let filters_of (r : Device.router) =
         match r.r_ospf with Some o -> o.op_filters | None -> []
       in
-      let select st reuse =
-        (* Recompute selection only for members whose filters changed. *)
-        let pre =
-          Pool.parallel_map ?pool
-            (fun (m, r) ->
-              let fp = sel_fp r in
-              (m, r, fp, reuse st m r fp))
-            routers
-        in
-        let misses =
-          List.fold_left
-            (fun n (_, _, _, o) -> if o = None then n + 1 else n)
-            0 pre
-        in
-        if 4 * misses > List.length routers then
-          (* Most members need full selection (a cold run): one dense
-             [select_all] sweep answers every miss at once, far cheaper
-             than a per-router [routes_for] probe each. Scattered misses
-             — the incremental-edit case — stay on the per-router path
-             below; the sweep's cost is all-prefix × all-router no
-             matter how few routers ask. The batch is exact —
-             [Smap.find_opt m batch] with a [[]] default equals
-             [routes_for st net m] for every scoped member, so the
-             threshold cannot change results. *)
-          let batch = Ospf.select_all ?pool st net in
-          List.fold_left
-            (fun acc (m, r, fp, o) ->
-              let routes =
-                match o with
-                | Some routes -> routes
-                | None -> Option.value ~default:[] (Smap.find_opt m batch)
-              in
-              Smap.add m (fp, filters_of r, routes) acc)
-            Smap.empty pre
-        else
-          Pool.parallel_map ?pool
-            (fun (m, r, fp, o) ->
-              match o with
-              | Some routes -> (m, (fp, filters_of r, routes))
-              | None -> (m, (fp, filters_of r, Ospf.routes_for st net m)))
-            pre
-          |> List.fold_left (fun acc (m, v) -> Smap.add m v acc) Smap.empty
+      let select reuse =
+        Pool.parallel_map ?pool
+          (fun (m, r) ->
+            let fp = sel_fp r in
+            (m, Some (fp, filters_of r), reuse m r fp))
+          routers
       in
-      (* Patch one member's previous selection given the prefixes whose
-         SPF distances changed; gives up (full recompute) when the
-         member's filter change cannot be bounded. *)
-      let reuse_with c spf_changed st m (r : Device.router) fp =
+      (* A member's selection moves on the prefixes whose SPF distances
+         changed and those its filter change can touch; it is redone in
+         full when the filter change cannot be bounded. *)
+      let reuse_with c spf_changed m (r : Device.router) fp =
         match Smap.find_opt m c.dc_sel with
-        | Some (fp', _, routes)
-          when String.equal fp fp' && spf_changed = [] -> Some routes
-        | Some (fp', old_filters, routes) -> (
+        | Some (fp', _) when String.equal fp fp' && spf_changed = [] -> Same
+        | Some (fp', old_filters) -> (
             let filter_affected =
               if String.equal fp fp' then Some []
               else Ospf.changed_filter_prefixes old_filters (filters_of r)
@@ -244,11 +217,9 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
             match filter_affected with
             | Some affected ->
                 Telemetry.incr c_sel_patch;
-                Some
-                  (Ospf.routes_for_update st net m ~prev:routes
-                     ~affected:(spf_changed @ affected))
-            | None -> None)
-        | None -> None
+                Patch (spf_changed @ affected)
+            | None -> Full)
+        | None -> Full
       in
       let full () =
         let key =
@@ -258,18 +229,17 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
         | Some st ->
             Telemetry.incr c_spf_disk;
             let st = Ospf.rescope ~scope:d.dom_scope net st in
-            (Some st, select st (fun _ _ _ _ -> None))
+            (Some st, select (fun _ _ _ -> Full))
         | None ->
             Telemetry.incr c_spf_full;
             let st = Ospf.prepare ~scope:d.dom_scope ?pool net in
             disk_put cache key st;
-            (Some st, select st (fun _ _ _ _ -> None))
+            (Some st, select (fun _ _ _ -> Full))
       in
       match prev with
       | Some c when String.equal c.dc_spf spf && c.dc_state <> None ->
           Telemetry.incr c_spf_reuse;
-          let st = Option.get c.dc_state in
-          (Some st, select st (reuse_with c []))
+          (c.dc_state, select (reuse_with c []))
       | Some c when c.dc_state <> None -> (
           (* SPF inputs changed. When the edit kept every adjacency
              (stub attachments) and at most added some (fake links), the
@@ -283,14 +253,13 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
           with
           | Some (st, changed, []) ->
               Telemetry.incr c_spf_reuse;
-              (Some st, select st (reuse_with c changed))
+              (Some st, select (reuse_with c changed))
           | Some (st, changed, moved) ->
               Telemetry.incr c_spf_extend;
               let moved = Sset.of_list moved in
               ( Some st,
-                select st (fun st m r fp ->
-                    if Sset.mem m moved then None
-                    else reuse_with c changed st m r fp) )
+                select (fun m r fp ->
+                    if Sset.mem m moved then Full else reuse_with c changed m r fp) )
           | None -> full ())
       | _ -> full ()
   in
@@ -325,47 +294,26 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
               disk_put cache key pair;
               pair)
   in
-  {
-    dc_members = d.dom_members;
-    dc_spf = spf;
-    dc_state = state;
-    dc_sel = sel;
-    dc_dv = dv;
-    dc_rip = rip;
-    dc_eigrp = eigrp;
-  }
-
-(* Per-router candidates of a domain, in the ospf @ rip @ eigrp order the
-   from-scratch path produces. A member without DV routes gets its OSPF
-   selection list itself, not a copy. *)
-let domain_cache_candidates dc =
-  List.fold_left
-    (fun acc m ->
-      let ospf =
-        match Smap.find_opt m dc.dc_sel with Some (_, _, rs) -> rs | None -> []
-      in
-      let rip = Option.value ~default:[] (Smap.find_opt m dc.dc_rip) in
-      let eigrp = Option.value ~default:[] (Smap.find_opt m dc.dc_eigrp) in
-      match (ospf, rip, eigrp) with
-      | [], [], [] -> acc
-      | routes, [], [] -> Smap.add m routes acc
-      | _ -> Smap.add m (ospf @ rip @ eigrp) acc)
-    Smap.empty dc.dc_members
-
-(* Every OSPF member's selection list, the very list
-   [domain_cache_candidates] hands over when the member has no DV
-   routes: an IGP list physically equal to it is strictly descending. *)
-let selection_lists doms =
-  Dmap.fold
-    (fun _ dc acc -> Smap.fold (fun m (_, _, rs) acc -> Smap.add m rs acc) dc.dc_sel acc)
-    doms Smap.empty
+  ( {
+      dc_members = d.dom_members;
+      dc_spf = spf;
+      dc_state = state;
+      dc_sel =
+        List.fold_left
+          (fun acc (m, s, _) -> match s with Some s -> Smap.add m s acc | None -> acc)
+          Smap.empty sel;
+      dc_dv = dv;
+      dc_rip = rip;
+      dc_eigrp = eigrp;
+    },
+    List.fold_left (fun acc (m, _, status) -> Smap.add m status acc) Smap.empty sel )
 
 (* The whole-state payload of a from-scratch build. [net] is recompiled
    from the configs on restore (cheap, deterministic) and [fps] is what
    the key was derived from, so neither is stored. *)
 type persisted_state = {
   ps_doms : dom_cache Dmap.t;
-  ps_cands : (Fib.route list * Fib.route list) Smap.t;
+  ps_others : Fib.t Smap.t;
   ps_base : Fib.t Smap.t;
   ps_bgp : Fib.route list Smap.t;
   ps_fibs : Fib.t Smap.t;
@@ -404,7 +352,7 @@ let build ?pool ?cache ?prev configs =
               net;
               fps;
               doms = ps.ps_doms;
-              cands = ps.ps_cands;
+              others = ps.ps_others;
               base = ps.ps_base;
               bgp = ps.ps_bgp;
               fibs = ps.ps_fibs;
@@ -423,7 +371,7 @@ let build ?pool ?cache ?prev configs =
               | _ -> false)
       in
       let prev_doms = match prev with Some p -> p.doms | None -> Dmap.empty in
-      let doms =
+      let domains =
         Telemetry.with_span "engine.domains" @@ fun () ->
         Pool.parallel_map ?pool
           (fun (d : Simulate.igp_domain) ->
@@ -432,65 +380,90 @@ let build ?pool ?cache ?prev configs =
                 ~prev:(Dmap.find_opt d.dom_key prev_doms)
                 net d ))
           (Simulate.igp_domains net)
-        |> List.fold_left (fun acc (k, v) -> Dmap.add k v acc) Dmap.empty
       in
-      let cands =
+      let doms =
+        List.fold_left (fun acc (k, (dc, _)) -> Dmap.add k dc acc) Dmap.empty domains
+      in
+      let prior tbl name =
+        match prev with Some p -> Smap.find_opt name (tbl p) | None -> None
+      in
+      let others =
         Telemetry.with_span "engine.candidates" @@ fun () ->
-        (* Domains are disjoint, so the union never concatenates: every
-           IGP list stays the one its domain cache holds. *)
-        let igp =
-          Dmap.fold
-            (fun _ dc acc -> Simulate.merge_candidates acc (domain_cache_candidates dc))
-            doms Smap.empty
-        in
-        Smap.mapi
-          (fun name r ->
-            ( Simulate.local_candidates net r,
-              Option.value ~default:[] (Smap.find_opt name igp) ))
-          net.routers
+        Dmap.fold
+          (fun _ dc acc ->
+            List.fold_left
+              (fun acc m ->
+                match Smap.find_opt m net.routers with
+                | None -> acc
+                | Some r ->
+                    let routes tbl = Option.value ~default:[] (Smap.find_opt m tbl) in
+                    let o =
+                      Simulate.others_fib net r (routes dc.dc_rip @ routes dc.dc_eigrp)
+                    in
+                    let o =
+                      match prior (fun p -> p.others) m with
+                      | Some o' when o' = o -> o'
+                      | _ -> o
+                    in
+                    Smap.add m o acc)
+              acc dc.dc_members)
+          doms Smap.empty
       in
       let base =
         Telemetry.with_span "engine.base_fibs" @@ fun () ->
-        let new_sel = selection_lists doms in
-        let old_sel =
-          match prev with Some p -> selection_lists p.doms | None -> Smap.empty
-        in
-        let is_selection sels name igp =
-          match Smap.find_opt name sels with
-          | Some routes -> routes == igp
-          | None -> false
-        in
-        Smap.mapi
-          (fun name (local, igp) ->
-            (* The short local lists compare structurally. The IGP list is
-               usually the previous state's own list (its selection was
-               reused), and polymorphic [=] does not short-circuit on
-               physical equality, so test [==] first. Local routes are
-               connected/static and IGP routes never are, so the split
-               gate is exactly the old gate on [local @ igp]. *)
-            let prior =
-              match prev with
-              | Some p -> (
-                  match (Smap.find_opt name p.cands, Smap.find_opt name p.base) with
-                  | Some (local', igp'), Some fib when local = local' ->
-                      Some (igp', fib)
-                  | _ -> None)
-              | None -> None
+        List.fold_left
+          (fun acc (_, ((dc : dom_cache), status)) ->
+            (* Per member: reuse the previous FIB when neither its
+               selection nor its others FIB moved, patch the slots that
+               did, and build the rest in one sharded sweep. Without an
+               SPF state the base FIB is the others FIB itself. *)
+            let plan =
+              List.filter_map
+                (fun m ->
+                  Option.map
+                    (fun o ->
+                      let sel = Option.value ~default:Full (Smap.find_opt m status) in
+                      let step =
+                        match (sel, prior (fun p -> p.base) m, prior (fun p -> p.others) m) with
+                        | Same, Some fib, Some o' when o == o' -> `Reuse fib
+                        | (Same | Patch _), Some fib, Some o' when dc.dc_state <> None ->
+                            let ps = match sel with Patch ps -> ps | Same | Full -> [] in
+                            `Patch (fib, if o == o' then ps else ps @ Fib.changed_prefixes o' o)
+                        | _ -> `Full
+                      in
+                      (m, o, step))
+                    (Smap.find_opt m others))
+                dc.dc_members
             in
-            match prior with
-            | Some (igp', fib) when igp == igp' || igp = igp' ->
-                Telemetry.incr c_fib_reuse;
-                fib
-            | Some (igp', fib)
-              when is_selection new_sel name igp && is_selection old_sel name igp' ->
-                (* Both IGP lists are selection lists, strictly descending:
-                   rebuild only the prefixes whose route changed. *)
-                Telemetry.incr c_fib_patch;
-                Simulate.patch_base_fib ~local ~old_igp:igp' fib igp
-            | _ ->
-                Telemetry.incr c_fib_build;
-                Simulate.base_fib ~local igp)
-          cands
+            let built =
+              let fulls =
+                List.filter_map
+                  (fun (m, o, step) -> match step with `Full -> Some (m, o) | _ -> None)
+                  plan
+              in
+              List.fold_left2
+                (fun acc (m, _) fib -> Smap.add m fib acc)
+                Smap.empty fulls
+                (Simulate.base_fibs ?pool net dc.dc_state fulls)
+            in
+            Pool.parallel_map ?pool
+              (fun (m, o, step) ->
+                match step with
+                | `Reuse fib ->
+                    Telemetry.incr c_fib_reuse;
+                    (m, fib)
+                | `Patch (fib, ps) ->
+                    let fib' =
+                      Ospf.patch_base (Option.get dc.dc_state) net m ~others:o fib ps
+                    in
+                    Telemetry.incr (if fib' == fib then c_fib_reuse else c_fib_patch);
+                    (m, fib')
+                | `Full ->
+                    Telemetry.incr c_fib_build;
+                    (m, Smap.find m built))
+              plan
+            |> List.fold_left (fun acc (m, fib) -> Smap.add m fib acc) acc)
+          Smap.empty domains
       in
       (* A router's base FIB equals the previous engine's, physically (the
          reuse above) or structurally (the FIB representation is
@@ -572,7 +545,7 @@ let build ?pool ?cache ?prev configs =
           disk_put cache (state_key fps)
             {
               ps_doms = doms;
-              ps_cands = cands;
+              ps_others = others;
               ps_base = base;
               ps_bgp = bgp;
               ps_fibs = fibs;
@@ -605,7 +578,7 @@ let build ?pool ?cache ?prev configs =
           net;
           fps;
           doms;
-          cands;
+          others;
           base;
           bgp;
           fibs;

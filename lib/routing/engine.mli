@@ -21,12 +21,16 @@
       whole selection;
     - RIP/EIGRP propagate filters, so a DV-relevant change at any member
       recomputes that domain's DV routes;
-    - a router whose local routes are unchanged and whose old and new
-      IGP lists are both its OSPF selection list itself (strictly
-      descending by prefix) has its previous base FIB patched on the
-      prefixes whose route changed ({!Simulate.patch_base_fib}); a
-      RIP/EIGRP member's [ospf @ rip @ eigrp] list is not sorted, so its
-      base FIB is built in full;
+    - a router's base FIB is the only place its OSPF routes live: its
+      {e others} FIB (connected, static, RIP and EIGRP routes) with the
+      selection written into its slots ({!Simulate.base_fibs}). Per
+      member the domain reports the selection as unchanged, moved on a
+      bounded set of prefixes, or beyond bounds. An unchanged selection
+      over an unchanged others FIB reuses the previous base FIB
+      physically; a bounded move or a changed others FIB patches the
+      previous FIB on those prefixes and on the ones whose others slot
+      changed ({!Ospf.patch_base}); the rest, routers whose adjacency
+      row changed included, are built by one sharded sweep;
     - BGP is a global fixpoint and is redone whenever anything changed.
 
     Every build, edits included, compiles its configs afresh with

@@ -56,7 +56,13 @@ let better a b =
 
 (* [merge_into existing r] is the installed result of offering candidate
    [r] while [existing] holds the slot — the single merge rule every
-   construction path below shares. *)
+   construction path below shares. The result of folding a slot's
+   candidates through it does not depend on their order. Administrative
+   distances are pairwise distinct, so across protocols it is a strict
+   minimum. Within one protocol it is a minimum by metric that merges
+   the next hops of ties with [sort_uniq], which is associative and
+   commutative. So a base FIB can start from a router's other candidates
+   and take its OSPF selection afterwards. *)
 let merge_into existing r =
   match better r existing with
   | c when c < 0 -> r
@@ -66,6 +72,11 @@ let merge_into existing r =
         rt_nexthops = merge_nexthops existing.rt_nexthops r.rt_nexthops;
       }
   | _ -> existing
+
+(* The initial value of arrays every slot of which is written before
+   the array is returned. *)
+let placeholder =
+  { rt_prefix = Prefix.v Ipv4.zero 0; rt_proto = Connected; rt_metric = 0; rt_nexthops = [] }
 
 let add_candidate r t =
   let n = Array.length t in
@@ -183,64 +194,49 @@ let of_candidates cs =
         out
       end
 
-(* [add_sorted_desc t cs]: exactly [List.fold_left (fun t r ->
-   add_candidate r t) t cs] when [cs] is strictly descending by prefix
-   (the order batched OSPF selection emits) — one linear merge instead of
-   a persistent insert per candidate. Any order violation falls back to
-   the fold, so the equation holds unconditionally. *)
-let add_sorted_desc t cs =
-  match cs with
-  | [] -> t
-  | _ ->
-      let m = List.length cs in
-      let arr = Array.make m (List.hd cs) in
-      (* Reverse the descending list into ascending order, verifying
-         strictness on the way. *)
-      let sorted = ref true in
-      let i = ref (m - 1) in
-      List.iter
-        (fun r ->
-          arr.(!i) <- r;
-          if
-            !i < m - 1
-            && Prefix.compare r.rt_prefix arr.(!i + 1).rt_prefix >= 0
-          then sorted := false;
-          decr i)
-        cs;
-      if not !sorted then List.fold_left (fun t r -> add_candidate r t) t cs
-      else begin
-        let n = Array.length t in
-        let out = Array.make (n + m) arr.(0) in
-        let i = ref 0 and j = ref 0 and k = ref 0 in
-        while !i < n && !j < m do
-          let c = Prefix.compare t.(!i).rt_prefix arr.(!j).rt_prefix in
-          if c < 0 then begin
-            out.(!k) <- t.(!i);
-            incr i
-          end
-          else if c > 0 then begin
-            out.(!k) <- arr.(!j);
-            incr j
-          end
-          else begin
-            out.(!k) <- merge_into t.(!i) arr.(!j);
-            incr i;
-            incr j
-          end;
-          incr k
-        done;
-        while !i < n do
-          out.(!k) <- t.(!i);
-          incr i;
-          incr k
-        done;
-        while !j < m do
-          out.(!k) <- arr.(!j);
+(* [fill others n ~key ~hit ~route]: [others] with every hit candidate
+   added, in one count pass that allocates nothing and one fill of an
+   array of the exact size. The candidates come in strictly ascending
+   prefix order, so both passes are a linear merge with [others]. *)
+let fill others n ~key ~hit ~route =
+  let no = Array.length others in
+  let hits = ref 0 and extra = ref 0 and j = ref 0 in
+  for i = 0 to n - 1 do
+    let p = key i in
+    if i > 0 && Prefix.compare (key (i - 1)) p >= 0 then
+      invalid_arg "Fib.fill: keys not strictly ascending";
+    if hit i then begin
+      incr hits;
+      while !j < no && Prefix.compare others.(!j).rt_prefix p < 0 do
+        incr j
+      done;
+      if not (!j < no && Prefix.equal others.(!j).rt_prefix p) then incr extra
+    end
+  done;
+  if !hits = 0 then others
+  else begin
+    let out = Array.make (no + !extra) placeholder in
+    let j = ref 0 and k = ref 0 in
+    for i = 0 to n - 1 do
+      if hit i then begin
+        let p = key i in
+        while !j < no && Prefix.compare others.(!j).rt_prefix p < 0 do
+          out.(!k) <- others.(!j);
           incr j;
           incr k
         done;
-        if !k = n + m then out else Array.sub out 0 !k
+        let r = route i in
+        if !j < no && Prefix.equal others.(!j).rt_prefix p then begin
+          out.(!k) <- merge_into others.(!j) r;
+          incr j
+        end
+        else out.(!k) <- r;
+        incr k
       end
+    done;
+    Array.blit others !j out !k (no - !j);
+    out
+  end
 
 (* First slot whose prefix is not below [p], searching [lo, hi). *)
 let lower_bound t p lo hi =
@@ -256,7 +252,8 @@ let lower_bound t p lo hi =
 (* [replace t changes]: each listed slot is rebuilt from its candidates
    by the [merge_into] fold [of_candidates] runs, or dropped when there
    are none; the untouched runs between listed prefixes are copied in
-   blocks. *)
+   blocks. When no rebuilt slot differs from [t]'s, [t] itself is the
+   answer. *)
 let replace t changes =
   let slots =
     List.map
@@ -265,6 +262,16 @@ let replace t changes =
       changes
   in
   let n = Array.length t in
+  let unchanged (p, slot) =
+    let at = lower_bound t p 0 n in
+    let cur = if at < n && Prefix.equal t.(at).rt_prefix p then Some t.(at) else None in
+    match (cur, slot) with
+    | None, None -> true
+    | Some a, Some b -> a == b || a = b
+    | _ -> false
+  in
+  if List.for_all unchanged slots then t
+  else
   (* Positions in [t], ascending like [changes], and the output length. *)
   let _, placed, len =
     List.fold_left
@@ -278,12 +285,7 @@ let replace t changes =
   let placed = List.rev placed in
   if len = 0 then empty
   else
-    (* A nonempty result from an empty [t] has a rebuilt slot. *)
-    let fill =
-      if n > 0 then t.(0)
-      else Option.get (List.find_map (fun (_, _, s) -> s) placed)
-    in
-    let out = Array.make len fill in
+    let out = Array.make len placeholder in
     let i, k =
       List.fold_left
         (fun (i, k) (at, present, slot) ->
@@ -299,6 +301,21 @@ let replace t changes =
     in
     Array.blit t i out k (n - i);
     out
+
+let changed_prefixes a b =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i j acc =
+    if i = na then List.rev_append acc (List.init (nb - j) (fun k -> b.(j + k).rt_prefix))
+    else if j = nb then
+      List.rev_append acc (List.init (na - i) (fun k -> a.(i + k).rt_prefix))
+    else
+      let c = Prefix.compare a.(i).rt_prefix b.(j).rt_prefix in
+      if c < 0 then go (i + 1) j (a.(i).rt_prefix :: acc)
+      else if c > 0 then go i (j + 1) (b.(j).rt_prefix :: acc)
+      else if a.(i) == b.(j) || a.(i) = b.(j) then go (i + 1) (j + 1) acc
+      else go (i + 1) (j + 1) (a.(i).rt_prefix :: acc)
+  in
+  go 0 0 []
 
 let find t p =
   let rec go lo hi =

@@ -45,12 +45,22 @@ val of_candidates : route list -> t
     in one sort-and-merge pass instead of a persistent insert per
     candidate. *)
 
-val add_sorted_desc : t -> route list -> t
-(** [add_sorted_desc t cs] equals
-    [List.fold_left (fun t r -> add_candidate r t) t cs] for any [cs].
-    When [cs] is strictly descending by prefix — the order batched OSPF
-    selection emits per router — it runs as one linear merge; any other
-    order falls back to the fold. *)
+val fill :
+  t ->
+  int ->
+  key:(int -> Prefix.t) ->
+  hit:(int -> bool) ->
+  route:(int -> route) ->
+  t
+(** [fill others n ~key ~hit ~route] adds to [others] the candidate
+    [route i] of every [i] in [[0, n)] for which [hit i] holds: it equals
+    the {!add_candidate} fold of those candidates into [others], in any
+    order. [key i] is the prefix of [route i] and must be strictly
+    ascending in [i] ([Invalid_argument] otherwise). A count pass reads
+    [key] and [hit] and allocates nothing; the result is then allocated
+    at its exact size and filled in ascending prefix order, calling
+    [route] once per hit. [hit] must answer the same in both passes.
+    Returns [others] itself when nothing hits. *)
 
 val replace : t -> (Prefix.t * route list) list -> t
 (** [replace t changes], with [changes] strictly ascending by prefix and
@@ -58,7 +68,12 @@ val replace : t -> (Prefix.t * route list) list -> t
     (rs @ List.concat_map snd changes)] where [rs] are [t]'s routes for
     the prefixes not listed: each listed slot is rebuilt from its
     candidates in order, or dropped when they are [[]], and the rest of
-    [t] is copied unchanged. *)
+    [t] is copied unchanged. When every rebuilt slot equals [t]'s, the
+    result is [t] itself. *)
+
+val changed_prefixes : t -> t -> Prefix.t list
+(** The prefixes whose slot differs between two FIBs (held by one only,
+    or by both with different routes), ascending. *)
 
 val find : t -> Prefix.t -> route option
 (** Exact-prefix lookup. *)

@@ -400,79 +400,61 @@ let rows_of st (net : Device.network) names =
   rows.off.(Array.length names) <- !pos;
   rows
 
-(* Selection of row [k], whose router has id [v], for prefix [p] with
-   distance array [dist]; the caller has already excluded [p]'s seeds,
-   which select nothing. Next hops are the row's edges on a shortest
-   path that the router's filters do not deny, in row order. *)
-let select_row rows k v p dist =
+(* Whether edge [e] of a row is a next hop toward [p] for a router at
+   distance [dr]: it lies on a shortest path and the router's [filters]
+   do not deny [p] on its interface. A plain function of its arguments,
+   so testing an edge allocates nothing. *)
+let on_path rows filters dist dr p e =
+  let dn = Array.unsafe_get dist (Array.unsafe_get rows.e_to e) in
+  dn < max_int
+  && Array.unsafe_get rows.e_cost e + dn = dr
+  && (filters == []
+     || not (Device.iface_filter_denies filters (Array.unsafe_get rows.e_iface e) p))
+
+(* The hit of row [k], whose router has id [v], for prefix [p] with
+   distance array [dist]: -1 when it selects no route, the edge itself
+   when exactly one next hop qualifies (the common case, answered by the
+   edge's preallocated singleton list) and -2 for several. Allocates
+   nothing. The caller has already excluded [p]'s seeds, which select
+   nothing. *)
+let row_hit rows k v p dist =
   let dr = Array.unsafe_get dist v in
-  if dr = max_int then None
+  if dr = max_int then -1
   else begin
     let filters = rows.filt.(k) in
-    let no_filters = filters == [] in
-    (* The hit test appears twice, hand-inlined: a [hit e] closure here
-       costs an allocation per (prefix, router). Count first: a single
-       next hop — the common case — reuses the edge's preallocated
-       singleton list. *)
-    let count = ref 0 and last = ref 0 in
+    let count = ref 0 and last = ref (-1) in
     for e = rows.off.(k) to rows.off.(k + 1) - 1 do
-      let dn = Array.unsafe_get dist (Array.unsafe_get rows.e_to e) in
-      if
-        dn < max_int
-        && Array.unsafe_get rows.e_cost e + dn = dr
-        && (no_filters
-           || not
-                (Device.iface_filter_denies filters
-                   (Array.unsafe_get rows.e_iface e) p))
-      then begin
+      if on_path rows filters dist dr p e then begin
         incr count;
         last := e
       end
     done;
-    if !count = 0 then None
-    else
-      let nexthops =
-        if !count = 1 then Array.unsafe_get rows.e_nh1 !last
-        else begin
-          let nhs = ref [] in
-          for e = rows.off.(k + 1) - 1 downto rows.off.(k) do
-            let dn = Array.unsafe_get dist (Array.unsafe_get rows.e_to e) in
-            if
-              dn < max_int
-              && Array.unsafe_get rows.e_cost e + dn = dr
-              && (no_filters
-                 || not
-                      (Device.iface_filter_denies filters
-                         (Array.unsafe_get rows.e_iface e) p))
-            then nhs := Array.unsafe_get rows.e_nh e :: !nhs
-          done;
-          !nhs
-        end
-      in
-      Some
-        { Fib.rt_prefix = p; rt_proto = Fib.Ospf; rt_metric = dr; rt_nexthops = nexthops }
+    if !count = 0 then -1 else if !count = 1 then !last else -2
   end
+
+(* The route of a hit [h] of [row_hit] for a router at distance [dr]:
+   next hops in row order. *)
+let row_route rows k dr p dist h =
+  let nexthops =
+    if h >= 0 then Array.unsafe_get rows.e_nh1 h
+    else begin
+      let filters = rows.filt.(k) in
+      let nhs = ref [] in
+      for e = rows.off.(k + 1) - 1 downto rows.off.(k) do
+        if on_path rows filters dist dr p e then nhs := Array.unsafe_get rows.e_nh e :: !nhs
+      done;
+      !nhs
+    end
+  in
+  { Fib.rt_prefix = p; rt_proto = Fib.Ospf; rt_metric = dr; rt_nexthops = nexthops }
+
+let select_row rows k v p dist =
+  let h = row_hit rows k v p dist in
+  if h = -1 then None else Some (row_route rows k dist.(v) p dist h)
 
 let rec is_seed r = function
   | [] -> false
   | (s, _) :: tl -> String.equal s r || is_seed r tl
-
-(* Route selection for one router against a prepared state: a function
-   of the router's own filters and scoped adjacencies only. A router
-   outside the interner selects nothing: it is at most a seed. *)
-let routes_for st (net : Device.network) r =
-  match Interner.find st.st_ids r with
-  | None -> []
-  | Some v ->
-      let rows = rows_of st net [| r |] in
-      Prefix.Map.fold
-        (fun p (seeds, dist) acc ->
-          if is_seed r seeds then acc
-          else
-            match select_row rows 0 v p dist with
-            | None -> acc
-            | Some route -> route :: acc)
-        st.st_dists []
 
 (* ---- filter-delta selection ----
 
@@ -504,7 +486,7 @@ let bounded_list (pl : Ast.prefix_list) =
 
 (* Prefixes whose inbound decision at a router can differ between filter
    configurations [old_f] and [new_f]; None when the lists are too
-   general to bound cheaply (callers then fall back to [routes_for]). *)
+   general to bound cheaply (callers then redo the whole selection). *)
 let changed_filter_prefixes old_f new_f =
   let ifaces =
     List.sort_uniq String.compare (List.map fst old_f @ List.map fst new_f)
@@ -532,108 +514,129 @@ let changed_filter_prefixes old_f new_f =
   in
   per_iface [] ifaces
 
-(* Patch a previous [routes_for] result: recompute selection for the
-   [affected] prefixes and splice the results into [prev], preserving
-   the descending-prefix order [routes_for] produces. Correct when the
-   router's adjacency row is unchanged and every prefix outside
-   [affected] kept both its distance field and its filter decision. *)
-let routes_for_update st (net : Device.network) r ~prev ~affected =
-  let rows = rows_of st net [| r |] in
-  let id = Interner.find st.st_ids r in
-  let news =
-    (* A prefix no longer advertised still needs a [None] entry so the
-       merge drops its previous route. *)
-    List.map
-      (fun p ->
-        ( p,
-          match (id, Prefix.Map.find_opt p st.st_dists) with
-          | Some v, Some (seeds, dist) when not (is_seed r seeds) ->
-              select_row rows 0 v p dist
-          | _ -> None ))
-      affected
-    |> List.sort_uniq (fun (a, _) (b, _) -> Prefix.compare b a)
-  in
-  let rec merge prev news =
-    match news with
-    | [] -> prev
-    | (p, ro) :: ntl -> (
-        match prev with
-        | (r : Fib.route) :: ptl when Prefix.compare r.rt_prefix p > 0 ->
-            r :: merge ptl news
-        | _ ->
-            let prev =
-              match prev with
-              | (r : Fib.route) :: ptl when Prefix.compare r.rt_prefix p = 0 ->
-                  ptl
-              | _ -> prev
-            in
-            (match ro with
-            | Some route -> route :: merge prev ntl
-            | None -> merge prev ntl))
-  in
-  merge prev news
+(* ---- base FIBs ----
 
-(* ---- batched selection ----
+   A router's OSPF selection is written straight into its base FIB,
+   merged slot by slot with its other candidates ([others]). The fill is
+   router-major: each router's array is counted, allocated at its exact
+   size and filled in ascending prefix order before the next router's.
+   Route records are young when the major-heap array takes them, so the
+   next minor collection promotes them in store order; filling router by
+   router keeps each router's records together, where a prefix-major
+   fill would scatter them and slow every later scan of the FIB. *)
 
-   [routes_for] over every scoped router at once, from a prepared state:
-   each per-prefix distance array is swept once across every router's
-   row, so [Smap.find_opt m (select_all st net) |> Option.value
-   ~default:[]] equals [routes_for st net m] — same routes, same
-   descending-prefix order, same nexthop order — for every router [m]:
-   both evaluate [select_row] on the same rows, and routers outside the
-   interner select nothing either way.
+(* The state's prefixes in ascending order with their distance arrays
+   and their interned seeds' ids, built once per fill. *)
+type table = {
+  t_prefix : Prefix.t array;
+  t_dist : int array array;
+  t_seeds : int list array;
+}
 
-   The per-prefix sweeps are sharded in contiguous ascending-prefix
-   chunks; each chunk accumulates per-router route lists, and chunks are
-   stitched as [later @ earlier] so the final per-router list is the
-   descending-prefix order of the sequential fold. *)
-let select_all ?pool (st : state) (net : Device.network) =
-  Telemetry.with_span "ospf.select_all" @@ fun () ->
-  let it = st.st_ids in
-  let n = Interner.length it in
-  let rows = rows_of st net (Array.init n (Interner.name it)) in
-  let process chunk =
-    let acc = Array.make (max 1 n) [] in
-    (* Seed membership per prefix, generation-stamped to avoid clearing. *)
-    let seedgen = Array.make (max 1 n) (-1) in
-    let gen = ref (-1) in
-    List.iter
-      (fun (p, (seeds, dist)) ->
-        incr gen;
-        List.iter
-          (fun (r, _) ->
-            match Interner.find it r with
-            | Some v -> seedgen.(v) <- !gen
-            | None -> ())
-          seeds;
-        for v = 0 to n - 1 do
-          if seedgen.(v) <> !gen then
-            match select_row rows v v p dist with
-            | Some route -> acc.(v) <- route :: acc.(v)
-            | None -> ()
-        done)
-      chunk;
-    acc
+let table st =
+  let b = Array.of_list (Prefix.Map.bindings st.st_dists) in
+  {
+    t_prefix = Array.map fst b;
+    t_dist = Array.map (fun (_, (_, d)) -> d) b;
+    t_seeds =
+      Array.map
+        (fun (_, (seeds, _)) ->
+          List.filter_map (fun (r, _) -> Interner.find st.st_ids r) seeds)
+        b;
+  }
+
+let rec mem_id (v : int) = function [] -> false | x :: tl -> x = v || mem_id v tl
+
+(* Hits are found a block of routers at a time. A prefix-major pass over
+   the block records every (router, prefix) hit in [marks] — each
+   distance array stays in cache while the block's rows read it, where a
+   router-major pass would miss on every prefix — and allocates nothing.
+   Then each router's array is filled from its row of [marks]. A mark is
+   -1 for no route, else the metric shifted left by [mark_bits] over the
+   single next hop's edge index within the row plus one, or 0 for
+   several next hops (rows have fewer than 2^21 - 1 edges). *)
+let block = 64
+let mark_bits = 21
+let mark_mask = (1 lsl mark_bits) - 1
+
+let mark rows k v p dist =
+  let h = row_hit rows k v p dist in
+  if h = -1 then -1
+  else (Array.unsafe_get dist v lsl mark_bits) lor if h >= 0 then h - rows.off.(k) + 1 else 0
+
+let route_of_mark rows k p dist m =
+  let e = (m land mark_mask) - 1 in
+  row_route rows k (m lsr mark_bits) p dist (if e >= 0 then rows.off.(k) + e else -2)
+
+(* Routers are sharded in contiguous chunks; each chunk resolves its
+   rows once and reuses one marks matrix across its blocks. A router's
+   FIB depends on its own row and the shared table only, so neither the
+   chunking nor the blocking can change it. *)
+let base_fibs ?pool st (net : Device.network) members =
+  Telemetry.with_span "ospf.base_fibs" @@ fun () ->
+  let tb = table st in
+  let np = Array.length tb.t_prefix in
+  let chunk ms =
+    let ms = Array.of_list ms in
+    let rows = rows_of st net (Array.map fst ms) in
+    let ids =
+      Array.map (fun (r, _) -> Option.value ~default:(-1) (Interner.find st.st_ids r)) ms
+    in
+    let marks = Array.make (max 1 (min block (Array.length ms) * np)) (-1) in
+    let out = Array.map snd ms in
+    let b0 = ref 0 in
+    while !b0 < Array.length ms do
+      let b1 = min (Array.length ms) (!b0 + block) in
+      for i = 0 to np - 1 do
+        let p = tb.t_prefix.(i) and dist = tb.t_dist.(i) and seeds = tb.t_seeds.(i) in
+        for k = !b0 to b1 - 1 do
+          let v = ids.(k) in
+          marks.(((k - !b0) * np) + i) <-
+            (if v < 0 || mem_id v seeds then -1 else mark rows k v p dist)
+        done
+      done;
+      for k = !b0 to b1 - 1 do
+        if ids.(k) >= 0 then begin
+          let at = (k - !b0) * np in
+          out.(k) <-
+            Fib.fill (snd ms.(k)) np
+              ~key:(fun i -> tb.t_prefix.(i))
+              ~hit:(fun i -> marks.(at + i) <> -1)
+              ~route:(fun i -> route_of_mark rows k tb.t_prefix.(i) tb.t_dist.(i) marks.(at + i))
+        end
+      done;
+      b0 := b1
+    done;
+    Array.to_list out
   in
   let into = Pool.effective_jobs ?pool () * 4 in
-  let accs =
-    Pool.parallel_map ?pool process
-      (Pool.chunks ~into (Prefix.Map.bindings st.st_dists))
-  in
-  let result = Array.make (max 1 n) [] in
-  List.iter
-    (fun acc ->
-      for v = 0 to n - 1 do
-        if acc.(v) <> [] then result.(v) <- acc.(v) @ result.(v)
-      done)
-    accs;
-  let out = ref Smap.empty in
-  Interner.iter it (fun v name ->
-      if result.(v) <> [] then out := Smap.add name result.(v) !out);
-  !out
+  List.concat (Pool.parallel_map ?pool chunk (Pool.chunks ~into members))
 
+let patch_base st (net : Device.network) r ~others fib ps =
+  let rows = rows_of st net [| r |] in
+  let id = Interner.find st.st_ids r in
+  Fib.replace fib
+    (List.map
+       (fun p ->
+         let selected =
+           match (id, Prefix.Map.find_opt p st.st_dists) with
+           | Some v, Some (seeds, dist) when not (is_seed r seeds) ->
+               select_row rows 0 v p dist
+           | _ -> None
+         in
+         (p, Option.to_list (Fib.find others p) @ Option.to_list selected))
+       (List.sort_uniq Prefix.compare ps))
+
+(* The selection alone: base FIBs over empty [others], read back as
+   descending lists. *)
 let compute ?(scope = all) ?pool (net : Device.network) =
-  select_all ?pool (prepare ~scope ?pool net) net
+  let st = prepare ~scope ?pool net in
+  let names = List.init (Interner.length st.st_ids) (Interner.name st.st_ids) in
+  List.fold_left2
+    (fun acc r fib ->
+      match List.rev (Fib.routes fib) with [] -> acc | routes -> Smap.add r routes acc)
+    Smap.empty names
+    (base_fibs ?pool st net (List.map (fun r -> (r, Fib.empty)) names))
 
 (* One scope's forward-distance machinery, prepared once and reused
    across sources: the interner and forward CSR, whose construction
@@ -650,3 +653,8 @@ let min_cost_from st u = distances_csr st.cs_names st.cs_csr [ (u, 0) ]
 
 let min_cost ?scope (net : Device.network) u =
   min_cost_from (min_cost_state ?scope net) u
+
+let cost_index st r = Interner.find st.cs_names r
+
+let min_cost_array st u =
+  Option.map (fun v -> Csr.dijkstra st.cs_csr ~seeds:[ (v, 0) ]) (cost_index st u)

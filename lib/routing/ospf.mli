@@ -12,8 +12,9 @@
     The computation is split in two phases so the incremental engine can
     cache the expensive one: {!prepare} runs every per-prefix Dijkstra
     (depends on interfaces, costs and [network] statements only), and
-    {!routes_for} selects one router's routes against a prepared state
-    (depends additionally on that router's distribute-lists). *)
+    {!base_fibs} writes each router's selection against a prepared state
+    (depends additionally on that router's distribute-lists) straight
+    into its base FIB. No per-router route list is kept. *)
 
 module Smap = Device.Smap
 
@@ -61,19 +62,6 @@ val rescope : ?scope:(string -> bool) -> Device.network -> state -> state
     must be refreshed for the restored state to be structurally
     identical to a fresh {!prepare}. *)
 
-val routes_for : state -> Device.network -> string -> Fib.route list
-(** [routes_for st net r] is router [r]'s OSPF candidate routes under
-    state [st]. *)
-
-val select_all :
-  ?pool:Netcore.Pool.t -> state -> Device.network -> Fib.route list Smap.t
-(** Batched {!routes_for} over every scoped router at once:
-    [Smap.find_opt r (select_all st net) |> Option.value ~default:[]]
-    equals [routes_for st net r] for every router [r] in the state's
-    scope (routers with no routes have no binding). One sweep per
-    prefix over its distance array, sharded across [pool] — cheaper than
-    per-router selection when most routers need it. *)
-
 val changed_filter_prefixes :
   (string * Configlang.Ast.prefix_list) list ->
   (string * Configlang.Ast.prefix_list) list ->
@@ -85,29 +73,50 @@ val changed_filter_prefixes :
     rules then a catch-all permit), [None] when the lists are too general
     to bound cheaply. *)
 
-val routes_for_update :
+val base_fibs :
+  ?pool:Netcore.Pool.t ->
+  state ->
+  Device.network ->
+  (string * Fib.t) list ->
+  Fib.t list
+(** [base_fibs st net members] gives, for each [(r, others)] in order,
+    the {!Fib.add_candidate} fold of [r]'s OSPF selection under [st] into
+    [others]. A router outside [st]'s scope selects nothing and gets
+    [others] itself. Each router's array is filled whole, in ascending
+    prefix order and at its exact size, before the next one's
+    (router-major); routers are sharded across [pool] in contiguous
+    chunks, which cannot change the result. *)
+
+val patch_base :
   state ->
   Device.network ->
   string ->
-  prev:Fib.route list ->
-  affected:Netcore.Prefix.t list ->
-  Fib.route list
-(** [routes_for_update st net r ~prev ~affected] patches a previous
-    [routes_for] result: selection is redone for the [affected] prefixes
-    only and spliced into [prev]. Produces exactly what
-    [routes_for st net r] would, provided [r]'s adjacency row is
-    unchanged and every prefix outside [affected] kept its distance
-    field (as {!prepare_update} reports) and its filter decision (as
-    {!changed_filter_prefixes} bounds). *)
+  others:Fib.t ->
+  Fib.t ->
+  Netcore.Prefix.t list ->
+  Fib.t
+(** [patch_base st net r ~others fib ps] rebuilds the slots of the
+    prefixes [ps] (any order, duplicates allowed) of [fib], each as
+    [others]' slot plus [r]'s selection for it under [st]
+    ({!Fib.replace}); it returns [fib] itself when no slot changes. It
+    equals [base_fibs st net [(r, others)]] whenever [fib] equals that
+    FIB outside [ps]: on an edit that keeps [r]'s adjacency row, [ps]
+    holds the prefixes whose distance field changed (as
+    {!prepare_update} reports), those whose filter decision changed (as
+    {!changed_filter_prefixes} bounds) and those whose [others] slot
+    changed. *)
 
 val compute :
   ?scope:(string -> bool) ->
   ?pool:Netcore.Pool.t ->
   Device.network ->
   Fib.route list Smap.t
-(** OSPF candidate routes per router: [select_all (prepare ~scope net) net].
-    [scope] restricts the domain (used to run one OSPF instance per AS in
-    BGP networks); it defaults to all routers. *)
+(** OSPF candidate routes per router, strictly descending by prefix: the
+    {!base_fibs} of [prepare ~scope net] over empty [others], read back
+    as lists. Routers with no routes have no binding. [scope] restricts
+    the domain (used to run one OSPF instance per AS in BGP networks);
+    it defaults to all routers. Kept for the crucible and the tests; the
+    simulator itself builds FIBs. *)
 
 val min_cost :
   ?scope:(string -> bool) -> Device.network -> string -> int Smap.t
@@ -128,3 +137,13 @@ val min_cost_state :
 val min_cost_from : cost_state -> string -> int Smap.t
 (** [min_cost_from st u] equals [min_cost ~scope net u] for the [scope]
     and [net] that built [st]. *)
+
+val cost_index : cost_state -> string -> int option
+(** A router's dense id in the scope's interner, [None] outside the
+    scoped OSPF graph. *)
+
+val min_cost_array : cost_state -> string -> int array option
+(** [min_cost_array st u]: the distances of {!min_cost_from}[ st u] as
+    an array indexed by {!cost_index} ([max_int] where unreachable), or
+    [None] when [u] is outside the scoped graph, where [u] reaches only
+    itself, at distance 0. *)

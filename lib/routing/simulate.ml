@@ -109,12 +109,19 @@ let igp_domains (net : Device.network) =
         };
       ]
 
-let merge_candidates a b = Smap.union (fun _ x y -> Some (x @ y)) a b
+let local_candidates net r = connected_routes r @ static_routes net r
 
-(* OSPF, RIP and EIGRP candidates of one domain, merged per router in
-   administrative order (ospf @ rip @ eigrp). Protocols none of the
-   members run are skipped. *)
-let domain_candidates ?pool (net : Device.network) d =
+let others_fib net r dv = Fib.of_candidates (local_candidates net r @ dv)
+
+let base_fibs ?pool net st members =
+  match st with
+  | None -> List.map snd members
+  | Some st -> Ospf.base_fibs ?pool st net members
+
+(* One domain's base FIBs: its SPF state and DV routes, each member's
+   others FIB, then the constructor. Protocols none of the members run
+   are skipped. *)
+let domain_base_fibs ?pool (net : Device.network) d =
   let member_runs f =
     List.exists
       (fun m ->
@@ -124,10 +131,10 @@ let domain_candidates ?pool (net : Device.network) d =
       d.dom_members
   in
   let scope = d.dom_scope in
-  let ospf =
+  let st =
     if member_runs (fun r -> r.Device.r_ospf <> None) then
-      Ospf.compute ~scope ?pool net
-    else Smap.empty
+      Some (Ospf.prepare ~scope ?pool net)
+    else None
   in
   let rip =
     if member_runs (fun r -> r.Device.r_rip <> None) then Rip.compute ~scope net
@@ -138,66 +145,31 @@ let domain_candidates ?pool (net : Device.network) d =
       Eigrp.compute ~scope net
     else Smap.empty
   in
-  merge_candidates (merge_candidates ospf rip) eigrp
-
-let local_candidates net r = connected_routes r @ static_routes net r
-
-(* IGP candidates arrive in the descending-prefix order batched selection
-   emits, so after the handful of connected and static routes they merge
-   in linearly; [add_sorted_desc] falls back to per-candidate inserts if a
-   protocol mix breaks the order. Only the short local list is sorted. *)
-let base_fib ~local igp = Fib.add_sorted_desc (Fib.of_candidates local) igp
-
-(* The changed prefixes come from walking both descending lists together
-   down to the first tail they share physically, skipping records they
-   share: selection keeps every record it did not recompute, so the walk
-   pays for what changed plus the head it rebuilt. Each changed prefix
-   is consed as visited, so the list comes out ascending. *)
-let patch_base_fib ~local ~old_igp fib igp =
-  let rec diff acc (o : Fib.route list) (n : Fib.route list) =
-    if o == n then acc
-    else
-      match (o, n) with
-      | [], [] -> acc
-      | a :: o', [] -> diff ((a.rt_prefix, None) :: acc) o' []
-      | [], b :: n' -> diff ((b.rt_prefix, Some b) :: acc) [] n'
-      | a :: o', b :: n' ->
-          if a == b then diff acc o' n'
-          else
-            let c = Netcore.Prefix.compare a.rt_prefix b.rt_prefix in
-            if c = 0 then diff ((b.rt_prefix, Some b) :: acc) o' n'
-            else if c > 0 then diff ((a.rt_prefix, None) :: acc) o' n
-            else diff ((b.rt_prefix, Some b) :: acc) o n'
+  let routes m tbl = Option.value ~default:[] (Smap.find_opt m tbl) in
+  let members =
+    List.filter_map
+      (fun m ->
+        Option.map
+          (fun r -> (m, others_fib net r (routes m rip @ routes m eigrp)))
+          (Smap.find_opt m net.routers))
+      d.dom_members
   in
-  Fib.replace fib
-    (List.map
-       (fun (p, route) ->
-         ( p,
-           List.filter
-             (fun (r : Fib.route) -> Netcore.Prefix.equal r.rt_prefix p)
-             local
-           @ Option.to_list route ))
-       (diff [] old_igp igp))
-
-let base_fibs_of_candidates (net : Device.network) igp_candidates =
-  Smap.mapi
-    (fun name (r : Device.router) ->
-      base_fib ~local:(local_candidates net r)
-        (Option.value ~default:[] (Smap.find_opt name igp_candidates)))
-    net.routers
+  List.combine (List.map fst members) (base_fibs ?pool net st members)
 
 let run_net ?pool (net : Device.network) =
   let has_bgp =
     Smap.exists (fun _ (r : Device.router) -> r.r_bgp <> None) net.routers
   in
-  let igp_candidates =
-    (* Domains are disjoint, so each is an independent parallel task. *)
+  let base_fibs =
+    (* Domains are disjoint and cover every router, so each is an
+       independent parallel task. *)
     Netcore.Pool.parallel_map ?pool
-      (fun d -> domain_candidates ?pool net d)
+      (fun d -> domain_base_fibs ?pool net d)
       (igp_domains net)
-    |> List.fold_left merge_candidates Smap.empty
+    |> List.fold_left
+         (List.fold_left (fun acc (m, fib) -> Smap.add m fib acc))
+         Smap.empty
   in
-  let base_fibs = base_fibs_of_candidates net igp_candidates in
   if not has_bgp then base_fibs
   else
     let bgp_candidates = Bgp.compute net ~igp_fibs:base_fibs in

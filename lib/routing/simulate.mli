@@ -67,25 +67,29 @@ val local_candidates : Device.network -> Device.router -> Fib.route list
 (** A router's connected routes, then its static routes whose next hop
     resolves over a connected subnet. *)
 
-val base_fib : local:Fib.route list -> Fib.route list -> Fib.t
-(** [base_fib ~local igp] is a router's FIB before BGP:
-    [Fib.add_sorted_desc (Fib.of_candidates local) igp], which equals
-    [Fib.of_candidates (local @ igp)]. The one base-FIB constructor of
-    both this reference path and the engine. Only [local] is sorted:
-    [igp] comes strictly descending by prefix from route selection and
-    merges in one linear pass. *)
+val others_fib : Device.network -> Device.router -> Fib.route list -> Fib.t
+(** [others_fib net r dv] is router [r]'s {e others} FIB, its candidates
+    other than OSPF: [Fib.of_candidates (local_candidates net r @ dv)],
+    where [dv] are its RIP then EIGRP routes. *)
 
-val patch_base_fib :
-  local:Fib.route list -> old_igp:Fib.route list -> Fib.t -> Fib.route list -> Fib.t
-(** [patch_base_fib ~local ~old_igp fib igp] equals [base_fib ~local igp]
-    whenever [fib = base_fib ~local old_igp] and both IGP lists are
-    strictly descending by prefix — OSPF selection lists, which
-    {!Ospf.routes_for}, {!Ospf.select_all} and {!Ospf.routes_for_update}
-    emit in that order. It rebuilds only the slots of the prefixes whose
-    route differs: the two lists are walked together down to the first
-    tail they share physically, and records they share physically are
-    skipped. Any other list (a member's [ospf @ rip @ eigrp]) goes to
-    {!base_fib}: the walk does not check the order. *)
+val base_fibs :
+  ?pool:Netcore.Pool.t ->
+  Device.network ->
+  Ospf.state option ->
+  (string * Fib.t) list ->
+  Fib.t list
+(** The one base-FIB constructor, of both this reference path and the
+    engine. [base_fibs net st members] gives, for each [(r, others)] in
+    order with [others = others_fib net r dv], [r]'s FIB before BGP.
+    It satisfies the equation
+
+    {[ base r = List.fold_left (fun t c -> Fib.add_candidate c t) others (ospf r) ]}
+
+    where [ospf r] is [r]'s OSPF selection under [st] (none when [st] is
+    [None]) in any order, so it equals [Fib.of_candidates (local @ ospf
+    @ rip @ eigrp)]: administrative distances make the merge of one
+    slot's candidates order-free. The selection is written straight
+    into the FIB slots ({!Ospf.base_fibs}); no route list is built. *)
 
 type igp_domain = {
   dom_key : [ `As of int | `Residual | `Global ];
@@ -96,14 +100,3 @@ type igp_domain = {
 val igp_domains : Device.network -> igp_domain list
 (** The disjoint IGP domains of the network: one per AS plus a residual
     domain when BGP is present, a single global domain otherwise. *)
-
-val merge_candidates :
-  Fib.route list Smap.t -> Fib.route list Smap.t -> Fib.route list Smap.t
-(** Per-router concatenation (left routes first). *)
-
-val domain_candidates :
-  ?pool:Netcore.Pool.t ->
-  Device.network ->
-  igp_domain ->
-  Fib.route list Smap.t
-(** OSPF @ RIP @ EIGRP candidates of one domain's members. *)

@@ -70,6 +70,85 @@ let prop_degree_anon =
         && List.for_all2 (fun o t -> t >= o) degrees targets
         && Graphanon.Degree_anon.is_k_anonymous ~k targets)
 
+(* The list formulation the array kernel replaced, kept as its
+   reference: a stable descending [List.sort] of (position, degree)
+   pairs, then the same dynamic program. *)
+let reference_sequence ~k degrees =
+  if k <= 0 then invalid_arg "k <= 0";
+  let n = List.length degrees in
+  if n > 0 && n < k then invalid_arg "too short";
+  if n = 0 then []
+  else
+    let indexed =
+      List.mapi (fun i d -> (i, d)) degrees
+      |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+      |> Array.of_list
+    in
+    let deg j = snd indexed.(j) in
+    let result = Array.make n 0 in
+    if n <= k then begin
+      Array.iter (fun (i, _) -> result.(i) <- deg 0) indexed;
+      Array.to_list result
+    end
+    else begin
+      let prefix = Array.make (n + 1) 0 in
+      for j = 0 to n - 1 do
+        prefix.(j + 1) <- prefix.(j) + deg j
+      done;
+      let dp = Array.make (n + 1) max_int and choice = Array.make (n + 1) 0 in
+      dp.(0) <- 0;
+      for j = k to n do
+        for i = max 0 (j - (2 * k) + 1) to j - k do
+          if dp.(i) < max_int then begin
+            let c = dp.(i) + ((j - i) * deg i) - (prefix.(j) - prefix.(i)) in
+            if c < dp.(j) then begin
+              dp.(j) <- c;
+              choice.(j) <- i
+            end
+          end
+        done
+      done;
+      let rec assign j =
+        if j > 0 then begin
+          let i = choice.(j) in
+          for pos = i to j - 1 do
+            result.(fst indexed.(pos)) <- deg i
+          done;
+          assign i
+        end
+      in
+      assign n;
+      Array.to_list result
+    end
+
+(* The counting-sort array kernel gives the list reference's targets,
+   ties included, on random sequences (wide degree ranges take the
+   comparison-sort fallback). One workspace serves every case, as
+   graph realization reuses one across rounds. *)
+let prop_degree_kernel =
+  let ws = Graphanon.Degree_anon.workspace 64 in
+  QCheck2.Test.make ~name:"degree anonymization: array kernel = list reference"
+    ~count:50_000
+    QCheck2.Gen.(
+      triple (int_range 1 6)
+        (list_size (int_range 0 60) (int_bound 30))
+        (oneofl [ 1; 1; 1; 1000 ]))
+    (fun (k, degrees, scale) ->
+      let degrees = List.map (fun d -> d * scale) degrees in
+      let want = try Ok (reference_sequence ~k degrees) with Invalid_argument _ -> Error () in
+      let deg = Array.of_list degrees in
+      let out = Array.make (Array.length deg) (-1) in
+      let got =
+        try
+          Graphanon.Degree_anon.anonymize_into ws ~k deg out;
+          Ok (Array.to_list out)
+        with Invalid_argument _ -> Error ()
+      in
+      got = want
+      && (try Ok (Graphanon.Degree_anon.anonymize_sequence ~k degrees)
+          with Invalid_argument _ -> Error ())
+         = want)
+
 (* -------------------- Realize -------------------- *)
 
 let star n =
@@ -745,6 +824,7 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_degree_anon;
+      prop_degree_kernel;
       prop_realize;
       prop_realize_matches_reference;
       prop_pan_prefix;

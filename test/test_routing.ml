@@ -221,6 +221,34 @@ let test_min_cost () =
   check Alcotest.(option int) "min cost r1->r3" (Some 1)
     (Device.Smap.find_opt "r3" d)
 
+(* The dense per-source distances the SFE cost rule reads agree with
+   the [Smap] contract of [min_cost_from], on every router of nets A-H
+   and toward every router, scoped or not. *)
+let test_min_cost_dense () =
+  List.iter
+    (fun (entry : Netgen.Nets.entry) ->
+      let net = Device.compile_exn (Netgen.Nets.configs entry) in
+      let st = Ospf.min_cost_state net in
+      Device.Smap.iter
+        (fun u _ ->
+          let want = Ospf.min_cost_from st u in
+          let dense = Ospf.min_cost_array st u in
+          Device.Smap.iter
+            (fun v _ ->
+              let got =
+                match dense with
+                | None -> if String.equal u v then Some 0 else None
+                | Some d -> (
+                    match Ospf.cost_index st v with
+                    | Some j when d.(j) < max_int -> Some d.(j)
+                    | Some _ | None -> None)
+              in
+              if got <> Device.Smap.find_opt v want then
+                Alcotest.failf "net %s: min_cost %s -> %s" entry.id u v)
+            net.routers)
+        net.routers)
+    (Netgen.Nets.small ())
+
 let test_topology_graphs () =
   let s = Simulate.run_exn (example_net ()) in
   let g = Device.router_graph s.net in
@@ -945,99 +973,71 @@ let gen_route protos =
         { Fib.rt_prefix = p; rt_proto = proto; rt_metric = metric; rt_nexthops = nhs })
       gen_prefix (oneofl protos) (int_bound 2) (list_size (int_range 1 2) gen_nexthop))
 
-let gen_local = QCheck2.Gen.small_list (gen_route [ Fib.Connected; Fib.Static ])
-let igp_protos = [ Fib.Ospf; Fib.Rip; Fib.Eigrp ]
+let gen_others =
+  QCheck2.Gen.small_list (gen_route [ Fib.Connected; Fib.Static; Fib.Rip; Fib.Eigrp ])
 
-let desc rs =
-  List.sort_uniq (fun (a : Fib.route) b -> Netcore.Prefix.compare b.rt_prefix a.rt_prefix) rs
+let gen_selection = QCheck2.Gen.small_list (gen_route [ Fib.Ospf ])
 
-(* Three IGP shapes: strictly descending (a selection list, the linear
-   merge), shuffled (the fallback fold), and descending with each prefix
-   repeated at equal cost through other next hops (also the fallback,
-   exercising ECMP merges). *)
-let gen_igp =
-  let open QCheck2.Gen in
-  let routes = small_list (gen_route igp_protos) in
-  oneof
-    [
-      map desc routes;
-      routes;
-      map2
-        (fun rs nh ->
-          List.concat_map
-            (fun (r : Fib.route) -> [ r; { r with rt_nexthops = [ nh ] } ])
-            (desc rs))
-        routes gen_nexthop;
-    ]
+(* A selection as OSPF emits it: one route per prefix, ascending. *)
+let ascending rs =
+  List.sort_uniq (fun (a : Fib.route) b -> Netcore.Prefix.compare a.rt_prefix b.rt_prefix) rs
 
-(* The base-FIB constructor the engine and [Simulate] share: the local
-   list sorted whole, the IGP list merged in. *)
-let prop_base_fib_constructor =
-  QCheck2.Test.make
-    ~name:"base FIB: add_sorted_desc of_candidates = of_candidates = add_candidate fold"
+let fold_into fib rs = List.fold_left (fun t r -> Fib.add_candidate r t) fib rs
+
+(* [Fib.fill], the slot writer of the base-FIB constructor: merging a
+   selection into an others FIB equals the [add_candidate] fold, in
+   either order, and leaves the others FIB itself when nothing hits. *)
+let prop_fib_fill =
+  QCheck2.Test.make ~name:"base FIB: Fib.fill = add_candidate fold in any order"
     ~count:500
-    (QCheck2.Gen.pair gen_local gen_igp)
-    (fun (local, igp) ->
-      let fold =
-        List.fold_left (fun t r -> Fib.add_candidate r t) Fib.empty (local @ igp)
-      in
-      let merged = Fib.add_sorted_desc (Fib.of_candidates local) igp in
-      merged = Fib.of_candidates (local @ igp)
-      && merged = fold
-      && Simulate.base_fib ~local igp = fold)
-
-let strictly_descending (l : Fib.route list) =
-  let rec go = function
-    | (a : Fib.route) :: (b :: _ as tl) ->
-        Netcore.Prefix.compare a.rt_prefix b.rt_prefix > 0 && go tl
-    | _ -> true
-  in
-  go l
-
-(* A new IGP list made from an old one the way [Ospf.routes_for_update]
-   makes it: per edited prefix (descending), drop its route and add the
-   edit's route if any, rebuilding the head down to the last edited
-   prefix and sharing every untouched record and the rest of the list
-   physically. *)
-let edit_igp edits old =
-  let edits = List.sort_uniq (fun (a, _) (b, _) -> Netcore.Prefix.compare b a) edits in
-  let rec merge prev edits =
-    match edits with
-    | [] -> prev
-    | (p, ro) :: etl -> (
-        match prev with
-        | (r : Fib.route) :: ptl when Netcore.Prefix.compare r.rt_prefix p > 0 ->
-            r :: merge ptl edits
-        | _ -> (
-            let prev =
-              match prev with
-              | (r : Fib.route) :: ptl when Netcore.Prefix.equal r.rt_prefix p -> ptl
-              | _ -> prev
-            in
-            match ro with
-            | Some (r : Fib.route) -> { r with rt_prefix = p } :: merge prev etl
-            | None -> merge prev etl))
-  in
-  merge old edits
-
-(* The engine patches a base FIB only when both IGP lists are selection
-   lists (strictly descending, the contract [patch_base_fib] relies on);
-   shuffled and duplicate-prefix lists take the full construction. *)
-let prop_base_fib_patch =
-  QCheck2.Test.make ~name:"base FIB: patch from the old IGP list = build from the new"
-    ~count:1000
-    QCheck2.Gen.(
-      triple gen_local gen_igp
-        (small_list (pair gen_prefix (opt (gen_route igp_protos)))))
-    (fun (local, old_igp, edits) ->
-      let igp = edit_igp edits old_igp in
-      let want = Simulate.base_fib ~local igp in
+    QCheck2.Gen.(triple gen_others gen_selection (small_list bool))
+    (fun (others, sel, hits) ->
+      let others = Fib.of_candidates others in
+      let sel = Array.of_list (ascending sel) in
+      let hit i = Option.value ~default:true (List.nth_opt hits i) in
+      let picked = List.filteri (fun i _ -> hit i) (Array.to_list sel) in
       let got =
-        if strictly_descending old_igp && strictly_descending igp then
-          Simulate.patch_base_fib ~local ~old_igp (Simulate.base_fib ~local old_igp) igp
-        else Simulate.base_fib ~local igp
+        Fib.fill others (Array.length sel)
+          ~key:(fun i -> sel.(i).rt_prefix)
+          ~hit
+          ~route:(fun i -> sel.(i))
       in
-      got = want)
+      got = fold_into others picked
+      && got = fold_into others (List.rev picked)
+      && got = Fib.of_candidates (Fib.routes others @ picked)
+      && (picked <> [] || got == others))
+
+(* The engine's slot patch at the FIB level: from the base FIB of one
+   (others, selection) pair, rebuilding the prefixes whose selection
+   changed plus those whose others slot changed gives the base FIB of
+   the new pair, and the old FIB itself when nothing moved. *)
+let prop_fib_slot_patch =
+  QCheck2.Test.make ~name:"base FIB: slot patch = build from the new inputs" ~count:1000
+    QCheck2.Gen.(quad gen_others gen_others gen_selection gen_selection)
+    (fun (o0, o1, s0, s1) ->
+      let o0 = Fib.of_candidates o0 and s0 = ascending s0 and s1 = ascending s1 in
+      (* Half the cases keep the others FIB, physically. *)
+      let o1 = if List.length s1 mod 2 = 0 then o0 else Fib.of_candidates o1 in
+      let fib0 = fold_into o0 s0 and want = fold_into o1 s1 in
+      let find p rs =
+        List.find_opt (fun (r : Fib.route) -> Netcore.Prefix.equal r.rt_prefix p) rs
+      in
+      let sel_changed =
+        List.filter_map
+          (fun (r : Fib.route) ->
+            if find r.rt_prefix s0 = find r.rt_prefix s1 then None else Some r.rt_prefix)
+          (s0 @ s1)
+      in
+      let ps =
+        List.sort_uniq Netcore.Prefix.compare (sel_changed @ Fib.changed_prefixes o0 o1)
+      in
+      let got =
+        Fib.replace fib0
+          (List.map
+             (fun p -> (p, Option.to_list (Fib.find o1 p) @ Option.to_list (find p s1)))
+             ps)
+      in
+      got = want && (got == fib0) = (want = fib0))
 
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
@@ -1201,8 +1201,8 @@ let qsuite =
       prop_metric_decreases;
       prop_all_pairs_routable;
       prop_lpm_equiv;
-      prop_base_fib_constructor;
-      prop_base_fib_patch;
+      prop_fib_fill;
+      prop_fib_slot_patch;
       prop_csr_dijkstra_equiv;
       prop_kernels_equiv;
       prop_acl_extraction;
@@ -1424,17 +1424,59 @@ let engine_delta_case ~seed ~id configs () =
    sorted by prefix, so the engine must build their base FIBs in full
    rather than patch them. A denied OSPF route gives way to the RIP one,
    so the noise edit moves FIBs. *)
-let with_rip id =
+let with_igp igp id =
   let entry = Netgen.Nets.find id in
-  let rip = Netgen.Emit.emit { entry.spec with igp = Netgen.Netspec.Rip } in
+  let other = Netgen.Emit.emit { entry.spec with igp } in
   List.map
     (fun (c : Configlang.Ast.config) ->
       match
-        List.find_opt (fun (o : Configlang.Ast.config) -> o.hostname = c.hostname) rip
+        List.find_opt (fun (o : Configlang.Ast.config) -> o.hostname = c.hostname) other
       with
-      | Some o when c.ospf <> None -> { c with rip = o.rip }
+      | Some o when c.ospf <> None -> { c with rip = o.rip; eigrp = o.eigrp }
       | _ -> c)
     (Netgen.Nets.configs entry)
+
+let with_rip = with_igp Netgen.Netspec.Rip
+let with_eigrp = with_igp Netgen.Netspec.Eigrp
+
+(* A deny binds to every IGP the router runs. On a router running OSPF
+   and EIGRP, EIGRP's route (administrative distance 90) is the one in
+   the FIB, and the deny must remove its next hop too. *)
+let test_deny_binds_every_igp () =
+  let configs = with_eigrp "A" in
+  let net = Device.compile_exn configs in
+  let fibs = (Simulate.run_exn configs).fibs in
+  let target =
+    Device.Smap.fold
+      (fun r fib acc ->
+        match acc with
+        | Some _ -> acc
+        | None ->
+            List.find_map
+              (fun (hp, _) ->
+                match Fib.find fib hp with
+                | Some ({ rt_proto = Fib.Eigrp; rt_nexthops = nh :: _; _ } as route) ->
+                    Some (r, hp, nh, route)
+                | _ -> None)
+              (Simulate.host_prefixes net))
+      fibs None
+  in
+  match target with
+  | None -> Alcotest.fail "no EIGRP route toward a host on A+eigrp"
+  | Some (r, hp, nh, _) -> (
+      match Confmask.Attach.point net r nh.nh_router with
+      | None -> Alcotest.fail "no attachment point"
+      | Some at ->
+          let configs' =
+            Confmask.Edits.update configs r (fun c -> Confmask.Attach.deny_at c at hp)
+          in
+          let fib' = Device.Smap.find r (Simulate.run_exn configs').fibs in
+          let via =
+            match Fib.find fib' hp with
+            | Some route -> List.mem nh route.rt_nexthops
+            | None -> false
+          in
+          check Alcotest.bool "the denied EIGRP next hop is gone" false via)
 
 (* A no-op edit must take the BGP-skip gate (the fingerprint-only test),
    not fall through to a recompute, and must leave the FIBs intact. Runs
@@ -1590,6 +1632,16 @@ let by_prefix m =
          Netcore.Prefix.compare a.rt_prefix b.rt_prefix))
     m
 
+(* The OSPF selection under [st] of every router of [net], read back
+   from base FIBs over empty others FIBs, as {!Ospf.compute} reads it. *)
+let selection st (net : Device.network) =
+  let names = List.map fst (Device.Smap.bindings net.routers) in
+  List.fold_left2
+    (fun acc r fib ->
+      match List.rev (Fib.routes fib) with [] -> acc | rs -> Device.Smap.add r rs acc)
+    Device.Smap.empty names
+    (Simulate.base_fibs net (Some st) (List.map (fun r -> (r, Fib.empty)) names))
+
 (* Links at the SFE min cost shorten no path, so the engine extends the
    original's SPF state instead of recomputing it, and the result is
    [Simulate.run]'s. At the OSPF layer, the extended state
@@ -1622,11 +1674,154 @@ let prop_engine_extends_min_cost_links =
       match Ospf.prepare_update ~prev:(Ospf.prepare net0) net1 with
       | None -> QCheck2.Test.fail_report "min-cost links fell back to prepare"
       | Some (st, _, moved) ->
-          let routes = Ospf.select_all st net1 in
+          let routes = selection st net1 in
           moved <> []
           && Device.Smap.equal ( = ) routes (Ospf.compute net1)
           && Device.Smap.equal ( = ) (by_prefix routes)
                (by_prefix (Crucible.Reference.ospf_routes net1)))
+
+(* ---------------- base FIBs: constructor and slot patches ---------------- *)
+
+(* The base-FIB constructor on every member of every IGP domain of
+   [net], against the [add_candidate] fold of the naive reference's OSPF
+   routes into the others FIB, folded forward and backward, and against
+   [Simulate.run_net] when no BGP runs. *)
+let constructor_divergence (net : Device.network) =
+  let find m tbl = Option.value ~default:[] (Device.Smap.find_opt m tbl) in
+  let checks =
+    List.concat_map
+      (fun (d : Simulate.igp_domain) ->
+        let scope = d.dom_scope in
+        let st = Ospf.prepare ~scope net in
+        let rip = Rip.compute ~scope net and eigrp = Eigrp.compute ~scope net in
+        let reference = Crucible.Reference.ospf_routes ~scope net in
+        let members =
+          List.filter_map
+            (fun m -> Option.map (fun r -> (m, r)) (Device.Smap.find_opt m net.routers))
+            d.dom_members
+        in
+        let others =
+          List.map
+            (fun (m, r) -> (m, Simulate.others_fib net r (find m rip @ find m eigrp)))
+            members
+        in
+        List.map2
+          (fun ((m, r), (_, o)) fib ->
+            let ospf = find m reference in
+            let all = Simulate.local_candidates net r @ ospf @ find m rip @ find m eigrp in
+            let err =
+              if fib <> fold_into o ospf then Some "constructor <> fold into others"
+              else if fib <> fold_into o (List.rev ospf) then Some "selection order matters"
+              else if fib <> Fib.of_candidates (List.rev all) then Some "<> of_candidates"
+              else None
+            in
+            (m, fib, err))
+          (List.combine members others)
+          (Simulate.base_fibs net (Some st) others))
+      (Simulate.igp_domains net)
+  in
+  let has_bgp = Device.Smap.exists (fun _ (r : Device.router) -> r.r_bgp <> None) net.routers in
+  match List.find_map (fun (m, _, err) -> Option.map (fun e -> m ^ ": " ^ e) err) checks with
+  | Some msg -> Some msg
+  | None ->
+      (* Without BGP the final FIBs of the reference path are the base
+         FIBs: [Simulate.run] builds through the same constructor. *)
+      let base = List.fold_left (fun acc (m, fib, _) -> Device.Smap.add m fib acc) Device.Smap.empty checks in
+      if has_bgp || Device.Smap.equal ( = ) base (Simulate.run_net net) then None
+      else Some "Simulate.run_net <> the constructor"
+
+let prop_constructor_reference =
+  QCheck2.Test.make ~name:"base FIB: constructor = add_candidate fold = reference"
+    ~count:30 (QCheck2.Gen.int_bound 100_000)
+    (fun seed ->
+      let net =
+        Device.compile_exn (Netgen.Emit.emit (Crucible.Gen.spec ~params:ospf_only ~seed ()))
+      in
+      match constructor_divergence net with
+      | None -> true
+      | Some msg -> QCheck2.Test.fail_reportf "seed %d: %s" seed msg)
+
+(* The same on catalog nets whose OSPF routers also run RIP or EIGRP:
+   their others FIBs hold DV routes the selection merges with. *)
+let test_constructor_mixed_igps () =
+  List.iter
+    (fun (name, configs) ->
+      match constructor_divergence (Device.compile_exn configs) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s" name msg)
+    [
+      ("A+rip", with_rip "A");
+      ("G+rip", with_rip "G");
+      ("A+eigrp", with_eigrp "A");
+      ("G+eigrp", with_eigrp "G");
+    ]
+
+(* Slot patches, edit after edit, equal a cold build: fake links at the
+   SFE cost first, then filter edits, their rollbacks and stub
+   attachments. *)
+let prop_engine_slot_patches =
+  QCheck2.Test.make ~name:"engine: slot patches after random edits = cold build"
+    ~count:15
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 3))
+    (fun (seed, links) ->
+      let configs0 = Netgen.Emit.emit (Crucible.Gen.spec ~params:ospf_only ~seed ()) in
+      let rng = Netcore.Rng.create seed in
+      let eng = ref (Engine.of_configs_exn configs0) in
+      let configs =
+        ref (Crucible.Oracle.add_links ~rng ~below:false ~count:links (Engine.network !eng) configs0)
+      in
+      let denies = ref [] and structurals = ref 0 in
+      for step = 0 to 6 do
+        if step > 0 then
+          configs := random_edit ~rng ~denies ~structurals (Engine.network !eng) !configs;
+        eng := Engine.apply_edit_exn !eng !configs;
+        if not (Device.Smap.equal ( = ) (Engine.fibs !eng) (Simulate.run_exn !configs).fibs)
+        then
+          QCheck2.Test.fail_reportf "seed %d: FIBs diverge from a cold build after edit %d"
+            seed step
+      done;
+      true)
+
+(* A patch must cover the prefixes whose others slot changed, with the
+   new others FIB. A fake host's ingress router gains a connected route
+   to the host's subnet; the patch that keeps its previous others FIB
+   and rebuilds only the prefixes whose SPF field changed misses that
+   route, while the engine's patch equals a cold build. *)
+let test_patch_needs_changed_others () =
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "A") in
+  let net0 = Device.compile_exn configs in
+  let ingress =
+    fst (List.find (fun (_, (r : Device.router)) -> r.r_ospf <> None) (Device.Smap.bindings net0.routers))
+  in
+  let subnet =
+    Netcore.Prefix.alloc_fresh
+      (Netcore.Prefix.alloc_create ~avoid:(Confmask.Edits.used_prefixes configs) ())
+      ~len:24
+  in
+  let configs1 =
+    Confmask.Edits.update configs ingress (fun c ->
+        let name = Confmask.Edits.fresh_iface_name c in
+        let c =
+          Confmask.Edits.add_interface c ~name ~addr:(Netcore.Prefix.host subnet 1) ~plen:24
+            ~desc:"to-fake-host" ()
+        in
+        Confmask.Edits.add_igp_network c subnet)
+  in
+  let net1 = Device.compile_exn configs1 in
+  let others net = Simulate.others_fib net (Device.Smap.find ingress net.Device.routers) [] in
+  let o0 = others net0 and o1 = others net1 in
+  let st0 = Ospf.prepare net0 in
+  let fib0 = List.hd (Simulate.base_fibs net0 (Some st0) [ (ingress, o0) ]) in
+  let cold = List.hd (Simulate.base_fibs net1 (Some (Ospf.prepare net1)) [ (ingress, o1) ]) in
+  match Ospf.prepare_update ~prev:st0 net1 with
+  | None -> Alcotest.fail "a stub attachment fell back to prepare"
+  | Some (st1, changed, _) ->
+      check Alcotest.bool "the engine's patch equals a cold build" true
+        (Ospf.patch_base st1 net1 ingress ~others:o1 fib0
+           (changed @ Fib.changed_prefixes o0 o1)
+        = cold);
+      check Alcotest.bool "a patch with the previous others FIB does not" false
+        (Ospf.patch_base st1 net1 ingress ~others:o0 fib0 changed = cold)
 
 (* Every OSPF-advertised prefix of [net] with its seeds. *)
 let advertised (net : Device.network) =
@@ -1995,7 +2190,8 @@ let engine_suite =
       (List.map
          (fun (entry : Netgen.Nets.entry) -> (entry.id, Netgen.Nets.configs entry))
          (Netgen.Nets.small ())
-      @ List.map (fun id -> (id ^ "+rip", with_rip id)) [ "A"; "G" ])
+      @ List.map (fun id -> (id ^ "+rip", with_rip id)) [ "A"; "G" ]
+      @ [ ("G+eigrp", with_eigrp "G") ])
 
 let () =
   Alcotest.run "routing"
@@ -2012,6 +2208,8 @@ let () =
           Alcotest.test_case "filter restores equivalence" `Quick
             test_filter_restores_equivalence;
           Alcotest.test_case "min_cost" `Quick test_min_cost;
+          Alcotest.test_case "dense min_cost = Smap min_cost on nets A-H" `Quick
+            test_min_cost_dense;
           Alcotest.test_case "parallel links" `Quick test_parallel_links;
           Alcotest.test_case "asymmetric costs" `Quick test_asymmetric_costs;
         ] );
@@ -2083,6 +2281,12 @@ let () =
               test_engine_restored_state_extends;
             Alcotest.test_case "stub subnets keep every adjacency row" `Quick
               test_engine_stub_subnets_keep_rows;
+            Alcotest.test_case "base FIB constructor on mixed-IGP nets A and G" `Quick
+              test_constructor_mixed_igps;
+            Alcotest.test_case "a patch covers changed others slots" `Quick
+              test_patch_needs_changed_others;
+            Alcotest.test_case "a deny binds to every IGP of the router" `Quick
+              test_deny_binds_every_igp;
           ] );
       ("memo", memo_suite);
       ( "properties",
@@ -2091,6 +2295,8 @@ let () =
             [
               prop_engine_disk_cache;
               prop_engine_extends_min_cost_links;
+              prop_constructor_reference;
+              prop_engine_slot_patches;
               prop_compile_order_free;
             ] );
     ]
