@@ -94,7 +94,8 @@ batch-smoke:
 # grid through the client driver must produce byte-identical anonymized
 # configurations and result digests to the one-shot path, show
 # persistent-cache hits and zero fresh SPF computations on a second
-# pass, and drain cleanly on shutdown.
+# pass, reject a job with a misspelled field, and drain cleanly on
+# shutdown.
 SERVE_SMOKE := /tmp/confmask-serve-smoke
 serve-smoke:
 	rm -rf $(SERVE_SMOKE) && mkdir -p $(SERVE_SMOKE)
@@ -126,6 +127,14 @@ serve-smoke:
 	grep -o '"engine.spf_full":[0-9]*' $(SERVE_SMOKE)/stats.json > $(SERVE_SMOKE)/spf.after
 	cmp $(SERVE_SMOKE)/spf.before $(SERVE_SMOKE)/spf.after
 	grep -Eq '"diskcache.hit":[1-9]' $(SERVE_SMOKE)/stats.json
+	# A misspelled job field is a typed rejection naming it, never a job
+	# run at the default k_R: the call exits 1 and nothing is written.
+	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock \
+	  '{"op": "job", "id": "typo", "source": {"catalog": "A"}, "k_r": 2, "out": "$(SERVE_SMOKE)/typo"}' \
+	  > $(SERVE_SMOKE)/typo.json; test $$? -eq 1
+	grep -q '"error":"bad_request"' $(SERVE_SMOKE)/typo.json
+	grep -q "unknown field 'k_r'" $(SERVE_SMOKE)/typo.json
+	test ! -e $(SERVE_SMOKE)/typo
 	# Graceful shutdown: drain, then exit.
 	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock '{"op": "shutdown"}'
 	for i in $$(seq 1 50); do kill -0 $$(cat $(SERVE_SMOKE)/pid) 2>/dev/null || break; sleep 0.2; done
@@ -154,15 +163,15 @@ cache-upgrade-smoke:
 	  --metrics-out $(CACHE_UPGRADE)/metrics.json
 	grep -Eq '"diskcache\.hit": *[1-9]' $(CACHE_UPGRADE)/metrics.json
 	# A current-format directory stamped by the previous engine (whose
-	# domain caches still held per-router selection lists) is wiped too,
+	# domain caches still held per-router filter digests) is wiped too,
 	# and the run succeeds on the fresh store.
 	rm -rf $(CACHE_UPGRADE)/cache && mkdir -p $(CACHE_UPGRADE)/cache
-	printf 'confmask-diskcache 2\nconfmask-engine-5/ocaml-5.1.1\n' > $(CACHE_UPGRADE)/cache/INDEX
-	printf 'stale engine-5 state' > $(CACHE_UPGRADE)/cache/00deadbeef05.v
+	printf 'confmask-diskcache 2\nconfmask-engine-6/ocaml-5.1.1\n' > $(CACHE_UPGRADE)/cache/INDEX
+	printf 'stale engine-6 state' > $(CACHE_UPGRADE)/cache/00deadbeef06.v
 	dune exec bin/confmask_cli.exe -- anonymize --in $(CACHE_UPGRADE)/orig \
 	  --out $(CACHE_UPGRADE)/anon3 --cache $(CACHE_UPGRADE)/cache
-	test ! -f $(CACHE_UPGRADE)/cache/00deadbeef05.v
-	grep -q 'confmask-engine-6/' $(CACHE_UPGRADE)/cache/INDEX
+	test ! -f $(CACHE_UPGRADE)/cache/00deadbeef06.v
+	grep -q 'confmask-engine-7/' $(CACHE_UPGRADE)/cache/INDEX
 	diff -r $(CACHE_UPGRADE)/anon $(CACHE_UPGRADE)/anon3
 
 # Differential policy verification smoke: anonymize net A's fig-grid

@@ -12,38 +12,22 @@ let guard f =
   try f ()
   with e ->
     let cls, msg = Confmask.Batch.classify e in
-    if cls = "input" then begin
-      Printf.eprintf "confmask: %s\n" msg;
-      1
-    end
-    else begin
-      Printf.eprintf "confmask: internal error: %s\n" msg;
-      2
-    end
+    let what = if cls = "input" then "" else "internal error: " in
+    Printf.eprintf "confmask: %s%s\n" what msg;
+    Confmask.Batch.exit_code cls
 
 let read_dir = Confmask.Batch.read_config_dir
+let simulate_dir = Confmask.Batch.simulate_dir
 
-let write_configs ?(format = Configlang.Vendor.Cisco) dir configs =
-  let printer = Configlang.Vendor.print format in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.iter
-    (fun (c : Configlang.Ast.config) ->
-      let path = Filename.concat dir (c.hostname ^ ".cfg") in
-      let oc = open_out path in
-      output_string oc (printer c);
-      close_out oc)
-    configs;
+let write_configs ~format dir configs =
+  Confmask.Batch.write_configs ~format dir configs;
   Printf.printf "wrote %d configurations to %s\n" (List.length configs) dir
 
 (* ---- generate ---- *)
 
 let generate net out format =
   guard @@ fun () ->
-  let entry =
-    try Netgen.Nets.find net
-    with Not_found -> Confmask.Batch.input_error "unknown network '%s'" net
-  in
-  write_configs ~format out (Netgen.Nets.configs entry);
+  write_configs ~format out (Confmask.Batch.load_source (Catalog net));
   0
 
 let net_arg =
@@ -70,20 +54,22 @@ let generate_cmd =
   let info = Cmd.info "generate" ~doc:"Generate an evaluation network's configurations" in
   Cmd.v info Term.(const generate $ net_arg $ out_arg $ format_arg)
 
-(* ---- telemetry flags (shared by anonymize and simulate) ---- *)
+(* ---- pool and telemetry flags (shared by the analysis commands) ---- *)
 
-let setup_telemetry ~trace ~metrics_out ~selfcheck =
+let set_jobs n = if n >= 1 then Netcore.Pool.set_default_jobs n
+
+let setup ~jobs ~trace ~metrics_out ~selfcheck =
+  set_jobs jobs;
   if trace || metrics_out <> None then Netcore.Telemetry.set_enabled true;
   if selfcheck then Routing.Engine.set_selfcheck true
 
 let emit_telemetry ~trace ~metrics_out =
   if trace then Netcore.Telemetry.pp_report Format.err_formatter ();
-  match metrics_out with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Netcore.Telemetry.report_json ());
-      close_out oc
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (Netcore.Telemetry.report_json ())))
+    metrics_out
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ]
@@ -106,8 +92,6 @@ let parse_key s =
   | Ok k -> k
   | Error m -> Confmask.Batch.input_error "bad key '%s': %s" s m
 
-let set_jobs n = if n >= 1 then Netcore.Pool.set_default_jobs n
-
 let jobs_arg =
   Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N"
          ~doc:"Size of the simulation worker pool (default: the number of \
@@ -116,8 +100,7 @@ let jobs_arg =
 let anonymize in_dir out_dir format k_r k_h noise seed pii_key fake_routers
     jobs cache_dir trace metrics_out selfcheck =
   guard @@ fun () ->
-  set_jobs jobs;
-  setup_telemetry ~trace ~metrics_out ~selfcheck;
+  setup ~jobs ~trace ~metrics_out ~selfcheck;
   let cache = Option.map Routing.Engine.open_cache cache_dir in
   let configs = read_dir in_dir in
   let pii_key = Option.map parse_key pii_key in
@@ -137,16 +120,13 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii_key fake_routers
       write_configs ~format out_dir r.anon_configs;
       (* The owner-side secret: which elements are fake. Needed to
          interpret answers coming back from collaborators; never share. *)
-      let oc = open_out (Filename.concat out_dir "confmask-secrets.txt") in
-      Printf.fprintf oc "# Private mapping - do NOT share with the configs\n";
-      List.iter
-        (fun (u, v) -> Printf.fprintf oc "fake-link %s %s\n" u v)
-        r.fake_edges;
-      List.iter
-        (fun (fake, real) -> Printf.fprintf oc "fake-host %s (copy of %s)\n" fake real)
-        r.fake_hosts;
-      List.iter (fun fr -> Printf.fprintf oc "fake-router %s\n" fr) r.fake_router_names;
-      close_out oc;
+      Out_channel.with_open_text (Filename.concat out_dir "confmask-secrets.txt") (fun oc ->
+          Printf.fprintf oc "# Private mapping - do NOT share with the configs\n";
+          List.iter (fun (u, v) -> Printf.fprintf oc "fake-link %s %s\n" u v) r.fake_edges;
+          List.iter
+            (fun (f, real) -> Printf.fprintf oc "fake-host %s (copy of %s)\n" f real)
+            r.fake_hosts;
+          List.iter (fun fr -> Printf.fprintf oc "fake-router %s\n" fr) r.fake_router_names);
       let topo = Confmask.Metrics.topology_of_snapshot r.anon_snapshot in
       (* U_C pairs files by hostname, so the originals take the names
          the PII scrub gave them. *)
@@ -173,20 +153,23 @@ let in_arg =
   Arg.(required & opt (some dir) None & info [ "in" ] ~docv:"DIR"
          ~doc:"Directory of original .cfg files.")
 
+(* Every job default is [Workflow.default_params]'. *)
+let default = Confmask.Workflow.default_params
+
 let kr_arg =
-  Arg.(value & opt int 6 & info [ "kr" ] ~docv:"K"
+  Arg.(value & opt int default.k_r & info [ "kr" ] ~docv:"K"
          ~doc:"Topology anonymity parameter $(docv) (k-degree anonymity).")
 
 let kh_arg =
-  Arg.(value & opt int 2 & info [ "kh" ] ~docv:"K"
+  Arg.(value & opt int default.k_h & info [ "kh" ] ~docv:"K"
          ~doc:"Route anonymity parameter $(docv) (fake hosts per real host).")
 
 let noise_arg =
-  Arg.(value & opt float 0.1 & info [ "noise" ] ~docv:"P"
+  Arg.(value & opt float default.noise & info [ "noise" ] ~docv:"P"
          ~doc:"Noise coefficient of the route anonymization algorithm.")
 
 let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
+  Arg.(value & opt int default.seed & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
 let pii_key_arg =
   Arg.(value & opt (some string) None & info [ "pii-key" ] ~docv:"KEY"
@@ -196,7 +179,7 @@ let pii_key_arg =
                it nothing is scrubbed.")
 
 let fake_routers_arg =
-  Arg.(value & opt int 0 & info [ "fake-routers" ] ~docv:"N"
+  Arg.(value & opt int default.fake_routers & info [ "fake-routers" ] ~docv:"N"
          ~doc:"Network-scale obfuscation: add $(docv) fake routers before \
                topology anonymization (IGP-only networks).")
 
@@ -217,31 +200,25 @@ let anonymize_cmd =
 
 let simulate in_dir show_paths jobs trace metrics_out =
   guard @@ fun () ->
-  set_jobs jobs;
-  setup_telemetry ~trace ~metrics_out ~selfcheck:false;
-  let configs = read_dir in_dir in
-  match Routing.Simulate.run configs with
-  | Error m ->
-      Printf.eprintf "simulation failed: %s\n" m;
-      1
-  | Ok snap ->
-      emit_telemetry ~trace ~metrics_out;
-      let g = Routing.Device.router_graph snap.net in
-      Printf.printf "routers: %d\nhosts: %d\nrouter links: %d\n"
-        (Netcore.Graph.num_nodes g)
-        (Routing.Device.Smap.cardinal snap.net.hosts)
-        (Netcore.Graph.num_edges g);
-      let dp = Routing.Simulate.dataplane snap in
-      let delivered = Routing.Dataplane.all_delivered dp in
-      Printf.printf "host pairs with a route: %d\n" (List.length delivered);
-      if show_paths then
+  setup ~jobs ~trace ~metrics_out ~selfcheck:false;
+  let _, snap = simulate_dir in_dir in
+  emit_telemetry ~trace ~metrics_out;
+  let g = Routing.Device.router_graph snap.net in
+  Printf.printf "routers: %d\nhosts: %d\nrouter links: %d\n"
+    (Netcore.Graph.num_nodes g)
+    (Routing.Device.Smap.cardinal snap.net.hosts)
+    (Netcore.Graph.num_edges g);
+  let dp = Routing.Simulate.dataplane snap in
+  let delivered = Routing.Dataplane.all_delivered dp in
+  Printf.printf "host pairs with a route: %d\n" (List.length delivered);
+  if show_paths then
+    List.iter
+      (fun ((s, d), paths) ->
         List.iter
-          (fun ((s, d), paths) ->
-            List.iter
-              (fun p -> Printf.printf "%s -> %s: %s\n" s d (String.concat " " p))
-              paths)
-          delivered;
-      0
+          (fun p -> Printf.printf "%s -> %s: %s\n" s d (String.concat " " p))
+          paths)
+      delivered;
+  0
 
 let paths_arg =
   Arg.(value & flag & info [ "paths" ] ~doc:"Print every host-to-host path.")
@@ -256,53 +233,39 @@ let simulate_cmd =
 
 let metrics orig_dir anon_dir =
   guard @@ fun () ->
-  let orig_configs = read_dir orig_dir in
-  let anon_configs = read_dir anon_dir in
-  match (Routing.Simulate.run orig_configs, Routing.Simulate.run anon_configs) with
-  | Error m, _ | _, Error m ->
-      Printf.eprintf "simulation failed: %s\n" m;
-      1
-  | Ok orig, Ok anon ->
-      let dp0 = Routing.Simulate.dataplane orig in
-      let dp1 = Routing.Simulate.dataplane anon in
-      let hosts = List.map fst (Routing.Device.Smap.bindings orig.net.hosts) in
-      let nr0 = Confmask.Metrics.route_anonymity dp0 in
-      let nr1 = Confmask.Metrics.route_anonymity dp1 in
-      let t0 = Confmask.Metrics.topology_of_snapshot orig in
-      let t1 = Confmask.Metrics.topology_of_snapshot anon in
-      let kept = Confmask.Metrics.kept_paths_fraction ~orig:dp0 ~anon:dp1 ~hosts in
-      let uc = Confmask.Metrics.config_utility ~orig:orig_configs ~anon:anon_configs in
-      let d =
-        Spec.compare_specs ~orig:(Spec.mine dp0) ~anon:(Spec.mine dp1)
-      in
-      Printf.printf
-        "route anonymity N_r: %.2f -> %.2f\nkept paths: %.1f%%\n\
-         topology anonymity k: %d -> %d\nclustering coefficient: %.3f -> %.3f\n\
-         config utility U_C: %.3f\nkept specifications: %.1f%%\n"
-        nr0.nr_avg nr1.nr_avg (100.0 *. kept) t0.min_degree_group
-        t1.min_degree_group t0.clustering t1.clustering uc
-        (100.0 *. Spec.kept_fraction d);
-      0
+  let orig_configs, orig = simulate_dir orig_dir in
+  let anon_configs, anon = simulate_dir anon_dir in
+  let dp0 = Routing.Simulate.dataplane orig in
+  let dp1 = Routing.Simulate.dataplane anon in
+  let hosts = List.map fst (Routing.Device.Smap.bindings orig.net.hosts) in
+  let nr0 = Confmask.Metrics.route_anonymity dp0 in
+  let nr1 = Confmask.Metrics.route_anonymity dp1 in
+  let t0 = Confmask.Metrics.topology_of_snapshot orig in
+  let t1 = Confmask.Metrics.topology_of_snapshot anon in
+  let kept = Confmask.Metrics.kept_paths_fraction ~orig:dp0 ~anon:dp1 ~hosts in
+  let uc = Confmask.Metrics.config_utility ~orig:orig_configs ~anon:anon_configs in
+  let d = Spec.compare_specs ~orig:(Spec.mine dp0) ~anon:(Spec.mine dp1) in
+  Printf.printf
+    "route anonymity N_r: %.2f -> %.2f\nkept paths: %.1f%%\n\
+     topology anonymity k: %d -> %d\nclustering coefficient: %.3f -> %.3f\n\
+     config utility U_C: %.3f\nkept specifications: %.1f%%\n"
+    nr0.nr_avg nr1.nr_avg (100.0 *. kept) t0.min_degree_group
+    t1.min_degree_group t0.clustering t1.clustering uc
+    (100.0 *. Spec.kept_fraction d);
+  0
 
 (* ---- deanon ---- *)
 
 let deanon in_dir =
   guard @@ fun () ->
-  let configs = read_dir in_dir in
-  match Routing.Simulate.run configs with
-  | Error m ->
-      Printf.eprintf "simulation failed: %s\n" m;
-      1
-  | Ok snap ->
-      let uniform = Redteam.Links.filter_links snap configs in
-      let dead = Redteam.Links.no_traffic_links snap in
-      Printf.printf "links flagged by the uniform-filter attack: %d\n"
-        (List.length uniform);
-      List.iter (fun (u, v) -> Printf.printf "  %s -- %s\n" u v) uniform;
-      Printf.printf "links flagged by the no-traffic attack: %d\n"
-        (List.length dead);
-      List.iter (fun (u, v) -> Printf.printf "  %s -- %s\n" u v) dead;
-      0
+  let configs, snap = simulate_dir in_dir in
+  let report attack links =
+    Printf.printf "links flagged by the %s attack: %d\n" attack (List.length links);
+    List.iter (fun (u, v) -> Printf.printf "  %s -- %s\n" u v) links
+  in
+  report "uniform-filter" (Redteam.Links.filter_links snap configs);
+  report "no-traffic" (Redteam.Links.no_traffic_links snap);
+  0
 
 let deanon_cmd =
   let info =
@@ -328,38 +291,30 @@ let metrics_cmd =
 
 let redteam orig_dir anon_dir attacks key key_range json jobs trace metrics_out =
   guard @@ fun () ->
-  set_jobs jobs;
-  setup_telemetry ~trace ~metrics_out ~selfcheck:false;
-  let orig_configs = read_dir orig_dir in
-  let anon_configs = read_dir anon_dir in
-  match (Routing.Simulate.run orig_configs, Routing.Simulate.run anon_configs) with
-  | Error m, _ | _, Error m ->
-      Printf.eprintf "simulation failed: %s\n" m;
-      1
-  | Ok orig, Ok anon ->
-      let attacks = match attacks with [] -> None | l -> Some l in
-      let planted_key = Option.map parse_key key in
-      let scores =
-        Confmask.Audit.check ?attacks ?key_range ?planted_key ~orig_configs
-          ~orig ~anon_configs ~anon ()
-      in
-      emit_telemetry ~trace ~metrics_out;
-      if json then
-        print_endline (Netcore.Json.to_string (Confmask.Audit.to_json scores))
-      else begin
-        Printf.printf "%-18s %7s %6s %9s %10s %8s\n" "attack" "claims" "hits"
-          "relevant" "precision" "recall";
-        List.iter
-          (fun (s : Redteam.Attack.score) ->
-            Printf.printf "%-18s %7d %6d %9d %10.3f %8.3f" s.attack s.claims
-              s.hits s.relevant s.precision s.recall;
-            List.iter
-              (fun (k, v) -> Printf.printf "  %s=%.3f" k v)
-              s.detail;
-            print_newline ())
-          scores
-      end;
-      0
+  setup ~jobs ~trace ~metrics_out ~selfcheck:false;
+  let orig_configs, orig = simulate_dir orig_dir in
+  let anon_configs, anon = simulate_dir anon_dir in
+  let attacks = match attacks with [] -> None | l -> Some l in
+  let planted_key = Option.map parse_key key in
+  let scores =
+    Confmask.Audit.check ?attacks ?key_range ?planted_key ~orig_configs ~orig
+      ~anon_configs ~anon ()
+  in
+  emit_telemetry ~trace ~metrics_out;
+  if json then
+    print_endline (Netcore.Json.to_string (Confmask.Audit.to_json scores))
+  else begin
+    Printf.printf "%-18s %7s %6s %9s %10s %8s\n" "attack" "claims" "hits"
+      "relevant" "precision" "recall";
+    List.iter
+      (fun (s : Redteam.Attack.score) ->
+        Printf.printf "%-18s %7d %6d %9d %10.3f %8.3f" s.attack s.claims s.hits
+          s.relevant s.precision s.recall;
+        List.iter (fun (k, v) -> Printf.printf "  %s=%.3f" k v) s.detail;
+        print_newline ())
+      scores
+  end;
+  0
 
 let attacks_arg =
   Arg.(value & opt (list string) [] & info [ "attacks" ] ~docv:"LIST"
@@ -395,71 +350,54 @@ let redteam_cmd =
 
 (* ---- verify ---- *)
 
-let read_text_file path =
-  let ic =
-    try open_in_bin path
-    with Sys_error m -> Confmask.Batch.input_error "%s" m
-  in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let verify orig_dir anon_dir policies_file json jobs trace metrics_out =
   guard @@ fun () ->
-  set_jobs jobs;
-  setup_telemetry ~trace ~metrics_out ~selfcheck:false;
-  let orig_configs = read_dir orig_dir in
-  let anon_configs = read_dir anon_dir in
+  setup ~jobs ~trace ~metrics_out ~selfcheck:false;
+  let _, orig = simulate_dir orig_dir in
+  let _, anon = simulate_dir anon_dir in
   let policies =
-    match policies_file with
-    | None -> None
-    | Some file -> (
-        match Spec.Query.parse (read_text_file file) with
-        | Ok ps -> Some ps
+    Option.map
+      (fun file ->
+        match Spec.Query.parse (Confmask.Batch.read_file file) with
+        | Ok ps -> ps
         | Error m -> Confmask.Batch.input_error "%s: %s" file m)
+      policies_file
   in
-  match (Routing.Simulate.run orig_configs, Routing.Simulate.run anon_configs) with
-  | Error m, _ | _, Error m ->
-      Printf.eprintf "simulation failed: %s\n" m;
-      1
-  | Ok orig, Ok anon ->
-      let v = Confmask.Verify.check ?policies ~orig ~anon () in
-      emit_telemetry ~trace ~metrics_out;
-      let s = v.Confmask.Verify.summary in
-      if json then
-        print_endline (Netcore.Json.to_string (Confmask.Verify.to_json v))
-      else begin
-        Printf.printf
-          "policies: %d\nholds_both: %d\nlost: %d\nintroduced: %d\n\
-           holds_neither: %d\nfake_only: %d\nkept: %.1f%%\n"
-          s.total s.holds_both s.lost s.introduced s.holds_neither s.fake_only
-          (100.0 *. s.kept_fraction);
-        List.iter
-          (fun (e : Spec.Query.entry) ->
-            match e.e_verdict with
-            | Spec.Query.Lost | Spec.Query.Introduced ->
-                let evidence =
-                  let o =
-                    if e.e_verdict = Spec.Query.Lost then e.e_anon
-                    else Option.value ~default:e.e_anon e.e_orig
-                  in
-                  match (o.witness, o.counterexample) with
-                  | [], p :: _ | p :: _, [] -> "  e.g. " ^ String.concat " " p
-                  | _ -> ""
-                in
-                Printf.printf "%s: %s%s\n"
-                  (Spec.Query.verdict_to_string e.e_verdict)
-                  (Spec.Query.to_string e.e_policy)
-                  evidence
-            | _ -> ())
-          v.Confmask.Verify.entries
-      end;
-      (* Exit discipline: every policy that held on the original must
-         still hold on the anonymized network; anything lost is a
-         verification failure (input class — the shared configs do not
-         honor the policies, nothing internal broke). *)
-      if s.lost = 0 then 0 else 1
+  let v = Confmask.Verify.check ?policies ~orig ~anon () in
+  emit_telemetry ~trace ~metrics_out;
+  let s = v.Confmask.Verify.summary in
+  if json then print_endline (Netcore.Json.to_string (Confmask.Verify.to_json v))
+  else begin
+    Printf.printf
+      "policies: %d\nholds_both: %d\nlost: %d\nintroduced: %d\n\
+       holds_neither: %d\nfake_only: %d\nkept: %.1f%%\n"
+      s.total s.holds_both s.lost s.introduced s.holds_neither s.fake_only
+      (100.0 *. s.kept_fraction);
+    List.iter
+      (fun (e : Spec.Query.entry) ->
+        match e.e_verdict with
+        | Spec.Query.Lost | Spec.Query.Introduced ->
+            let evidence =
+              let o =
+                if e.e_verdict = Spec.Query.Lost then e.e_anon
+                else Option.value ~default:e.e_anon e.e_orig
+              in
+              match (o.witness, o.counterexample) with
+              | [], p :: _ | p :: _, [] -> "  e.g. " ^ String.concat " " p
+              | _ -> ""
+            in
+            Printf.printf "%s: %s%s\n"
+              (Spec.Query.verdict_to_string e.e_verdict)
+              (Spec.Query.to_string e.e_policy)
+              evidence
+        | _ -> ())
+      v.Confmask.Verify.entries
+  end;
+  (* Exit discipline: every policy that held on the original must still
+     hold on the anonymized network; anything lost is a verification
+     failure (input class — the shared configs do not honor the policies,
+     nothing internal broke). *)
+  if s.lost = 0 then 0 else 1
 
 let policies_arg =
   Arg.(value & opt (some string) None & info [ "policies" ] ~docv:"FILE"
@@ -507,16 +445,14 @@ let diff orig_dir anon_dir =
   in
   List.iter
     (fun (a : Configlang.Ast.config) ->
+      let o = find orig a.hostname in
       let b =
-        match find orig a.hostname with
-        | Some o ->
-            Confmask.Metrics.line_breakdown ~orig:[ o ] ~anon:[ a ]
-        | None -> Confmask.Metrics.line_breakdown ~orig:[] ~anon:[ a ]
+        Confmask.Metrics.line_breakdown ~orig:(Option.to_list o) ~anon:[ a ]
       in
       if Configlang.Count.total b > 0 then
         Printf.printf "%-16s %10d %10d %10d %10d%s\n" a.hostname b.protocol_lines
           b.filter_lines b.interface_lines b.other_lines
-          (if find orig a.hostname = None then "  (new device)" else ""))
+          (if o = None then "  (new device)" else ""))
     anon;
   let total = Confmask.Metrics.line_breakdown ~orig ~anon in
   Printf.printf "%-16s %10d %10d %10d %10d\n" "TOTAL" total.protocol_lines
@@ -543,8 +479,7 @@ let parse_addr s =
 let batch nets in_dirs k_rs k_hs out format seed noise resume limit cache_dir
     no_cache jobs server tenant trace metrics_out =
   guard @@ fun () ->
-  set_jobs jobs;
-  setup_telemetry ~trace ~metrics_out ~selfcheck:false;
+  setup ~jobs ~trace ~metrics_out ~selfcheck:false;
   if nets = [] && in_dirs = [] then
     Confmask.Batch.input_error "one of --nets or --in-dirs is required";
   if tenant <> None && server = None then
@@ -558,9 +493,8 @@ let batch nets in_dirs k_rs k_hs out format seed noise resume limit cache_dir
     (* In client mode the daemon's resident cache does the caching. *)
     if no_cache || server <> None then None
     else
-      Some
-        (Routing.Engine.open_cache
-           (Option.value cache_dir ~default:(Filename.concat out "cache")))
+      let dir = Option.value cache_dir ~default:(Filename.concat out "cache") in
+      Some (Routing.Engine.open_cache dir)
   in
   let o =
     Confmask.Batch.run ?cache ?server ?tenant ~resume ?limit ~format ~out
@@ -582,11 +516,11 @@ let in_dirs_arg =
          ~doc:"Comma-separated directories of .cfg files to put on the grid.")
 
 let krs_arg =
-  Arg.(value & opt (list int) [ 6 ] & info [ "kr" ] ~docv:"KS"
+  Arg.(value & opt (list int) [ default.k_r ] & info [ "kr" ] ~docv:"KS"
          ~doc:"Comma-separated topology anonymity parameters of the grid.")
 
 let khs_arg =
-  Arg.(value & opt (list int) [ 2 ] & info [ "kh" ] ~docv:"KS"
+  Arg.(value & opt (list int) [ default.k_h ] & info [ "kh" ] ~docv:"KS"
          ~doc:"Comma-separated route anonymity parameters of the grid.")
 
 let resume_arg =
@@ -640,14 +574,9 @@ let batch_cmd =
 (* ---- serve ---- *)
 
 let parse_tenant s =
-  match String.index_opt s '=' with
-  | Some i -> (
-      let name = String.sub s 0 i in
-      let key = String.sub s (i + 1) (String.length s - i - 1) in
-      if name = "" || key = "" then
-        Confmask.Batch.input_error "bad --tenant '%s' (want NAME=KEY)" s
-      else (name, parse_key key))
-  | None -> Confmask.Batch.input_error "bad --tenant '%s' (want NAME=KEY)" s
+  match String.split_on_char '=' s with
+  | [ name; key ] when name <> "" && key <> "" -> (name, parse_key key)
+  | _ -> Confmask.Batch.input_error "bad --tenant '%s' (want NAME=KEY)" s
 
 let serve listen queue_cap workers cache_dir jobs tenants trace =
   guard @@ fun () ->
@@ -728,13 +657,9 @@ let call connect request =
         (Netcore.Server.addr_to_string addr)
   | resp ->
       print_endline resp;
-      let ok =
-        match Netcore.Json.parse resp with
-        | Ok j -> Option.bind (Netcore.Json.member "ok" j) Netcore.Json.bool
-                  = Some true
-        | Error _ -> false
-      in
-      if ok then 0 else 1
+      match Netcore.Json.parse resp with
+      | Ok j when Netcore.Json.member "ok" j = Some (Netcore.Json.Bool true) -> 0
+      | _ -> 1
 
 let connect_arg =
   Arg.(value & opt string "unix:confmask.sock"

@@ -13,6 +13,20 @@ let classify = function
 
 let exit_code = function "input" -> 1 | _ -> 2
 
+(* ---- filesystem plumbing ---- *)
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755
+    with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path content =
+  Out_channel.with_open_bin path (fun oc -> output_string oc content)
+
 let read_config_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     input_error "%s: no such directory" dir;
@@ -25,14 +39,25 @@ let read_config_dir dir =
   List.map
     (fun f ->
       let path = Filename.concat dir f in
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      match Configlang.Vendor.parse text with
+      match Configlang.Vendor.parse (read_file path) with
       | Ok c -> c
       | Error m -> input_error "%s: %s" path m)
     files
+
+let write_configs ~format dir configs =
+  mkdir_p dir;
+  List.iter
+    (fun (c : Configlang.Ast.config) ->
+      write_file
+        (Filename.concat dir (c.hostname ^ ".cfg"))
+        (Configlang.Vendor.print format c))
+    configs
+
+let simulate_dir dir =
+  let configs = read_config_dir dir in
+  match Routing.Simulate.run configs with
+  | Ok snap -> (configs, snap)
+  | Error m -> input_error "%s: simulation failed: %s" dir m
 
 (* A job's input is named, not a closure, so a job can be shipped over
    the serve wire and re-materialized by the daemon. Loading happens
@@ -52,58 +77,184 @@ type job = {
   job_params : Workflow.params;
 }
 
-let params_of ~seed ~noise ~k_r ~k_h =
-  { Workflow.default_params with k_r; k_h; seed; noise }
-
-let combos ~ids ~k_rs ~k_hs =
+(* One job per [x × k_r × k_h], in that nesting order; [seed] and [noise]
+   default to [Workflow.default_params]'. *)
+let jobs ~name ~source ?(seed = Workflow.default_params.seed)
+    ?(noise = Workflow.default_params.noise) ~k_rs ~k_hs xs =
   List.concat_map
-    (fun id ->
+    (fun x ->
       List.concat_map
-        (fun k_r -> List.map (fun k_h -> (id, k_r, k_h)) k_hs)
+        (fun k_r ->
+          List.map
+            (fun k_h ->
+              {
+                job_id = Printf.sprintf "%s-kr%d-kh%d" (name x) k_r k_h;
+                job_source = source x;
+                job_params = { Workflow.default_params with k_r; k_h; seed; noise };
+              })
+            k_hs)
         k_rs)
-    ids
+    xs
 
-let grid_jobs ?(seed = 42) ?(noise = 0.1) ~nets ~k_rs ~k_hs () =
-  List.map
-    (fun (net, k_r, k_h) ->
-      {
-        job_id = Printf.sprintf "%s-kr%d-kh%d" net k_r k_h;
-        job_source = Catalog net;
-        job_params = params_of ~seed ~noise ~k_r ~k_h;
-      })
-    (combos ~ids:nets ~k_rs ~k_hs)
+let grid_jobs ?seed ?noise ~nets ~k_rs ~k_hs () =
+  jobs ~name:Fun.id ~source:(fun net -> Catalog net) ?seed ?noise ~k_rs ~k_hs nets
 
-let dir_jobs ?(seed = 42) ?(noise = 0.1) ~dirs ~k_rs ~k_hs () =
-  List.map
-    (fun (dir, k_r, k_h) ->
-      {
-        job_id =
-          Printf.sprintf "%s-kr%d-kh%d" (Filename.basename dir) k_r k_h;
-        job_source = Dir dir;
-        job_params = params_of ~seed ~noise ~k_r ~k_h;
-      })
-    (combos ~ids:dirs ~k_rs ~k_hs)
+let dir_jobs ?seed ?noise ~dirs ~k_rs ~k_hs () =
+  jobs ~name:Filename.basename ~source:(fun dir -> Dir dir) ?seed ?noise ~k_rs ~k_hs dirs
 
-(* ---- filesystem plumbing ---- *)
+(* ---- a job's wire form ---- *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
+module Request = struct
+  type t = {
+    job : job;
+    out : string;
+    format : Configlang.Vendor.t;
+    tenant : string option;
+  }
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  type error =
+    | Missing_field of string
+    | Unknown_field of string
+    | Wrong_type of string * string
+    | Out_of_range of string
+    | Bad_value of string * string
+    | Unknown_tenant of string
 
-let write_file path content =
-  let oc = open_out_bin path in
-  output_string oc content;
-  close_out oc
+  let error_message = function
+    | Missing_field f -> Printf.sprintf "missing field '%s'" f
+    | Unknown_field f -> Printf.sprintf "unknown field '%s'" f
+    | Wrong_type (f, want) -> Printf.sprintf "field '%s' must be %s" f want
+    | Out_of_range f -> Printf.sprintf "field '%s' is beyond 1e15 in size" f
+    | Bad_value (f, m) -> Printf.sprintf "field '%s': %s" f m
+    | Unknown_tenant t -> Printf.sprintf "unknown tenant '%s'" t
+
+  exception Reject of error
+
+  let reject e = raise (Reject e)
+
+  (* Readers take the field name, for their errors, then the value. *)
+  let typed want read name v =
+    match read v with Some x -> x | None -> reject (Wrong_type (name, want))
+
+  let str = typed "a string" Json.str
+
+  let int name v =
+    match (v, Json.int v) with
+    | _, Some n -> n
+    | Json.Num f, None when Float.is_integer f -> reject (Out_of_range name)
+    | _ -> reject (Wrong_type (name, "an integer"))
+
+  let parsed of_string name v =
+    match of_string (str name v) with
+    | Ok x -> x
+    | Error m -> reject (Bad_value (name, m))
+
+  let source_json = function
+    | Catalog net -> Json.Obj [ ("catalog", Json.Str net) ]
+    | Dir dir -> Json.Obj [ ("dir", Json.Str dir) ]
+
+  let source name = function
+    | Json.Obj [ ("catalog", Json.Str net) ] -> Catalog net
+    | Json.Obj [ ("dir", Json.Str dir) ] -> Dir dir
+    | _ -> reject (Bad_value (name, {|must be {"catalog": ID} or {"dir": PATH}|}))
+
+  (* Full 64-bit keys do not survive a JSON number (53 mantissa bits), so
+     the wire form is the canonical hex string. *)
+  let key = parsed Pii.Pan.key_of_string
+
+  let with_job r f = { r with job = f r.job }
+
+  (* A field: its name, its wire value ([None]: left off), and how its
+     read value updates a request. *)
+  let field name enc read set = (name, enc, fun v r -> set r (read name v))
+
+  let param name enc read set =
+    field name
+      (fun r -> enc r.job.job_params)
+      read
+      (fun r x -> with_job r (fun j -> { j with job_params = set j.job_params x }))
+
+  let int_param name get = param name (fun p -> Some (Json.Num (float_of_int (get p)))) int
+
+  (* The one table both directions read, in wire order. *)
+  let fields =
+    Workflow.
+      [
+        field "id" (fun r -> Some (Json.Str r.job.job_id)) str (fun r job_id ->
+            with_job r (fun j -> { j with job_id }));
+        field "source" (fun r -> Some (source_json r.job.job_source)) source
+          (fun r job_source -> with_job r (fun j -> { j with job_source }));
+        int_param "kr" (fun p -> p.k_r) (fun p k_r -> { p with k_r });
+        int_param "kh" (fun p -> p.k_h) (fun p k_h -> { p with k_h });
+        int_param "seed" (fun p -> p.seed) (fun p seed -> { p with seed });
+        param "noise" (fun p -> Some (Json.Num p.noise)) (typed "a number" Json.num)
+          (fun p noise -> { p with noise });
+        int_param "fake_routers" (fun p -> p.fake_routers) (fun p fake_routers ->
+            { p with fake_routers });
+        (* Sent only when it contradicts the key, so that a job a
+           tenant's key scrubs carries no switch. *)
+        param "pii"
+          (fun p -> if p.pii = (p.pii_key <> None) then None else Some (Json.Bool p.pii))
+          (typed "a boolean" Json.bool)
+          (fun p pii -> { p with pii });
+        param "pii_key"
+          (fun p -> Option.map (fun k -> Json.Str (Pii.Pan.key_to_string k)) p.pii_key)
+          key
+          (fun p k -> { p with pii_key = Some k });
+        field "out" (fun r -> Some (Json.Str r.out)) str (fun r out -> { r with out });
+        field "format" (fun r -> Some (Json.Str (Configlang.Vendor.to_string r.format)))
+          (parsed Configlang.Vendor.of_string) (fun r format -> { r with format });
+        field "tenant" (fun r -> Option.map (fun t -> Json.Str t) r.tenant) str
+          (fun r t -> { r with tenant = Some t });
+      ]
+
+  let to_json r =
+    let wire (name, enc, _) = Option.map (fun v -> (name, v)) (enc r) in
+    Json.Obj (("op", Json.Str "job") :: List.filter_map wire fields)
+
+  (* A tenant's key wins over an explicit one. *)
+  let resolve ~tenants ~tenant key =
+    match Option.map (fun t -> (t, List.assoc_opt t tenants)) tenant with
+    | None -> key
+    | Some (_, (Some _ as k)) -> k
+    | Some (t, None) -> reject (Unknown_tenant t)
+
+  let decoding f = try Ok (f ()) with Reject e -> Error e
+
+  let of_json ~tenants v =
+    decoding @@ fun () ->
+    let members = match v with Json.Obj m -> m | _ -> [] in
+    (* Absent fields keep [Workflow.default_params]'. Right to left, so
+       that of duplicate keys the first wins, as under [Json.member];
+       ["op"] was read by the dispatcher. *)
+    let blank =
+      let job_params = Workflow.default_params in
+      { job = { job_id = ""; job_source = Catalog ""; job_params };
+        out = ""; format = Configlang.Vendor.Cisco; tenant = None }
+    in
+    let r =
+      List.fold_right
+        (fun (name, v) r ->
+          match List.find_opt (fun (n, _, _) -> String.equal n name) fields with
+          | Some (_, _, dec) -> dec v r
+          | None when name = "op" -> r
+          | None -> reject (Unknown_field name))
+        members blank
+    in
+    [ "id"; "source"; "out" ]
+    |> List.iter (fun f -> if not (List.mem_assoc f members) then reject (Missing_field f));
+    let pii_key = resolve ~tenants ~tenant:r.tenant r.job.job_params.pii_key in
+    (* Without a "pii" field the scrub runs exactly when a key resolved;
+       a contradicting one is [Workflow.run]'s input error. *)
+    let p = r.job.job_params in
+    let pii = if List.mem_assoc "pii" members then p.pii else pii_key <> None in
+    { r with job = { r.job with job_params = { p with pii; pii_key } } }
+
+  let key_of_json ~tenants v =
+    decoding @@ fun () ->
+    let get name read = Option.map (read name) (Json.member name v) in
+    resolve ~tenants ~tenant:(get "tenant" str) (get "pii_key" key)
+end
 
 let manifest_path out = Filename.concat out "manifest.json"
 let result_path out id = Filename.concat (Filename.concat out id) "result.json"
@@ -187,14 +338,6 @@ let reusable_record out id =
   | Ok _ | Error _ -> None
   | exception Sys_error _ -> None
 
-let write_anon_configs ~format dir (r : Workflow.report) =
-  mkdir_p dir;
-  let printer = Configlang.Vendor.print format in
-  List.iter
-    (fun (c : Configlang.Ast.config) ->
-      write_file (Filename.concat dir (c.hostname ^ ".cfg")) (printer c))
-    r.anon_configs
-
 let execute ~out ~cache ~format job =
   let dir = Filename.concat out job.job_id in
   mkdir_p dir;
@@ -208,57 +351,22 @@ let execute ~out ~cache ~format job =
     | Ok r ->
         let seconds = Clock.elapsed t0 in
         let deltas = counter_delta before (Telemetry.counters ()) in
-        write_anon_configs ~format (Filename.concat dir "configs") r;
+        write_configs ~format (Filename.concat dir "configs") r.anon_configs;
         let digest =
           Digest.to_hex
             (Digest.string (String.concat "\x00" (List.map snd (Workflow.anon_texts r))))
         in
         ok_record ~id:job.job_id ~seconds ~digest ~deltas r
     | Error msg ->
-        let seconds = Clock.elapsed t0 in
-        error_record ~id:job.job_id ~seconds ~cls:"input" ~msg
+        error_record ~id:job.job_id ~seconds:(Clock.elapsed t0) ~cls:"input" ~msg
     | exception e ->
-        let seconds = Clock.elapsed t0 in
         let cls, msg = classify e in
-        error_record ~id:job.job_id ~seconds ~cls ~msg
+        error_record ~id:job.job_id ~seconds:(Clock.elapsed t0) ~cls ~msg
   in
   write_record out job.job_id record;
   record
 
 (* ---- running a job through a live serve daemon ---- *)
-
-let format_name = function
-  | Configlang.Vendor.Cisco -> "cisco"
-  | Configlang.Vendor.Junos -> "junos"
-
-let job_request ?tenant ~out ~format job =
-  let p = job.job_params in
-  let source =
-    match job.job_source with
-    | Catalog net -> Json.Obj [ ("catalog", Json.Str net) ]
-    | Dir dir -> Json.Obj [ ("dir", Json.Str dir) ]
-  in
-  let fields =
-    [
-      ("op", Json.Str "job");
-      ("id", Json.Str job.job_id);
-      ("source", source);
-      ("kr", Json.Num (float_of_int p.k_r));
-      ("kh", Json.Num (float_of_int p.k_h));
-      ("seed", Json.Num (float_of_int p.seed));
-      ("noise", Json.Num p.noise);
-      ("fake_routers", Json.Num (float_of_int p.fake_routers));
-      ("out", Json.Str out);
-      ("format", Json.Str (format_name format));
-    ]
-    @ (match p.pii_key with
-      (* Full 64-bit keys do not survive a JSON number (53 mantissa
-         bits), so the wire form is the canonical hex string. *)
-      | Some k -> [ ("pii_key", Json.Str (Pii.Pan.key_to_string k)) ]
-      | None -> [])
-    @ match tenant with Some t -> [ ("tenant", Json.Str t) ] | None -> []
-  in
-  Json.to_string (Json.Obj fields)
 
 (* Admission-control pushback: a queue-full rejection is the daemon
    telling us to slow down, so back off briefly and retry; anything
@@ -267,7 +375,7 @@ let remote_attempts = 240
 let remote_backoff_s = 0.25
 
 let execute_remote ~server ?tenant ~out ~format job =
-  let req = job_request ?tenant ~out ~format job in
+  let req = Json.to_string (Request.to_json { job; out; format; tenant }) in
   let rec attempt n =
     let resp =
       try Server.request server req
@@ -292,11 +400,7 @@ let execute_remote ~server ?tenant ~out ~format job =
             Unix.sleepf remote_backoff_s;
             attempt (n + 1)
         | _, Some e ->
-            let detail =
-              match member_str "detail" v with
-              | Some d -> ": " ^ d
-              | None -> ""
-            in
+            let detail = Option.fold ~none:"" ~some:(( ^ ) ": ") (member_str "detail" v) in
             input_error "serve daemon rejected job %s: %s%s" job.job_id e detail
         | _, None -> input_error "malformed serve response: %s" resp)
   in
@@ -339,13 +443,12 @@ let run ?pool ?cache ?server ?tenant ?(resume = false) ?limit
   (* The per-job records embed counter deltas; without telemetry they
      would all read empty, which defeats the manifest's purpose. *)
   Telemetry.set_enabled true;
-  let ids = List.map (fun j -> j.job_id) jobs in
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun id ->
+    (fun { job_id = id; _ } ->
       if Hashtbl.mem seen id then input_error "duplicate job id '%s'" id;
       Hashtbl.add seen id ())
-    ids;
+    jobs;
   mkdir_p out;
   (* The daemon re-materializes sources and writes results relative to
      its own cwd; absolute paths make the request location-independent. *)

@@ -40,11 +40,25 @@ val classify : exn -> string * string
 val exit_code : string -> int
 (** Exit code of a classification: ["input"] is 1, anything else 2. *)
 
+val read_file : string -> string
+(** Raises [Sys_error], which {!classify} calls input. The CLI, the batch
+    driver and the serve daemon share this and the next three. *)
+
 val read_config_dir : string -> Configlang.Ast.config list
 (** Reads and parses every [.cfg] file of a directory, in sorted filename
     order, auto-detecting the vendor per file. Raises {!Input_error} when
     the directory is missing, holds no [.cfg] file, or a file fails to
     parse. *)
+
+val write_configs :
+  format:Configlang.Vendor.t -> string -> Configlang.Ast.config list -> unit
+(** [write_configs ~format dir configs] prints each configuration to
+    [dir/<hostname>.cfg], creating [dir] and its parents. *)
+
+val simulate_dir :
+  string -> Configlang.Ast.config list * Routing.Simulate.snapshot
+(** {!read_config_dir}, then a simulation. A failed simulation raises
+    {!Input_error} ["DIR: simulation failed: ..."]. *)
 
 type source =
   | Catalog of string  (** a {!Netgen.Nets} catalog id *)
@@ -74,7 +88,8 @@ val grid_jobs :
 (** The evaluation grid: one job per [net × k_r × k_h] combination, in
     that nesting order, with ids like ["A-kr6-kh2"]. Networks come from
     the {!Netgen.Nets} catalog; an unknown id fails as an input error
-    when the job runs, not when the manifest is built. *)
+    when the job runs, not when the manifest is built. [seed] and [noise]
+    default to {!Workflow.default_params}'. *)
 
 val dir_jobs :
   ?seed:int ->
@@ -86,6 +101,51 @@ val dir_jobs :
   job list
 (** Like {!grid_jobs} over directories of [.cfg] files; job ids are
     [basename-krK-khK]. *)
+
+(** The wire form of a served job request: one field table that
+    [run ~server] encodes with and the serve daemon decodes with. ["id"],
+    ["source"] ([{"catalog": ID}] or [{"dir": PATH}]) and ["out"] are
+    required. ["kr"], ["kh"], ["seed"], ["noise"] and ["fake_routers"]
+    default to {!Workflow.default_params}'. ["pii_key"] is 16 hex digits
+    in a string; ["tenant"] names a daemon-side key and wins over it.
+    ["pii"] defaults to whether a key resolved (a contradicting value is
+    {!Workflow.run}'s input error); ["format"] is ["cisco"] (default) or
+    ["junos"]. Any other field is an error that names it. *)
+module Request : sig
+  type t = {
+    job : job;
+    out : string;  (** the daemon writes [out/<id>/] *)
+    format : Configlang.Vendor.t;
+    tenant : string option;
+  }
+
+  type error =
+    | Missing_field of string
+    | Unknown_field of string
+    | Wrong_type of string * string  (** field, what it must be *)
+    | Out_of_range of string  (** integral, beyond {!Netcore.Json.int} *)
+    | Bad_value of string * string  (** field, why: a bad key or source *)
+    | Unknown_tenant of string
+
+  val error_message : error -> string
+
+  val to_json : t -> Netcore.Json.t
+  (** The request, ["op"] included; ["pii"] is sent only when it
+      contradicts the key. *)
+
+  val of_json :
+    tenants:(string * Pii.Pan.key) list -> Netcore.Json.t -> (t, error) result
+  (** [of_json ~tenants (to_json r) = Ok r] when [r]'s integers are in
+      {!Netcore.Json.int}'s range, its noise is finite, and its tenant,
+      if any, maps to its key. Of duplicate keys the first wins. *)
+
+  val key_of_json :
+    tenants:(string * Pii.Pan.key) list ->
+    Netcore.Json.t ->
+    (Pii.Pan.key option, error) result
+  (** The key a request's ["tenant"] or ["pii_key"] names, as {!of_json}
+      reads them. *)
+end
 
 type outcome = {
   records : (string * Netcore.Json.t) list;
@@ -146,9 +206,8 @@ val run :
     retried with backoff (the admission-control pushback); an
     unreachable daemon turns into per-job input-class error records.
     [cache] is ignored in this mode — the daemon's cache is the point.
-    [tenant] names the daemon-side PII key to scrub with; the request
-    carries no PII switch, since the daemon scrubs exactly when a key
-    resolves. *)
+    [tenant] names the daemon-side PII key to scrub with. Requests are
+    {!Request.to_json}'s. *)
 
 val manifest_path : string -> string
 (** [manifest_path out] is the path of the results manifest under the

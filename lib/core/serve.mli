@@ -23,17 +23,13 @@
       every telemetry counter and span of the daemon process (the
       [diskcache.*] and [engine.*] hit counters live here, since the
       daemon is where the caches are).
-    - [{"op": "job", "id", "source": {"catalog": ID | "dir": PATH},
-       "kr", "kh", "seed", "noise", "pii", "pii_key", "fake_routers",
-       "tenant", "out", "format"}] — run one anonymization job with the
-      resident caches; writes [out/<id>/] exactly like the local batch
-      driver and answers [{"ok": true, "record": "<result.json line>"}].
-      A job is scrubbed exactly when it carries a PII key: [tenant]
-      selects a daemon-configured one (and wins over [pii_key]), or
-      [pii_key] gives one as a string of exactly 16 hex digits
-      ({!Pii.Pan.key_of_string}); a JSON number is a [bad_request].
-      [pii] defaults to whether a key was resolved; an explicit [pii]
-      that contradicts it comes back as an input-class error record.
+    - [{"op": "job", ...}] — run one anonymization job with the resident
+      caches; writes [out/<id>/] exactly like the local batch driver and
+      answers [{"ok": true, "record": "<result.json line>"}]. The fields,
+      their defaults and the rejection rule are {!Batch.Request}'s: an
+      unknown, mistyped or out-of-range field is a [bad_request] naming
+      it, and an unregistered tenant is [unknown_tenant]. A job is
+      scrubbed exactly when it carries a PII key.
     - [{"op": "verify", "orig_dir": DIR, "anon_dir": DIR,
        "policies": TEXT?, "policies_file": PATH?, "entries": BOOL?}] —
       differential policy verification ({!Verify.check}) of two config
@@ -47,9 +43,9 @@
        "attacks": [NAME...]?, "key_range": N?, "tenant"?, "pii_key"?}] —
       red-team audit ({!Audit.check}) of two config directories: run the
       de-anonymization attack suite against the pair and answer the
-      per-attack precision/recall scores. [tenant]/[pii_key], resolved
-      as for [job], optionally plant the scrub key so the brute-force
-      attack's recovery is verified against it.
+      per-attack precision/recall scores. [tenant]/[pii_key], read as
+      for [job] ({!Batch.Request.key_of_json}), optionally plant the
+      scrub key so the brute-force attack's recovery is verified.
     - [{"op": "sleep", "seconds": S}] — occupy a worker (diagnostics /
       admission-control testing only; capped at 10 s).
     - [{"op": "shutdown"}] — acknowledge, then drain in-flight requests

@@ -150,55 +150,52 @@ let anonymize ?(cost_policy = Min_cost) ~rng ~k ~orig:(snap : Routing.Simulate.s
       (fun edits (u, v) ->
         let subnet = Prefix.alloc_fresh alloc ~len:30 in
         let ua = Prefix.host subnet 1 and va = Prefix.host subnet 2 in
-        let inter_as =
-          is_bgp && Smap.find_opt u asns <> Smap.find_opt v asns
-        in
-        if inter_as then begin
-          let as_u = Smap.find u asns and as_v = Smap.find v asns in
-          let eu c =
-            let name = Edits.fresh_iface_name c in
-            let c = Edits.add_interface c ~name ~addr:ua ~plen:30 ~desc:("to-" ^ v) () in
-            Edits.add_bgp_neighbor c ~addr:va ~remote_as:as_v
-          in
-          let ev c =
-            let name = Edits.fresh_iface_name c in
-            let c = Edits.add_interface c ~name ~addr:va ~plen:30 ~desc:("to-" ^ u) () in
-            Edits.add_bgp_neighbor c ~addr:ua ~remote_as:as_u
-          in
-          (v, ev) :: (u, eu) :: edits
-        end
-        else begin
-          (* Intra-AS / IGP-only: SFE cost rule for link-state, plain link
-             for distance-vector. Disconnected components fall back to the
-             default cost (they cannot create shortcuts anyway). *)
-          let policy_cost r_to other =
-            if not (runs_ospf r_to) then None
-            else
-              match cost_policy with
-              | Min_cost -> min_cost r_to other
-              | Default_cost -> None
-              | Large_cost -> Some large_cost
-          in
-          let cost_uv = policy_cost u v in
-          let cost_vu = policy_cost v u in
-          let eu c =
-            let name = Edits.fresh_iface_name c in
-            let c =
-              Edits.add_interface c ~name ~addr:ua ~plen:30 ?cost:cost_uv
-                ~desc:("to-" ^ v) ()
+        (* A router with no AS is intra-domain: a link is inter-AS only
+           when both ends have an AS and the two differ. *)
+        match (Smap.find_opt u asns, Smap.find_opt v asns) with
+        | Some as_u, Some as_v when as_u <> as_v ->
+            let eu c =
+              let name = Edits.fresh_iface_name c in
+              let c = Edits.add_interface c ~name ~addr:ua ~plen:30 ~desc:("to-" ^ v) () in
+              Edits.add_bgp_neighbor c ~addr:va ~remote_as:as_v
             in
-            Edits.add_igp_network c subnet
-          in
-          let ev c =
-            let name = Edits.fresh_iface_name c in
-            let c =
-              Edits.add_interface c ~name ~addr:va ~plen:30 ?cost:cost_vu
-                ~desc:("to-" ^ u) ()
+            let ev c =
+              let name = Edits.fresh_iface_name c in
+              let c = Edits.add_interface c ~name ~addr:va ~plen:30 ~desc:("to-" ^ u) () in
+              Edits.add_bgp_neighbor c ~addr:ua ~remote_as:as_u
             in
-            Edits.add_igp_network c subnet
-          in
-          (v, ev) :: (u, eu) :: edits
-        end)
+            (v, ev) :: (u, eu) :: edits
+        | _ ->
+            (* Intra-AS / IGP-only: SFE cost rule for link-state, plain link
+               for distance-vector. Disconnected components fall back to the
+               default cost (they cannot create shortcuts anyway). *)
+            let policy_cost r_to other =
+              if not (runs_ospf r_to) then None
+              else
+                match cost_policy with
+                | Min_cost -> min_cost r_to other
+                | Default_cost -> None
+                | Large_cost -> Some large_cost
+            in
+            let cost_uv = policy_cost u v in
+            let cost_vu = policy_cost v u in
+            let eu c =
+              let name = Edits.fresh_iface_name c in
+              let c =
+                Edits.add_interface c ~name ~addr:ua ~plen:30 ?cost:cost_uv
+                  ~desc:("to-" ^ v) ()
+              in
+              Edits.add_igp_network c subnet
+            in
+            let ev c =
+              let name = Edits.fresh_iface_name c in
+              let c =
+                Edits.add_interface c ~name ~addr:va ~plen:30 ?cost:cost_vu
+                  ~desc:("to-" ^ u) ()
+              in
+              Edits.add_igp_network c subnet
+            in
+            (v, ev) :: (u, eu) :: edits)
       [] fake_edges
   in
   let configs =

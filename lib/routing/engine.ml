@@ -77,7 +77,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-6/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-7/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -107,10 +107,6 @@ let spf_fp (r : Device.router) =
         (fun (i : Device.iface) -> (i.ifc_name, i.ifc_addr, i.ifc_plen, i.ifc_cost))
         r.r_ifaces )
 
-(* What one router's OSPF route selection depends on beyond the SPF state. *)
-let sel_fp (r : Device.router) =
-  digest (Option.map (fun (o : Device.ospf_proc) -> o.op_filters) r.r_ospf)
-
 (* Distance-vector protocols propagate filters, so any DV-relevant change
    at one member invalidates the whole domain. *)
 let dv_fp (r : Device.router) =
@@ -126,9 +122,10 @@ type dom_cache = {
   dc_members : string list;
   dc_spf : string;  (* combined members' spf_fp *)
   dc_state : Ospf.state option;  (* None when no member runs OSPF *)
-  (* member -> sel_fp, distribute-list filters; the selection itself
-     lives only in the member's base FIB *)
-  dc_sel : (string * (string * Ast.prefix_list) list) Smap.t;
+  (* member -> its distribute-lists, what its OSPF selection depends on
+     beyond the SPF state; the selection itself lives only in the
+     member's base FIB *)
+  dc_sel : (string * Ast.prefix_list) list Smap.t;
   dc_dv : string;  (* combined members' dv_fp *)
   dc_rip : Fib.route list Smap.t;
   dc_eigrp : Fib.route list Smap.t;
@@ -199,26 +196,29 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
       let select reuse =
         Pool.parallel_map ?pool
           (fun (m, r) ->
-            let fp = sel_fp r in
-            (m, Some (fp, filters_of r), reuse m r fp))
+            let filters = filters_of r in
+            (m, Some filters, reuse m filters))
           routers
       in
       (* A member's selection moves on the prefixes whose SPF distances
          changed and those its filter change can touch; it is redone in
-         full when the filter change cannot be bounded. *)
-      let reuse_with c spf_changed m (r : Device.router) fp =
+         full when the filter change cannot be bounded. Most members
+         have no distribute-list, and [==] decides those without a
+         structural walk. *)
+      let reuse_with c spf_changed m filters =
         match Smap.find_opt m c.dc_sel with
-        | Some (fp', _) when String.equal fp fp' && spf_changed = [] -> Same
-        | Some (fp', old_filters) -> (
-            let filter_affected =
-              if String.equal fp fp' then Some []
-              else Ospf.changed_filter_prefixes old_filters (filters_of r)
-            in
-            match filter_affected with
-            | Some affected ->
-                Telemetry.incr c_sel_patch;
-                Patch (spf_changed @ affected)
-            | None -> Full)
+        | Some old -> (
+            let same = old == filters || old = filters in
+            if same && spf_changed = [] then Same
+            else
+              match
+                if same then Some []
+                else Ospf.changed_filter_prefixes old filters
+              with
+              | Some affected ->
+                  Telemetry.incr c_sel_patch;
+                  Patch (spf_changed @ affected)
+              | None -> Full)
         | None -> Full
       in
       let full () =
@@ -229,12 +229,12 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
         | Some st ->
             Telemetry.incr c_spf_disk;
             let st = Ospf.rescope ~scope:d.dom_scope net st in
-            (Some st, select (fun _ _ _ -> Full))
+            (Some st, select (fun _ _ -> Full))
         | None ->
             Telemetry.incr c_spf_full;
             let st = Ospf.prepare ~scope:d.dom_scope ?pool net in
             disk_put cache key st;
-            (Some st, select (fun _ _ _ -> Full))
+            (Some st, select (fun _ _ -> Full))
       in
       match prev with
       | Some c when String.equal c.dc_spf spf && c.dc_state <> None ->
@@ -258,8 +258,8 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
               Telemetry.incr c_spf_extend;
               let moved = Sset.of_list moved in
               ( Some st,
-                select (fun m r fp ->
-                    if Sset.mem m moved then Full else reuse_with c changed m r fp) )
+                select (fun m filters ->
+                    if Sset.mem m moved then Full else reuse_with c changed m filters) )
           | None -> full ())
       | _ -> full ()
   in

@@ -59,6 +59,28 @@ let test_bgp_nets () =
       assert_invariants id r)
     [ "A"; "B"; "C"; "CCNP" ]
 
+(* A well-formed OSPF-only router inside a BGP network: net A with a3's
+   [router bgp] stanza deleted. A router with no AS is intra-domain, so
+   the fake link topology anonymization adds between it and a BGP router
+   is an IGP link, and the run succeeds with functional equivalence. (Its
+   host ha2 is no longer advertised to the other ASes, so the network is
+   not fully reachable and [assert_invariants] does not apply.) *)
+let test_bgp_less_router_in_bgp_net () =
+  let configs =
+    List.map
+      (fun (c : Configlang.Ast.config) ->
+        if c.hostname = "a3" then { c with bgp = None } else c)
+      (Netgen.Nets.configs (Netgen.Nets.find "A"))
+  in
+  let r = Workflow.run_exn configs in
+  check Alcotest.bool "a fake link ends at a3" true
+    (List.exists (fun (u, v) -> u = "a3" || v = "a3") r.fake_edges);
+  check Alcotest.bool "functional equivalence" true
+    (Workflow.functional_equivalence r);
+  check Alcotest.bool "k_R-degree anonymity" true
+    ((Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group
+     >= Workflow.default_params.k_r)
+
 let test_rip_net () =
   let configs = Netgen.Emit.emit (Netgen.Smallnets.rip_lab ()) in
   let r = Workflow.run_exn ~params:(params ()) configs in
@@ -821,6 +843,8 @@ let () =
         [
           Alcotest.test_case "fattree04 (ospf ecmp)" `Quick test_ospf_enterprise_like;
           Alcotest.test_case "bgp+ospf nets" `Quick test_bgp_nets;
+          Alcotest.test_case "a BGP-less router in a BGP net" `Quick
+            test_bgp_less_router_in_bgp_net;
           Alcotest.test_case "rip net" `Quick test_rip_net;
           Alcotest.test_case "eigrp net" `Quick test_eigrp_net;
           Alcotest.test_case "wan (bics)" `Slow test_wan_net;

@@ -23,6 +23,11 @@ let get_bool resp name = Option.bind (Json.member name (parse_exn resp)) Json.bo
 let grid ks = Confmask.Batch.grid_jobs ~nets:[ "A" ] ~k_rs:ks ~k_hs:[ 2 ] ()
 let str_of name record = Option.bind (Json.member name record) Json.str
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let expect_ok resp =
   check Alcotest.(option bool) "ok" (Some true) (get_bool resp "ok")
 
@@ -54,6 +59,28 @@ let test_dispatch_bad_requests () =
       (* A JSON number cannot carry a full 64-bit key; none is accepted. *)
       {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o",
          "pii_key": 7}|};
+    ];
+  (* A mistyped, misspelled or out-of-range job field is rejected with a
+     detail that names it, instead of running at the default. *)
+  List.iter
+    (fun (field, req) ->
+      let resp = bare_handle ~tenants:[] req in
+      expect_error resp "bad_request";
+      let detail = Option.value ~default:"" (get_str resp "detail") in
+      let named = Printf.sprintf "'%s'" field in
+      check Alcotest.bool
+        (Printf.sprintf "%S names %s" detail named)
+        true
+        (contains ~sub:named detail))
+    [
+      ( "kr",
+        {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o", "kr": "2"}|} );
+      ( "k_r",
+        {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o", "k_r": 2}|} );
+      ( "seed",
+        {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o", "seed": 2e15}|} );
+      ( "source",
+        {|{"op": "job", "id": "x", "source": {"catalog": "A", "zone": 1}, "out": "o"}|} );
     ]
 
 let acme_key = Pii.Pan.key_of_int 7
@@ -115,6 +142,49 @@ let test_dispatch_never_raises () =
             req)
     [ ""; "\x00\xff\xfe"; "{\"op\": 42}"; "[]"; "null"; String.make 10000 '{' ]
 
+(* ---- the job codec ---- *)
+
+(* A request whose integers are in the wire's range, whose noise is
+   finite and whose tenant, if any, maps to its full 64-bit key. *)
+let request_gen =
+  let open QCheck2.Gen in
+  let wire_int = int_range (-1_000_000_000_000_000) 1_000_000_000_000_000 in
+  let key =
+    let+ i = int64 in
+    Result.get_ok (Pii.Pan.key_of_string (Printf.sprintf "%016Lx" i))
+  in
+  let+ job_id = string
+  and+ source = oneof [ map (fun n -> Confmask.Batch.Catalog n) string;
+                        map (fun d -> Confmask.Batch.Dir d) string ]
+  and+ k_r, k_h, seed, fake_routers = quad wire_int wire_int wire_int wire_int
+  and+ noise = map (fun f -> if Float.is_finite f then f else 0.1) float
+  and+ pii = bool
+  and+ pii_key = opt key
+  and+ tenant = opt string
+  and+ out = string
+  and+ format = oneofl [ Configlang.Vendor.Cisco; Configlang.Vendor.Junos ] in
+  let tenant = if pii_key = None then None else tenant in
+  ( (match (tenant, pii_key) with Some t, Some k -> [ (t, k) ] | _ -> []),
+    {
+      Confmask.Batch.Request.job =
+        {
+          job_id;
+          job_source = source;
+          job_params = { k_r; k_h; seed; noise; pii; pii_key; fake_routers };
+        };
+      out;
+      format;
+      tenant;
+    } )
+
+let codec_roundtrip =
+  QCheck2.Test.make ~name:"job codec: of_json (to_json r) = Ok r" ~count:2000
+    request_gen (fun (tenants, r) ->
+      let wire = Json.to_string (Confmask.Batch.Request.to_json r) in
+      match Json.parse wire with
+      | Ok v -> Confmask.Batch.Request.of_json ~tenants v = Ok r
+      | Error _ -> false)
+
 (* ---- the verify op ---- *)
 
 let write_net_dir net =
@@ -126,6 +196,19 @@ let write_net_dir net =
       close_out oc)
     (Netgen.Nets.configs (Netgen.Nets.find net));
   dir
+
+(* Exactly the fields the benchmark's serve client sends with every job
+   (a dir source, "pii" and a tenant) are accepted and run. *)
+let test_dispatch_benchmark_fields () =
+  let dir = write_net_dir "A" in
+  let record =
+    job_record
+      (bare_handle ~tenants:[ ("bench", acme_key) ]
+         (Printf.sprintf
+            {|{"op": "job", "id": "j0000", "source": {"dir": "%s"}, "kr": 2, "kh": 2, "seed": 42, "pii": true, "out": "%s", "tenant": "bench"}|}
+            dir (temp_dir ())))
+  in
+  check Alcotest.(option string) "status" (Some "ok") (str_of "status" record)
 
 let test_dispatch_verify_bad_requests () =
   List.iter
@@ -233,10 +316,23 @@ let digest_of_record record =
   | Some d -> d
   | None -> Alcotest.failf "record without digest: %s" record
 
+(* A record without its timing and telemetry, which vary run to run, and
+   without its id. *)
+let deterministic_part record =
+  match record with
+  | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj
+           (List.filter
+              (fun (k, _) -> not (List.mem k [ "id"; "seconds"; "telemetry" ]))
+              fields))
+  | _ -> Alcotest.failf "record is not an object: %s" (Json.to_string record)
+
 let test_live_concurrent_jobs_byte_compatible () =
   (* N concurrent clients run the same grid cell; every served record
-     must carry the digest the in-process batch path computes — the
-     served and one-shot modes are the same Batch.execute. *)
+     must equal the one the in-process batch path computes, but for its
+     id, timing and telemetry — the served and one-shot modes are the
+     same Batch.execute. *)
   let reference =
     let out = temp_dir () in
     Confmask.Batch.execute ~out ~cache:None ~format:Configlang.Vendor.Cisco
@@ -246,7 +342,8 @@ let test_live_concurrent_jobs_byte_compatible () =
         job_params = { Confmask.Workflow.default_params with k_r = 6; k_h = 2 };
       }
   in
-  let want = digest_of_record (Json.to_string reference) in
+  let want = deterministic_part reference in
+  check Alcotest.(option string) "reference ok" (Some "ok") (str_of "status" reference);
   with_server @@ fun addr _ ->
   let n = 4 in
   let out = temp_dir () in
@@ -266,8 +363,11 @@ let test_live_concurrent_jobs_byte_compatible () =
       match get_str resp "record" with
       | None -> Alcotest.failf "client %d: no record in %s" i resp
       | Some record ->
-          check Alcotest.string "served digest = one-shot digest" want
-            (digest_of_record record);
+          check Alcotest.string "served record = one-shot record" want
+            (deterministic_part (parse_exn record));
+          check Alcotest.(option string) "served id"
+            (Some (Printf.sprintf "c%d" i))
+            (str_of "id" (parse_exn record));
           (* The daemon wrote the same result line to disk. *)
           let ic =
             open_in (Filename.concat out (Printf.sprintf "c%d/result.json" i))
@@ -543,12 +643,15 @@ let () =
             test_dispatch_tenant_job_scrubs;
           Alcotest.test_case "pii without a key" `Quick
             test_dispatch_pii_without_key;
+          Alcotest.test_case "the benchmark's job fields" `Quick
+            test_dispatch_benchmark_fields;
           Alcotest.test_case "never raises" `Quick test_dispatch_never_raises;
           Alcotest.test_case "verify: bad requests" `Quick
             test_dispatch_verify_bad_requests;
           Alcotest.test_case "verify: self-comparison" `Quick
             test_dispatch_verify_self;
         ] );
+      ("codec", List.map QCheck_alcotest.to_alcotest [ codec_roundtrip ]);
       ( "live",
         [
           Alcotest.test_case "ping and stats" `Quick test_live_ping_and_stats;
