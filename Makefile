@@ -94,8 +94,8 @@ batch-smoke:
 # grid through the client driver must produce byte-identical anonymized
 # configurations and result digests to the one-shot path, show
 # persistent-cache hits and zero fresh SPF computations on a second
-# pass, reject a job with a misspelled field, and drain cleanly on
-# shutdown.
+# pass, reject a job and a verify request with a misspelled field, answer
+# a served verify with the CLI's counts, and drain cleanly on shutdown.
 SERVE_SMOKE := /tmp/confmask-serve-smoke
 serve-smoke:
 	rm -rf $(SERVE_SMOKE) && mkdir -p $(SERVE_SMOKE)
@@ -135,6 +135,22 @@ serve-smoke:
 	grep -q '"error":"bad_request"' $(SERVE_SMOKE)/typo.json
 	grep -q "unknown field 'k_r'" $(SERVE_SMOKE)/typo.json
 	test ! -e $(SERVE_SMOKE)/typo
+	# A served verify runs the CLI's front end: same counts on the smoke pair.
+	./_build/default/bin/confmask_cli.exe generate --net A --out $(SERVE_SMOKE)/orig
+	./_build/default/bin/confmask_cli.exe verify --orig $(SERVE_SMOKE)/orig \
+	  --anon $(SERVE_SMOKE)/served/A-kr6-kh2/configs --json \
+	  | grep -Eo '"(holds_both|lost)":[0-9]+' > $(SERVE_SMOKE)/verify.cli
+	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock \
+	  '{"op": "verify", "orig_dir": "$(SERVE_SMOKE)/orig", "anon_dir": "$(SERVE_SMOKE)/served/A-kr6-kh2/configs"}' \
+	  | grep -Eo '"(holds_both|lost)":[0-9]+' > $(SERVE_SMOKE)/verify.served
+	test -s $(SERVE_SMOKE)/verify.cli
+	cmp $(SERVE_SMOKE)/verify.cli $(SERVE_SMOKE)/verify.served
+	# The verify op decodes through its field table too: a misspelled
+	# field is rejected by name instead of being dropped.
+	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock \
+	  '{"op": "verify", "orig_dir": "$(SERVE_SMOKE)/orig", "anon_dir": "$(SERVE_SMOKE)/orig", "entires": true}' \
+	  > $(SERVE_SMOKE)/entires.json; test $$? -eq 1
+	grep -q "unknown field 'entires'" $(SERVE_SMOKE)/entires.json
 	# Graceful shutdown: drain, then exit.
 	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock '{"op": "shutdown"}'
 	for i in $$(seq 1 50); do kill -0 $$(cat $(SERVE_SMOKE)/pid) 2>/dev/null || break; sleep 0.2; done

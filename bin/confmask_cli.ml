@@ -292,13 +292,10 @@ let metrics_cmd =
 let redteam orig_dir anon_dir attacks key key_range json jobs trace metrics_out =
   guard @@ fun () ->
   setup ~jobs ~trace ~metrics_out ~selfcheck:false;
-  let orig_configs, orig = simulate_dir orig_dir in
-  let anon_configs, anon = simulate_dir anon_dir in
-  let attacks = match attacks with [] -> None | l -> Some l in
-  let planted_key = Option.map parse_key key in
   let scores =
-    Confmask.Audit.check ?attacks ?key_range ?planted_key ~orig_configs ~orig
-      ~anon_configs ~anon ()
+    Confmask.Recipient.redteam
+      { orig_dir; anon_dir; attacks = (match attacks with [] -> None | l -> Some l);
+        key_range; pii_key = Option.map parse_key key; tenant = None }
   in
   emit_telemetry ~trace ~metrics_out;
   if json then
@@ -353,17 +350,10 @@ let redteam_cmd =
 let verify orig_dir anon_dir policies_file json jobs trace metrics_out =
   guard @@ fun () ->
   setup ~jobs ~trace ~metrics_out ~selfcheck:false;
-  let _, orig = simulate_dir orig_dir in
-  let _, anon = simulate_dir anon_dir in
-  let policies =
-    Option.map
-      (fun file ->
-        match Spec.Query.parse (Confmask.Batch.read_file file) with
-        | Ok ps -> ps
-        | Error m -> Confmask.Batch.input_error "%s: %s" file m)
-      policies_file
+  let v =
+    Confmask.Recipient.verify
+      { orig_dir; anon_dir; policies = None; policies_file; entries = true }
   in
-  let v = Confmask.Verify.check ?policies ~orig ~anon () in
   emit_telemetry ~trace ~metrics_out;
   let s = v.Confmask.Verify.summary in
   if json then print_endline (Netcore.Json.to_string (Confmask.Verify.to_json v))

@@ -3,8 +3,8 @@
     report the measured security budget.
 
     Two entry points mirror {!Verify}: {!check} pairs two simulated
-    config sets (the CLI / serve surface — ground truth is inferred, see
-    below), {!of_report} scores a {!Workflow.report} (the batch surface —
+    config sets (the CLI / serve surface, {!Recipient.redteam} — ground
+    truth is inferred, see below), {!of_report} scores a {!Workflow.report} (the batch surface —
     ground truth is exact: recorded fake edges, the scrub renaming, and
     the planted PII key). Attacks are deterministic, so the same pair
     always yields byte-identical scores — the batch resume path relies on

@@ -7,8 +7,9 @@ let input_error fmt = Printf.ksprintf (fun m -> raise (Input_error m)) fmt
 let classify = function
   | Input_error m -> ("input", m)
   | Sys_error m -> ("input", m)
+  (* Input, not a bug: an interface prefix that covers 100.64.0.0/10
+     leaves the fresh-prefix pool nothing to allocate. *)
   | Prefix.Pool_exhausted _ as e -> ("input", Printexc.to_string e)
-  | Not_found -> ("input", "not found")
   | e -> ("internal", Printexc.to_string e)
 
 let exit_code = function "input" -> 1 | _ -> 2
@@ -36,12 +37,33 @@ let read_config_dir dir =
     |> List.sort String.compare
   in
   if files = [] then input_error "no .cfg files in %s" dir;
+  let declared = Hashtbl.create 16 in
   List.map
     (fun f ->
       let path = Filename.concat dir f in
-      match Configlang.Vendor.parse (read_file path) with
-      | Ok c -> c
-      | Error m -> input_error "%s: %s" path m)
+      let c =
+        match Configlang.Vendor.parse (read_file path) with
+        | Ok c -> c
+        | Error m -> input_error "%s: %s" path m
+      in
+      (* ["unnamed"] is the parsers' name for a config without one. *)
+      if c.hostname = "unnamed" then input_error "%s: no hostname" path;
+      (match Hashtbl.find_opt declared c.hostname with
+       | Some other ->
+           input_error "%s: hostname '%s' is already declared by %s" path c.hostname other
+       | None -> Hashtbl.add declared c.hostname path);
+      let rec check_interfaces = function
+        | [] -> ()
+        | (i : Configlang.Ast.interface) :: rest ->
+            if List.exists (fun (j : Configlang.Ast.interface) -> j.if_name = i.if_name) rest then
+              input_error "%s: interface '%s' is declared twice" path i.if_name;
+            (match i.if_address with
+             | Some (_, 0) -> input_error "%s: interface '%s' has mask 0.0.0.0" path i.if_name
+             | _ -> ());
+            check_interfaces rest
+      in
+      check_interfaces c.interfaces;
+      c)
     files
 
 let write_configs ~format dir configs =
@@ -112,43 +134,6 @@ module Request = struct
     tenant : string option;
   }
 
-  type error =
-    | Missing_field of string
-    | Unknown_field of string
-    | Wrong_type of string * string
-    | Out_of_range of string
-    | Bad_value of string * string
-    | Unknown_tenant of string
-
-  let error_message = function
-    | Missing_field f -> Printf.sprintf "missing field '%s'" f
-    | Unknown_field f -> Printf.sprintf "unknown field '%s'" f
-    | Wrong_type (f, want) -> Printf.sprintf "field '%s' must be %s" f want
-    | Out_of_range f -> Printf.sprintf "field '%s' is beyond 1e15 in size" f
-    | Bad_value (f, m) -> Printf.sprintf "field '%s': %s" f m
-    | Unknown_tenant t -> Printf.sprintf "unknown tenant '%s'" t
-
-  exception Reject of error
-
-  let reject e = raise (Reject e)
-
-  (* Readers take the field name, for their errors, then the value. *)
-  let typed want read name v =
-    match read v with Some x -> x | None -> reject (Wrong_type (name, want))
-
-  let str = typed "a string" Json.str
-
-  let int name v =
-    match (v, Json.int v) with
-    | _, Some n -> n
-    | Json.Num f, None when Float.is_integer f -> reject (Out_of_range name)
-    | _ -> reject (Wrong_type (name, "an integer"))
-
-  let parsed of_string name v =
-    match of_string (str name v) with
-    | Ok x -> x
-    | Error m -> reject (Bad_value (name, m))
-
   let source_json = function
     | Catalog net -> Json.Obj [ ("catalog", Json.Str net) ]
     | Dir dir -> Json.Obj [ ("dir", Json.Str dir) ]
@@ -156,17 +141,12 @@ module Request = struct
   let source name = function
     | Json.Obj [ ("catalog", Json.Str net) ] -> Catalog net
     | Json.Obj [ ("dir", Json.Str dir) ] -> Dir dir
-    | _ -> reject (Bad_value (name, {|must be {"catalog": ID} or {"dir": PATH}|}))
-
-  (* Full 64-bit keys do not survive a JSON number (53 mantissa bits), so
-     the wire form is the canonical hex string. *)
-  let key = parsed Pii.Pan.key_of_string
+    | _ -> Wire.reject (Wire.Bad_value (name, {|must be {"catalog": ID} or {"dir": PATH}|}))
 
   let with_job r f = { r with job = f r.job }
 
-  (* A field: its name, its wire value ([None]: left off), and how its
-     read value updates a request. *)
-  let field name enc read set = (name, enc, fun v r -> set r (read name v))
+  (* A field: its wire value ([None]: left off), and its decoder row. *)
+  let field name enc read set = (enc, Wire.field name read set)
 
   let param name enc read set =
     field name
@@ -174,20 +154,20 @@ module Request = struct
       read
       (fun r x -> with_job r (fun j -> { j with job_params = set j.job_params x }))
 
-  let int_param name get = param name (fun p -> Some (Json.Num (float_of_int (get p)))) int
+  let int_param name get = param name (fun p -> Some (Json.Num (float_of_int (get p)))) Wire.int
 
   (* The one table both directions read, in wire order. *)
   let fields =
     Workflow.
       [
-        field "id" (fun r -> Some (Json.Str r.job.job_id)) str (fun r job_id ->
+        field "id" (fun r -> Some (Json.Str r.job.job_id)) Wire.str (fun r job_id ->
             with_job r (fun j -> { j with job_id }));
         field "source" (fun r -> Some (source_json r.job.job_source)) source
           (fun r job_source -> with_job r (fun j -> { j with job_source }));
         int_param "kr" (fun p -> p.k_r) (fun p k_r -> { p with k_r });
         int_param "kh" (fun p -> p.k_h) (fun p k_h -> { p with k_h });
         int_param "seed" (fun p -> p.seed) (fun p seed -> { p with seed });
-        param "noise" (fun p -> Some (Json.Num p.noise)) (typed "a number" Json.num)
+        param "noise" (fun p -> Some (Json.Num p.noise)) Wire.num
           (fun p noise -> { p with noise });
         int_param "fake_routers" (fun p -> p.fake_routers) (fun p fake_routers ->
             { p with fake_routers });
@@ -195,65 +175,38 @@ module Request = struct
            tenant's key scrubs carries no switch. *)
         param "pii"
           (fun p -> if p.pii = (p.pii_key <> None) then None else Some (Json.Bool p.pii))
-          (typed "a boolean" Json.bool)
+          Wire.bool
           (fun p pii -> { p with pii });
         param "pii_key"
           (fun p -> Option.map (fun k -> Json.Str (Pii.Pan.key_to_string k)) p.pii_key)
-          key
+          Wire.key
           (fun p k -> { p with pii_key = Some k });
-        field "out" (fun r -> Some (Json.Str r.out)) str (fun r out -> { r with out });
+        field "out" (fun r -> Some (Json.Str r.out)) Wire.str (fun r out -> { r with out });
         field "format" (fun r -> Some (Json.Str (Configlang.Vendor.to_string r.format)))
-          (parsed Configlang.Vendor.of_string) (fun r format -> { r with format });
-        field "tenant" (fun r -> Option.map (fun t -> Json.Str t) r.tenant) str
+          (Wire.parsed Configlang.Vendor.of_string) (fun r format -> { r with format });
+        field "tenant" (fun r -> Option.map (fun t -> Json.Str t) r.tenant) Wire.str
           (fun r t -> { r with tenant = Some t });
       ]
 
   let to_json r =
-    let wire (name, enc, _) = Option.map (fun v -> (name, v)) (enc r) in
+    let wire (enc, (name, _)) = Option.map (fun v -> (name, v)) (enc r) in
     Json.Obj (("op", Json.Str "job") :: List.filter_map wire fields)
 
-  (* A tenant's key wins over an explicit one. *)
-  let resolve ~tenants ~tenant key =
-    match Option.map (fun t -> (t, List.assoc_opt t tenants)) tenant with
-    | None -> key
-    | Some (_, (Some _ as k)) -> k
-    | Some (t, None) -> reject (Unknown_tenant t)
-
-  let decoding f = try Ok (f ()) with Reject e -> Error e
-
   let of_json ~tenants v =
-    decoding @@ fun () ->
-    let members = match v with Json.Obj m -> m | _ -> [] in
-    (* Absent fields keep [Workflow.default_params]'. Right to left, so
-       that of duplicate keys the first wins, as under [Json.member];
-       ["op"] was read by the dispatcher. *)
+    Wire.decoding @@ fun () ->
+    (* Absent fields keep [Workflow.default_params]'. *)
     let blank =
       let job_params = Workflow.default_params in
       { job = { job_id = ""; job_source = Catalog ""; job_params };
         out = ""; format = Configlang.Vendor.Cisco; tenant = None }
     in
-    let r =
-      List.fold_right
-        (fun (name, v) r ->
-          match List.find_opt (fun (n, _, _) -> String.equal n name) fields with
-          | Some (_, _, dec) -> dec v r
-          | None when name = "op" -> r
-          | None -> reject (Unknown_field name))
-        members blank
-    in
-    [ "id"; "source"; "out" ]
-    |> List.iter (fun f -> if not (List.mem_assoc f members) then reject (Missing_field f));
-    let pii_key = resolve ~tenants ~tenant:r.tenant r.job.job_params.pii_key in
+    let r = Wire.decode ~required:[ "id"; "source"; "out" ] (List.map snd fields) blank v in
+    let pii_key = Wire.resolve ~tenants ~tenant:r.tenant r.job.job_params.pii_key in
     (* Without a "pii" field the scrub runs exactly when a key resolved;
        a contradicting one is [Workflow.run]'s input error. *)
     let p = r.job.job_params in
-    let pii = if List.mem_assoc "pii" members then p.pii else pii_key <> None in
+    let pii = if Json.member "pii" v <> None then p.pii else pii_key <> None in
     { r with job = { r.job with job_params = { p with pii; pii_key } } }
-
-  let key_of_json ~tenants v =
-    decoding @@ fun () ->
-    let get name read = Option.map (read name) (Json.member name v) in
-    resolve ~tenants ~tenant:(get "tenant" str) (get "pii_key" key)
 end
 
 let manifest_path out = Filename.concat out "manifest.json"

@@ -34,8 +34,8 @@ val input_error : ('a, unit, string, 'b) format4 -> 'a
 
 val classify : exn -> string * string
 (** [classify e] is [(cls, message)] where [cls] is ["input"] for
-    {!Input_error}, [Sys_error], address-pool exhaustion and other
-    input-determined failures, and ["internal"] otherwise. *)
+    {!Input_error}, [Sys_error] and address-pool exhaustion, and
+    ["internal"] otherwise ([Not_found] included). *)
 
 val exit_code : string -> int
 (** Exit code of a classification: ["input"] is 1, anything else 2. *)
@@ -46,9 +46,12 @@ val read_file : string -> string
 
 val read_config_dir : string -> Configlang.Ast.config list
 (** Reads and parses every [.cfg] file of a directory, in sorted filename
-    order, auto-detecting the vendor per file. Raises {!Input_error} when
-    the directory is missing, holds no [.cfg] file, or a file fails to
-    parse. *)
+    order, auto-detecting the vendor per file. Raises {!Input_error},
+    naming the file where there is one, when the directory is missing or
+    holds no [.cfg] file, or a file fails to parse, declares no hostname
+    (the parsers name such a config ["unnamed"]) or one an earlier file
+    declared, or declares an interface name twice or an interface with
+    mask 0.0.0.0. *)
 
 val write_configs :
   format:Configlang.Vendor.t -> string -> Configlang.Ast.config list -> unit
@@ -110,7 +113,7 @@ val dir_jobs :
     in a string; ["tenant"] names a daemon-side key and wins over it.
     ["pii"] defaults to whether a key resolved (a contradicting value is
     {!Workflow.run}'s input error); ["format"] is ["cisco"] (default) or
-    ["junos"]. Any other field is an error that names it. *)
+    ["junos"]. Any other field is an error that names it ({!Wire}). *)
 module Request : sig
   type t = {
     job : job;
@@ -119,32 +122,15 @@ module Request : sig
     tenant : string option;
   }
 
-  type error =
-    | Missing_field of string
-    | Unknown_field of string
-    | Wrong_type of string * string  (** field, what it must be *)
-    | Out_of_range of string  (** integral, beyond {!Netcore.Json.int} *)
-    | Bad_value of string * string  (** field, why: a bad key or source *)
-    | Unknown_tenant of string
-
-  val error_message : error -> string
-
   val to_json : t -> Netcore.Json.t
   (** The request, ["op"] included; ["pii"] is sent only when it
       contradicts the key. *)
 
   val of_json :
-    tenants:(string * Pii.Pan.key) list -> Netcore.Json.t -> (t, error) result
+    tenants:(string * Pii.Pan.key) list -> Netcore.Json.t -> (t, Wire.error) result
   (** [of_json ~tenants (to_json r) = Ok r] when [r]'s integers are in
       {!Netcore.Json.int}'s range, its noise is finite, and its tenant,
-      if any, maps to its key. Of duplicate keys the first wins. *)
-
-  val key_of_json :
-    tenants:(string * Pii.Pan.key) list ->
-    Netcore.Json.t ->
-    (Pii.Pan.key option, error) result
-  (** The key a request's ["tenant"] or ["pii_key"] names, as {!of_json}
-      reads them. *)
+      if any, maps to its key. Decodes through {!Wire.decode}. *)
 end
 
 type outcome = {

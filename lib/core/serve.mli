@@ -16,40 +16,34 @@
     (shutdown in progress), ["request_too_long"] (a request line over
     1 MiB; the daemon answers once and closes the connection),
     ["bad_request"], ["unknown_tenant"], ["internal"] — plus a human
-    ["detail"] where useful. Operations:
+    ["detail"] where useful.
 
-    - [{"op": "ping"}] — liveness.
-    - [{"op": "stats"}] — queue/served/rejected gauges, uptime, plus
-      every telemetry counter and span of the daemon process (the
-      [diskcache.*] and [engine.*] hit counters live here, since the
-      daemon is where the caches are).
-    - [{"op": "job", ...}] — run one anonymization job with the resident
-      caches; writes [out/<id>/] exactly like the local batch driver and
-      answers [{"ok": true, "record": "<result.json line>"}]. The fields,
-      their defaults and the rejection rule are {!Batch.Request}'s: an
-      unknown, mistyped or out-of-range field is a [bad_request] naming
-      it, and an unregistered tenant is [unknown_tenant]. A job is
-      scrubbed exactly when it carries a PII key.
-    - [{"op": "verify", "orig_dir": DIR, "anon_dir": DIR,
-       "policies": TEXT?, "policies_file": PATH?, "entries": BOOL?}] —
-      differential policy verification ({!Verify.check}) of two config
-      directories: simulate both, evaluate the given policies (inline
-      policy text/JSON, a daemon-readable file, or — default — the
-      mined specification of [orig_dir]) on each side, and answer the
-      per-verdict summary counts plus, with ["entries": true], the full
-      per-policy verdict/witness list. Inline [policies] must fit in the
-      1 MiB request line; a larger set goes through [policies_file].
-    - [{"op": "redteam", "orig_dir": DIR, "anon_dir": DIR,
-       "attacks": [NAME...]?, "key_range": N?, "tenant"?, "pii_key"?}] —
-      red-team audit ({!Audit.check}) of two config directories: run the
-      de-anonymization attack suite against the pair and answer the
-      per-attack precision/recall scores. [tenant]/[pii_key], read as
-      for [job] ({!Batch.Request.key_of_json}), optionally plant the
-      scrub key so the brute-force attack's recovery is verified.
-    - [{"op": "sleep", "seconds": S}] — occupy a worker (diagnostics /
-      admission-control testing only; capped at 10 s).
-    - [{"op": "shutdown"}] — acknowledge, then drain in-flight requests
-      and exit {!run}.
+    Each op reads its fields through one table ({!Wire.decode}); the one
+    rejection rule: a field the table does not name, a value of the
+    wrong type, an integer beyond 1e15 or a bad value is a
+    ["bad_request"] whose detail names the field, and an unregistered
+    tenant is ["unknown_tenant"]. ["op"] is a required string.
+
+    - ["ping"], ["stats"], ["shutdown"]: no fields. [stats] answers the
+      queue and connection gauges and every telemetry counter and span
+      of the daemon (its caches' hit counters live here); [shutdown]
+      acknowledges, then drains in-flight requests and ends
+      {!Netcore.Server.run}.
+    - ["sleep"]: ["seconds"] (number, default 0.1, capped at 10) —
+      occupies a worker, for diagnostics and admission-control tests.
+    - ["job"]: {!Batch.Request}'s table. Runs {!Batch.execute} with the
+      resident caches, writing [out/<id>/] as the local batch driver
+      does, and answers [{"record": "<result.json line>"}].
+    - ["verify"]: ["orig_dir"], ["anon_dir"] (required), ["policies"]
+      (inline text or JSON), ["policies_file"] (a daemon-readable path,
+      for sets beyond the 1 MiB line), ["entries"] (boolean) —
+      {!Recipient.verify}, the CLI's [verify]: the per-verdict counts,
+      and with ["entries": true] every policy's verdict and witness.
+    - ["redteam"]: ["orig_dir"], ["anon_dir"] (required), ["attacks"]
+      (array of names), ["key_range"] (integer), ["tenant"],
+      ["pii_key"] (16 hex digits; a tenant's key wins) —
+      {!Recipient.redteam}, the CLI's [redteam]: per-attack precision
+      and recall; the key is planted to ground the brute force.
 
     Trust boundary: whoever can reach the socket can make the daemon
     read config dirs and write result dirs with its privileges — bind

@@ -827,6 +827,88 @@ let test_golden_fake_routers () =
         (Digest.to_hex (Digest.string text)))
     golden_fake_router_digests
 
+(* ---- the directory reader ---- *)
+
+(* Net A's configurations in a fresh directory, then each [(file, text)]
+   of [edits] written over it. *)
+let net_a_dir edits =
+  let dir = Filename.temp_file "confmask-reader" "" in
+  Sys.remove dir;
+  Batch.write_configs ~format:Configlang.Vendor.Cisco dir
+    (Netgen.Nets.configs (Netgen.Nets.find "A"));
+  List.iter
+    (fun (f, text) ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc text))
+    edits;
+  dir
+
+let a1_text () = In_channel.with_open_bin (Filename.concat (net_a_dir []) "a1.cfg") In_channel.input_all
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec at i =
+    if i + n > String.length s then Alcotest.failf "%S not in the config" sub
+    else if String.sub s i n = sub then String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else at (i + 1)
+  in
+  at 0
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* The reader rejects the directory with an input error that names the
+   file and says why. *)
+let expect_rejected name ~file ~why edits =
+  let dir = net_a_dir edits in
+  match Batch.read_config_dir dir with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Batch.Input_error m ->
+      let path = Filename.concat dir file in
+      check Alcotest.bool (Printf.sprintf "%s: %S names %s" name m path) true
+        (contains ~sub:path m);
+      check Alcotest.bool (Printf.sprintf "%s: %S says %S" name m why) true
+        (contains ~sub:why m)
+
+let test_reader_no_hostname () =
+  (* Each parses to a router the parsers call "unnamed". *)
+  let random = String.init 300 (fun i -> Char.chr ((i * 7919 + 13) mod 256)) in
+  expect_rejected "empty a1.cfg" ~file:"a1.cfg" ~why:"no hostname" [ ("a1.cfg", "") ];
+  expect_rejected "random-bytes a1.cfg" ~file:"a1.cfg" ~why:"no hostname"
+    [ ("a1.cfg", random) ];
+  let a1 = a1_text () in
+  expect_rejected "no hostname line" ~file:"a1.cfg" ~why:"no hostname"
+    [ ("a1.cfg", replace ~sub:"hostname a1\n" ~by:"" a1) ]
+
+let test_reader_truncated_config () =
+  (* Cut off at byte 100, inside its second interface stanza, a1.cfg is
+     still a well-formed config of router a1: nothing in it marks the cut. *)
+  let a1 = a1_text () in
+  let configs = Batch.read_config_dir (net_a_dir [ ("a1.cfg", String.sub a1 0 100) ]) in
+  let c = List.find (fun (c : Configlang.Ast.config) -> c.hostname = "a1") configs in
+  check Alcotest.(list string) "its interfaces" [ "Eth0"; "Eth" ]
+    (List.map (fun (i : Configlang.Ast.interface) -> i.if_name) c.interfaces)
+
+let test_reader_duplicate_hostname () =
+  (* Files are read in sorted order, so the later file is the one named. *)
+  expect_rejected "a1's hostname in z1.cfg" ~file:"z1.cfg"
+    ~why:"hostname 'a1' is already declared by" [ ("z1.cfg", a1_text ()) ]
+
+let test_reader_bad_interfaces () =
+  let a1 = a1_text () in
+  expect_rejected "two interfaces Eth0" ~file:"a1.cfg" ~why:"interface 'Eth0' is declared twice"
+    [ ("a1.cfg", replace ~sub:"interface Eth1\n" ~by:"interface Eth0\n" a1) ];
+  expect_rejected "mask 0.0.0.0" ~file:"a1.cfg" ~why:"interface 'Eth0' has mask 0.0.0.0"
+    [ ("a1.cfg",
+       replace ~sub:"ip address 10.0.0.1 255.255.255.252" ~by:"ip address 10.0.0.1 0.0.0.0" a1) ]
+
+let test_classify () =
+  check Alcotest.(pair string string) "Not_found is a bug" ("internal", "Not_found")
+    (Batch.classify Not_found);
+  check Alcotest.int "exit code" 2 (Batch.exit_code (fst (Batch.classify Not_found)));
+  check Alcotest.string "an input error" "input" (fst (Batch.classify (Batch.Input_error "x")))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -855,6 +937,14 @@ let () =
           Alcotest.test_case "fake routers + pii" `Quick test_fake_routers_with_pii;
           Alcotest.test_case "a denied real-host route breaks equivalence" `Quick
             test_equivalence_sees_a_denied_host_route;
+        ] );
+      ( "directory-reader",
+        [
+          Alcotest.test_case "no hostname" `Quick test_reader_no_hostname;
+          Alcotest.test_case "a truncated config" `Quick test_reader_truncated_config;
+          Alcotest.test_case "a duplicate hostname" `Quick test_reader_duplicate_hostname;
+          Alcotest.test_case "bad interfaces" `Quick test_reader_bad_interfaces;
+          Alcotest.test_case "error classes" `Quick test_classify;
         ] );
       ( "properties-of-output",
         [

@@ -36,9 +36,20 @@ let expect_error resp kind =
   check Alcotest.(option string) "typed error" (Some kind)
     (get_str resp "error")
 
+let expect_detail resp sub =
+  let detail = Option.value ~default:"" (get_str resp "detail") in
+  check Alcotest.bool (Printf.sprintf "%S names %s" detail sub) true (contains ~sub detail)
+
 (* ---- dispatcher, no transport ---- *)
 
 let bare_handle = Confmask.Serve.handle ~server:(ref None) ~cache:None
+
+(* Each [(field, request)] is a bad_request whose detail names the field. *)
+let expect_named_rejections =
+  List.iter (fun (field, req) ->
+      let resp = bare_handle ~tenants:[] req in
+      expect_error resp "bad_request";
+      expect_detail resp (Printf.sprintf "'%s'" field))
 
 let test_dispatch_ping () =
   let resp = bare_handle ~tenants:[] {|{"op": "ping"}|} in
@@ -62,16 +73,7 @@ let test_dispatch_bad_requests () =
     ];
   (* A mistyped, misspelled or out-of-range job field is rejected with a
      detail that names it, instead of running at the default. *)
-  List.iter
-    (fun (field, req) ->
-      let resp = bare_handle ~tenants:[] req in
-      expect_error resp "bad_request";
-      let detail = Option.value ~default:"" (get_str resp "detail") in
-      let named = Printf.sprintf "'%s'" field in
-      check Alcotest.bool
-        (Printf.sprintf "%S names %s" detail named)
-        true
-        (contains ~sub:named detail))
+  expect_named_rejections
     [
       ( "kr",
         {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o", "kr": "2"}|} );
@@ -81,16 +83,35 @@ let test_dispatch_bad_requests () =
         {|{"op": "job", "id": "x", "source": {"catalog": "A"}, "out": "o", "seed": 2e15}|} );
       ( "source",
         {|{"op": "job", "id": "x", "source": {"catalog": "A", "zone": 1}, "out": "o"}|} );
+    ];
+  (* Every op decodes through its own field table, before it touches a
+     directory: a mistyped or misspelled field, or one an op without
+     fields does not take, is rejected by name instead of dropped. *)
+  let pair op = Printf.sprintf {|{"op": "%s", "orig_dir": "o", "anon_dir": "a"|} op in
+  expect_named_rejections
+    [
+      ("entries", pair "verify" ^ {|, "entries": "true"}|});
+      ("entires", pair "verify" ^ {|, "entires": true}|});
+      ("key_range", pair "redteam" ^ {|, "key_range": "64"}|});
+      ("attacks", pair "redteam" ^ {|, "attacks": "degree_reid"}|});
+      ("pii_key", pair "redteam" ^ {|, "pii_key": "7"}|});
+      ("seconds", {|{"op": "sleep", "seconds": "1"}|});
+      ("x", {|{"op": "stats", "x": 1}|});
+      ("x", {|{"op": "ping", "x": 1}|});
+      ("x", {|{"op": "shutdown", "x": 1}|});
+      ("op", {|{"op": 42}|});
     ]
 
 let acme_key = Pii.Pan.key_of_int 7
 
 let test_dispatch_unknown_tenant () =
-  expect_error
-    (bare_handle ~tenants:[ ("acme", acme_key) ]
-       {|{"op": "job", "id": "x", "source": {"catalog": "A"},
-          "out": "o", "tenant": "evil"}|})
-    "unknown_tenant"
+  List.iter
+    (fun req -> expect_error (bare_handle ~tenants:[ ("acme", acme_key) ] req) "unknown_tenant")
+    [
+      {|{"op": "job", "id": "x", "source": {"catalog": "A"},
+         "out": "o", "tenant": "evil"}|};
+      {|{"op": "redteam", "orig_dir": "o", "anon_dir": "a", "tenant": "evil"}|};
+    ]
 
 let job_record resp =
   expect_ok resp;
@@ -265,6 +286,53 @@ let test_dispatch_verify_self () =
             (Option.bind (Json.member "verdict" e) Json.str))
         es
   | _ -> Alcotest.fail "entries array missing"
+
+(* An attack name outside the suite is an input error in the one redteam
+   front end, so both the serve op and the CLI reject it. *)
+let test_unknown_attack () =
+  let dir = write_net_dir "A" in
+  let resp =
+    bare_handle ~tenants:[]
+      (Printf.sprintf
+         {|{"op": "redteam", "orig_dir": "%s", "anon_dir": "%s", "attacks": ["degre_reid"]}|}
+         dir dir)
+  in
+  expect_error resp "bad_request";
+  expect_detail resp "'degre_reid'";
+  List.iter (expect_detail resp) Redteam.Suite.names;
+  match
+    Confmask.Recipient.redteam
+      { orig_dir = dir; anon_dir = dir; attacks = Some [ "degree_reid"; "degre_reid" ];
+        key_range = None; pii_key = None; tenant = None }
+  with
+  | _ -> Alcotest.fail "the CLI front end ran an unknown attack"
+  | exception e ->
+      let cls, msg = Confmask.Batch.classify e in
+      check Alcotest.int "CLI exit code" 1 (Confmask.Batch.exit_code cls);
+      check Alcotest.bool (Printf.sprintf "%S names the attack" msg) true
+        (contains ~sub:"'degre_reid'" msg)
+
+(* The served redteam op answers what the CLI's front end computes, with
+   a tenant's key planted as the CLI's --key plants it. *)
+let test_dispatch_redteam () =
+  let dir = write_net_dir "A" in
+  let resp =
+    bare_handle ~tenants:[ ("acme", acme_key) ]
+      (Printf.sprintf
+         {|{"op": "redteam", "orig_dir": "%s", "anon_dir": "%s", "attacks": ["no_traffic", "key_bruteforce"], "key_range": 16, "tenant": "acme"}|}
+         dir dir)
+  in
+  expect_ok resp;
+  let scores =
+    Confmask.Recipient.redteam
+      { orig_dir = dir; anon_dir = dir; attacks = Some [ "no_traffic"; "key_bruteforce" ];
+        key_range = Some 16; pii_key = Some acme_key; tenant = None }
+  in
+  check Alcotest.(option string) "same scores"
+    (Some (Json.to_string (Confmask.Audit.to_json scores)))
+    (Option.map
+       (fun a -> Json.to_string (Json.Obj [ ("attacks", a) ]))
+       (Json.member "attacks" (parse_exn resp)))
 
 (* ---- a live server ---- *)
 
@@ -648,6 +716,8 @@ let () =
           Alcotest.test_case "never raises" `Quick test_dispatch_never_raises;
           Alcotest.test_case "verify: bad requests" `Quick
             test_dispatch_verify_bad_requests;
+          Alcotest.test_case "unknown attack names" `Quick test_unknown_attack;
+          Alcotest.test_case "redteam: served = front end" `Quick test_dispatch_redteam;
           Alcotest.test_case "verify: self-comparison" `Quick
             test_dispatch_verify_self;
         ] );
