@@ -117,7 +117,8 @@ serve-smoke:
 	cmp $(SERVE_SMOKE)/served.digests $(SERVE_SMOKE)/oneshot.digests
 	# Second served pass: every simulation must come from the resident
 	# caches — the daemon's spf_full counter must not move, and the disk
-	# cache must report hits.
+	# cache must report hits on both entry kinds it keeps: whole states
+	# and BGP fixpoints.
 	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock \
 	  '{"op": "stats"}' | grep -o '"engine.spf_full":[0-9]*' > $(SERVE_SMOKE)/spf.before
 	./_build/default/bin/confmask_cli.exe batch --nets A,B --kr 2,6 --kh 2 \
@@ -127,6 +128,8 @@ serve-smoke:
 	grep -o '"engine.spf_full":[0-9]*' $(SERVE_SMOKE)/stats.json > $(SERVE_SMOKE)/spf.after
 	cmp $(SERVE_SMOKE)/spf.before $(SERVE_SMOKE)/spf.after
 	grep -Eq '"diskcache.hit":[1-9]' $(SERVE_SMOKE)/stats.json
+	grep -Eq '"engine.state_disk":[1-9]' $(SERVE_SMOKE)/stats.json
+	grep -Eq '"engine.bgp_disk":[1-9]' $(SERVE_SMOKE)/stats.json
 	# A misspelled job field is a typed rejection naming it, never a job
 	# run at the default k_R: the call exits 1 and nothing is written.
 	./_build/default/bin/confmask_cli.exe call --connect unix:$(SERVE_SMOKE)/s.sock \

@@ -185,8 +185,8 @@ let fake_routers_arg =
 
 let cache_arg =
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR"
-         ~doc:"Persistent simulation cache directory: SPF states, DV and BGP \
-               fixpoints and whole simulations are reused across runs. \
+         ~doc:"Persistent simulation cache directory: whole from-scratch \
+               simulations and BGP fixpoints are reused across runs. \
                Results are identical with and without it.")
 
 let anonymize_cmd =

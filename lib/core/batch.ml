@@ -7,8 +7,9 @@ let input_error fmt = Printf.ksprintf (fun m -> raise (Input_error m)) fmt
 let classify = function
   | Input_error m -> ("input", m)
   | Sys_error m -> ("input", m)
-  (* Input, not a bug: an interface prefix that covers 100.64.0.0/10
-     leaves the fresh-prefix pool nothing to allocate. *)
+  (* Input, not a bug: [read_config_dir] rejects one interface prefix
+     that covers the fresh-prefix pool, but several interfaces can still
+     cover it together and leave nothing to allocate. *)
   | Prefix.Pool_exhausted _ as e -> ("input", Printexc.to_string e)
   | e -> ("internal", Printexc.to_string e)
 
@@ -57,8 +58,12 @@ let read_config_dir dir =
         | (i : Configlang.Ast.interface) :: rest ->
             if List.exists (fun (j : Configlang.Ast.interface) -> j.if_name = i.if_name) rest then
               input_error "%s: interface '%s' is declared twice" path i.if_name;
-            (match i.if_address with
-             | Some (_, 0) -> input_error "%s: interface '%s' has mask 0.0.0.0" path i.if_name
+            (match Configlang.Ast.interface_prefix i with
+             | Some p when Prefix.length p = 0 ->
+                 input_error "%s: interface '%s' has mask 0.0.0.0" path i.if_name
+             | Some p when Prefix.subset ~sub:Prefix.default_base ~super:p ->
+                 input_error "%s: interface '%s' prefix %s covers the fake-prefix pool %s" path
+                   i.if_name (Prefix.to_string p) (Prefix.to_string Prefix.default_base)
              | _ -> ());
             check_interfaces rest
       in

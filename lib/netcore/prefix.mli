@@ -59,10 +59,13 @@ exception
     exhausted run can report what it was asking for and how far the
     cursor had advanced. *)
 
+val default_base : t
+(** [100.64.0.0/10], the CGNAT range, which never appears in generated
+    networks: the pool {!alloc_create} allocates from by default. *)
+
 val alloc_create : ?base:t -> avoid:t list -> unit -> alloc
 (** [alloc_create ~avoid ()] allocates from [base] (default
-    [100.64.0.0/10], the CGNAT range, which never appears in generated
-    networks). *)
+    {!default_base}). *)
 
 val alloc_fresh : alloc -> len:int -> t
 (** [alloc_fresh a ~len] returns a fresh /[len] disjoint from the avoid set

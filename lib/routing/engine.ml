@@ -36,12 +36,9 @@ let c_fib_patch = Telemetry.counter "engine.fib_patch"
 let c_edits = Telemetry.counter "engine.edits"
 
 (* Persistent-cache hits, one counter per entry kind. Each is the disk
-   sibling of an in-memory recompute counter: state_disk vs a whole
-   from-scratch build, spf_disk vs spf_full, dv_disk vs dv_recompute,
-   bgp_disk vs bgp_compute. *)
+   sibling of an in-memory recompute: state_disk vs a whole from-scratch
+   build, bgp_disk vs bgp_compute. *)
 let c_state_disk = Telemetry.counter "engine.state_disk"
-let c_spf_disk = Telemetry.counter "engine.spf_disk"
-let c_dv_disk = Telemetry.counter "engine.dv_disk"
 let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
 
 (* ---- persistent cross-run cache ----
@@ -51,23 +48,22 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    gates compare, so an entry is valid whenever the gate would have
    fired: a key collision implies input equality, which implies output
    equality (every computation keyed here is a deterministic function of
-   the fingerprinted inputs). Four entry kinds, distinguished by a key
-   namespace tag so their [Marshal]ed payload types can never mix:
+   the fingerprinted inputs). Two entry kinds, both read and written in
+   [build], distinguished by a key namespace tag so their [Marshal]ed
+   payload types can never mix:
 
    - ["state:"] — the whole engine state (domains, others FIBs, base and
      final FIBs, BGP routes) of a from-scratch build, keyed by every
      router's full fingerprint. Only written for [prev = None] builds:
      keying one entry per fixpoint iteration would balloon the store
      with megabyte-scale states that in-memory reuse already covers.
-   - ["spf:"] — one IGP domain's OSPF SPF state, keyed by the domain and
-     its members' spf fingerprints. Written once per full [Ospf.prepare];
-     restored states are {!Ospf.rescope}d because the stored adjacencies
-     embed interface fields the spf fingerprint deliberately excludes.
-   - ["dv:"] — one domain's RIP/EIGRP routes, keyed by the dv
-     fingerprints.
    - ["bgp:"] — the global BGP fixpoint result, keyed like ["state:"]
      (full fingerprints: BGP depends on the IGP-resolved base FIBs,
      which equal fingerprints imply).
+
+   Per-domain SPF states and DV routes are not stored on their own:
+   they live inside the ["state:"] entry of the build that computed
+   them, and an edit reuses them in memory.
 
    Bump [cache_version] whenever any marshaled type or fingerprint
    definition changes — the versioned index then invalidates the whole
@@ -160,13 +156,12 @@ let snapshot t = Simulate.make_snapshot ~net:t.net ~fibs:t.fibs
 let configs t = t.configs
 let network t = t.net
 let fibs t = t.fibs
-let cache t = t.cache
 let pool t = t.pool
 let delta t = t.delta
 
 (* ---- per-domain computation with cache reuse ---- *)
 
-let compute_domain ?pool ?cache ~prev (net : Device.network)
+let compute_domain ?pool ~prev (net : Device.network)
     (d : Simulate.igp_domain) =
   let routers =
     List.filter_map
@@ -222,19 +217,8 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
         | None -> Full
       in
       let full () =
-        let key =
-          "spf:" ^ Digest.to_hex (digest (d.dom_key, d.dom_members, spf))
-        in
-        match (disk_get cache key : Ospf.state option) with
-        | Some st ->
-            Telemetry.incr c_spf_disk;
-            let st = Ospf.rescope ~scope:d.dom_scope net st in
-            (Some st, select (fun _ _ -> Full))
-        | None ->
-            Telemetry.incr c_spf_full;
-            let st = Ospf.prepare ~scope:d.dom_scope ?pool net in
-            disk_put cache key st;
-            (Some st, select (fun _ _ -> Full))
+        Telemetry.incr c_spf_full;
+        (Some (Ospf.prepare ~scope:d.dom_scope ?pool net), select (fun _ _ -> Full))
       in
       match prev with
       | Some c when String.equal c.dc_spf spf && c.dc_state <> None ->
@@ -269,30 +253,15 @@ let compute_domain ?pool ?cache ~prev (net : Device.network)
     | _ ->
         if not (has (fun r -> (r.Device.r_rip <> None) || r.r_eigrp <> None))
         then (Smap.empty, Smap.empty)
-        else
-          let key =
-            "dv:" ^ Digest.to_hex (digest (d.dom_key, d.dom_members, dv))
-          in
-          let found :
-              (Fib.route list Smap.t * Fib.route list Smap.t) option =
-            disk_get cache key
-          in
-          (match found with
-          | Some pair ->
-              Telemetry.incr c_dv_disk;
-              pair
-          | None ->
-              Telemetry.incr c_dv_recompute;
-              let pair =
-                ( (if has (fun r -> r.Device.r_rip <> None) then
-                     Rip.compute ~scope:d.dom_scope net
-                   else Smap.empty),
-                  if has (fun r -> r.Device.r_eigrp <> None) then
-                    Eigrp.compute ~scope:d.dom_scope net
-                  else Smap.empty )
-              in
-              disk_put cache key pair;
-              pair)
+        else begin
+          Telemetry.incr c_dv_recompute;
+          ( (if has (fun r -> r.Device.r_rip <> None) then
+               Rip.compute ~scope:d.dom_scope net
+             else Smap.empty),
+            if has (fun r -> r.Device.r_eigrp <> None) then
+              Eigrp.compute ~scope:d.dom_scope net
+            else Smap.empty )
+        end
   in
   ( {
       dc_members = d.dom_members;
@@ -376,9 +345,7 @@ let build ?pool ?cache ?prev configs =
         Pool.parallel_map ?pool
           (fun (d : Simulate.igp_domain) ->
             ( d.dom_key,
-              compute_domain ?pool ?cache
-                ~prev:(Dmap.find_opt d.dom_key prev_doms)
-                net d ))
+              compute_domain ?pool ~prev:(Dmap.find_opt d.dom_key prev_doms) net d ))
           (Simulate.igp_domains net)
       in
       let doms =

@@ -44,14 +44,16 @@
 
     On top of the in-memory caches, an optional {e persistent} cache
     (a {!Netcore.Diskcache.t}, see {!open_cache}) carries results across
-    processes: whole from-scratch builds, per-domain SPF states, per-domain
-    DV results and global BGP fixpoints are stored under keys derived from
-    the same structural fingerprints, so a warm rerun of an identical (or
-    partially identical) workload skips the matching recomputations
-    entirely. Disk reuse is correctness-neutral by the same argument as
-    in-memory reuse — every key covers every input of the computation it
-    stores — and is additionally guarded by the warm-equals-cold property
-    tests and the [--selfcheck] shadow path.
+    processes. It holds two entry kinds, both keyed by every router's
+    full fingerprint: the whole state of a from-scratch build, and the
+    global BGP fixpoint of any build. A warm rerun of an identical
+    workload restores its first state instead of simulating it, and
+    each of its edits restores the BGP fixpoint an earlier run computed
+    on the same configs. Per-domain SPF states and DV routes are stored
+    only inside the whole state. Disk reuse is correctness-neutral by the
+    same argument as in-memory reuse — every key covers every input of
+    the computation it stores — and is additionally guarded by the
+    warm-equals-cold property tests and the [--selfcheck] shadow path.
 
     Cache reuse is observable through [Netcore.Telemetry] counters
     ([engine.spf_reuse]/[engine.spf_extend]/[engine.spf_full],
@@ -59,8 +61,7 @@
     [engine.dv_recompute], [engine.bgp_skip]/[engine.bgp_compute],
     [engine.fib_reuse]/[engine.fib_patch]/[engine.fib_build] (reused,
     patched and fully built FIBs), [engine.edits], and the disk
-    hits [engine.state_disk], [engine.spf_disk], [engine.dv_disk],
-    [engine.bgp_disk]) and spans
+    hits [engine.state_disk] and [engine.bgp_disk]) and spans
     ([engine.build] and its stages [engine.compile], [engine.domains],
     [engine.candidates], [engine.base_fibs], [engine.bgp],
     [engine.final_fibs]). With the self-check
@@ -94,9 +95,9 @@ val of_configs :
 (** Compile and simulate from scratch.
 
     [cache] plugs in a persistent cross-process cache (see {!open_cache}):
-    matching SPF / DV / BGP / whole-state entries are restored instead of
-    recomputed, and missing ones are stored after computation. The engine
-    result is bit-identical with and without it. *)
+    a matching whole-state or BGP entry is restored instead of
+    recomputed, and a missing one is stored after computation. The
+    engine result is bit-identical with and without it. *)
 
 val of_configs_exn :
   ?pool:Netcore.Pool.t ->
@@ -107,7 +108,8 @@ val of_configs_exn :
 val apply_edit : t -> Configlang.Ast.config list -> (t, string) result
 (** [apply_edit t configs] re-simulates under the (full) edited config
     list, reusing every cache the edit does not invalidate. A persistent
-    cache passed at {!of_configs} time is carried along. *)
+    cache passed at {!of_configs} time is carried along for its BGP
+    entries. *)
 
 val apply_edit_exn : t -> Configlang.Ast.config list -> t
 
@@ -124,9 +126,6 @@ val configs : t -> Configlang.Ast.config list
 val network : t -> Device.network
 
 val fibs : t -> Fib.t Smap.t
-
-val cache : t -> Netcore.Diskcache.t option
-(** The persistent cache this engine reads and writes, if any. *)
 
 val pool : t -> Netcore.Pool.t option
 (** The worker pool this engine fans out on, if one was pinned at

@@ -325,18 +325,6 @@ let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
           removed @ List.map fst recomputed,
           List.rev changed_routers )
 
-(* Rebind a state's adjacencies to the current network. The distance
-   fields of a state are a function of SPF-relevant inputs only (the
-   engine's spf fingerprints), but [st_adjs] embeds whole interface
-   records — delays, ACLs, descriptions — that those fingerprints
-   deliberately exclude. A state restored from the disk cache therefore
-   recomputes its adjacencies here, so it is structurally identical to a
-   fresh [prepare] and later [prepare_update] equality checks see no
-   phantom change. The router set, hence the interner, is covered by the
-   fingerprints and kept. *)
-let rescope ?(scope = all) (net : Device.network) (st : state) =
-  { st with st_adjs = ospf_adjs ~scope net }
-
 (* ---- route selection ----
 
    A router's OSPF selection for one prefix reads its distance to the

@@ -10,11 +10,13 @@
     route-equivalence filters rely on (§5.2).
 
     The computation is split in two phases so the incremental engine can
-    cache the expensive one: {!prepare} runs every per-prefix Dijkstra
-    (depends on interfaces, costs and [network] statements only), and
-    {!base_fibs} writes each router's selection against a prepared state
-    (depends additionally on that router's distribute-lists) straight
-    into its base FIB. No per-router route list is kept. *)
+    keep the expensive one across edits (a state reaches the persistent
+    cache only inside the engine's whole state): {!prepare} runs every
+    per-prefix Dijkstra (depends on interfaces, costs and [network]
+    statements only), and {!base_fibs} writes each router's selection
+    against a prepared state (depends additionally on that router's
+    distribute-lists) straight into its base FIB. No per-router route
+    list is kept. *)
 
 module Smap = Device.Smap
 
@@ -52,15 +54,6 @@ val prepare_update :
     adjacency row gained an adjacency, or [None] when the router set
     changed or an adjacency was removed or re-costed and a full
     {!prepare} is needed. *)
-
-val rescope : ?scope:(string -> bool) -> Device.network -> state -> state
-(** [rescope net st] replaces [st]'s embedded adjacencies with the ones
-    of [net] (under [scope]), keeping the distance fields. Used when a
-    state is restored from the persistent cache: the distances are valid
-    whenever the SPF-relevant inputs match, but the stored adjacencies
-    embed interface fields outside that fingerprint (delays, ACLs) that
-    must be refreshed for the restored state to be structurally
-    identical to a fresh {!prepare}. *)
 
 val changed_filter_prefixes :
   (string * Configlang.Ast.prefix_list) list ->

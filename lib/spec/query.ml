@@ -112,12 +112,19 @@ let ( let* ) = Result.bind
 
 (* The policy of the family named [kind], its arguments read by JSON
    field: ["src"], ["dst"], then the family's own. Both written forms
-   end here. *)
-let build kind ~name ~number =
+   end here; [keys] are the JSON form's fields, each of which must be
+   one of those or ["type"]. *)
+let build kind ~keys ~name ~number =
   let kind = String.lowercase_ascii kind in
   match List.find_opt (fun (Family f) -> f.kind = kind || List.mem kind f.synonyms) families with
   | None -> err "unknown policy kind %S" kind
   | Some (Family f) ->
+      let own = match f.arg with Pair -> [] | Node field | Count field -> [ field ] in
+      let* () =
+        match List.find_opt (fun k -> not (List.mem k ("type" :: "src" :: "dst" :: own))) keys with
+        | Some k -> err "unknown field %S" k
+        | None -> Ok ()
+      in
       let name field =
         let* n = name field in
         if valid_name n then Ok n else err "bad %s name %S" field n
@@ -152,7 +159,7 @@ let parse_policy line =
       (* Positional: the fields in order. *)
       let arg field = List.nth_opt args (match field with "src" -> 0 | "dst" -> 1 | _ -> 2) in
       let name field = Option.to_result ~none:("missing " ^ field) (arg field) in
-      let* p = build kind ~name ~number:(fun f -> Option.bind (arg f) int_of_string_opt) in
+      let* p = build kind ~keys:[] ~name ~number:(fun f -> Option.bind (arg f) int_of_string_opt) in
       let arity = match view p with View (f, _, _, x) -> if third f.arg x = None then 2 else 3 in
       if List.length args = arity then Ok p
       else err "%s takes %d arguments, got %d" kind arity (List.length args)
@@ -184,10 +191,11 @@ let parse_json text =
         let str k = Option.bind (J.member k item) J.str in
         let name k = Option.to_result ~none:(Printf.sprintf "missing field %S" k) (str k) in
         let number k = Option.bind (J.member k item) J.int in
+        let keys = match item with J.Obj kvs -> List.map fst kvs | _ -> [] in
         Result.map_error (Printf.sprintf "policy %d: %s" i)
           (match str "type" with
           | None -> err "missing field \"type\""
-          | Some t -> build t ~name ~number)
+          | Some t -> build t ~keys ~name ~number)
       in
       let rec go i acc = function
         | [] -> Ok (List.rev acc)

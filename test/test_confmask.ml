@@ -901,7 +901,14 @@ let test_reader_bad_interfaces () =
     [ ("a1.cfg", replace ~sub:"interface Eth1\n" ~by:"interface Eth0\n" a1) ];
   expect_rejected "mask 0.0.0.0" ~file:"a1.cfg" ~why:"interface 'Eth0' has mask 0.0.0.0"
     [ ("a1.cfg",
-       replace ~sub:"ip address 10.0.0.1 255.255.255.252" ~by:"ip address 10.0.0.1 0.0.0.0" a1) ]
+       replace ~sub:"ip address 10.0.0.1 255.255.255.252" ~by:"ip address 10.0.0.1 0.0.0.0" a1) ];
+  (* Such a prefix leaves Prefix.alloc_fresh no fake prefix to hand out;
+     the reader names the file before the anonymizer gets that far. *)
+  expect_rejected "prefix covering the fake-prefix pool" ~file:"a1.cfg"
+    ~why:"interface 'Eth0' prefix 100.64.0.0/10 covers the fake-prefix pool 100.64.0.0/10"
+    [ ("a1.cfg",
+       replace ~sub:"ip address 10.0.0.1 255.255.255.252"
+         ~by:"ip address 100.64.0.1 255.192.0.0" a1) ]
 
 let test_classify () =
   check Alcotest.(pair string string) "Not_found is a bug" ("internal", "Not_found")

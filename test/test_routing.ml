@@ -1559,8 +1559,7 @@ let test_engine_disk_cache_warm_equals_cold () =
   @@ fun () ->
   let disk_counters =
     List.map Netcore.Telemetry.counter
-      [ "engine.state_disk"; "engine.spf_disk"; "engine.dv_disk";
-        "engine.bgp_disk" ]
+      [ "engine.state_disk"; "engine.bgp_disk" ]
   in
   let disk_hits () =
     List.fold_left (fun a c -> a + Netcore.Telemetry.value c) 0 disk_counters
@@ -1957,9 +1956,8 @@ let test_engine_spf_fallbacks () =
     [ ("removed adjacency", removed); ("re-costed adjacency", recosted);
       ("new router", grown) ]
 
-(* A state restored from the disk cache — whole, or one domain's SPF
-   entry through [Ospf.rescope] — extends like a computed one: the
-   result equals the cold build of the extended network. *)
+(* A whole state restored from the disk cache extends like a computed
+   one: the result equals the cold build of the extended network. *)
 let test_engine_restored_state_extends () =
   let configs = Netgen.Nets.configs (Netgen.Nets.find "D") in
   let net = (Simulate.run_exn configs).net in
@@ -1968,32 +1966,39 @@ let test_engine_restored_state_extends () =
       net configs
   in
   let cold = Engine.fibs (Engine.of_configs_exn configs') in
-  let extend_restored ~populate name counter =
-    let dir = temp_cache_dir () in
-    ignore (Engine.of_configs_exn ~cache:(Engine.open_cache dir) populate);
-    let restored, hits =
-      counter_deltas [ counter ] (fun () ->
-          Engine.of_configs_exn ~cache:(Engine.open_cache dir) configs)
-    in
-    check Alcotest.(list int) (name ^ ": restored from disk") [ 1 ] hits;
-    let eng, deltas =
-      counter_deltas spf_counters (fun () -> Engine.apply_edit_exn restored configs')
-    in
-    check Alcotest.(list int) (name ^ ": spf_extend/spf_full") [ 1; 0 ] deltas;
-    check Alcotest.bool (name ^ ": equals the cold build") true
-      (Device.Smap.equal ( = ) (Engine.fibs eng) cold)
+  let dir = temp_cache_dir () in
+  ignore (Engine.of_configs_exn ~cache:(Engine.open_cache dir) configs);
+  let restored, hits =
+    counter_deltas [ "engine.state_disk" ] (fun () ->
+        Engine.of_configs_exn ~cache:(Engine.open_cache dir) configs)
   in
-  extend_restored ~populate:configs "whole state" "engine.state_disk";
-  (* A deny filter leaves the SPF key alone but changes the whole-state
-     key, so the original's build restores only the SPF entry. *)
-  let filtered =
-    let r, adjs = List.find (fun (_, l) -> l <> []) (Device.Smap.bindings net.adjs) in
-    let hp = fst (List.hd (Simulate.host_prefixes net)) in
-    Confmask.Edits.update configs r (fun c ->
-        Confmask.Edits.deny_on_iface c
-          ~iface:(List.hd adjs).Device.a_out_iface.ifc_name hp)
+  check Alcotest.(list int) "restored from disk" [ 1 ] hits;
+  let eng, deltas =
+    counter_deltas spf_counters (fun () -> Engine.apply_edit_exn restored configs')
   in
-  extend_restored ~populate:filtered "SPF entry" "engine.spf_disk"
+  check Alcotest.(list int) "spf_extend/spf_full" [ 1; 0 ] deltas;
+  check Alcotest.bool "equals the cold build" true
+    (Device.Smap.equal ( = ) (Engine.fibs eng) cold)
+
+(* The persistent cache holds whole from-scratch states and BGP
+   fixpoints only: a cold build plus a walk of edits into an empty
+   directory writes one state entry and one entry per BGP fixpoint it
+   computed — on OSPF-only net D, the state entry alone. *)
+let test_engine_disk_cache_entry_kinds () =
+  List.iter
+    (fun (net, seed) ->
+      let states = record_walk ~seed ~steps:4 (Netgen.Nets.find net) in
+      let dir = temp_cache_dir () in
+      let _, deltas =
+        counter_deltas [ "diskcache.write"; "engine.bgp_compute" ] (fun () ->
+            replay ~cache:(Engine.open_cache dir) states)
+      in
+      match deltas with
+      | [ writes; bgp ] ->
+          if net = "A" then check Alcotest.bool "A computes BGP" true (bgp > 0);
+          check Alcotest.int (net ^ ": entries written") (1 + bgp) writes
+      | _ -> assert false)
+    [ ("A", 3); ("D", 3) ]
 
 (* Stub subnets on one router add no adjacency, so every router's row
    stays what it was and the engine keeps the whole SPF state. Row order
@@ -2279,6 +2284,8 @@ let () =
               `Quick test_engine_spf_fallbacks;
             Alcotest.test_case "restored state extends like the cold build" `Quick
               test_engine_restored_state_extends;
+            Alcotest.test_case "disk cache: one state entry plus one per BGP fixpoint"
+              `Quick test_engine_disk_cache_entry_kinds;
             Alcotest.test_case "stub subnets keep every adjacency row" `Quick
               test_engine_stub_subnets_keep_rows;
             Alcotest.test_case "base FIB constructor on mixed-IGP nets A and G" `Quick

@@ -194,6 +194,21 @@ let parse_rejects () =
       {|[{"type": "loadbalance", "src": "a", "dst": "b", "paths": 0}]|};
       {|[{"type": "pathlength", "src": "a", "dst": "b"}]|};
       {|["reach(a, b)"]|};
+    ];
+  (* A field the policy's family does not take is named, not dropped. *)
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check (result (list string) string))
+        text (Error want)
+        (Result.map (List.map Q.to_string) (Q.parse text)))
+    [
+      ( {|[{"type": "reach", "src": "ha1", "dst": "hb1", "dts": "x"}]|},
+        {|policy 0: unknown field "dts"|} );
+      ( {|[{"type": "reach", "src": "a", "dst": "b"},
+           {"type": "reach", "src": "a", "dst": "b", "via": "c"}]|},
+        {|policy 1: unknown field "via"|} );
+      ( {|[{"type": "waypoint", "src": "a", "dst": "b", "via": "c", "paths": 2}]|},
+        {|policy 0: unknown field "paths"|} );
     ]
 
 (* ---- evaluation and verdicts on a fabricated pair ---- *)
