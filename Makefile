@@ -211,6 +211,17 @@ verify-smoke:
 	  --anon $(VERIFY_SMOKE)/batch/A-kr6-kh2/configs --json > $(VERIFY_SMOKE)/verify.json
 	grep -Eq '"holds_both": *[1-9]' $(VERIFY_SMOKE)/verify.json
 	! grep -Eq '"verdict": *"lost"' $(VERIFY_SMOKE)/verify.json
+	# A policy from a real host to a fake one (a config of the cell that
+	# the original lacks) is fake_only: the mined set never names it, so
+	# this reads the anonymized plane's per-pair view of a fake host.
+	cd $(VERIFY_SMOKE) && ls orig | sed 's/\.cfg$$//' > real \
+	  && ls batch/A-kr6-kh2/configs | sed 's/\.cfg$$//' | grep -vxFf real > fake \
+	  && echo "reach($$(grep -l default-gateway orig/*.cfg | head -n 1 | xargs basename -s .cfg), $$(head -n 1 fake))" \
+	  > fake.policies
+	dune exec bin/confmask_cli.exe -- verify --orig $(VERIFY_SMOKE)/orig \
+	  --anon $(VERIFY_SMOKE)/batch/A-kr6-kh2/configs --json \
+	  --policies $(VERIFY_SMOKE)/fake.policies > $(VERIFY_SMOKE)/fake.json
+	grep -Eq '"verdict": *"fake_only"' $(VERIFY_SMOKE)/fake.json
 	# Resuming the finished batch must reproduce the manifest —
 	# verification record included — byte for byte.
 	cp $(VERIFY_SMOKE)/batch/manifest.json $(VERIFY_SMOKE)/manifest.first.json

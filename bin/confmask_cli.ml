@@ -381,7 +381,7 @@ let verify orig_dir anon_dir policies_file json jobs trace metrics_out =
               (Spec.Query.to_string e.e_policy)
               evidence
         | _ -> ())
-      v.Confmask.Verify.entries
+      (Option.value ~default:[] v.Confmask.Verify.entries)
   end;
   (* Exit discipline: every policy that held on the original must still
      hold on the anonymized network; anything lost is a verification

@@ -120,6 +120,8 @@ let empty_eigrp asn =
 let empty_bgp asn =
   { bgp_as = asn; bgp_router_id = None; bgp_networks = []; bgp_neighbors = []; bgp_extra = [] }
 
+let no_hostname = "(no \"hostname\")"
+
 let empty_config hostname =
   {
     hostname;

@@ -122,6 +122,11 @@ val empty_eigrp : int -> eigrp
 val empty_bgp : int -> bgp
 val empty_config : string -> config
 
+val no_hostname : string
+(** The hostname both parsers give a config that declares none. No
+    config can declare it: it holds a space, which no CiscoLite token
+    does, and a double quote, which no JunosLite word does. *)
+
 val interface_prefix : interface -> Prefix.t option
 (** The connected subnet of an addressed interface. *)
 

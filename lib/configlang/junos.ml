@@ -568,7 +568,7 @@ let parse text =
                   | Stmt (l, _) | Block (l, _, _) -> fail l "unsupported legacy entry")
                 c body
           | Stmt (l, _) | Block (l, _, _) -> fail l "unsupported top-level entry")
-        (empty_config "unnamed") tree
+        (empty_config no_hostname) tree
     in
     let kind =
       if

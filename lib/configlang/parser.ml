@@ -323,7 +323,7 @@ let parse text =
             top { c with extra = c.extra @ raw } rest)
   in
   try
-    let c = top (empty_config "unnamed") lines in
+    let c = top (empty_config no_hostname) lines in
     let kind =
       if
         c.default_gateway <> None && c.ospf = None && c.rip = None

@@ -47,8 +47,7 @@ let read_config_dir dir =
         | Ok c -> c
         | Error m -> input_error "%s: %s" path m
       in
-      (* ["unnamed"] is the parsers' name for a config without one. *)
-      if c.hostname = "unnamed" then input_error "%s: no hostname" path;
+      if c.hostname = Configlang.Ast.no_hostname then input_error "%s: no hostname" path;
       (match Hashtbl.find_opt declared c.hostname with
        | Some other ->
            input_error "%s: hostname '%s' is already declared by %s" path c.hostname other
@@ -71,14 +70,18 @@ let read_config_dir dir =
       c)
     files
 
-let write_configs ~format dir configs =
+(* Prints every config, writes it to [dir/<hostname>.cfg] and returns
+   the printed texts in config order. *)
+let write_printed ~format dir configs =
   mkdir_p dir;
-  List.iter
+  List.map
     (fun (c : Configlang.Ast.config) ->
-      write_file
-        (Filename.concat dir (c.hostname ^ ".cfg"))
-        (Configlang.Vendor.print format c))
+      let text = Configlang.Vendor.print format c in
+      write_file (Filename.concat dir (c.hostname ^ ".cfg")) text;
+      text)
     configs
+
+let write_configs ~format dir configs = ignore (write_printed ~format dir configs)
 
 let simulate_dir dir =
   let configs = read_config_dir dir in
@@ -309,11 +312,15 @@ let execute ~out ~cache ~format job =
     | Ok r ->
         let seconds = Clock.elapsed t0 in
         let deltas = counter_delta before (Telemetry.counters ()) in
-        write_configs ~format (Filename.concat dir "configs") r.anon_configs;
-        let digest =
-          Digest.to_hex
-            (Digest.string (String.concat "\x00" (List.map snd (Workflow.anon_texts r))))
+        let written = write_printed ~format (Filename.concat dir "configs") r.anon_configs in
+        (* The digest is over the Cisco texts ([Workflow.anon_texts]),
+           which a Cisco job has just written. *)
+        let texts =
+          match format with
+          | Configlang.Vendor.Cisco -> written
+          | Configlang.Vendor.Junos -> List.map snd (Workflow.anon_texts r)
         in
+        let digest = Digest.to_hex (Digest.string (String.concat "\x00" texts)) in
         ok_record ~id:job.job_id ~seconds ~digest ~deltas r
     | Error msg ->
         error_record ~id:job.job_id ~seconds:(Clock.elapsed t0) ~cls:"input" ~msg

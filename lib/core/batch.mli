@@ -49,7 +49,7 @@ val read_config_dir : string -> Configlang.Ast.config list
     order, auto-detecting the vendor per file. Raises {!Input_error},
     naming the file where there is one, when the directory is missing or
     holds no [.cfg] file, or a file fails to parse, declares no hostname
-    (the parsers name such a config ["unnamed"]) or one an earlier file
+    ({!Configlang.Ast.no_hostname}) or one an earlier file
     declared, or declares an interface name twice or an interface with
     mask 0.0.0.0. *)
 

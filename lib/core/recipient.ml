@@ -37,7 +37,7 @@ let verify (r : Verify_request.t) =
   in
   let _, orig = Batch.simulate_dir r.orig_dir in
   let _, anon = Batch.simulate_dir r.anon_dir in
-  Verify.check ?policies ~orig ~anon ()
+  Verify.check ~entries:r.entries ?policies ~orig ~anon ()
 
 module Redteam_request = struct
   type t = {

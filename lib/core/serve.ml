@@ -60,7 +60,7 @@ let job_response ~cache ~tenants req =
    same front ends as the CLI's [verify] and [redteam]. *)
 let verify_response req =
   let r = decoded (Recipient.Verify_request.of_json req) in
-  ok (("op", Json.Str "verify") :: Verify.json_fields ~entries:r.entries (Recipient.verify r))
+  ok (("op", Json.Str "verify") :: Verify.json_fields (Recipient.verify r))
 
 let redteam_response ~tenants req =
   let r = decoded (Recipient.Redteam_request.of_json ~tenants req) in

@@ -3,8 +3,8 @@ module Smap = Routing.Device.Smap
 module Query = Spec.Query
 
 type result = {
-  entries : Query.entry list;
   summary : Query.summary;
+  entries : Query.entry list option;
 }
 
 let c_policies = Telemetry.counter "verify.policies"
@@ -13,26 +13,74 @@ let c_lost = Telemetry.counter "verify.lost"
 let known_in (snap : Routing.Simulate.snapshot) name =
   Smap.mem name snap.net.routers || Smap.mem name snap.net.hosts
 
-let check ?policies ?rename ~(orig : Routing.Simulate.snapshot)
+(* The summary of [orig]'s mined specification, pair-major. The pairs
+   of one group — one original class pair, and one anonymized class
+   pair of the renamed endpoints — have their representatives' traces
+   up to the endpoints on either side. So they mine the same policies up
+   to the endpoints, and each gets the same verdict ([Query.eval_trace]
+   reads no endpoint name): the group's first pair, mined and judged on
+   the two representative traces, stands for the group. Every mined
+   node occurs in [orig], so no policy is fake-only. *)
+let mined_summary ?(rename = fun n -> n) dp_orig dp_anon =
+  let module D = Routing.Dataplane in
+  let groups = Hashtbl.create 256 in
+  let firsts = ref [] in
+  let hosts = D.hosts dp_orig in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          if not (String.equal src dst) then begin
+            let key =
+              ( D.pair_class dp_orig ~src ~dst,
+                D.pair_class dp_anon ~src:(rename src) ~dst:(rename dst) )
+            in
+            match Hashtbl.find_opt groups key with
+            | Some n -> incr n
+            | None ->
+                let n = ref 1 in
+                Hashtbl.add groups key n;
+                firsts := (src, dst, n) :: !firsts
+          end)
+        hosts)
+    hosts;
+  let rep dp ~src ~dst = Option.value ~default:Query.no_trace (D.representative dp ~src ~dst) in
+  let tally = Hashtbl.create 8 in
+  List.iter
+    (fun (src, dst, n) ->
+      let t_orig = rep dp_orig ~src ~dst in
+      let t_anon = rep dp_anon ~src:(rename src) ~dst:(rename dst) in
+      List.iter
+        (fun p ->
+          let orig = Some (Query.eval_trace t_orig p) in
+          let v = Query.judge ~orig ~anon:(Query.eval_trace t_anon (Query.map_names rename p)) in
+          Hashtbl.replace tally v (!n + Option.value ~default:0 (Hashtbl.find_opt tally v)))
+        (Spec.mine_pair (src, dst) t_orig.delivered))
+    !firsts;
+  Query.summary_of_counts (fun v -> Option.value ~default:0 (Hashtbl.find_opt tally v))
+
+let check ?(entries = false) ?policies ?rename ~(orig : Routing.Simulate.snapshot)
     ~(anon : Routing.Simulate.snapshot) () =
   Telemetry.with_span "verify.check" @@ fun () ->
   let dp_orig = Routing.Simulate.dataplane orig in
   let dp_anon = Routing.Simulate.dataplane anon in
-  let policies =
+  let listed ps =
+    let es =
+      Query.differential ?rename ~orig:dp_orig ~anon:dp_anon ~known:(known_in orig) ps
+    in
+    { summary = Query.summarize es; entries = (if entries then Some es else None) }
+  in
+  let v =
     match policies with
-    | Some ps -> ps
-    | None -> Spec.mine dp_orig
+    | Some ps -> listed ps
+    | None when entries -> listed (Spec.mine dp_orig)
+    | None -> { summary = mined_summary ?rename dp_orig dp_anon; entries = None }
   in
-  let entries =
-    Query.differential ?rename ~orig:dp_orig ~anon:dp_anon
-      ~known:(known_in orig) policies
-  in
-  let summary = Query.summarize entries in
-  Telemetry.add c_policies summary.total;
-  Telemetry.add c_lost summary.lost;
-  { entries; summary }
+  Telemetry.add c_policies v.summary.total;
+  Telemetry.add c_lost v.summary.lost;
+  v
 
-let of_report ?policies (r : Workflow.report) =
+let of_report ?entries ?policies (r : Workflow.report) =
   let rename =
     match r.name_map with
     | [] -> None
@@ -42,7 +90,7 @@ let of_report ?policies (r : Workflow.report) =
         let tbl = Hashtbl.of_seq (List.to_seq (List.rev map)) in
         Some (fun n -> Option.value ~default:n (Hashtbl.find_opt tbl n))
   in
-  check ?policies ?rename ~orig:r.orig_snapshot ~anon:r.anon_snapshot ()
+  check ?entries ?policies ?rename ~orig:r.orig_snapshot ~anon:r.anon_snapshot ()
 
 (* ---- JSON rendering ---- *)
 
@@ -65,7 +113,7 @@ let entry_json (e : Query.entry) =
       ("anon", outcome_json e.e_anon);
     ]
 
-let json_fields ?(entries = true) v =
+let json_fields v =
   let s = v.summary in
   let num n = Json.Num (float_of_int n) in
   [
@@ -78,10 +126,11 @@ let json_fields ?(entries = true) v =
     ("kept_fraction", Json.Num s.kept_fraction);
   ]
   @
-  if entries then [ ("entries", Json.Arr (List.map entry_json v.entries)) ]
-  else []
+  match v.entries with
+  | Some es -> [ ("entries", Json.Arr (List.map entry_json es)) ]
+  | None -> []
 
-let to_json ?entries v = Json.Obj (json_fields ?entries v)
+let to_json v = Json.Obj (json_fields v)
 
-let record v = Json.round3 (to_json ~entries:false v)
+let record v = Json.round3 (Json.Obj (json_fields { v with entries = None }))
 let record_json v = Json.to_string (record v)

@@ -31,12 +31,10 @@ let production =
     dataplane = (fun s -> Routing.Simulate.dataplane s);
   }
 
+(* Pair for pair through the view: the same pairs, the same traces. *)
 let traces_equal a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun k (t : Routing.Dataplane.trace) acc ->
-         acc && Hashtbl.find_opt b k = Some t)
-       a true
+  let pairs dp = Routing.Dataplane.fold (fun k t acc -> (k, t) :: acc) dp [] in
+  pairs a = pairs b
 
 (* Routes in prefix order, which the model leaves open. Next-hop order is
    compared as given: both sides list next hops in adjacency order, and
@@ -551,9 +549,11 @@ let policy_transfer_check ~seed spec =
         Spec.compare_specs ~orig:props
           ~anon:(Spec.mine_properties ~hosts (Routing.Simulate.dataplane r.anon_snapshot))
       in
-      let v = Confmask.Verify.of_report ~policies:(Spec.mine dp_orig @ props) r in
+      let v = Confmask.Verify.of_report ~entries:true ~policies:(Spec.mine dp_orig @ props) r in
       match
-        ( List.find_opt (fun (e : Query.entry) -> e.e_verdict <> Query.Holds_both) v.entries,
+        ( List.find_opt
+            (fun (e : Query.entry) -> e.e_verdict <> Query.Holds_both)
+            (Option.value ~default:[] v.entries),
           b7.lost,
           b7.introduced )
       with

@@ -133,21 +133,21 @@ let min_cost ?scope net u =
 
 (* ---- data plane ---- *)
 
-let traces ~hosts (snap : Routing.Simulate.snapshot) =
-  let dp = Hashtbl.create (List.length hosts * List.length hosts) in
-  List.iter
+(* One traceroute per ordered pair of distinct hosts, source-major. *)
+let traces ?max_paths ~hosts (snap : Routing.Simulate.snapshot) =
+  List.concat_map
     (fun src ->
-      List.iter
+      List.filter_map
         (fun dst ->
-          if not (String.equal src dst) then
-            Hashtbl.replace dp (src, dst)
-              (Routing.Dataplane.traceroute snap.net snap.fibs ~src ~dst))
+          if String.equal src dst then None
+          else
+            Some ((src, dst), Routing.Dataplane.traceroute ?max_paths snap.net snap.fibs ~src ~dst))
         hosts)
-    hosts;
-  dp
+    hosts
 
-let dataplane (snap : Routing.Simulate.snapshot) =
-  traces ~hosts:(List.map fst (Smap.bindings snap.net.hosts)) snap
+let dataplane ?max_paths (snap : Routing.Simulate.snapshot) =
+  Routing.Dataplane.of_traces
+    (traces ?max_paths ~hosts:(List.map fst (Smap.bindings snap.net.hosts)) snap)
 
 (* ---- Definition 3.3 ---- *)
 
@@ -164,19 +164,10 @@ let equivalence ~(orig : Routing.Simulate.snapshot)
   | None, Some (u, v), _ -> Error (Printf.sprintf "link %s -- %s is missing" u v)
   | None, None, Some h -> Error (Printf.sprintf "host %s is missing" h)
   | None, None, None -> (
-      let dp0 = traces ~hosts orig and dp1 = traces ~hosts anon in
-      let paths dp pair =
-        (Hashtbl.find dp pair : Routing.Dataplane.trace).delivered
+      let differs ((_, (t0 : Routing.Dataplane.trace)), (_, (t1 : Routing.Dataplane.trace))) =
+        t0.delivered <> t1.delivered
       in
-      let pairs =
-        List.concat_map
-          (fun s ->
-            List.filter_map
-              (fun d -> if String.equal s d then None else Some (s, d))
-              hosts)
-          hosts
-      in
-      match List.find_opt (fun p -> paths dp0 p <> paths dp1 p) pairs with
+      match List.find_opt differs (List.combine (traces ~hosts orig) (traces ~hosts anon)) with
       | None -> Ok ()
-      | Some (s, d) ->
+      | Some (((s, d), _), _) ->
           Error (Printf.sprintf "the paths from %s to %s differ" s d))

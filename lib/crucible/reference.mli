@@ -42,11 +42,12 @@ val min_cost :
 
 (** {1 Data plane} *)
 
-val dataplane : Routing.Simulate.snapshot -> Routing.Dataplane.t
+val dataplane : ?max_paths:int -> Routing.Simulate.snapshot -> Routing.Dataplane.t
 (** One {!Routing.Dataplane.traceroute} per ordered pair of distinct
-    hosts: [List.find_opt] scans and {!Routing.Fib.lookup}, no lookup
-    tables, no classes, no probes. The model of
-    [Routing.Simulate.dataplane]. *)
+    hosts, fanned out into {!Routing.Dataplane.of_traces}: [List.find_opt]
+    scans and {!Routing.Fib.lookup}, no lookup tables, no classes, no
+    probes, no renaming. The model of [Routing.Simulate.dataplane]'s
+    per-pair view at the same [max_paths]. *)
 
 (** {1 Functional equivalence} *)
 

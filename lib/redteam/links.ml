@@ -6,7 +6,9 @@ let canonical = Attack.canonical_edge
 
 (* Router links are marked in an n x n matrix over the interned router
    names as the walk goes; a delivered path is [h_s; r_1; ...; r_n; h_d],
-   so only its router interior can cross a router link. *)
+   so only its router interior can cross a router link. A member pair's
+   paths are its class pair's representative paths with the endpoints
+   renamed, so walking the representatives marks every link. *)
 let no_traffic_links (snap : Routing.Simulate.snapshot) =
   let g = Routing.Device.router_graph snap.net in
   let ids = Interner.create ~capacity:(Graph.num_nodes g) () in
@@ -21,10 +23,10 @@ let no_traffic_links (snap : Routing.Simulate.snapshot) =
         walk i rest
     | [ _ ] | [] -> ()
   in
-  Hashtbl.iter
-    (fun _ (t : Routing.Dataplane.trace) ->
+  List.iter
+    (fun (t : Routing.Dataplane.trace) ->
       List.iter (function _ :: hops -> walk (-1) hops | [] -> ()) t.delivered)
-    (Routing.Simulate.dataplane snap);
+    (Routing.Dataplane.class_traces (Routing.Simulate.dataplane snap));
   List.filter
     (fun (u, v) ->
       Bytes.get used (cell (Interner.find_exn ids u) (Interner.find_exn ids v))

@@ -109,6 +109,17 @@ let probe_lookups net probes =
         | Some pb -> Fib.probe_lpm pb di.hi_dest);
   }
 
+(* Two hosts on one subnet reach each other directly: the walk never
+   leaves the source. *)
+let shortcut_trace src dst =
+  {
+    delivered = [ [ src; dst ] ];
+    dropped = [];
+    filtered = [];
+    looped = [];
+    truncated = false;
+  }
+
 (* The walk itself, identical on every lookup implementation: a DFS over
    the ECMP branching in next-hop list order, so truncation at
    [max_paths] cuts the same paths either way. *)
@@ -117,14 +128,7 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups)
   let src = si.hi_name and dst = di.hi_name in
   let src_addr = si.hi_host.h_addr and dst_addr = di.hi_host.h_addr in
   let permits acl = acl_permits acl ~src:src_addr ~dst:dst_addr in
-  if Netcore.Prefix.equal si.hi_prefix di.hi_prefix then
-    {
-      delivered = [ [ src; dst ] ];
-      dropped = [];
-      filtered = [];
-      looped = [];
-      truncated = false;
-    }
+  if Netcore.Prefix.equal si.hi_prefix di.hi_prefix then shortcut_trace src dst
   else begin
     let dst_attachments = di.hi_datts in
     let dst_routers = di.hi_drouters in
@@ -189,8 +193,6 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups)
 let traceroute ?max_paths (net : Device.network) fibs ~src ~dst =
   trace_hosts ?max_paths (plain_lookups net fibs) ~si:(host_info net src)
     ~di:(host_info net dst)
-
-type t = (string * string, trace) Hashtbl.t
 
 (* ---- forwarding-equivalence classes ----
 
@@ -296,7 +298,8 @@ let host_signature acls ~routes (hi : host_info) =
    check of a walk is vacuous and the walk's behavior below a router
    depends only on the destination: the trace from a start router is the
    set of forwarding paths of the destination's FIB DAG. Those suffixes
-   are computed once per destination and shared by every source — tail
+   are computed once per destination and shared by every representative
+   source tracing toward it — tail
    sharing included, which is safe because traces are only ever read
    structurally. A FIB cycle or a path count at the truncation limit
    makes the memo unusable for that destination or pair; callers fall
@@ -444,6 +447,7 @@ let memo_trace node ~cap ~(si : host_info) =
           truncated = false;
         }
 
+
 (* Rename a representative trace onto another member pair of the same
    ordered class pair: heads become the new source, and delivered paths
    additionally end in the new destination. Renaming can reorder a
@@ -466,22 +470,113 @@ let rename_trace ~src ~dst (t : trace) =
     truncated = t.truncated;
   }
 
-let shortcut_trace src dst =
-  {
-    delivered = [ [ src; dst ] ];
-    dropped = [];
-    filtered = [];
-    looped = [];
-    truncated = false;
-  }
+(* ---- the plane: classes, representatives and the per-pair view ----
 
-(* FEC-collapsed extraction: classify hosts, trace one representative
-   member pair per ordered class pair, rename onto the other members.
-   The table is populated source-major in host order, the order a plain
-   loop over every pair would use, so every [Hashtbl.fold] consumer sees
-   a canonical iteration sequence. With [hosts], only those hosts are
-   classified and paired: a pair's trace depends on the pair alone, so
-   leaving other hosts out changes no trace. *)
+   A plane keeps what extraction computes and nothing fanned out from
+   it. Hosts are indexed in sorted name order. [cls] maps a host to its
+   class, and slot [a * n_classes + b] of [reps] holds the representative
+   pair of the ordered class pair (a, b), as host indices, with its
+   trace. A slot stays empty when every member pair of its class pair
+   short-circuits. [subnet] is each host's own prefix, the same-subnet
+   rule; a fabricated plane ([of_traces]) has none. The plane is never
+   written after it is built. *)
+type rep = { rp_src : int; rp_dst : int; rp_trace : trace }
+
+type t = {
+  names : string array;
+  index : (string, int) Hashtbl.t;
+  cls : int array;
+  subnet : Netcore.Prefix.t option array;
+  n_classes : int;
+  reps : rep option array;
+}
+
+type pair_class = Same_subnet | Classes of int * int
+
+let make ~names ~cls ~subnet ~n_classes ~reps =
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i n -> Hashtbl.replace index n i) names;
+  { names; index; cls; subnet; n_classes; reps }
+
+let same_subnet dp i j =
+  match (dp.subnet.(i), dp.subnet.(j)) with
+  | Some p, Some q -> Netcore.Prefix.equal p q
+  | _ -> false
+
+(* Host indices of a pair of distinct hosts the plane covers. *)
+let indices dp ~src ~dst =
+  match (Hashtbl.find_opt dp.index src, Hashtbl.find_opt dp.index dst) with
+  | Some i, Some j when i <> j -> Some (i, j)
+  | _ -> None
+
+let class_of_indices dp i j =
+  if same_subnet dp i j then Same_subnet else Classes (dp.cls.(i), dp.cls.(j))
+
+let pair_class dp ~src ~dst =
+  Option.map (fun (i, j) -> class_of_indices dp i j) (indices dp ~src ~dst)
+
+let rep_of dp a b = dp.reps.((a * dp.n_classes) + b)
+
+let trace_at dp i j ~rename =
+  match class_of_indices dp i j with
+  | Same_subnet -> Some (shortcut_trace dp.names.(i) dp.names.(j))
+  | Classes (a, b) ->
+      Option.map
+        (fun r ->
+          if (r.rp_src = i && r.rp_dst = j) || not rename then r.rp_trace
+          else rename_trace ~src:dp.names.(i) ~dst:dp.names.(j) r.rp_trace)
+        (rep_of dp a b)
+
+let trace dp ~src ~dst =
+  Option.bind (indices dp ~src ~dst) (fun (i, j) -> trace_at dp i j ~rename:true)
+
+let representative dp ~src ~dst =
+  Option.bind (indices dp ~src ~dst) (fun (i, j) -> trace_at dp i j ~rename:false)
+
+let hosts dp = Array.to_list dp.names
+
+let fold f dp acc =
+  let n = Array.length dp.names in
+  let acc = ref acc in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then
+        match trace_at dp i j ~rename:true with
+        | Some t -> acc := f (dp.names.(i), dp.names.(j)) t !acc
+        | None -> ()
+    done
+  done;
+  !acc
+
+let class_traces dp =
+  Array.fold_right
+    (fun r acc -> match r with Some r -> r.rp_trace :: acc | None -> acc)
+    dp.reps []
+
+let of_traces pairs =
+  let names =
+    Array.of_list
+      (List.sort_uniq String.compare (List.concat_map (fun ((s, d), _) -> [ s; d ]) pairs))
+  in
+  let n = Array.length names in
+  let dp =
+    make ~names ~cls:(Array.init n Fun.id) ~subnet:(Array.make n None) ~n_classes:n
+      ~reps:(Array.make (n * n) None)
+  in
+  List.iter
+    (fun ((s, d), t) ->
+      match indices dp ~src:s ~dst:d with
+      | Some (i, j) -> dp.reps.((i * n) + j) <- Some { rp_src = i; rp_dst = j; rp_trace = t }
+      | None -> ())
+    pairs;
+  dp
+
+(* FEC-collapsed extraction: classify hosts, pick one representative
+   member pair per ordered class pair, trace it. Nothing is fanned out:
+   the view renames a representative's trace when a member pair is
+   read. With [hosts], only those hosts are classified and paired: a
+   pair's trace depends on the pair alone, so leaving other hosts out
+   changes no trace. *)
 let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs =
   let memo_ok = no_acls net in
   (* One probe accelerator per FIB, shared by classification and every
@@ -496,10 +591,11 @@ let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs 
         let keep = Sset.of_list hs in
         List.filter (fun n -> Sset.mem n keep) all
   in
-  let infos = List.map (host_info net) names in
+  let infos_arr = Array.of_list (List.map (host_info net) names) in
+  let nh = Array.length infos_arr in
   let acls = enumerate_acls net in
   (* Class index per host, in first-seen (canonical host) order. *)
-  let class_of = Hashtbl.create 64 in
+  let cls = Array.make nh 0 in
   let sig_class = Hashtbl.create 64 in
   let n_classes = ref 0 in
   let route_id = route_interner () in
@@ -509,8 +605,6 @@ let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs 
      cell). Consing in ascending router order leaves each host's
      list in descending order — any fixed order works, signatures
      are only compared against each other. *)
-  let infos_arr = Array.of_list infos in
-  let nh = Array.length infos_arr in
   let route_lists = Array.make nh [] in
   Smap.iter
     (fun name _ ->
@@ -530,173 +624,109 @@ let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs 
   Array.iteri
     (fun h hi ->
       let s = host_signature acls ~routes:route_lists.(h) hi in
-      let cls =
-        match Hashtbl.find_opt sig_class s with
+      cls.(h) <-
+        (match Hashtbl.find_opt sig_class s with
         | Some i -> i
         | None ->
             let i = !n_classes in
             incr n_classes;
             Hashtbl.add sig_class s i;
-            i
-      in
-      Hashtbl.replace class_of hi.hi_name cls)
+            i))
     infos_arr;
-  Netcore.Telemetry.add c_classes !n_classes;
+  let n_classes = !n_classes in
+  Netcore.Telemetry.add c_classes n_classes;
   (* One representative member pair per ordered class pair: the first
-     pair in canonical order that does not same-subnet short-circuit. *)
-  let reps = Hashtbl.create 64 in
-  let rep_order = ref [] in
-  let differing = ref 0 in
-  List.iter
-    (fun si ->
-      List.iter
-        (fun di ->
-          if
-            (not (String.equal si.hi_name di.hi_name))
-            && not (Netcore.Prefix.equal si.hi_prefix di.hi_prefix)
-          then begin
-            incr differing;
-            let key =
-              (Hashtbl.find class_of si.hi_name, Hashtbl.find class_of di.hi_name)
-            in
-            if not (Hashtbl.mem reps key) then begin
-              Hashtbl.add reps key (si, di);
-              rep_order := (key, si, di) :: !rep_order
-            end
-          end)
-        infos)
-    infos;
-  let rep_list = List.rev !rep_order in
-  Netcore.Telemetry.add c_traced (List.length rep_list);
-  Netcore.Telemetry.add c_collapsed (!differing - List.length rep_list);
-  (* Trace the representatives destination-major so each destination's
-     suffix memo (when eligible) is built once and shared. *)
-  let by_dst = Hashtbl.create 64 in
-  let dst_order = ref [] in
-  List.iter
-    (fun (key, si, di) ->
-      match Hashtbl.find_opt by_dst di.hi_name with
-      | Some l -> l := (key, si, di) :: !l
-      | None ->
-          let l = ref [ (key, si, di) ] in
-          Hashtbl.add by_dst di.hi_name l;
-          dst_order := di.hi_name :: !dst_order)
-    rep_list;
+     pair in canonical order that does not same-subnet short-circuit.
+     [by_dst] groups the representatives by destination host. *)
+  let chosen = Array.make (n_classes * n_classes) false in
+  let by_dst = Array.make nh [] in
+  let differing = ref 0 and n_traced = ref 0 in
+  for i = 0 to nh - 1 do
+    for j = 0 to nh - 1 do
+      if i <> j && not (Netcore.Prefix.equal infos_arr.(i).hi_prefix infos_arr.(j).hi_prefix)
+      then begin
+        incr differing;
+        let slot = (cls.(i) * n_classes) + cls.(j) in
+        if not chosen.(slot) then begin
+          chosen.(slot) <- true;
+          incr n_traced;
+          by_dst.(j) <- (slot, i) :: by_dst.(j)
+        end
+      end
+    done
+  done;
+  Netcore.Telemetry.add c_traced !n_traced;
+  Netcore.Telemetry.add c_collapsed (!differing - !n_traced);
+  (* Trace the representatives destination-major, so each destination's
+     suffix memo (when eligible) is built once and shared by its
+     representative sources. A destination belongs to exactly one group,
+     so its memo is touched by one worker only. *)
   let groups =
-    List.rev_map (fun d -> List.rev !(Hashtbl.find by_dst d)) !dst_order
+    List.filter_map
+      (fun j -> if by_dst.(j) = [] then None else Some (j, by_dst.(j)))
+      (List.init nh Fun.id)
   in
-  (* Per-destination suffix memos, shared between representative tracing
-     and pair population. Creating a memo only allocates its tables —
-     the suffix walk happens on use — so pre-creating one per group
-     destination here keeps the parallel phase read-only on [memos]
-     (each destination belongs to exactly one group, so its node table
-     is touched by one worker only). *)
-  let memos : (string, string -> memo_node) Hashtbl.t = Hashtbl.create 64 in
-  let memo_for di =
-    match Hashtbl.find_opt memos di.hi_name with
-    | Some m -> m
-    | None ->
-        let m = dest_memo lk di ~cap:max_paths in
-        Hashtbl.add memos di.hi_name m;
-        m
-  in
-  if memo_ok then
-    List.iter (fun group ->
-        match group with
-        | (_, _, di) :: _ ->
-            let (_ : string -> memo_node) = memo_for di in
-            ()
-        | [] -> ())
-      groups;
   let traced_groups =
     Netcore.Pool.chunked_map
-      (fun group ->
-        let memo =
-          match group with
-          | (_, _, di) :: _ when memo_ok ->
-              Some (Hashtbl.find memos di.hi_name)
-          | _ -> None
-        in
+      (fun (j, members) ->
+        let di = infos_arr.(j) in
+        let memo = if memo_ok then Some (dest_memo lk di ~cap:max_paths) else None in
         List.map
-          (fun (key, si, di) ->
+          (fun (slot, i) ->
+            let si = infos_arr.(i) in
             let t =
-              match
-                Option.bind memo (fun node ->
-                    memo_trace node ~cap:max_paths ~si)
-              with
+              match Option.bind memo (fun node -> memo_trace node ~cap:max_paths ~si) with
               | Some t -> t
               | None -> trace_hosts ~max_paths lk ~si ~di
             in
-            (key, t))
-          group)
+            (slot, { rp_src = i; rp_dst = j; rp_trace = t }))
+          members)
       groups
   in
-  let rep_traces = Hashtbl.create 256 in
-  List.iter
-    (List.iter (fun (key, t) -> Hashtbl.replace rep_traces key t))
-    traced_groups;
-  (* Canonical source-major population. *)
-  let n = List.length infos in
-  let dp = Hashtbl.create (n * n) in
-  List.iter
-    (fun si ->
-      List.iter
-        (fun di ->
-          if not (String.equal si.hi_name di.hi_name) then
-            let t =
-              if Netcore.Prefix.equal si.hi_prefix di.hi_prefix then
-                shortcut_trace si.hi_name di.hi_name
-              else
-                let key =
-                  ( Hashtbl.find class_of si.hi_name,
-                    Hashtbl.find class_of di.hi_name )
-                in
-                let rsi, rdi = Hashtbl.find reps key in
-                if
-                  String.equal rsi.hi_name si.hi_name
-                  && String.equal rdi.hi_name di.hi_name
-                then Hashtbl.find rep_traces key
-                else
-                  let direct =
-                    (* Non-representative memo-eligible pairs assemble
-                       their own trace from the destination's shared
-                       suffix lists — one cons per path, no sorting —
-                       instead of renaming the representative's. Both
-                       routes produce the exact trace the full DFS
-                       would. *)
-                    if memo_ok then
-                      memo_trace (memo_for di) ~cap:max_paths ~si
-                    else None
-                  in
-                  match direct with
-                  | Some t -> t
-                  | None ->
-                      rename_trace ~src:si.hi_name ~dst:di.hi_name
-                        (Hashtbl.find rep_traces key)
-            in
-            Hashtbl.replace dp (si.hi_name, di.hi_name) t)
-        infos)
-    infos;
-  dp
+  let reps = Array.make (n_classes * n_classes) None in
+  List.iter (List.iter (fun (slot, r) -> reps.(slot) <- Some r)) traced_groups;
+  make ~names:(Array.of_list names) ~cls
+    ~subnet:(Array.map (fun hi -> Some hi.hi_prefix) infos_arr)
+    ~n_classes ~reps
 
 let paths dp ~src ~dst =
-  match Hashtbl.find_opt dp (src, dst) with
-  | Some t -> t.delivered
-  | None -> []
+  match trace dp ~src ~dst with Some t -> t.delivered | None -> []
 
 let all_delivered dp =
-  Hashtbl.fold
-    (fun key t acc -> if t.delivered = [] then acc else (key, t.delivered) :: acc)
-    dp []
-  |> List.sort compare
+  fold (fun key t acc -> if t.delivered = [] then acc else (key, t.delivered) :: acc) dp []
+  |> List.rev
 
+(* Two member pairs of one (class pair in [a], class pair in [b]) group
+   have traces that are the group's first pair's with endpoints renamed
+   on both sides, so one comparison per group decides them all. A pair's
+   class pair is coded as an int per plane: 0 for a pair the plane
+   lacks, 1 for a same-subnet pair, 2 + slot otherwise. *)
 let equal_on ~hosts a b =
-  List.for_all
-    (fun src ->
-      List.for_all
-        (fun dst ->
-          String.equal src dst
-          || List.equal (List.equal String.equal)
-               (paths a ~src ~dst) (paths b ~src ~dst))
-        hosts)
-    hosts
+  let names = Array.of_list hosts in
+  let coder dp =
+    let idx = Array.map (Hashtbl.find_opt dp.index) names in
+    fun x y ->
+      match (idx.(x), idx.(y)) with
+      | Some i, Some j when i <> j ->
+          if same_subnet dp i j then 1 else 2 + (dp.cls.(i) * dp.n_classes) + dp.cls.(j)
+      | _ -> 0
+  in
+  let code_a = coder a and code_b = coder b in
+  let width_b = 2 + (b.n_classes * b.n_classes) in
+  let seen = Hashtbl.create 64 in
+  let n = Array.length names in
+  let rec pairs x y =
+    if x = n then true
+    else if y = n then pairs (x + 1) 0
+    else
+      let src = names.(x) and dst = names.(y) in
+      let key = (code_a x y * width_b) + code_b x y in
+      (String.equal src dst
+      || Hashtbl.mem seen key
+      || begin
+           Hashtbl.add seen key ();
+           List.equal (List.equal String.equal) (paths a ~src ~dst) (paths b ~src ~dst)
+         end)
+      && pairs x (y + 1)
+  in
+  pairs 0 0

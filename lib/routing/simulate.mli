@@ -42,10 +42,9 @@ val run_net : ?pool:Netcore.Pool.t -> Device.network -> Fib.t Smap.t
 
 val dataplane : ?max_paths:int -> snapshot -> Dataplane.t
 (** The snapshot's data plane ({!Dataplane.extract}), extracted on the
-    first call and returned as the same table after that, from any
-    domain. The table is shared by every caller and must be treated as
-    read-only; copy it ([Hashtbl.copy]) before changing it. An explicit
-    [max_paths] bypasses the memo and extracts a fresh table. *)
+    first call and returned as the same plane after that, from any
+    domain. A plane is immutable, so sharing it is safe. An explicit
+    [max_paths] bypasses the memo and extracts a fresh plane. *)
 
 val dataplane_on : hosts:string list -> snapshot -> Dataplane.t
 (** A data plane that holds at least the pairs among [hosts]: the

@@ -241,8 +241,7 @@ let interior = function
 let no_trace =
   { Routing.Dataplane.delivered = []; dropped = []; filtered = []; looped = []; truncated = false }
 
-let eval dp p =
-  let t = Option.value ~default:no_trace (Hashtbl.find_opt dp (endpoints p)) in
+let eval_trace (t : Routing.Dataplane.trace) p =
   let paths = t.delivered and lossy = t.dropped @ t.filtered in
   let verdict holds ~witness ~counterexample =
     if holds then { holds; witness = cap witness; counterexample = [] }
@@ -270,6 +269,10 @@ let eval dp p =
       | _ -> verdict false ~witness:[] ~counterexample:(paths @ lossy))
   | Routing_loop _ -> verdict (t.looped <> []) ~witness:t.looped ~counterexample:paths
 
+let eval dp p =
+  let src, dst = endpoints p in
+  eval_trace (Option.value ~default:no_trace (Routing.Dataplane.trace dp ~src ~dst)) p
+
 (* ---- differential verification ---- *)
 
 type verdict = Holds_both | Lost | Introduced | Holds_neither | Fake_only
@@ -288,21 +291,22 @@ type entry = {
   e_anon : outcome;
 }
 
+let judge ~orig ~anon =
+  match orig with
+  | None -> Fake_only
+  | Some o -> (
+      match (o.holds, anon.holds) with
+      | true, true -> Holds_both
+      | true, false -> Lost
+      | false, true -> Introduced
+      | false, false -> Holds_neither)
+
 let differential ?(rename = fun n -> n) ~orig ~anon ~known policies =
   List.map
     (fun p ->
       let e_anon = eval anon (map_names rename p) in
-      if List.for_all known (nodes p) then
-        let e_orig = eval orig p in
-        let e_verdict =
-          match (e_orig.holds, e_anon.holds) with
-          | true, true -> Holds_both
-          | true, false -> Lost
-          | false, true -> Introduced
-          | false, false -> Holds_neither
-        in
-        { e_policy = p; e_verdict; e_orig = Some e_orig; e_anon }
-      else { e_policy = p; e_verdict = Fake_only; e_orig = None; e_anon })
+      let e_orig = if List.for_all known (nodes p) then Some (eval orig p) else None in
+      { e_policy = p; e_verdict = judge ~orig:e_orig ~anon:e_anon; e_orig; e_anon })
     policies
 
 type summary = {
@@ -315,17 +319,21 @@ type summary = {
   kept_fraction : float;
 }
 
-let summarize entries =
-  let count v = List.length (List.filter (fun e -> e.e_verdict = v) entries) in
+let summary_of_counts count =
   let holds_both = count Holds_both and lost = count Lost in
+  let introduced = count Introduced and holds_neither = count Holds_neither in
+  let fake_only = count Fake_only in
   {
-    total = List.length entries;
+    total = holds_both + lost + introduced + holds_neither + fake_only;
     holds_both;
     lost;
-    introduced = count Introduced;
-    holds_neither = count Holds_neither;
-    fake_only = count Fake_only;
+    introduced;
+    holds_neither;
+    fake_only;
     kept_fraction =
       (if holds_both + lost = 0 then 1.0
        else float_of_int holds_both /. float_of_int (holds_both + lost));
   }
+
+let summarize entries =
+  summary_of_counts (fun v -> List.length (List.filter (fun e -> e.e_verdict = v) entries))

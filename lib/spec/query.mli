@@ -99,6 +99,16 @@ val eval : Routing.Dataplane.t -> policy -> outcome
 (** Total: a node unknown to the data plane simply has no paths (so
     reachability fails and isolation holds). *)
 
+val no_trace : Routing.Dataplane.trace
+(** The trace of a pair a plane lacks: no path of any kind. *)
+
+val eval_trace : Routing.Dataplane.trace -> policy -> outcome
+(** The policy on a given trace of its endpoints: {!eval} reads the
+    plane's trace of the policy's pair and calls this. [holds] reads a
+    trace's paths only through their router interiors, their lengths
+    and their number, so it is the same on a trace whose endpoints were
+    renamed; the evidence paths carry the endpoints' names. *)
+
 (** {1 Differential verification} *)
 
 type verdict =
@@ -120,6 +130,10 @@ type entry = {
   e_orig : outcome option;  (** [None] iff the verdict is [Fake_only] *)
   e_anon : outcome;  (** evaluated after {!map_names} through [rename] *)
 }
+
+val judge : orig:outcome option -> anon:outcome -> verdict
+(** The verdict of a policy from its two outcomes; [orig] is [None] for
+    a policy that names a node the original network lacks. *)
 
 val differential :
   ?rename:(string -> string) ->
@@ -147,3 +161,7 @@ type summary = {
 }
 
 val summarize : entry list -> summary
+
+val summary_of_counts : (verdict -> int) -> summary
+(** The summary of a multiset of verdicts, given how many entries have
+    each one. [summarize es] is this over [es]'s verdicts. *)

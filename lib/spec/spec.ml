@@ -11,13 +11,12 @@ let reach_and_waypoints (s, d) paths =
          |> List.sort_uniq String.compare
          |> List.map (fun w -> Query.Waypoint (s, d, w)))
 
+let mine_pair ((s, d) as pair) paths =
+  let n = List.length paths in
+  reach_and_waypoints pair paths @ if n >= 2 then [ Query.Loadbalance (s, d, n) ] else []
+
 let mine_paths pairs =
-  List.concat_map
-    (fun (((s, d) as pair), paths) ->
-      let n = List.length paths in
-      reach_and_waypoints pair paths @ if n >= 2 then [ Query.Loadbalance (s, d, n) ] else [])
-    pairs
-  |> List.sort_uniq compare
+  List.concat_map (fun (pair, paths) -> mine_pair pair paths) pairs |> List.sort_uniq compare
 
 let mine dp = mine_paths (Routing.Dataplane.all_delivered dp)
 
@@ -40,7 +39,7 @@ let mine_properties ?hosts dp =
     | None -> fun _ -> true
     | Some hs -> fun (s, d) -> List.mem s hs && List.mem d hs
   in
-  Hashtbl.fold
+  Routing.Dataplane.fold
     (fun pair trace acc -> if keep pair then appendix_b pair trace @ acc else acc)
     dp []
   |> List.sort_uniq compare

@@ -18,6 +18,11 @@ val mine : Routing.Dataplane.t -> Query.policy list
     delivered paths, as a [Loadbalance (s, d, n)] that {!Query.eval}
     holds at) of a simulated data plane; sorted, deduplicated. *)
 
+val mine_pair : string * string -> string list list -> Query.policy list
+(** One pair's share of {!mine}, from its delivered paths: the pair's
+    reachability, its waypoints in name order and its load balancing.
+    {!mine} is the sorted union of this over every pair. *)
+
 val mine_paths : ((string * string) * string list list) list -> Query.policy list
 (** Same, from explicit per-pair path sets (used for the NetHide baseline,
     whose forwarding is defined by its virtual topology rather than by a

@@ -654,7 +654,7 @@ let test_scrub_consistency () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && Routing.Dataplane.paths dp ~src:s ~dst:d = []
           then Alcotest.failf "scrub broke %s -> %s" s d)
         hosts)
     hosts;

@@ -41,7 +41,7 @@ let assert_invariants ?(k_r = 4) name (r : Workflow.report) =
     (fun (fh, _) ->
       List.iter
         (fun src ->
-          let t = Hashtbl.find dp (src, fh) in
+          let t = Option.get (Routing.Dataplane.trace dp ~src ~dst:fh) in
           if t.Routing.Dataplane.delivered = [] then
             Alcotest.failf "%s: fake host %s unreachable from %s" name fh src)
         (Workflow.real_hosts r))
@@ -162,7 +162,7 @@ let test_fake_routers_with_pii () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && Routing.Dataplane.paths dp ~src:s ~dst:d = []
           then Alcotest.failf "%s -> %s unreachable" s d)
         hosts)
     hosts
@@ -284,7 +284,7 @@ let test_pii_addon () =
     (fun s ->
       List.iter
         (fun d ->
-          if s <> d && (Hashtbl.find dp (s, d)).Routing.Dataplane.delivered = []
+          if s <> d && Routing.Dataplane.paths dp ~src:s ~dst:d = []
           then Alcotest.failf "pii: %s -> %s unreachable" s d)
         hosts)
     hosts;
@@ -380,7 +380,7 @@ let test_fake_routers () =
   let src = List.hd (Workflow.real_hosts r) in
   List.iter
     (fun fr ->
-      let t = Hashtbl.find dp (src, fr ^ "-h1") in
+      let t = Option.get (Routing.Dataplane.trace dp ~src ~dst:(fr ^ "-h1")) in
       check Alcotest.bool (fr ^ "-h1 reachable") true
         (t.Routing.Dataplane.delivered <> []))
     r.fake_router_names
@@ -827,6 +827,182 @@ let test_golden_fake_routers () =
         (Digest.to_hex (Digest.string text)))
     golden_fake_router_digests
 
+(* Digests of the served record — [Batch.execute]'s [result.json]
+   without its [seconds] and [telemetry] — of the catalog networks at
+   k_R = 6, with the PII scrub off and on (under the key
+   0x9e3779b97f4a7c15). They pin the verification summary, the red-team
+   scores and the equivalence verdict along with the configs' digest. *)
+let golden_record_digests =
+  [
+    ("A", "c0b543657010bcb969b2b774a5845d85", "18a693949985bf6fe8cc36c77abff700");
+    ("B", "0143c3371e557ec0dc5917b3b8363bdf", "92e23b7b253a6a90c71e7dbc73017985");
+    ("C", "c072053a4f04b88b35a814b1d628e29b", "23eb2a98a0befc9ea9bd624f58624443");
+    ("D", "fa10aa55a6cfb2a4e68a07a5f6b1e564", "10be21326dc75b3b90e7d23d7381e0e3");
+    ("E", "3a45b54be2eb479b256ae48f90298ee1", "afa22fe57b41d0e2563aeb2f77588320");
+    ("F", "9a8a57f88b06132e66b787e1383c37e7", "51c8770d955f78cd2dd5526593cec675");
+    ("G", "112a9411cadc4f3a928f88cc19c03331", "8f12c7cc1084e4dc85dd79e37ec77dc8");
+    ("H", "3baa6bb065d013142a135fed5e4d3fa8", "1f9ca325599bf7782d8da19d553fd244");
+  ]
+
+let test_golden_records () =
+  let out = Filename.temp_file "confmask-records" "" in
+  Sys.remove out;
+  let key = Result.get_ok (Pii.Pan.key_of_string "0x9e3779b97f4a7c15") in
+  let digest id pii =
+    let job_id = Printf.sprintf "%s-kr6-%s" id (if pii then "pii" else "plain") in
+    let job_params =
+      { Workflow.default_params with k_r = 6; pii; pii_key = (if pii then Some key else None) }
+    in
+    match
+      Batch.execute ~out ~cache:None ~format:Configlang.Vendor.Cisco
+        { job_id; job_source = Batch.Catalog id; job_params }
+    with
+    | Netcore.Json.Obj fields ->
+        let kept = List.filter (fun (k, _) -> k <> "seconds" && k <> "telemetry") fields in
+        Digest.to_hex (Digest.string (Netcore.Json.to_string (Netcore.Json.Obj kept)))
+    | _ -> Alcotest.failf "%s: the record is not an object" job_id
+  in
+  List.iter
+    (fun (id, plain, pii) ->
+      check Alcotest.string ("net " ^ id) plain (digest id false);
+      check Alcotest.string ("net " ^ id ^ " with PII") pii (digest id true))
+    golden_record_digests
+
+(* ---- the served record's consumers, per class group ---- *)
+
+(* The verification of the mined specification as first written: mine
+   every pair's delivered paths, then run [Query.differential] policy by
+   policy, renaming through the report's name map. *)
+let naive_verification (r : Workflow.report) =
+  let dp_orig = Routing.Simulate.dataplane r.orig_snapshot in
+  let net = r.orig_snapshot.net in
+  let known n = Routing.Device.Smap.mem n net.routers || Routing.Device.Smap.mem n net.hosts in
+  let rename n = Option.value ~default:n (List.assoc_opt n r.name_map) in
+  let pairs =
+    Routing.Dataplane.fold (fun pair (t : Routing.Dataplane.trace) acc -> (pair, t.delivered) :: acc) dp_orig []
+  in
+  Spec.Query.differential ~rename ~orig:dp_orig
+    ~anon:(Routing.Simulate.dataplane r.anon_snapshot)
+    ~known (Spec.mine_paths pairs)
+
+let naive_equal_on ~hosts a b =
+  List.for_all
+    (fun src ->
+      List.for_all
+        (fun dst ->
+          src = dst
+          || Routing.Dataplane.paths a ~src ~dst = Routing.Dataplane.paths b ~src ~dst)
+        hosts)
+    hosts
+
+let test_grouped_consumers () =
+  List.iter
+    (fun id ->
+      List.iter
+        (fun pii ->
+          let p = params ~k_r:6 () in
+          let r =
+            Workflow.run_exn ~params:(if pii then with_pii p else p)
+              (Netgen.Nets.configs (Netgen.Nets.find id))
+          in
+          let name = Printf.sprintf "net %s%s" id (if pii then " with PII" else "") in
+          let naive = naive_verification r in
+          let summary = Spec.Query.summarize naive in
+          check Alcotest.bool (name ^ ": grouped summary") true
+            ((Verify.of_report r).summary = summary);
+          let v = Verify.of_report ~entries:true r in
+          check Alcotest.bool (name ^ ": entries") true (v.entries = Some naive);
+          check Alcotest.bool (name ^ ": summary with entries") true (v.summary = summary);
+          let hosts = Workflow.real_hosts r in
+          let dp_orig = Routing.Simulate.dataplane r.orig_snapshot in
+          let dp_anon = Routing.Simulate.dataplane r.anon_snapshot in
+          check Alcotest.bool (name ^ ": equal_on") (naive_equal_on ~hosts dp_orig dp_anon)
+            (Routing.Dataplane.equal_on ~hosts dp_orig dp_anon))
+        [ false; true ])
+    [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ];
+  (* Verification across two different networks: net D against net D
+     with one host cut off. The host shares its class with another one,
+     so the first side's class pairs split on the second side, with
+     different verdicts. *)
+  let configs = Netgen.Nets.configs (Netgen.Nets.find "D") in
+  let dp_d = Routing.Simulate.dataplane (Routing.Simulate.run_exn configs) in
+  let cut =
+    Routing.Dataplane.fold
+      (fun (src, dst) _ acc ->
+        match (acc, Routing.Dataplane.representative dp_d ~src ~dst) with
+        | None, Some { delivered = (rep_src :: _) :: _; _ } when rep_src <> src -> Some src
+        | _ -> acc)
+      dp_d None
+    |> Option.get
+  in
+  (* An inbound filter on the cut host's gateway interface drops what
+     the host sends. *)
+  let addr =
+    let c = List.find (fun (c : Configlang.Ast.config) -> c.hostname = cut) configs in
+    fst (Option.get (List.hd c.interfaces).if_address)
+  in
+  let acl =
+    let rule acl_action acl_src = { Configlang.Ast.acl_action; acl_src; acl_dst = None } in
+    {
+      Configlang.Ast.acl_name = "CUT";
+      acl_rules =
+        [ rule Configlang.Ast.Deny (Some (Netcore.Prefix.v addr 32)); rule Configlang.Ast.Permit None ];
+    }
+  in
+  let facing (i : Configlang.Ast.interface) =
+    Option.fold ~none:false ~some:(fun p -> Netcore.Prefix.mem addr p) (Configlang.Ast.interface_prefix i)
+  in
+  let filtered =
+    List.map
+      (fun (c : Configlang.Ast.config) ->
+        if c.hostname = cut || not (List.exists facing c.interfaces) then c
+        else
+          {
+            c with
+            acls = acl :: c.acls;
+            interfaces =
+              List.map
+                (fun i -> if facing i then { i with Configlang.Ast.if_acl_in = Some "CUT" } else i)
+                c.interfaces;
+          })
+      configs
+  in
+  let orig = Routing.Simulate.run_exn configs and anon = Routing.Simulate.run_exn filtered in
+  let net = orig.net in
+  let known n = Routing.Device.Smap.mem n net.routers || Routing.Device.Smap.mem n net.hosts in
+  let dp_orig = Routing.Simulate.dataplane orig in
+  let naive =
+    Spec.Query.differential ~orig:dp_orig ~anon:(Routing.Simulate.dataplane anon) ~known
+      (Spec.mine dp_orig)
+  in
+  let summary = Spec.Query.summarize naive in
+  check Alcotest.bool "net D, one host cut off: some policy lost" true (summary.lost > 0);
+  check Alcotest.bool "net D, one host cut off: grouped summary" true
+    ((Verify.check ~orig ~anon ()).summary = summary);
+  (* A plane that differs from net D's on one member pair only — not the
+     representative of its class pair — is told apart. *)
+  let dp = dp_d in
+  let pairs = Routing.Dataplane.fold (fun pair t acc -> (pair, t) :: acc) dp [] in
+  let (src, dst), _ =
+    List.find
+      (fun ((src, dst), t) ->
+        t.Routing.Dataplane.delivered <> []
+        && Routing.Dataplane.representative dp ~src ~dst <> Some t)
+      pairs
+  in
+  let changed =
+    Routing.Dataplane.of_traces
+      (List.map
+         (fun (pair, (t : Routing.Dataplane.trace)) ->
+           (pair, if pair = (src, dst) then { t with delivered = [] } else t))
+         pairs)
+  in
+  let hosts = Routing.Dataplane.hosts dp in
+  check Alcotest.bool "net D, one member pair changed: naive" false
+    (naive_equal_on ~hosts dp changed);
+  check Alcotest.bool "net D, one member pair changed: equal_on" false
+    (Routing.Dataplane.equal_on ~hosts dp changed)
+
 (* ---- the directory reader ---- *)
 
 (* Net A's configurations in a fresh directory, then each [(file, text)]
@@ -871,15 +1047,36 @@ let expect_rejected name ~file ~why edits =
       check Alcotest.bool (Printf.sprintf "%s: %S says %S" name m why) true
         (contains ~sub:why m)
 
+(* a1's configuration printed in JunosLite. *)
+let a1_junos () =
+  Configlang.Vendor.print Configlang.Vendor.Junos
+    (List.find
+       (fun (c : Configlang.Ast.config) -> c.hostname = "a1")
+       (Netgen.Nets.configs (Netgen.Nets.find "A")))
+
 let test_reader_no_hostname () =
-  (* Each parses to a router the parsers call "unnamed". *)
+  (* Each parses to a router named [Configlang.Ast.no_hostname]. *)
   let random = String.init 300 (fun i -> Char.chr ((i * 7919 + 13) mod 256)) in
   expect_rejected "empty a1.cfg" ~file:"a1.cfg" ~why:"no hostname" [ ("a1.cfg", "") ];
   expect_rejected "random-bytes a1.cfg" ~file:"a1.cfg" ~why:"no hostname"
     [ ("a1.cfg", random) ];
   let a1 = a1_text () in
   expect_rejected "no hostname line" ~file:"a1.cfg" ~why:"no hostname"
-    [ ("a1.cfg", replace ~sub:"hostname a1\n" ~by:"" a1) ]
+    [ ("a1.cfg", replace ~sub:"hostname a1\n" ~by:"" a1) ];
+  expect_rejected "no host-name statement" ~file:"a1.cfg" ~why:"no hostname"
+    [ ("a1.cfg", replace ~sub:"host-name a1;" ~by:"" (a1_junos ())) ]
+
+(* "unnamed" is a name like any other, in either dialect. *)
+let test_reader_hostname_unnamed () =
+  List.iter
+    (fun (dialect, text) ->
+      let configs = Batch.read_config_dir (net_a_dir [ ("a1.cfg", text) ]) in
+      check Alcotest.bool (dialect ^ ": a router named unnamed") true
+        (List.exists (fun (c : Configlang.Ast.config) -> c.hostname = "unnamed") configs))
+    [
+      ("cisco", replace ~sub:"hostname a1\n" ~by:"hostname unnamed\n" (a1_text ()));
+      ("junos", replace ~sub:"host-name a1;" ~by:"host-name unnamed;" (a1_junos ()));
+    ]
 
 let test_reader_truncated_config () =
   (* Cut off at byte 100, inside its second interface stanza, a1.cfg is
@@ -948,6 +1145,7 @@ let () =
       ( "directory-reader",
         [
           Alcotest.test_case "no hostname" `Quick test_reader_no_hostname;
+          Alcotest.test_case "hostname unnamed" `Quick test_reader_hostname_unnamed;
           Alcotest.test_case "a truncated config" `Quick test_reader_truncated_config;
           Alcotest.test_case "a duplicate hostname" `Quick test_reader_duplicate_hostname;
           Alcotest.test_case "bad interfaces" `Quick test_reader_bad_interfaces;
@@ -989,9 +1187,15 @@ let () =
           Alcotest.test_case "indexed walk = naive walk on a static loop" `Quick
             test_walks_match_naive_on_static_loop;
         ] );
+      ( "record",
+        [
+          Alcotest.test_case "grouped verification and equivalence = per pair" `Quick
+            test_grouped_consumers;
+        ] );
       ( "golden",
         [
           Alcotest.test_case "anonymized outputs of nets A-H" `Quick test_golden_outputs;
+          Alcotest.test_case "served records of nets A-H" `Quick test_golden_records;
           Alcotest.test_case "anonymized outputs with fake routers" `Quick
             test_golden_fake_routers;
         ] );

@@ -184,19 +184,15 @@ let reversed_nexthops ?scope net =
          { r with rt_nexthops = List.rev r.rt_nexthops }))
     (Routing.Ospf.compute ?scope net)
 
-(* A fan-out that forgets to rename: the first pair gets the trace of
-   another source toward the same destination, as is. The fault lands in
-   a copy: the snapshot's memoized plane is shared and read-only. *)
-let unrenamed_fanout snap =
-  let dp = Hashtbl.copy (Routing.Simulate.dataplane snap) in
-  let pairs = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) dp []) in
-  (match pairs with
-  | (s, d) :: rest -> (
-      match List.find_opt (fun (s', d') -> d' = d && s' <> s) rest with
-      | Some other -> Hashtbl.replace dp (s, d) (Hashtbl.find dp other)
-      | None -> ())
-  | [] -> ());
-  dp
+(* A view that forgets to rename: every pair reads its class pair's
+   representative trace as stored, with the representative's endpoints. *)
+let unrenamed_view snap =
+  let dp = Routing.Simulate.dataplane snap in
+  Routing.Dataplane.of_traces
+    (Routing.Dataplane.fold
+       (fun (src, dst) _ acc ->
+         ((src, dst), Option.get (Routing.Dataplane.representative dp ~src ~dst)) :: acc)
+       dp [])
 
 let planted_faults_caught () =
   let faults =
@@ -207,8 +203,8 @@ let planted_faults_caught () =
       ( "reversed ECMP next hops",
         { Crucible.Oracle.production with ospf = reversed_nexthops },
         "OSPF routes" );
-      ( "unrenamed FEC fan-out",
-        { Crucible.Oracle.production with dataplane = unrenamed_fanout },
+      ( "unrenamed FEC view",
+        { Crucible.Oracle.production with dataplane = unrenamed_view },
         "data-plane traces" );
     ]
   in

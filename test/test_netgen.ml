@@ -49,7 +49,7 @@ let full_reachability ?(expect_hosts = None) configs name =
       List.iter
         (fun d ->
           if s <> d then begin
-            let t = Hashtbl.find dp (s, d) in
+            let t = Option.get (Routing.Dataplane.trace dp ~src:s ~dst:d) in
             if t.Routing.Dataplane.delivered = [] || t.looped <> [] then
               bad := (s, d) :: !bad
           end)

@@ -267,7 +267,7 @@ let miner_eval_agreement configs =
   | Some p -> Error ("mined " ^ Q.to_string p ^ " does not hold")
   | None -> (
       let disagreement =
-        Hashtbl.fold
+        Dataplane.fold
           (fun pair t acc ->
             match acc with
             | Some _ -> acc
@@ -302,16 +302,14 @@ let test_agreement_sees_black_holes () =
   in
   check Alcotest.bool "some net mines a black hole" true (List.exists (fun n -> n > 0) holes)
 
-(* qcheck: the FEC-collapsed data-plane extraction (trace one representative
-   per ordered class pair, fan out to the whole class) must agree trace for
-   trace with the reference's full H^2 extraction, one plain traceroute per
-   pair. Two hosts per router so that host equivalence classes are
-   nontrivial and the fan-out path actually runs. *)
+(* qcheck: the FEC-collapsed data plane (one representative trace per
+   ordered class pair, renamed when a member pair is read) must agree
+   trace for trace with the reference's full H^2 extraction, one plain
+   traceroute per pair. Two hosts per router so that host equivalence
+   classes are nontrivial and the renaming view actually runs. *)
 let traces_equal a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold
-       (fun k (t : Dataplane.trace) acc -> acc && Hashtbl.find_opt b k = Some t)
-       a true
+  let pairs dp = Dataplane.fold (fun k t acc -> (k, t) :: acc) dp [] in
+  pairs a = pairs b
 
 let prop_fec_extraction =
   QCheck2.Test.make ~name:"FEC-collapsed extraction equals full extraction"
@@ -324,6 +322,38 @@ let prop_fec_extraction =
       in
       let s = Simulate.run_exn (Netgen.Emit.emit spec) in
       traces_equal (Simulate.dataplane s) (Crucible.Reference.dataplane s))
+
+(* The per-pair view equals the reference's fanned-out traceroutes on
+   networks with multi-host classes and on networks with packet filters,
+   at path caps small enough that some traces are truncated (so the
+   truncated walk is renamed too). *)
+let test_view_reference () =
+  let fec_nets =
+    List.map
+      (fun seed ->
+        Netgen.Emit.emit
+          (Netgen.Wan.waxman ~seed ~name:"fv" ~routers:6 ~router_links:8 ~hosts:12))
+      [ 1; 2; 3 ]
+  in
+  let acl_nets =
+    List.map fst (QCheck2.Gen.generate ~rand:(Random.State.make [| 11 |]) ~n:6 acl_net_gen)
+  in
+  let truncated = ref 0 in
+  List.iteri
+    (fun k configs ->
+      let s = Simulate.run_exn configs in
+      List.iter
+        (fun max_paths ->
+          let dp = Simulate.dataplane ~max_paths s in
+          if not (traces_equal dp (Crucible.Reference.dataplane ~max_paths s)) then
+            Alcotest.failf "net %d, max_paths %d: the view differs from the reference" k
+              max_paths;
+          truncated :=
+            Dataplane.fold (fun _ (t : Dataplane.trace) n -> if t.truncated then n + 1 else n) dp
+              !truncated)
+        [ 1; 2; Dataplane.max_paths_default ])
+    (fec_nets @ acl_nets);
+  check Alcotest.bool "some view is truncated" true (!truncated > 0)
 
 (* qcheck: sharding the per-prefix reverse Dijkstras across a pool must be
    invisible — the FIBs are bit-identical to the sequential fold at every
@@ -373,5 +403,7 @@ let () =
           Alcotest.test_case "miner/eval agreement sees black holes" `Quick
             test_agreement_sees_black_holes;
         ] );
+      ( "dataplane",
+        [ Alcotest.test_case "class view = reference (ACLs, truncation)" `Quick test_view_reference ] );
       ("qcheck", qsuite);
     ]

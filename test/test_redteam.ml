@@ -219,12 +219,12 @@ let test_audit_subset () =
 
 (* ---- no_traffic against its naive reference ---- *)
 
-(* The link walk as first written: every hop of every delivered path,
-   as a canonical name pair, into a hashtable. *)
+(* The link walk as first written: every hop of every delivered path of
+   every host pair, as a canonical name pair, into a hashtable. *)
 let naive_no_traffic (snap : Routing.Simulate.snapshot) =
   let used = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ (t : Routing.Dataplane.trace) ->
+  Routing.Dataplane.fold
+    (fun _ (t : Routing.Dataplane.trace) () ->
       List.iter
         (fun path ->
           let rec edges = function
@@ -235,7 +235,7 @@ let naive_no_traffic (snap : Routing.Simulate.snapshot) =
           in
           edges path)
         t.delivered)
-    (Routing.Simulate.dataplane snap);
+    (Routing.Simulate.dataplane snap) ();
   List.filter
     (fun e -> not (Hashtbl.mem used e))
     (Netcore.Graph.edges (Routing.Device.router_graph snap.net))

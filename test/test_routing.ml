@@ -305,7 +305,7 @@ let test_no_route_dropped () =
   let h4' = host "h4" "172.20.4.10" "172.20.4.1" in
   let s = Simulate.run_exn [ r1 (); r2; r3; r4_no_adv; h1; h2; h4' ] in
   let dp = Simulate.dataplane s in
-  let t = Hashtbl.find dp ("h1", "h4") in
+  let t = Option.get (Routing.Dataplane.trace dp ~src:"h1" ~dst:"h4") in
   check paths_t "no delivery" [] t.delivered;
   check Alcotest.bool "dropped recorded" true (t.dropped <> [])
 
@@ -905,7 +905,7 @@ let prop_all_pairs_routable =
             (fun d ->
               String.equal s d
               ||
-              let t = Hashtbl.find dp (s, d) in
+              let t = Option.get (Routing.Dataplane.trace dp ~src:s ~dst:d) in
               t.Dataplane.delivered <> [] && t.looped = [])
             hosts)
         hosts)
@@ -1164,13 +1164,13 @@ let partial_extraction_agrees ~keep (s : Simulate.snapshot) =
   let full = Dataplane.extract s.net s.fibs in
   let part = Dataplane.extract ~hosts s.net s.fibs in
   let n = List.length hosts in
-  Hashtbl.length part = n * (n - 1)
+  Dataplane.fold (fun _ _ k -> k + 1) part 0 = n * (n - 1)
   && List.for_all
        (fun src ->
          List.for_all
            (fun dst ->
              String.equal src dst
-             || Hashtbl.find_opt part (src, dst) = Some (Hashtbl.find full (src, dst)))
+             || Dataplane.trace part ~src ~dst = Dataplane.trace full ~src ~dst)
            hosts)
        hosts
 
@@ -2124,8 +2124,8 @@ let test_memo_engine_snapshots () =
   let b = Simulate.dataplane (Engine.snapshot eng) in
   check Alcotest.bool "each snapshot has its own plane" true (a != b);
   check Alcotest.bool "with equal traces" true
-    (Hashtbl.length a = Hashtbl.length b
-    && Hashtbl.fold (fun k t ok -> ok && Hashtbl.find_opt b k = Some t) a true)
+    (Dataplane.fold (fun k t acc -> (k, t) :: acc) a []
+    = Dataplane.fold (fun k t acc -> (k, t) :: acc) b [])
 
 let test_memo_two_domains () =
   let pool = Netcore.Pool.create ~jobs:2 () in

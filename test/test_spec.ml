@@ -19,17 +19,14 @@ let trace delivered =
   }
 
 (* A hand-built data plane: exactly the given (src, dst) -> paths map. *)
-let dp_of pairs =
-  let dp : Dataplane.t = Hashtbl.create 8 in
-  List.iter (fun (s, d, paths) -> Hashtbl.replace dp (s, d) (trace paths)) pairs;
-  dp
+let dp_of pairs = Dataplane.of_traces (List.map (fun (s, d, paths) -> ((s, d), trace paths)) pairs)
 
 (* ---- miner edge cases ---- *)
 
 let mine_empty () =
   Alcotest.(check int)
     "empty data plane mines an empty specification" 0
-    (List.length (Spec.mine (Hashtbl.create 0)))
+    (List.length (Spec.mine (dp_of [])))
 
 let mine_single_host () =
   (* One host means no ordered host pair, hence no policy at all. *)
@@ -42,7 +39,7 @@ let mine_single_host () =
   in
   let snap = Routing.Simulate.run_exn (Netgen.Emit.emit spec) in
   let dp = Routing.Simulate.dataplane snap in
-  Alcotest.(check int) "no pairs" 0 (Hashtbl.length dp);
+  Alcotest.(check int) "no pairs" 0 (Dataplane.fold (fun _ _ n -> n + 1) dp 0);
   Alcotest.(check int) "no policies" 0 (List.length (Spec.mine dp))
 
 let mine_loadbalance_boundary () =
