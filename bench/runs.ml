@@ -79,7 +79,10 @@ let pipeline ~variant ~k_r ~k_h configs =
       match fixed with
       | Error m -> Error m
       | Ok (fixed_configs, engine) -> (
-          match Confmask.Route_anon.anonymize ~rng ~k_h ~engine fixed_configs with
+          match
+            Confmask.Route_anon.anonymize ~rng ~k_h
+              ~p:Confmask.Workflow.default_params.noise ~engine fixed_configs
+          with
           | Error m -> Error m
           | Ok anon ->
               let anon_snapshot = Routing.Engine.snapshot anon.engine in

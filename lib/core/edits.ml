@@ -115,46 +115,6 @@ let update_all configs edits =
       in
       if Smap.is_empty !unseen then configs else raise Not_found
 
-module Indexed = struct
-  type nonrec t = {
-    rev_names : string list;  (* insertion order, newest first *)
-    by_name : Ast.config Smap.t;
-  }
-
-  let of_configs configs =
-    List.fold_left
-      (fun t c ->
-        if Smap.mem c.hostname t.by_name then
-          invalid_arg ("Edits.Indexed.of_configs: duplicate hostname " ^ c.hostname)
-        else
-          {
-            rev_names = c.hostname :: t.rev_names;
-            by_name = Smap.add c.hostname c t.by_name;
-          })
-      { rev_names = []; by_name = Smap.empty }
-      configs
-
-  let to_configs t =
-    List.rev_map (fun n -> Smap.find n t.by_name) t.rev_names
-
-  let find t hostname =
-    match Smap.find_opt hostname t.by_name with
-    | Some c -> c
-    | None -> raise Not_found
-
-  let update t hostname f =
-    { t with by_name = Smap.add hostname (f (find t hostname)) t.by_name }
-
-  let append t (c : Ast.config) =
-    if Smap.mem c.hostname t.by_name then
-      invalid_arg ("Edits.Indexed.append: duplicate hostname " ^ c.hostname)
-    else
-      {
-        rev_names = c.hostname :: t.rev_names;
-        by_name = Smap.add c.hostname c t.by_name;
-      }
-end
-
 let fresh_iface_name c =
   let taken n = List.exists (fun i -> String.equal i.if_name n) c.interfaces in
   let rec search k =

@@ -30,33 +30,6 @@ val update_all :
     fixpoints apply per-iteration filter batches through. Raises
     [Not_found] if any named device is absent. *)
 
-(** A hostname-indexed view of a config list, for edit loops that issue
-    many point lookups and rewrites ([Route_anon.add_fake_hosts] issues
-    one find plus one update per fake host): O(log n) per operation
-    instead of a full-list scan, while {!Indexed.to_configs} restores
-    the exact original order with appends at the end. Hostnames must be
-    unique — guaranteed for any list [Routing.Device.compile]
-    accepted. *)
-module Indexed : sig
-  type t
-
-  val of_configs : Ast.config list -> t
-  (** Raises [Invalid_argument] on a duplicate hostname. *)
-
-  val to_configs : t -> Ast.config list
-  (** The devices in their original list order, appended ones last in
-      append order. *)
-
-  val find : t -> string -> Ast.config
-  (** Raises [Not_found] if absent. *)
-
-  val update : t -> string -> (Ast.config -> Ast.config) -> t
-  (** Raises [Not_found] if absent. *)
-
-  val append : t -> Ast.config -> t
-  (** Raises [Invalid_argument] if the hostname is already present. *)
-end
-
 val fresh_iface_name : Ast.config -> string
 (** Next unused [Eth<n>] name, continuing the device's numbering so fake
     interfaces are indistinguishable from real ones by name. *)

@@ -11,13 +11,10 @@ type outcome = {
   engine : Routing.Engine.t;
 }
 
-let default_noise = 0.1
-
 let c_iterations = Telemetry.counter "anon.iterations"
 let c_fake_hosts = Telemetry.counter "anon.fake_hosts"
 let c_filters_added = Telemetry.counter "anon.filters_added"
 let c_filters_removed = Telemetry.counter "anon.filters_removed"
-let c_walks_skipped = Telemetry.counter "anon.walks_skipped"
 
 (* A filter planned/applied by this algorithm, remembered for rollback. *)
 type filter = {
@@ -26,39 +23,38 @@ type filter = {
   f_attach : Attach.t;
 }
 
-(* The smallest free "fh<k>" at or above [k] — names are only ever added,
-   so the smallest free index never decreases and one monotonic counter
-   threads through the whole [add_fake_hosts] run instead of a fresh
-   O(configs) scan per fake host. Returns the name and the next counter. *)
-let fresh_host_name taken k =
+(* The smallest "fh<k>" at or above [k] that names no input config. One
+   monotonic counter threads through the whole [add_fake_hosts] run, so
+   fake names never collide with each other either, and no search scans
+   O(configs) from the start. Returns the name and the next counter. *)
+let fresh_host_name by_name k =
   let rec search k =
     let candidate = Printf.sprintf "fh%d" k in
-    if Sset.mem candidate taken then search (k + 1) else (candidate, k + 1)
+    if Smap.mem candidate by_name then search (k + 1) else (candidate, k + 1)
   in
   search k
 
 let add_fake_hosts ~k_h configs (snap : Routing.Simulate.snapshot) =
   let alloc = Prefix.alloc_create ~avoid:(Edits.used_prefixes configs) () in
-  let hosts = Smap.bindings snap.net.hosts in
-  let taken =
+  let by_name =
     List.fold_left
-      (fun s (c : Ast.config) -> Sset.add c.hostname s)
-      Sset.empty configs
+      (fun m (c : Ast.config) -> Smap.add c.hostname c m)
+      Smap.empty configs
   in
-  (* Hostname-indexed view: one O(log n) find plus one O(log n) update per
-     fake host instead of a full config-list scan each. *)
-  let idx = Edits.Indexed.of_configs configs in
-  let idx, fakes, _, _ =
+  (* (ingress edit, fake config, (fake, real)) per fake host, newest
+     first. A host is never an ingress router, so each real host's config
+     is read from the input. *)
+  let rev_copies, _ =
     List.fold_left
-      (fun (idx, fakes, taken, next) (hname, _) ->
+      (fun acc (hname, _) ->
         let ingress, _ = List.hd (Smap.find hname snap.net.attachments) in
-        let real_config = Edits.Indexed.find idx hname in
-        let rec copies idx fakes taken next i =
-          if i >= k_h then (idx, fakes, taken, next)
+        let real_config = Smap.find hname by_name in
+        let rec copies (rev, next) i =
+          if i >= k_h then (rev, next)
           else begin
             let subnet = Prefix.alloc_fresh alloc ~len:24 in
             let gw = Prefix.host subnet 1 and ha = Prefix.host subnet 10 in
-            let fake_name, next = fresh_host_name taken next in
+            let fake_name, next = fresh_host_name by_name next in
             (* Same configuration as the original host except hostname and
                addresses (§5.3). *)
             let fake_config =
@@ -75,28 +71,30 @@ let add_fake_hosts ~k_h configs (snap : Routing.Simulate.snapshot) =
                 default_gateway = Some gw;
               }
             in
-            let idx =
-              Edits.Indexed.update idx ingress (fun c ->
-                  let name = Edits.fresh_iface_name c in
-                  let c =
-                    Edits.add_interface c ~name ~addr:gw ~plen:24
-                      ~desc:("to-" ^ fake_name) ()
-                  in
-                  let c = Edits.add_igp_network c subnet in
-                  Edits.add_bgp_network c subnet)
+            let edit c =
+              let name = Edits.fresh_iface_name c in
+              let c =
+                Edits.add_interface c ~name ~addr:gw ~plen:24
+                  ~desc:("to-" ^ fake_name) ()
+              in
+              let c = Edits.add_igp_network c subnet in
+              Edits.add_bgp_network c subnet
             in
             copies
-              (Edits.Indexed.append idx fake_config)
-              ((fake_name, hname) :: fakes)
-              (Sset.add fake_name taken)
-              next (i + 1)
+              (((ingress, edit), fake_config, (fake_name, hname)) :: rev, next)
+              (i + 1)
           end
         in
-        copies idx fakes taken next 1)
-      (idx, [], taken, 1)
-      hosts
+        copies acc 1)
+      ([], 1)
+      (Smap.bindings snap.net.hosts)
   in
-  (Edits.Indexed.to_configs idx, fakes)
+  (* [update_all] keeps each ingress router's edit order; the fake host
+     configs follow the input in creation order. *)
+  let copies = List.rev rev_copies in
+  ( Edits.update_all configs (List.map (fun (e, _, _) -> e) copies)
+    @ List.map (fun (_, c, _) -> c) copies,
+    List.map (fun (_, _, f) -> f) rev_copies )
 
 (* Algorithm 2's walk table for one snapshot: for every router (row,
    indexed by the snapshot's router interner, which is in name order) and
@@ -232,14 +230,9 @@ let lost_routers routers0 now =
   in
   go [] routers0 now
 
-let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
+let anonymize ~rng ~k_h ~p ~engine configs =
   Telemetry.with_span "anon.anonymize" @@ fun () ->
-  let initial =
-    match engine with
-    | Some e -> Routing.Engine.apply_edit e configs
-    | None -> Routing.Engine.of_configs configs
-  in
-  match initial with
+  match Routing.Engine.apply_edit engine configs with
   | Error m -> Error ("route_anon: baseline simulation failed: " ^ m)
   | Ok eng0 -> (
       let snap0 = Routing.Engine.snapshot eng0 in
@@ -318,73 +311,28 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                    planned)
             in
             (* Reachability repair: any fake prefix that lost a router must
-               shed the filters on the routers where walks now dead-end. *)
-            (* [suspect] is the subset of [baseline] whose routing may have
-               changed since it was last checked clean: the added filters
-               are per-prefix denies on disjoint fake /24s, so rolling one
-               back can only move its own prefix's routes. *)
-            (* Repair. [walks] caches each fake prefix's last
-               reachable set; an entry stays valid across an edit as long
-               as no delta router's FIB lookup for the prefix's probe
-               changed — the walk reads nothing else (owners come from
-               interface prefixes, which cannot change without a connected
-               route, hence a FIB, change). [prev_fibs] is the state every
-               cache entry was last validated against, so validity only
-               ever needs the one-step delta. Invalidation runs over the
-               whole cache each round, keeping the invariant for entries
-               outside [suspect] too. The suspects missing from the cache
-               are walked together on one walk table of [snap']. *)
-            let rec repair eng prev_fibs walks configs active removed
-                guard suspect =
+               shed the filters on the routers where walks now dead-end.
+               Each round walks [suspect] on one walk table of the new
+               snapshot. The added filters are per-prefix denies on
+               disjoint fake /24s, so rolling one back can only move its
+               own prefix's routes: only rolled-back prefixes become the
+               next round's suspects. *)
+            let rec repair eng configs active removed guard suspect =
               Telemetry.incr c_iterations;
               match Routing.Engine.apply_edit eng configs with
               | Error m -> Error ("route_anon: repair simulation failed: " ^ m)
               | Ok eng ->
-                  let snap' = Routing.Engine.snapshot eng in
-                  let walks =
-                    Telemetry.with_span "anon.invalidate" @@ fun () ->
-                    match Routing.Engine.delta eng with
-                    | None -> Prefix.Map.empty
-                    | Some [] -> walks
-                    | Some d ->
-                        Prefix.Map.filter
-                          (fun fp _ ->
-                            let probe = Prefix.host fp 10 in
-                            let look fibs r =
-                              match Smap.find_opt r fibs with
-                              | None -> None
-                              | Some fib -> Routing.Fib.lookup fib probe
-                            in
-                            not
-                              (List.exists
-                                 (fun r ->
-                                   look prev_fibs r <> look snap'.fibs r)
-                                 d))
-                          walks
-                  in
-                  let fresh =
+                  let now =
                     Telemetry.with_span "anon.repair_walks" @@ fun () ->
-                    reachable_routers ?pool snap'
-                      (List.filter_map
-                         (fun (fp, _) ->
-                           if Prefix.Map.mem fp walks then None else Some fp)
-                         suspect)
-                  in
-                  Telemetry.add c_walks_skipped
-                    (List.length suspect - List.length fresh);
-                  let walks =
-                    List.fold_left
-                      (fun w (fp, now) -> Prefix.Map.add fp now w)
-                      walks fresh
+                    reachable_routers ?pool (Routing.Engine.snapshot eng)
+                      (List.map fst suspect)
                   in
                   let broken =
                     List.filter_map
-                      (fun (fp, routers0) ->
-                        let lost =
-                          lost_routers routers0 (Prefix.Map.find fp walks)
-                        in
+                      (fun ((fp, routers0), (_, now)) ->
+                        let lost = lost_routers routers0 now in
                         if lost = [] then None else Some (fp, lost))
-                      suspect
+                      (List.combine suspect now)
                   in
                   if broken = [] then Ok (eng, configs, active, removed)
                   else if guard <= 0 then
@@ -429,20 +377,13 @@ let anonymize ~rng ~k_h ?(p = default_noise) ?engine configs =
                       let suspect =
                         List.filter (fun (fp, _) -> Prefix.Set.mem fp rolled_back) baseline
                       in
-                      repair eng snap'.fibs walks configs keep
+                      repair eng configs keep
                         (removed + List.length to_remove)
                         (guard - 1) suspect
                   end
             in
             let repaired =
-              let walks0 =
-                List.fold_left
-                  (fun w (fp, now) -> Prefix.Map.add fp now w)
-                  Prefix.Map.empty baseline
-              in
-              repair eng snap.fibs walks0 configs planned 0
-                (List.length planned + 4)
-                baseline
+              repair eng configs planned 0 (List.length planned + 4) baseline
             in
             Result.map
               (fun (eng, configs, active, removed) ->

@@ -18,20 +18,18 @@ type outcome = {
       (** engine state after the final repair simulation *)
 }
 
-val default_noise : float
-(** 0.1, the paper's evaluation setting. *)
-
 val anonymize :
   rng:Netcore.Rng.t ->
   k_h:int ->
-  ?p:float ->
-  ?engine:Routing.Engine.t ->
+  p:float ->
+  engine:Routing.Engine.t ->
   Configlang.Ast.config list ->
   (outcome, string) result
-(** [anonymize ~rng ~k_h configs]: [configs] is the network after route
-    equivalence. [k_h = 1] adds no fake hosts and no filters. The noise
-    and repair loops simulate through an incremental {!Routing.Engine} —
-    pass [engine] (e.g. from [Route_equiv.fix]) to reuse its caches. *)
+(** [anonymize ~rng ~k_h ~p ~engine configs]: [configs] is the network
+    after route equivalence and [p] the noise coefficient (0.1 in the
+    paper's evaluation). [k_h = 1] adds no fake hosts and no filters. The
+    noise and repair loops simulate through [engine] (e.g. the one
+    [Route_equiv.fix] converged with), reusing its caches. *)
 
 val reachable_routers :
   ?pool:Netcore.Pool.t ->

@@ -60,30 +60,6 @@ let scoped_csr ~rev it adjs =
   in
   Csr.of_edges ~n:(Interner.length it) edges
 
-(* Multi-source distances as a canonical [Smap]. A seed outside the
-   scoped graph has no incident edges, so its distance is its least seed
-   cost. *)
-let distances_csr it csr seeds =
-  let ids, extras =
-    List.partition_map
-      (fun (r, c) ->
-        match Interner.find it r with
-        | Some v -> Either.Left (v, c)
-        | None -> Either.Right (r, c))
-      seeds
-  in
-  let dist = Csr.dijkstra csr ~seeds:ids in
-  let out = ref Smap.empty in
-  for i = 0 to Interner.length it - 1 do
-    if dist.(i) < max_int then out := Smap.add (Interner.name it i) dist.(i) !out
-  done;
-  List.fold_left
-    (fun out (r, c) ->
-      Smap.update r
-        (function Some d -> Some (min d c) | None -> Some c)
-        out)
-    !out extras
-
 (* ---- sharded SPF with per-advertiser dedup ----
 
    The per-prefix reverse Dijkstras of a scope overlap heavily: many
@@ -636,13 +612,20 @@ let min_cost_state ?(scope = all) (net : Device.network) =
   let it = scoped_interner adjs in
   { cs_names = it; cs_csr = scoped_csr ~rev:false it adjs }
 
-(* Distance from [u] to each router v: Dijkstra on forward adjacencies. *)
-let min_cost_from st u = distances_csr st.cs_names st.cs_csr [ (u, 0) ]
-
-let min_cost ?scope (net : Device.network) u =
-  min_cost_from (min_cost_state ?scope net) u
-
 let cost_index st r = Interner.find st.cs_names r
 
+(* Distance from [u] to each router: Dijkstra on forward adjacencies. *)
 let min_cost_array st u =
   Option.map (fun v -> Csr.dijkstra st.cs_csr ~seeds:[ (v, 0) ]) (cost_index st u)
+
+let min_cost ?scope (net : Device.network) u =
+  let st = min_cost_state ?scope net in
+  match min_cost_array st u with
+  | None -> Smap.singleton u 0
+  | Some dist ->
+      let out = ref Smap.empty in
+      Array.iteri
+        (fun i d ->
+          if d < max_int then out := Smap.add (Interner.name st.cs_names i) d !out)
+        dist;
+      !out

@@ -115,7 +115,8 @@ val min_cost :
   ?scope:(string -> bool) -> Device.network -> string -> int Smap.t
 (** [min_cost net u] is the OSPF shortest-path distance from router [u] to
     every other reachable router in the domain — the [min_cost(u, v)] of
-    the link-state SFE conditions (§5.1). *)
+    the link-state SFE conditions (§5.1). A source outside the scoped
+    OSPF graph reaches only itself: [{u ↦ 0}]. *)
 
 type cost_state
 (** One scope's prepared forward-distance machinery: the scoped
@@ -127,16 +128,13 @@ val min_cost_state :
   ?scope:(string -> bool) -> Device.network -> cost_state
 (** Prepare a scope for repeated single-source queries. *)
 
-val min_cost_from : cost_state -> string -> int Smap.t
-(** [min_cost_from st u] equals [min_cost ~scope net u] for the [scope]
-    and [net] that built [st]. *)
-
 val cost_index : cost_state -> string -> int option
 (** A router's dense id in the scope's interner, [None] outside the
     scoped OSPF graph. *)
 
 val min_cost_array : cost_state -> string -> int array option
-(** [min_cost_array st u]: the distances of {!min_cost_from}[ st u] as
-    an array indexed by {!cost_index} ([max_int] where unreachable), or
-    [None] when [u] is outside the scoped graph, where [u] reaches only
-    itself, at distance 0. *)
+(** [min_cost_array st u]: the distances of [min_cost ~scope net u], for
+    the [scope] and [net] that built [st], as an array indexed by
+    {!cost_index} ([max_int] where unreachable), or [None] when [u] is
+    outside the scoped graph, where [u] reaches only itself, at
+    distance 0. *)

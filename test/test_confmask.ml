@@ -731,6 +731,57 @@ let test_walks_match_naive_on_catalog () =
      would only repeat the first. *)
   check Alcotest.bool "noise broke walks" true (!broken > 0)
 
+(* Algorithm 2's postcondition: after repair, every fake prefix is
+   reachable from every router that reached it before any noise. Fake
+   host names and prefixes do not depend on the noise coefficient, so
+   the noise-0 output of the same seed is the noise-free baseline. *)
+let test_repair_keeps_reachability () =
+  let rolled_back = ref 0 in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun k_r ->
+          let run noise =
+            Workflow.run_exn
+              ~params:{ (params ~k_r ()) with noise }
+              (Netgen.Nets.configs (Netgen.Nets.find id))
+          in
+          let fake_prefixes (r : Workflow.report) =
+            List.map
+              (fun (fh, _) ->
+                ( fh,
+                  Routing.Device.host_prefix
+                    (Routing.Device.Smap.find fh r.anon_snapshot.net.hosts) ))
+              r.fake_hosts
+          in
+          let clean = run 0.0 in
+          let fps = fake_prefixes clean in
+          let before =
+            List.map (fun (_, fp) -> (fp, naive_reachable clean.anon_snapshot fp)) fps
+          in
+          List.iter
+            (fun noise ->
+              let name = Printf.sprintf "net %s k_R %d noise %g" id k_r noise in
+              let noisy = run noise in
+              rolled_back := !rolled_back + noisy.anon_filters_removed;
+              if fake_prefixes noisy <> fps then
+                Alcotest.failf "%s: fake hosts depend on the noise" name;
+              List.iter
+                (fun (fp, routers) ->
+                  let now = naive_reachable noisy.anon_snapshot fp in
+                  match List.filter (fun r -> not (List.mem r now)) routers with
+                  | [] -> ()
+                  | lost ->
+                      Alcotest.failf "%s: %s lost %s" name
+                        (Netcore.Prefix.to_string fp) (String.concat "," lost))
+                before)
+            [ 0.1; 0.3 ])
+        [ 2; 6 ])
+    [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ];
+  (* Some filter must have broken a walk and been rolled back, or the
+     check above would only compare unbroken outputs. *)
+  check Alcotest.bool "repair rolled back filters" true (!rolled_back > 0)
+
 (* r0 - r1 - r2 - r3, OSPF throughout; r3 owns 10.9.9.0/24, but r1 and
    r2 point static routes for it at each other. Every walk toward it
    through r1 or r2 hits the cycle check, and those impure results must
@@ -1186,6 +1237,8 @@ let () =
             test_walks_match_naive_on_catalog;
           Alcotest.test_case "indexed walk = naive walk on a static loop" `Quick
             test_walks_match_naive_on_static_loop;
+          Alcotest.test_case "repair keeps noise-free reachability on nets A-H" `Quick
+            test_repair_keeps_reachability;
         ] );
       ( "record",
         [

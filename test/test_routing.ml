@@ -221,9 +221,9 @@ let test_min_cost () =
   check Alcotest.(option int) "min cost r1->r3" (Some 1)
     (Device.Smap.find_opt "r3" d)
 
-(* The dense per-source distances the SFE cost rule reads agree with
-   the [Smap] contract of [min_cost_from], on every router of nets A-H
-   and toward every router, scoped or not. *)
+(* The dense per-source distances the SFE cost rule reads, and the
+   [Smap] that [min_cost] folds them into, agree with the reference
+   Dijkstra on every router of nets A-H and toward every router. *)
 let test_min_cost_dense () =
   List.iter
     (fun (entry : Netgen.Nets.entry) ->
@@ -231,7 +231,9 @@ let test_min_cost_dense () =
       let st = Ospf.min_cost_state net in
       Device.Smap.iter
         (fun u _ ->
-          let want = Ospf.min_cost_from st u in
+          let want = Crucible.Reference.min_cost net u in
+          if not (Device.Smap.equal Int.equal (Ospf.min_cost net u) want) then
+            Alcotest.failf "net %s: min_cost %s" entry.id u;
           let dense = Ospf.min_cost_array st u in
           Device.Smap.iter
             (fun v _ ->
@@ -1364,8 +1366,8 @@ let fib_changes before after =
    the edit moves routes — and the next edit rolls most of them back,
    then a no-op edit. After each step the FIBs equal a from-scratch
    [Simulate.run], and [Engine.delta] is exactly the set of routers whose
-   final FIB changed: [Route_anon]'s walk cache skips every router
-   outside it. *)
+   final FIB changed: [Route_equiv]'s scan rescans no router outside
+   it. *)
 let engine_delta_case ~seed ~id configs () =
   let rng = Netcore.Rng.create seed in
   let eng = ref (Engine.of_configs_exn configs) in
