@@ -12,10 +12,6 @@
 
 type result = Redteam.Attack.score list
 
-val run :
-  ?attacks:string list -> Redteam.Attack.target -> result
-(** Run the suite (or a named subset) and bump [redteam.*] telemetry. *)
-
 val check :
   ?attacks:string list ->
   ?key_range:int ->

@@ -66,6 +66,7 @@ let add ~rng ~count ~orig:(snap : Routing.Simulate.snapshot) configs =
     let scheme = name_scheme routers in
     let names = fresh_names ~count routers scheme in
     let igp_network = Prefix.of_string_exn "10.0.0.0/8" in
+    let min_cost = Routing.Ospf.min_cost snap.net in
     (* Clone an anchor's management boilerplate, rewriting any occurrence
        of the anchor's name (e.g. in SNMP community strings) so the fake
        router does not reference its donor. *)
@@ -102,10 +103,9 @@ let add ~rng ~count ~orig:(snap : Routing.Simulate.snapshot) configs =
           (* cost(a, f): strictly longer than any anchor-to-anchor shortest
              path through f, so the original data plane is untouched. *)
           let cost_of a =
-            let d = Routing.Ospf.min_cost snap.net a in
+            let d = min_cost a in
             List.fold_left
-              (fun acc b ->
-                match Smap.find_opt b d with Some c -> max acc c | None -> acc)
+              (fun acc b -> match d b with Some c -> max acc c | None -> acc)
               10
               (List.filter (fun b -> b <> a) anchors)
           in

@@ -93,51 +93,42 @@ let anonymize ?(cost_policy = Min_cost) ~rng ~k ~orig:(snap : Routing.Simulate.s
     |> List.sort_uniq compare
   in
   Telemetry.add c_fake_edges (List.length fake_edges);
-  (* Per-direction IGP shortest-path distances, for the OSPF cost rule.
-     Scoped per AS in BGP networks. *)
-  let scope_of u =
-    match Smap.find_opt u asns with
-    | None -> fun _ -> true
-    | Some a -> fun r -> Smap.find_opt r asns = Some a
+  (* Per-direction IGP shortest-path distances, for the OSPF cost rule,
+     read in the source's IGP domain: the simulator's own scopes, so a
+     link between two domains, which neither domain's SPF uses, gets no
+     SFE cost. Each domain's graph is compiled on first use and each
+     source's Dijkstra runs once — endpoints repeat across fake edges. *)
+  let queries =
+    List.map
+      (fun (d : Routing.Simulate.igp_domain) ->
+        (d.dom_scope, lazy (Routing.Ospf.min_cost ~scope:d.dom_scope net)))
+      (Routing.Simulate.igp_domains net)
   in
-  (* The SFE cost rule queries one source per fake-edge endpoint; prepare
-     each scope (the whole IGP, or one AS) once and memoize per-source
-     dense distance arrays over the scope's interner — endpoints repeat
-     across fake edges, and the scoped CSR build dominates a single
-     Dijkstra on large networks. *)
-  let cost_states = Hashtbl.create 4 in
-  let state_for u =
-    let key = Smap.find_opt u asns in
-    match Hashtbl.find_opt cost_states key with
-    | Some st -> st
+  let dists = Hashtbl.create 16 in
+  let min_cost u =
+    match Hashtbl.find_opt dists u with
+    | Some d -> d
     | None ->
-        let st = Routing.Ospf.min_cost_state ~scope:(scope_of u) net in
-        Hashtbl.add cost_states key st;
-        st
-  in
-  let dist_cache = Hashtbl.create 16 in
-  let min_cost u v =
-    let st = state_for u in
-    let d =
-      match Hashtbl.find_opt dist_cache u with
-      | Some d -> d
-      | None ->
-          let d = Routing.Ospf.min_cost_array st u in
-          Hashtbl.add dist_cache u d;
-          d
-    in
-    match d with
-    | None -> if String.equal u v then Some 0 else None
-    | Some d -> (
-        match Routing.Ospf.cost_index st v with
-        | Some j when d.(j) < max_int -> Some d.(j)
-        | Some _ | None -> None)
+        let _, query = List.find (fun (scope, _) -> scope u) queries in
+        let d = Lazy.force query u in
+        Hashtbl.add dists u d;
+        d
   in
   let alloc = Prefix.alloc_create ~avoid:(Edits.used_prefixes configs) () in
   let runs_ospf name =
     match Smap.find_opt name net.routers with
     | Some r -> r.Routing.Device.r_ospf <> None
     | None -> false
+  in
+  (* One end of a fake link: router [r]'s edit that adds a fresh /30
+     interface toward [peer], then [tail] — a BGP neighbor or an IGP
+     network statement. *)
+  let link_end r ~addr ?cost ~peer tail =
+    let edit c =
+      let name = Edits.fresh_iface_name c in
+      tail (Edits.add_interface c ~name ~addr ~plen:30 ?cost ~desc:("to-" ^ peer) ())
+    in
+    (r, edit)
   in
   (* Decide every edge's addresses and costs first (the allocator and the
      cost Dijkstras run in edge order, as before), then apply the whole
@@ -154,21 +145,15 @@ let anonymize ?(cost_policy = Min_cost) ~rng ~k ~orig:(snap : Routing.Simulate.s
            when both ends have an AS and the two differ. *)
         match (Smap.find_opt u asns, Smap.find_opt v asns) with
         | Some as_u, Some as_v when as_u <> as_v ->
-            let eu c =
-              let name = Edits.fresh_iface_name c in
-              let c = Edits.add_interface c ~name ~addr:ua ~plen:30 ~desc:("to-" ^ v) () in
-              Edits.add_bgp_neighbor c ~addr:va ~remote_as:as_v
-            in
-            let ev c =
-              let name = Edits.fresh_iface_name c in
-              let c = Edits.add_interface c ~name ~addr:va ~plen:30 ~desc:("to-" ^ u) () in
-              Edits.add_bgp_neighbor c ~addr:ua ~remote_as:as_u
-            in
-            (v, ev) :: (u, eu) :: edits
+            let neighbor addr remote_as c = Edits.add_bgp_neighbor c ~addr ~remote_as in
+            link_end v ~addr:va ~peer:u (neighbor ua as_u)
+            :: link_end u ~addr:ua ~peer:v (neighbor va as_v)
+            :: edits
         | _ ->
             (* Intra-AS / IGP-only: SFE cost rule for link-state, plain link
-               for distance-vector. Disconnected components fall back to the
-               default cost (they cannot create shortcuts anyway). *)
+               for distance-vector. Disconnected components and links
+               between IGP domains fall back to the default cost (they
+               cannot create shortcuts anyway). *)
             let policy_cost r_to other =
               if not (runs_ospf r_to) then None
               else
@@ -179,23 +164,10 @@ let anonymize ?(cost_policy = Min_cost) ~rng ~k ~orig:(snap : Routing.Simulate.s
             in
             let cost_uv = policy_cost u v in
             let cost_vu = policy_cost v u in
-            let eu c =
-              let name = Edits.fresh_iface_name c in
-              let c =
-                Edits.add_interface c ~name ~addr:ua ~plen:30 ?cost:cost_uv
-                  ~desc:("to-" ^ v) ()
-              in
-              Edits.add_igp_network c subnet
-            in
-            let ev c =
-              let name = Edits.fresh_iface_name c in
-              let c =
-                Edits.add_interface c ~name ~addr:va ~plen:30 ?cost:cost_vu
-                  ~desc:("to-" ^ u) ()
-              in
-              Edits.add_igp_network c subnet
-            in
-            (v, ev) :: (u, eu) :: edits)
+            let tail c = Edits.add_igp_network c subnet in
+            link_end v ~addr:va ?cost:cost_vu ~peer:u tail
+            :: link_end u ~addr:ua ?cost:cost_uv ~peer:v tail
+            :: edits)
       [] fake_edges
   in
   let configs =

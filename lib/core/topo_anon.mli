@@ -6,7 +6,11 @@
     - intra-AS (or IGP-only) fake links get a fresh /30 outside every
       original prefix, interfaces on both routers, IGP network statements,
       and — for OSPF — per-direction costs equal to [min_cost(u, v)], the
-      link-state SFE condition that keeps original shortest paths optimal;
+      link-state SFE condition that keeps original shortest paths optimal.
+      The distance is read in the source router's IGP domain
+      ({!Routing.Simulate.igp_domains}); a link between two domains (a
+      BGP-less router and an AS router), which neither domain's SPF
+      uses, takes the default cost on both ends;
     - inter-AS fake links (BGP networks) get the fresh subnet plus
       matching eBGP neighbor statements on both border routers.
 

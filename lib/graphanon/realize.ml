@@ -150,25 +150,24 @@ let one_attempt ?(allowed = fun _ _ -> true) ~rng ~k g =
   let added = List.rev !added in
   (List.fold_left (fun g (u, v) -> Graph.add_edge u v g) g added, added)
 
-let add_edges ?allowed ?(attempts = 3) ~rng ~k g =
+(* The greedy matching is randomized and its edge count varies; keep the
+   cheapest of a few attempts (the paper's utility metric counts every
+   injected line). *)
+let attempts = 3
+
+let add_edges ?allowed ~rng ~k g =
   let n = Graph.num_nodes g in
   if n > 0 && k > n then
     invalid_arg
       (Printf.sprintf "Realize.add_edges: k = %d exceeds %d nodes" k n);
-  (* The greedy matching is randomized and its edge count varies; keep the
-     cheapest of a few attempts (the paper's utility metric counts every
-     injected line). *)
+  let attempt () = one_attempt ?allowed ~rng:(Rng.split rng) ~k g in
   let rec best acc remaining =
     if remaining = 0 then acc
     else
-      let candidate = one_attempt ?allowed ~rng:(Rng.split rng) ~k g in
+      let candidate = attempt () in
       let acc =
-        match acc with
-        | Some (_, edges) when List.length edges <= List.length (snd candidate) -> acc
-        | _ -> Some candidate
+        if List.length (snd acc) <= List.length (snd candidate) then acc else candidate
       in
       best acc (remaining - 1)
   in
-  match best None (max 1 attempts) with
-  | Some result -> result
-  | None -> (g, [])
+  best (attempt ()) (attempts - 1)

@@ -23,7 +23,6 @@ val one_attempt :
 
 val add_edges :
   ?allowed:(string -> string -> bool) ->
-  ?attempts:int ->
   rng:Rng.t ->
   k:int ->
   Graph.t ->
@@ -33,6 +32,6 @@ val add_edges :
     restricts candidate pairs (default: everything); when the constraint
     makes k-anonymity unreachable the constraint is dropped for the
     remaining deficiencies rather than failing. The randomized realization
-    is repeated [attempts] times (default 3) and the result with the
-    fewest added edges kept. Raises [Invalid_argument] when [k] exceeds
+    is repeated three times and the result with the fewest added edges
+    kept. Raises [Invalid_argument] when [k] exceeds
     the number of nodes. *)

@@ -78,7 +78,6 @@ let create ?jobs () =
   t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.jobs
 
 let shutdown t =
   Mutex.lock t.lock;
@@ -205,7 +204,7 @@ let parallel_map ?pool f xs =
 
 let effective_jobs ?pool () =
   if in_worker () then 1
-  else match pool with Some t -> t.jobs | None -> jobs (default ())
+  else match pool with Some t -> t.jobs | None -> (default ()).jobs
 
 (* Split [xs] into at most [into] contiguous runs of near-equal length.
    Concatenating the result always gives back [xs]; the boundaries only

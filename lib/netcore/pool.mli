@@ -15,8 +15,6 @@ val create : ?jobs:int -> unit -> t
     [Domain.recommended_domain_count ()]; values [<= 1] yield a pool that
     runs everything sequentially on the caller. *)
 
-val jobs : t -> int
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map. If any application raises, the first
     exception (by completion order) is re-raised after the batch drains.
@@ -39,18 +37,10 @@ val default : unit -> t
 val parallel_map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] over [pool], defaulting to the shared pool. *)
 
-val in_worker : unit -> bool
-(** Whether the calling domain is currently executing a task of a {!map}
-    batch (including the submitter while it helps with its own batch).
-    Callers about to fan out use this to detect nested parallelism: a
-    [map] issued from inside a pool task runs sequentially in place —
-    the pool is already saturated by the enclosing batch, so queueing
-    more tasks to it would only add scheduling churn. Single-item
-    batches and sequential pools do not count as being in a worker. *)
-
 val effective_jobs : ?pool:t -> unit -> int
 (** The parallelism a fan-out issued here will actually get: 1 when
-    {!in_worker} (nested maps run sequentially), otherwise the job count
+    the calling domain is running a task of a {!map} batch (nested maps
+    run sequentially in place), otherwise the job count
     of [pool] (default: the shared pool). Use it to size work chunks. *)
 
 val chunks : into:int -> 'a list -> 'a list list

@@ -109,6 +109,13 @@ let stats t =
         connections = List.length t.conn_fds;
       })
 
+(* A dotted address as is, else the first address the name resolves to. *)
+let resolve host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    try (Unix.gethostbyname host).h_addr_list.(0)
+    with Not_found -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "gethostbyname", host)))
+
 let create (cfg : config) =
   let cfg = { cfg with queue_cap = max 1 cfg.queue_cap; workers = max 1 cfg.workers } in
   let listen_fd =
@@ -120,13 +127,7 @@ let create (cfg : config) =
         Unix.listen fd 64;
         fd
     | Tcp (host, port) ->
-        let ip =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (
-            try (Unix.gethostbyname host).h_addr_list.(0)
-            with Not_found ->
-              raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "gethostbyname", host)))
-        in
+        let ip = resolve host in
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
         Unix.bind fd (Unix.ADDR_INET (ip, port));
@@ -416,13 +417,7 @@ let connect addr =
          with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
         fd
     | Tcp (host, port) ->
-        let ip =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (
-            try (Unix.gethostbyname host).h_addr_list.(0)
-            with Not_found ->
-              raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "gethostbyname", host)))
-        in
+        let ip = resolve host in
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         (try Unix.connect fd (Unix.ADDR_INET (ip, port))
          with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);

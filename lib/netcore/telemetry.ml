@@ -1,7 +1,3 @@
-let src = Logs.Src.create "confmask.telemetry" ~doc:"ConfMask pipeline telemetry"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
@@ -69,8 +65,7 @@ let with_span name f =
       ~finally:(fun () ->
         let dt = Clock.elapsed t0 in
         Domain.DLS.set span_stack stack;
-        record path dt;
-        Log.debug (fun m -> m "span %s: %.6fs" path dt))
+        record path dt)
       f
   end
 
@@ -82,11 +77,6 @@ let spans () =
   |> List.sort compare
 
 (* ---- reports ---- *)
-
-let reset () =
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.c_cell 0) registry);
-  Mutex.protect spans_lock (fun () -> Hashtbl.reset span_table)
 
 let pp_report ppf () =
   let sp = spans () in

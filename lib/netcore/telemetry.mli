@@ -45,10 +45,6 @@ val spans : unit -> (string * int * float) list
 
 (** {1 Reports} *)
 
-val reset : unit -> unit
-(** Zeroes every counter and drops all span aggregates. Leaves the
-    enabled flag alone. *)
-
 val pp_report : Format.formatter -> unit -> unit
 (** Human-readable spans-then-counters report (the [--trace] output). *)
 

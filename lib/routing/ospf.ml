@@ -602,30 +602,18 @@ let compute ?(scope = all) ?pool (net : Device.network) =
     Smap.empty names
     (base_fibs ?pool st net (List.map (fun r -> (r, Fib.empty)) names))
 
-(* One scope's forward-distance machinery, prepared once and reused
-   across sources: the interner and forward CSR, whose construction
-   dominates a single-source query on large networks. *)
-type cost_state = { cs_names : Interner.t; cs_csr : Csr.t }
-
-let min_cost_state ?(scope = all) (net : Device.network) =
+(* Compiling the scope's forward CSR dominates a single-source query on
+   large networks, so it happens once, when [net] is applied; each
+   source then runs one Dijkstra. *)
+let min_cost ?(scope = all) (net : Device.network) =
   let adjs = ospf_adjs ~scope net in
   let it = scoped_interner adjs in
-  { cs_names = it; cs_csr = scoped_csr ~rev:false it adjs }
-
-let cost_index st r = Interner.find st.cs_names r
-
-(* Distance from [u] to each router: Dijkstra on forward adjacencies. *)
-let min_cost_array st u =
-  Option.map (fun v -> Csr.dijkstra st.cs_csr ~seeds:[ (v, 0) ]) (cost_index st u)
-
-let min_cost ?scope (net : Device.network) u =
-  let st = min_cost_state ?scope net in
-  match min_cost_array st u with
-  | None -> Smap.singleton u 0
-  | Some dist ->
-      let out = ref Smap.empty in
-      Array.iteri
-        (fun i d ->
-          if d < max_int then out := Smap.add (Interner.name st.cs_names i) d !out)
-        dist;
-      !out
+  let csr = scoped_csr ~rev:false it adjs in
+  fun u ->
+    let dist = Option.map (fun i -> Csr.dijkstra csr ~seeds:[ (i, 0) ]) (Interner.find it u) in
+    fun v ->
+      if String.equal u v then Some 0
+      else
+        match (dist, Interner.find it v) with
+        | Some d, Some j when d.(j) < max_int -> Some d.(j)
+        | _ -> None

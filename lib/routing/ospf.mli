@@ -112,29 +112,14 @@ val compute :
     simulator itself builds FIBs. *)
 
 val min_cost :
-  ?scope:(string -> bool) -> Device.network -> string -> int Smap.t
-(** [min_cost net u] is the OSPF shortest-path distance from router [u] to
-    every other reachable router in the domain — the [min_cost(u, v)] of
-    the link-state SFE conditions (§5.1). A source outside the scoped
-    OSPF graph reaches only itself: [{u ↦ 0}]. *)
-
-type cost_state
-(** One scope's prepared forward-distance machinery: the scoped
-    routers' interner and forward CSR. Preparing it once and querying
-    many sources avoids the per-call graph rebuild that dominates
-    {!min_cost} on large networks. *)
-
-val min_cost_state :
-  ?scope:(string -> bool) -> Device.network -> cost_state
-(** Prepare a scope for repeated single-source queries. *)
-
-val cost_index : cost_state -> string -> int option
-(** A router's dense id in the scope's interner, [None] outside the
-    scoped OSPF graph. *)
-
-val min_cost_array : cost_state -> string -> int array option
-(** [min_cost_array st u]: the distances of [min_cost ~scope net u], for
-    the [scope] and [net] that built [st], as an array indexed by
-    {!cost_index} ([max_int] where unreachable), or [None] when [u] is
-    outside the scoped graph, where [u] reaches only itself, at
-    distance 0. *)
+  ?scope:(string -> bool) -> Device.network -> string -> string -> int option
+(** [min_cost ~scope net u v] is the OSPF shortest-path distance from
+    router [u] to router [v] inside [scope] — the [min_cost(u, v)] of the
+    link-state SFE conditions (§5.1). It is [Some 0] when [u = v];
+    otherwise it is [None] when [v] is unreachable from [u] or either is outside the
+    scoped OSPF graph. The query is staged: [min_cost ~scope net]
+    compiles the scope's forward graph once, and applying that to [u]
+    runs one Dijkstra, so hold on to each stage to query many pairs.
+    The SFE rule reads a fake link's costs in the source router's IGP
+    domain ({!Simulate.igp_domains}); a link between two domains gets
+    no SFE cost, since neither domain's SPF uses it. *)

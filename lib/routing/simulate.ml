@@ -192,16 +192,13 @@ let run_exn ?pool configs =
 (* Filled by compare-and-set rather than a [Lazy.t], which raises when
    two domains force it at once: racing extractions both finish, the
    first to publish wins, and every caller returns the published plane. *)
-let dataplane ?max_paths s =
-  let extract () = Dataplane.extract ?max_paths s.net s.fibs in
-  if Option.is_some max_paths then extract ()
-  else
-    match Atomic.get s.plane with
-    | Some dp -> dp
-    | None ->
-        let dp = extract () in
-        if Atomic.compare_and_set s.plane None (Some dp) then dp
-        else Option.get (Atomic.get s.plane)
+let dataplane s =
+  match Atomic.get s.plane with
+  | Some dp -> dp
+  | None ->
+      let dp = Dataplane.extract s.net s.fibs in
+      if Atomic.compare_and_set s.plane None (Some dp) then dp
+      else Option.get (Atomic.get s.plane)
 
 (* A read of the memo that never fills it: a partial plane must not be
    mistaken for the whole plane by a later caller. *)

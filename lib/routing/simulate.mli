@@ -40,11 +40,10 @@ val run_exn : ?pool:Netcore.Pool.t -> Configlang.Ast.config list -> snapshot
 val run_net : ?pool:Netcore.Pool.t -> Device.network -> Fib.t Smap.t
 (** Protocol computation only, for callers that already compiled. *)
 
-val dataplane : ?max_paths:int -> snapshot -> Dataplane.t
+val dataplane : snapshot -> Dataplane.t
 (** The snapshot's data plane ({!Dataplane.extract}), extracted on the
     first call and returned as the same plane after that, from any
-    domain. A plane is immutable, so sharing it is safe. An explicit
-    [max_paths] bypasses the memo and extracts a fresh plane. *)
+    domain. A plane is immutable, so sharing it is safe. *)
 
 val dataplane_on : hosts:string list -> snapshot -> Dataplane.t
 (** A data plane that holds at least the pairs among [hosts]: the

@@ -81,6 +81,53 @@ let test_bgp_less_router_in_bgp_net () =
     ((Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group
      >= Workflow.default_params.k_r)
 
+(* Net A with a3 and a4 BGP-less: a fake link between one of them and
+   an AS 100 router joins two IGP domains, so neither end may take an
+   SFE cost read through the other domain. Every fake link end carries
+   exactly the reference distance in its own router's IGP domain, or
+   no cost when that domain cannot reach the peer. *)
+let test_cross_domain_fake_link_costs () =
+  let configs =
+    List.map
+      (fun (c : Configlang.Ast.config) ->
+        if c.hostname = "a3" || c.hostname = "a4" then { c with bgp = None } else c)
+      (Netgen.Nets.configs (Netgen.Nets.find "A"))
+  in
+  let r = Workflow.run_exn ~params:(params ~k_r:6 ~seed:1 ()) configs in
+  let net = r.orig_snapshot.net in
+  let domains = Routing.Simulate.igp_domains net in
+  let domain_of u =
+    List.find (fun (d : Routing.Simulate.igp_domain) -> d.dom_scope u) domains
+  in
+  let cost_toward u v =
+    match Routing.Device.find_adj r.anon_snapshot.net u v with
+    | None -> Alcotest.failf "fake link %s-%s is not in the shared network" u v
+    | Some a ->
+        let c = List.find (fun (c : Configlang.Ast.config) -> c.hostname = u) r.anon_configs in
+        (List.find
+           (fun (i : Configlang.Ast.interface) -> i.if_name = a.a_out_iface.ifc_name)
+           c.interfaces)
+          .if_cost
+  in
+  check Alcotest.bool "a fake link joins two IGP domains" true
+    (List.exists
+       (fun (u, v) -> (domain_of u).dom_key <> (domain_of v).dom_key)
+       r.fake_edges);
+  List.iter
+    (fun (u, v) ->
+      List.iter
+        (fun (u, v) ->
+          let want =
+            Routing.Device.Smap.find_opt v
+              (Crucible.Reference.min_cost ~scope:(domain_of u).dom_scope net u)
+          in
+          check
+            Alcotest.(option int)
+            (Printf.sprintf "cost %s -> %s" u v)
+            want (cost_toward u v))
+        [ (u, v); (v, u) ])
+    r.fake_edges
+
 let test_rip_net () =
   let configs = Netgen.Emit.emit (Netgen.Smallnets.rip_lab ()) in
   let r = Workflow.run_exn ~params:(params ()) configs in
@@ -1182,6 +1229,8 @@ let () =
           Alcotest.test_case "bgp+ospf nets" `Quick test_bgp_nets;
           Alcotest.test_case "a BGP-less router in a BGP net" `Quick
             test_bgp_less_router_in_bgp_net;
+          Alcotest.test_case "fake links between IGP domains take no SFE cost" `Quick
+            test_cross_domain_fake_link_costs;
           Alcotest.test_case "rip net" `Quick test_rip_net;
           Alcotest.test_case "eigrp net" `Quick test_eigrp_net;
           Alcotest.test_case "wan (bics)" `Slow test_wan_net;

@@ -344,7 +344,7 @@ let test_view_reference () =
       let s = Simulate.run_exn configs in
       List.iter
         (fun max_paths ->
-          let dp = Simulate.dataplane ~max_paths s in
+          let dp = Dataplane.extract ~max_paths s.net s.fibs in
           if not (traces_equal dp (Crucible.Reference.dataplane ~max_paths s)) then
             Alcotest.failf "net %d, max_paths %d: the view differs from the reference" k
               max_paths;

@@ -216,39 +216,32 @@ let test_filter_restores_equivalence () =
 let test_min_cost () =
   let s = Simulate.run_exn (example_net ()) in
   let d = Ospf.min_cost s.net "r1" in
-  check Alcotest.(option int) "min cost r1->r4" (Some 12)
-    (Device.Smap.find_opt "r4" d);
-  check Alcotest.(option int) "min cost r1->r3" (Some 1)
-    (Device.Smap.find_opt "r3" d)
+  check Alcotest.(option int) "min cost r1->r4" (Some 12) (d "r4");
+  check Alcotest.(option int) "min cost r1->r3" (Some 1) (d "r3");
+  check Alcotest.(option int) "min cost r1->r1" (Some 0) (d "r1");
+  check Alcotest.(option int) "min cost r1->h1" None (d "h1")
 
-(* The dense per-source distances the SFE cost rule reads, and the
-   [Smap] that [min_cost] folds them into, agree with the reference
-   Dijkstra on every router of nets A-H and toward every router. *)
-let test_min_cost_dense () =
+(* The distances the SFE cost rule reads, one query per IGP domain,
+   agree with the reference Dijkstra from every router of nets A-H
+   toward every router. *)
+let test_min_cost_reference () =
   List.iter
     (fun (entry : Netgen.Nets.entry) ->
       let net = Device.compile_exn (Netgen.Nets.configs entry) in
-      let st = Ospf.min_cost_state net in
-      Device.Smap.iter
-        (fun u _ ->
-          let want = Crucible.Reference.min_cost net u in
-          if not (Device.Smap.equal Int.equal (Ospf.min_cost net u) want) then
-            Alcotest.failf "net %s: min_cost %s" entry.id u;
-          let dense = Ospf.min_cost_array st u in
+      List.iter
+        (fun (d : Simulate.igp_domain) ->
+          let query = Ospf.min_cost ~scope:d.dom_scope net in
           Device.Smap.iter
-            (fun v _ ->
-              let got =
-                match dense with
-                | None -> if String.equal u v then Some 0 else None
-                | Some d -> (
-                    match Ospf.cost_index st v with
-                    | Some j when d.(j) < max_int -> Some d.(j)
-                    | Some _ | None -> None)
-              in
-              if got <> Device.Smap.find_opt v want then
-                Alcotest.failf "net %s: min_cost %s -> %s" entry.id u v)
+            (fun u _ ->
+              let got = query u in
+              let want = Crucible.Reference.min_cost ~scope:d.dom_scope net u in
+              Device.Smap.iter
+                (fun v _ ->
+                  if got v <> Device.Smap.find_opt v want then
+                    Alcotest.failf "net %s: min_cost %s -> %s" entry.id u v)
+                net.routers)
             net.routers)
-        net.routers)
+        (Simulate.igp_domains net))
     (Netgen.Nets.small ())
 
 let test_topology_graphs () =
@@ -470,12 +463,12 @@ let test_asymmetric_costs () =
     [ a1; a2; a3; host "hx" "10.20.1.10" "10.20.1.1"; host "hy" "10.20.3.10" "10.20.3.1" ]
   in
   let s = Simulate.run_exn nets in
-  let d13 = Ospf.min_cost s.net "a1" in
-  let d31 = Ospf.min_cost s.net "a3" in
+  let min_cost = Ospf.min_cost s.net in
+  let d13 = min_cost "a1" and d31 = min_cost "a3" in
   (* a1 -> a3: direct costs 30, via a2 costs 1 + 1 = 2. *)
-  check Alcotest.(option int) "a1 -> a3" (Some 2) (Device.Smap.find_opt "a3" d13);
+  check Alcotest.(option int) "a1 -> a3" (Some 2) (d13 "a3");
   (* a3 -> a1: direct costs 1 (a3's side), via a2 costs 1 + 1 = 2. *)
-  check Alcotest.(option int) "a3 -> a1" (Some 1) (Device.Smap.find_opt "a1" d31);
+  check Alcotest.(option int) "a3 -> a1" (Some 1) (d31 "a1");
   let dp = Simulate.dataplane s in
   check paths_t "forward path detours"
     [ [ "hx"; "a1"; "a2"; "a3"; "hy" ] ]
@@ -2113,13 +2106,6 @@ let test_memo_shared () =
   check Alcotest.bool "an extraction ticks fec.classes" true (once > 0);
   check Alcotest.int "two calls extract once" once ticks
 
-let test_memo_max_paths_bypass () =
-  let s = net_b () in
-  let memo = Simulate.dataplane s in
-  let capped = Simulate.dataplane ~max_paths:Dataplane.max_paths_default s in
-  check Alcotest.bool "?max_paths extracts a fresh table" true (capped != memo);
-  check Alcotest.bool "the memo is untouched" true (Simulate.dataplane s == memo)
-
 let test_memo_engine_snapshots () =
   let eng = Engine.of_configs_exn (Netgen.Nets.configs (Netgen.Nets.find "B")) in
   let a = Simulate.dataplane (Engine.snapshot eng) in
@@ -2171,7 +2157,6 @@ let test_memo_batch_job () =
 let memo_suite =
   [
     Alcotest.test_case "two calls share one plane" `Quick test_memo_shared;
-    Alcotest.test_case "?max_paths bypasses the memo" `Quick test_memo_max_paths_bypass;
     Alcotest.test_case "engine snapshots do not share" `Quick test_memo_engine_snapshots;
     Alcotest.test_case "two domains force one snapshot" `Quick test_memo_two_domains;
     Alcotest.test_case "batch job extracts each snapshot once" `Quick test_memo_batch_job;
@@ -2215,8 +2200,8 @@ let () =
           Alcotest.test_case "filter restores equivalence" `Quick
             test_filter_restores_equivalence;
           Alcotest.test_case "min_cost" `Quick test_min_cost;
-          Alcotest.test_case "dense min_cost = Smap min_cost on nets A-H" `Quick
-            test_min_cost_dense;
+          Alcotest.test_case "min_cost = reference per IGP domain on nets A-H" `Quick
+            test_min_cost_reference;
           Alcotest.test_case "parallel links" `Quick test_parallel_links;
           Alcotest.test_case "asymmetric costs" `Quick test_asymmetric_costs;
         ] );
