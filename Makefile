@@ -183,15 +183,15 @@ cache-upgrade-smoke:
 	  --metrics-out $(CACHE_UPGRADE)/metrics.json
 	grep -Eq '"diskcache\.hit": *[1-9]' $(CACHE_UPGRADE)/metrics.json
 	# A current-format directory stamped by the previous engine (whose
-	# domain caches still held per-router filter digests) is wiped too,
+	# marshaled states held one route record per FIB slot) is wiped too,
 	# and the run succeeds on the fresh store.
 	rm -rf $(CACHE_UPGRADE)/cache && mkdir -p $(CACHE_UPGRADE)/cache
-	printf 'confmask-diskcache 2\nconfmask-engine-6/ocaml-5.1.1\n' > $(CACHE_UPGRADE)/cache/INDEX
-	printf 'stale engine-6 state' > $(CACHE_UPGRADE)/cache/00deadbeef06.v
+	printf 'confmask-diskcache 2\nconfmask-engine-7/ocaml-5.1.1\n' > $(CACHE_UPGRADE)/cache/INDEX
+	printf 'stale engine-7 state' > $(CACHE_UPGRADE)/cache/00deadbeef07.v
 	dune exec bin/confmask_cli.exe -- anonymize --in $(CACHE_UPGRADE)/orig \
 	  --out $(CACHE_UPGRADE)/anon3 --cache $(CACHE_UPGRADE)/cache
-	test ! -f $(CACHE_UPGRADE)/cache/00deadbeef06.v
-	grep -q 'confmask-engine-7/' $(CACHE_UPGRADE)/cache/INDEX
+	test ! -f $(CACHE_UPGRADE)/cache/00deadbeef07.v
+	grep -q 'confmask-engine-8/' $(CACHE_UPGRADE)/cache/INDEX
 	diff -r $(CACHE_UPGRADE)/anon $(CACHE_UPGRADE)/anon3
 
 # Differential policy verification smoke: anonymize net A's fig-grid

@@ -136,6 +136,9 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii_key fake_routers
       in
       let orig = List.map renamed r.orig_configs in
       let uc = Confmask.Metrics.config_utility ~orig ~anon:r.anon_configs in
+      Option.iter
+        (Printf.eprintf "confmask: warning: %s\n")
+        (Confmask.Workflow.kr_shortfall r);
       Printf.printf
         "fake links: %d\nfake hosts: %d\nfake routers: %d\n\
          route-equivalence iterations: %d\n\

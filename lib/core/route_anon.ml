@@ -99,30 +99,37 @@ let add_fake_hosts ~k_h configs (snap : Routing.Simulate.snapshot) =
 (* Algorithm 2's walk table for one snapshot: for every router (row,
    indexed by the snapshot's router interner, which is in name order) and
    every walked destination (column), the next-hop router ids of the
-   route the router's FIB matches, in [rt_nexthops] order — [None] when
+   route the router's FIB matches, in [nexthops] order — [None] when
    there is no route or no next hop. The build is router-outer: each
-   router's FIB gets one {!Routing.Fib.probe}, answers every column's
-   longest-prefix match, and the probe is dropped before the next row, so
-   at most one accelerator per worker is live. Next hops are always
-   routers (static next hops resolve through router addresses only). *)
+   column is one {!Routing.Fib.probe_lpm} on the router's FIB, and the
+   names of a body's next hops become ids once per body, shared by every
+   column that matches it. Next hops are always routers (static next
+   hops resolve through router addresses only). *)
 let walk_table ?pool (snap : Routing.Simulate.snapshot) ids dests =
   let row r =
     match Smap.find_opt r snap.fibs with
     | None -> Array.map (fun _ -> None) dests
     | Some fib ->
-        let pb = Routing.Fib.probe fib in
+        let hops =
+          Routing.Fib.map_bodies
+            (fun b ->
+              lazy
+                (match b.nexthops with
+                | [] -> None
+                | nhs ->
+                    Some
+                      (Array.of_list
+                         (List.map
+                            (fun (nh : Routing.Fib.nexthop) ->
+                              Interner.find_exn ids nh.nh_router)
+                            nhs))))
+            fib
+        in
         Array.map
           (fun d ->
-            match Routing.Fib.probe_lpm pb d with
-            | None -> None
-            | Some { rt_nexthops = []; _ } -> None
-            | Some route ->
-                Some
-                  (Array.of_list
-                     (List.map
-                        (fun (nh : Routing.Fib.nexthop) ->
-                          Interner.find_exn ids nh.nh_router)
-                        route.rt_nexthops)))
+            match Routing.Fib.probe_lpm fib d with
+            | -1 -> None
+            | i -> Lazy.force hops.(i))
           dests
   in
   List.init (Interner.length ids) (Interner.name ids)
@@ -293,13 +300,20 @@ let anonymize ~rng ~k_h ~p ~engine configs =
               let fake_sorted = List.sort Prefix.compare fake_prefixes in
               List.concat_map
                 (fun (r, fib) ->
+                  (* Next-hop names by body, sorted on first read. *)
+                  let names =
+                    Routing.Fib.map_bodies
+                      (fun b -> lazy (Routing.Fib.nexthop_names b.nexthops))
+                      fib
+                  in
                   List.concat_map
                     (fun hp ->
-                      match Routing.Fib.find fib hp with
-                      | Some (route : Routing.Fib.route)
-                        when route.rt_nexthops <> [] ->
-                          plan_row r hp (Routing.Fib.nexthop_names route)
-                      | Some _ | None -> [])
+                      match Routing.Fib.body_index fib hp with
+                      | -1 -> []
+                      | i -> (
+                          match Lazy.force names.(i) with
+                          | [] -> []
+                          | nxts -> plan_row r hp nxts))
                     fake_sorted)
                 (Smap.bindings snap.fibs)
             in

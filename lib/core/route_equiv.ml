@@ -21,14 +21,15 @@ let c_delta = Telemetry.counter "equiv.delta_routers"
 (* One router's next hops toward the host prefixes [hps], in [hps]
    order: the [(host prefix, sorted next-hop routers)] entries of the
    [⟨r, h_d, nxt⟩ ∈ DP] triples Algorithm 1 iterates, for routes that
-   have next hops. *)
+   have next hops. Names are sorted once per body and shared by its
+   slots. *)
 let router_row hps fib =
+  let names = Routing.Fib.map_bodies (fun b -> Routing.Fib.nexthop_names b.nexthops) fib in
   List.filter_map
     (fun (hp, _) ->
-      match Routing.Fib.find fib hp with
-      | Some (route : Routing.Fib.route) when route.rt_nexthops <> [] ->
-          Some (hp, Routing.Fib.nexthop_names route)
-      | Some _ | None -> None)
+      match Routing.Fib.body_index fib hp with
+      | -1 -> None
+      | i -> if names.(i) = [] then None else Some (hp, names.(i)))
     hps
 
 let snapshot_rows (snap : Routing.Simulate.snapshot) =

@@ -145,6 +145,24 @@ let run_exn ?params ?cache configs =
 let real_hosts r =
   List.map fst (Smap.bindings r.orig_snapshot.net.hosts)
 
+let kr_shortfall r =
+  let achieved = (Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group in
+  let requested = r.params.k_r in
+  if achieved >= requested then None
+  else
+    let routers = Routing.Device.Smap.cardinal r.anon_snapshot.net.routers in
+    let cause, bound =
+      if routers < requested then
+        ( Printf.sprintf "the network has %d routers, and k is clamped to the router count"
+            routers,
+          Printf.sprintf " with N >= %d" (requested - routers) )
+      else ("fake links alone did not make every degree group that large", "")
+    in
+    Some
+      (Printf.sprintf
+         "requested k_R %d, achieved k %d: %s; remedy: --fake-routers N%s (IGP-only networks)"
+         requested achieved cause bound)
+
 let functional_equivalence r =
   if r.params.pii then
     (* Asserted, not measured: names and addresses were rewritten, and

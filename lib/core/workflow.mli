@@ -81,6 +81,14 @@ val functional_equivalence : report -> bool
     measured: the scrub renames devices and addresses, and no check maps
     the paths through that renaming yet. *)
 
+val kr_shortfall : report -> string option
+(** [Some warning] when the anonymized topology's k-degree anonymity
+    ({!Metrics.topology_of_snapshot}'s [min_degree_group]) is below the
+    requested [k_r]: it states both k, the cause (a network with fewer
+    routers than [k_r] cannot reach it: topology anonymization clamps k
+    to the router count) and the remedy, [--fake-routers N]. [None] when
+    the requested k is met. *)
+
 val real_hosts : report -> string list
 val anon_texts : report -> (string * string) list
 (** [(hostname, printed configuration)] for every anonymized device. *)

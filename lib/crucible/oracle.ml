@@ -91,11 +91,17 @@ let kernel_divergence ?(kernels = production) (snap : Routing.Simulate.snapshot)
     let lpm_diverges =
       Smap.exists
         (fun _ fib ->
-          let pb = Routing.Fib.probe fib in
           List.exists
             (fun a ->
-              Routing.Fib.lookup fib a
-              <> Routing.Fib.probe_lpm pb (Routing.Fib.dest a))
+              Option.map
+                (fun (r : Routing.Fib.route) -> (r.rt_proto, r.rt_metric, r.rt_nexthops))
+                (Routing.Fib.lookup fib a)
+              <>
+              match Routing.Fib.probe_lpm fib (Routing.Fib.dest a) with
+              | -1 -> None
+              | i ->
+                  let b = Routing.Fib.body fib i in
+                  Some (b.proto, b.metric, b.nexthops))
             addrs)
         snap.fibs
     in

@@ -8,7 +8,10 @@ let canonical = Attack.canonical_edge
    names as the walk goes; a delivered path is [h_s; r_1; ...; r_n; h_d],
    so only its router interior can cross a router link. A member pair's
    paths are its class pair's representative paths with the endpoints
-   renamed, so walking the representatives marks every link. *)
+   renamed, so walking the representatives marks every link. A trace's
+   [delivered] list is sorted, so consecutive paths share a prefix whose
+   links the previous path marked: each path is walked from the last hop
+   it shares with the previous one. *)
 let no_traffic_links (snap : Routing.Simulate.snapshot) =
   let g = Routing.Device.router_graph snap.net in
   let ids = Interner.create ~capacity:(Graph.num_nodes g) () in
@@ -23,9 +26,26 @@ let no_traffic_links (snap : Routing.Simulate.snapshot) =
         walk i rest
     | [ _ ] | [] -> ()
   in
+  (* [hops] from the last hop it shares with [prev], whose walk marked
+     every shared link: [y] is not [prev]'s last hop. *)
+  let rec unshared hops prev =
+    match (hops, prev) with
+    | x :: (y :: _ as rest), x' :: (y' :: _ :: _ as rest')
+      when String.equal x x' && String.equal y y' ->
+        unshared rest rest'
+    | _ -> hops
+  in
   List.iter
     (fun (t : Routing.Dataplane.trace) ->
-      List.iter (function _ :: hops -> walk (-1) hops | [] -> ()) t.delivered)
+      ignore
+        (List.fold_left
+           (fun prev path ->
+             match path with
+             | _ :: hops ->
+                 walk (-1) (unshared hops prev);
+                 hops
+             | [] -> prev)
+           [] t.delivered))
     (Routing.Dataplane.class_traces (Routing.Simulate.dataplane snap));
   List.filter
     (fun (u, v) ->

@@ -59,15 +59,16 @@ let host_info (net : Device.network) name =
    specification — [List.find_opt] scans over the router's interfaces
    and adjacency row, and [Fib.lookup] (single-pair [traceroute], the
    naive reference) — and [probe_lookups] reads the network's
-   [Device] tables and probes precomputed FIB accelerators
-   (extraction). *)
+   [Device] tables and probes the FIBs' int keys with each host's
+   prepared [dest] (extraction). *)
 type lookups = {
   lk_iface : string -> string -> Device.iface option;
       (* router -> out-interface name -> interface *)
   lk_arrival : string -> string -> string -> Device.iface option;
       (* router -> out-interface name -> next hop -> its arrival iface *)
-  lk_route : string -> host_info -> Fib.route option;
-      (* router -> destination host -> FIB longest-prefix match *)
+  lk_route : string -> host_info -> Fib.nexthop list option;
+      (* router -> destination host -> next hops of the FIB's longest
+         prefix match *)
 }
 
 let plain_lookups (net : Device.network) fibs =
@@ -90,23 +91,24 @@ let plain_lookups (net : Device.network) fibs =
       (fun r di ->
         match Smap.find_opt r fibs with
         | None -> None
-        | Some fib -> Fib.lookup fib di.hi_host.h_addr);
+        | Some fib ->
+            Option.map
+              (fun (r : Fib.route) -> r.rt_nexthops)
+              (Fib.lookup fib di.hi_host.h_addr));
   }
 
-let probe_table fibs =
-  let probes = Hashtbl.create 256 in
-  Smap.iter (fun name fib -> Hashtbl.replace probes name (Fib.probe fib)) fibs;
-  probes
-
-let probe_lookups net probes =
+let probe_lookups net fibs =
   {
     lk_iface = Device.find_iface net;
     lk_arrival = Device.arrival_iface net;
     lk_route =
       (fun r di ->
-        match Hashtbl.find_opt probes r with
+        match Smap.find_opt r fibs with
         | None -> None
-        | Some pb -> Fib.probe_lpm pb di.hi_dest);
+        | Some fib -> (
+            match Fib.probe_lpm fib di.hi_dest with
+            | -1 -> None
+            | i -> Some (Fib.body fib i).nexthops));
   }
 
 (* Two hosts on one subnet reach each other directly: the walk never
@@ -163,11 +165,11 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups)
         let rev = router :: rev in
         match lk.lk_route router di with
         | None -> dropped := (src :: List.rev rev) :: !dropped
-        | Some route when route.rt_nexthops = [] ->
+        | Some [] ->
             (* Connected route but the destination host is not attached
                here: the address does not answer. *)
             dropped := (src :: List.rev rev) :: !dropped
-        | Some route ->
+        | Some nexthops ->
             List.iter
               (fun (nh : Fib.nexthop) ->
                 match lk.lk_iface router nh.nh_iface with
@@ -178,7 +180,7 @@ let trace_hosts ?(max_paths = max_paths_default) (lk : lookups)
                     walk nh.nh_router
                       (lk.lk_arrival router nh.nh_iface nh.nh_router)
                       visited rev)
-              route.rt_nexthops
+              nexthops
     in
     List.iter (fun (r, iface) -> walk r (Some iface) Sset.empty []) si.hi_starts;
     {
@@ -376,18 +378,16 @@ let dest_memo (lk : lookups) (di : host_info) ~cap =
             }
           else
             match lk.lk_route r di with
-            | None | Some { Fib.rt_nexthops = []; _ } ->
+            | None | Some [] ->
                 {
                   mn_deliv = 0;
                   mn_drop = 1;
                   mn_deliv_paths = lazy [];
                   mn_drop_paths = lazy [ [ r ] ];
                 }
-            | Some route ->
+            | Some nexthops ->
                 let children =
-                  List.map
-                    (fun (nh : Fib.nexthop) -> node nh.nh_router)
-                    route.rt_nexthops
+                  List.map (fun (nh : Fib.nexthop) -> node nh.nh_router) nexthops
                 in
                 let extend f =
                   lazy
@@ -579,10 +579,7 @@ let of_traces pairs =
    changes no trace. *)
 let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs =
   let memo_ok = no_acls net in
-  (* One probe accelerator per FIB, shared by classification and every
-     walk, with or without packet filters. *)
-  let probes = probe_table fibs in
-  let lk = probe_lookups net probes in
+  let lk = probe_lookups net fibs in
   let names =
     let all = List.map fst (Smap.bindings net.hosts) in
     match hosts with
@@ -600,26 +597,29 @@ let extract ?(max_paths = max_paths_default) ?hosts (net : Device.network) fibs 
   let n_classes = ref 0 in
   let route_id = route_interner () in
   (* The per-router FIB projections of every host, computed
-     router-outer so each FIB is resolved and probed once for all
-     hosts (instead of one string-keyed lookup per (host, router)
-     cell). Consing in ascending router order leaves each host's
-     list in descending order — any fixed order works, signatures
-     are only compared against each other. *)
+     router-outer so each FIB is resolved once for all hosts (instead of
+     one string-keyed lookup per (host, router) cell), and interned once
+     per body: a cell is one probe and one array read. Consing in
+     ascending router order leaves each host's list in descending order
+     — any fixed order works, signatures are only compared against each
+     other. *)
   let route_lists = Array.make nh [] in
+  let no_route = route_id None in
   Smap.iter
     (fun name _ ->
-      let pb = Hashtbl.find_opt probes name in
-      for h = 0 to nh - 1 do
-        let proj =
-          match pb with
-          | None -> None
-          | Some pb -> (
-              match Fib.probe_lpm pb infos_arr.(h).hi_dest with
-              | None -> None
-              | Some route -> Some route.Fib.rt_nexthops)
-        in
-        route_lists.(h) <- route_id proj :: route_lists.(h)
-      done)
+      match Smap.find_opt name fibs with
+      | None ->
+          for h = 0 to nh - 1 do
+            route_lists.(h) <- no_route :: route_lists.(h)
+          done
+      | Some fib ->
+          let ids = Fib.map_bodies (fun b -> route_id (Some b.nexthops)) fib in
+          for h = 0 to nh - 1 do
+            let id =
+              match Fib.probe_lpm fib infos_arr.(h).hi_dest with -1 -> no_route | i -> ids.(i)
+            in
+            route_lists.(h) <- id :: route_lists.(h)
+          done)
     net.routers;
   Array.iteri
     (fun h hi ->

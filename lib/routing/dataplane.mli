@@ -80,8 +80,10 @@ val extract :
     every host); each pair's view is still {!traceroute}'s trace for it.
     One representative pair per ordered class pair is traced, on the
     network's interface/arrival tables ({!Device.find_iface},
-    {!Device.arrival_iface}) and one {!Fib.probe} per router, with a
-    per-destination suffix memo when the network has no packet filters.
+    {!Device.arrival_iface}) and {!Fib.probe_lpm} on each host's
+    prepared {!Fib.dest}, with a per-destination suffix memo when the
+    network has no packet filters. Hosts are classified by the body each
+    router's FIB matches for them, interned once per body.
     Counts [fec.classes], [fec.traced] (representatives) and
     [fec.collapsed] (the other pairs that do not short-circuit). *)
 

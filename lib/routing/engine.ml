@@ -73,7 +73,7 @@ let c_bgp_disk = Telemetry.counter "engine.bgp_disk"
    payload the engine persists is still [Marshal]ed, so the engine —
    not the store — must pin the compiler version until the payloads get
    a portable codec of their own. *)
-let cache_version = "confmask-engine-7/ocaml-" ^ Sys.ocaml_version
+let cache_version = "confmask-engine-8/ocaml-" ^ Sys.ocaml_version
 let open_cache dir = Diskcache.open_dir ~version:cache_version dir
 
 let disk_get : type a. Diskcache.t option -> string -> a option =
@@ -519,9 +519,10 @@ let build ?pool ?cache ?prev configs =
             }
       | Some _ -> ());
       (* The FIB delta of this build. The final-FIB representation is
-         canonical (a sorted route array), so structural equality is a
-         sound change test whatever path produced the value; the physical
-         check first makes the common reuse case O(1). *)
+         canonical (sorted keys, bodies numbered in slot order), so
+         structural equality is a sound change test whatever path
+         produced the value; the physical check first makes the common
+         reuse case O(1). *)
       let delta =
         match prev with
         | None -> None

@@ -182,7 +182,19 @@ type state = {
   st_adjs : Device.adj list Smap.t;
   st_ids : Interner.t;
   st_dists : ((string * int) list * int array) Prefix.Map.t;
+  st_keys : int array;
+      (* the {!Fib.key}s of [st_dists]' prefixes, ascending: the key
+         array of every base FIB that holds exactly those prefixes *)
 }
+
+let state adjs it dists =
+  {
+    st_adjs = adjs;
+    st_ids = it;
+    st_dists = dists;
+    st_keys =
+      Array.of_list (List.map (fun (p, _) -> Fib.key p) (Prefix.Map.bindings dists));
+  }
 
 let dists_of_list l =
   List.fold_left (fun m (p, v) -> Prefix.Map.add p v m) Prefix.Map.empty l
@@ -194,11 +206,7 @@ let prepare ?(scope = all) ?pool (net : Device.network) =
   let prefixes = advertised_prefixes ~scope net in
   (* One reverse Dijkstra per advertised prefix (deduped per advertiser
      on the sharded path), embarrassingly parallel. *)
-  {
-    st_adjs = adjs;
-    st_ids = it;
-    st_dists = dists_of_list (scope_dists ?pool it adjs (Prefix.Map.bindings prefixes));
-  }
+  state adjs it (dists_of_list (scope_dists ?pool it adjs (Prefix.Map.bindings prefixes)))
 
 (* What SPF and route selection read of one adjacency, in the order
    [Device.compile] sorts rows by (peer, then out-interface name). *)
@@ -297,7 +305,7 @@ let prepare_update ?(scope = all) ?pool ~(prev : state) (net : Device.network) =
           recomputed
       in
       Some
-        ( { st_adjs = adjs; st_ids = it; st_dists = dists },
+        ( state adjs it dists,
           removed @ List.map fst recomputed,
           List.rev changed_routers )
 
@@ -396,25 +404,15 @@ let row_hit rows k v p dist =
     if !count = 0 then -1 else if !count = 1 then !last else -2
   end
 
-(* The route of a hit [h] of [row_hit] for a router at distance [dr]:
-   next hops in row order. *)
-let row_route rows k dr p dist h =
-  let nexthops =
-    if h >= 0 then Array.unsafe_get rows.e_nh1 h
-    else begin
-      let filters = rows.filt.(k) in
-      let nhs = ref [] in
-      for e = rows.off.(k + 1) - 1 downto rows.off.(k) do
-        if on_path rows filters dist dr p e then nhs := Array.unsafe_get rows.e_nh e :: !nhs
-      done;
-      !nhs
-    end
-  in
-  { Fib.rt_prefix = p; rt_proto = Fib.Ospf; rt_metric = dr; rt_nexthops = nexthops }
-
-let select_row rows k v p dist =
-  let h = row_hit rows k v p dist in
-  if h = -1 then None else Some (row_route rows k dist.(v) p dist h)
+(* The edges of row [k] that are next hops toward [p] for a router at
+   distance [dr], in row order: a multi-hop hit's next-hop set. *)
+let row_edges rows k dr p dist =
+  let filters = rows.filt.(k) in
+  let es = ref [] in
+  for e = rows.off.(k + 1) - 1 downto rows.off.(k) do
+    if on_path rows filters dist dr p e then es := e :: !es
+  done;
+  !es
 
 let rec is_seed r = function
   | [] -> false
@@ -482,15 +480,13 @@ let changed_filter_prefixes old_f new_f =
 
    A router's OSPF selection is written straight into its base FIB,
    merged slot by slot with its other candidates ([others]). The fill is
-   router-major: each router's array is counted, allocated at its exact
-   size and filled in ascending prefix order before the next router's.
-   Route records are young when the major-heap array takes them, so the
-   next minor collection promotes them in store order; filling router by
-   router keeps each router's records together, where a prefix-major
-   fill would scatter them and slow every later scan of the FIB. *)
+   router-major: each router's slots are counted, allocated at their
+   exact size and filled in ascending prefix order before the next
+   router's. A slot is an index into the router's distinct bodies, and
+   each body is built once per router, not once per slot. *)
 
 (* The state's prefixes in ascending order with their distance arrays
-   and their interned seeds' ids, built once per fill. *)
+   and interned seeds' ids, built once per fill. *)
 type table = {
   t_prefix : Prefix.t array;
   t_dist : int array array;
@@ -515,7 +511,7 @@ let rec mem_id (v : int) = function [] -> false | x :: tl -> x = v || mem_id v t
    the block records every (router, prefix) hit in [marks] — each
    distance array stays in cache while the block's rows read it, where a
    router-major pass would miss on every prefix — and allocates nothing.
-   Then each router's array is filled from its row of [marks]. A mark is
+   Then each router's FIB is filled from its row of [marks]. A mark is
    -1 for no route, else the metric shifted left by [mark_bits] over the
    single next hop's edge index within the row plus one, or 0 for
    several next hops (rows have fewer than 2^21 - 1 edges). *)
@@ -528,9 +524,34 @@ let mark rows k v p dist =
   if h = -1 then -1
   else (Array.unsafe_get dist v lsl mark_bits) lor if h >= 0 then h - rows.off.(k) + 1 else 0
 
-let route_of_mark rows k p dist m =
-  let e = (m land mark_mask) - 1 in
-  row_route rows k (m lsr mark_bits) p dist (if e >= 0 then rows.off.(k) + e else -2)
+(* Row [k]'s OSPF bodies, each built once: a single-hop mark names its
+   body (the edge's preallocated singleton next-hop list), and a
+   multi-hop one is keyed by its metric and next-hop edges. [index m p
+   dist] is the index of mark [m]'s body for prefix [p]; [bodies ()]
+   lists them by index. *)
+let body_memo rows k =
+  let singles = Hashtbl.create 64 and multis = Hashtbl.create 16 in
+  let rev = ref [] and n = ref 0 in
+  let fresh tbl key nexthops metric =
+    let i = !n in
+    incr n;
+    rev := { Fib.proto = Fib.Ospf; metric; nexthops } :: !rev;
+    Hashtbl.add tbl key i;
+    i
+  in
+  let index m p dist =
+    let metric = m lsr mark_bits and e = (m land mark_mask) - 1 in
+    if e >= 0 then
+      match Hashtbl.find_opt singles m with
+      | Some i -> i
+      | None -> fresh singles m rows.e_nh1.(rows.off.(k) + e) metric
+    else
+      let es = row_edges rows k metric p dist in
+      match Hashtbl.find_opt multis (metric, es) with
+      | Some i -> i
+      | None -> fresh multis (metric, es) (List.map (fun e -> rows.e_nh.(e)) es) metric
+  in
+  (index, fun () -> Array.of_list (List.rev !rev))
 
 (* Routers are sharded in contiguous chunks; each chunk resolves its
    rows once and reuses one marks matrix across its blocks. A router's
@@ -561,12 +582,14 @@ let base_fibs ?pool st (net : Device.network) members =
       done;
       for k = !b0 to b1 - 1 do
         if ids.(k) >= 0 then begin
+          (* The router's row of [marks] becomes its body indices. *)
           let at = (k - !b0) * np in
-          out.(k) <-
-            Fib.fill (snd ms.(k)) np
-              ~key:(fun i -> tb.t_prefix.(i))
-              ~hit:(fun i -> marks.(at + i) <> -1)
-              ~route:(fun i -> route_of_mark rows k tb.t_prefix.(i) tb.t_dist.(i) marks.(at + i))
+          let index, bodies = body_memo rows k in
+          for i = 0 to np - 1 do
+            let m = marks.(at + i) in
+            if m <> -1 then marks.(at + i) <- index m tb.t_prefix.(i) tb.t_dist.(i)
+          done;
+          out.(k) <- Fib.fill (snd ms.(k)) st.st_keys (bodies ()) (fun i -> marks.(at + i))
         end
       done;
       b0 := b1
@@ -579,17 +602,27 @@ let base_fibs ?pool st (net : Device.network) members =
 let patch_base st (net : Device.network) r ~others fib ps =
   let rows = rows_of st net [| r |] in
   let id = Interner.find st.st_ids r in
-  Fib.replace fib
+  let index, bodies = body_memo rows 0 in
+  let selected =
+    List.map
+      (fun p ->
+        let m =
+          match (id, Prefix.Map.find_opt p st.st_dists) with
+          | Some v, Some (seeds, dist) when not (is_seed r seeds) ->
+              let m = mark rows 0 v p dist in
+              if m = -1 then -1 else index m p dist
+          | _ -> -1
+        in
+        (p, m))
+      (List.sort_uniq Prefix.compare ps)
+  in
+  let bodies = bodies () in
+  Fib.replace fib ~keys:st.st_keys
     (List.map
-       (fun p ->
-         let selected =
-           match (id, Prefix.Map.find_opt p st.st_dists) with
-           | Some v, Some (seeds, dist) when not (is_seed r seeds) ->
-               select_row rows 0 v p dist
-           | _ -> None
-         in
-         (p, Option.to_list (Fib.find others p) @ Option.to_list selected))
-       (List.sort_uniq Prefix.compare ps))
+       (fun (p, m) ->
+         let held = match Fib.body_index others p with -1 -> [] | i -> [ Fib.body others i ] in
+         (p, if m = -1 then held else held @ [ bodies.(m) ]))
+       selected)
 
 (* The selection alone: base FIBs over empty [others], read back as
    descending lists. *)

@@ -29,7 +29,8 @@ type state
     have no scoped adjacency, and a seed selects no route. Valid as long
     as no in-scope router changes its interfaces, costs or IGP [network]
     statements. The arrays are immutable once built, so states derived by
-    {!prepare_update} share them physically. *)
+    {!prepare_update} share them physically. A state also keeps its
+    prefixes' sorted {!Fib.key}s, the key array its base FIBs share. *)
 
 val prepare :
   ?scope:(string -> bool) -> ?pool:Netcore.Pool.t -> Device.network -> state
@@ -75,10 +76,13 @@ val base_fibs :
 (** [base_fibs st net members] gives, for each [(r, others)] in order,
     the {!Fib.add_candidate} fold of [r]'s OSPF selection under [st] into
     [others]. A router outside [st]'s scope selects nothing and gets
-    [others] itself. Each router's array is filled whole, in ascending
+    [others] itself. Each router's FIB is filled whole, in ascending
     prefix order and at its exact size, before the next one's
-    (router-major); routers are sharded across [pool] in contiguous
-    chunks, which cannot change the result. *)
+    (router-major), with one body per distinct single-hop mark and per
+    distinct (metric, next-hop edges), not one per slot; a FIB that holds
+    exactly the state's prefixes shares the state's key array. Routers
+    are sharded across [pool] in contiguous chunks, which cannot change
+    the result. *)
 
 val patch_base :
   state ->
@@ -91,7 +95,9 @@ val patch_base :
 (** [patch_base st net r ~others fib ps] rebuilds the slots of the
     prefixes [ps] (any order, duplicates allowed) of [fib], each as
     [others]' slot plus [r]'s selection for it under [st]
-    ({!Fib.replace}); it returns [fib] itself when no slot changes. It
+    ({!Fib.replace}, sharing [st]'s key array when the result holds
+    exactly [st]'s prefixes); it returns [fib] itself when no slot
+    changes. It
     equals [base_fibs st net [(r, others)]] whenever [fib] equals that
     FIB outside [ps]: on an edit that keeps [r]'s adjacency row, [ps]
     holds the prefixes whose distance field changed (as

@@ -217,12 +217,12 @@ let host_routes s =
   let hps = host_prefixes s.net in
   Smap.fold
     (fun rname fib acc ->
+      let names = Fib.map_bodies (fun b -> Fib.nexthop_names b.nexthops) fib in
       List.fold_left
         (fun acc (hp, _) ->
-          match Fib.find fib hp with
-          | Some route when route.rt_nexthops <> [] ->
-              (rname, hp, Fib.nexthop_names route) :: acc
-          | Some _ | None -> acc)
+          match Fib.body_index fib hp with
+          | -1 -> acc
+          | i -> if names.(i) = [] then acc else (rname, hp, names.(i)) :: acc)
         acc hps)
     s.fibs []
   |> List.sort compare

@@ -736,7 +736,7 @@ let plant_noise ~seed (snap : Routing.Simulate.snapshot) configs fps =
                         (fun a -> (r, fun c -> Attach.deny_at c a fp))
                         (Attach.point snap.net r nxt)
                     else None)
-                  (Routing.Fib.nexthop_names route)
+                  (Routing.Fib.nexthop_names route.rt_nexthops)
             | None -> [])
           fps)
       (Routing.Device.Smap.bindings snap.fibs)
@@ -1132,6 +1132,34 @@ let contains ~sub s =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
+(* A k_R the network cannot reach is reported with both k, the cause
+   and the remedy; a reachable one is not. *)
+let test_kr_shortfall () =
+  let triangle =
+    Netgen.Emit.emit
+      (Netgen.Netspec.v ~name:"triangle" ~routers:[ "r1"; "r2"; "r3" ]
+         ~links:[ ("r1", "r2", 10); ("r2", "r3", 10); ("r1", "r3", 10) ]
+         ~hosts:[ ("h1", "r1"); ("h2", "r3") ]
+         ())
+  in
+  let shortfall k_r configs =
+    Workflow.kr_shortfall (Workflow.run_exn ~params:(params ~k_r ()) configs)
+  in
+  (match shortfall 6 triangle with
+  | None -> Alcotest.fail "a three-router network at k_R 6 reports no shortfall"
+  | Some msg ->
+      List.iter
+        (fun part ->
+          check Alcotest.bool (Printf.sprintf "%S names %S" msg part) true
+            (contains ~sub:part msg))
+        [ "requested k_R 6"; "achieved k 3"; "3 routers"; "--fake-routers N"; "N >= 3" ]);
+  check Alcotest.(option string) "triangle at k_R 3" None (shortfall 3 triangle);
+  List.iter
+    (fun id ->
+      check Alcotest.(option string) ("net " ^ id ^ " at k_R 6") None
+        (shortfall 6 (Netgen.Nets.configs (Netgen.Nets.find id))))
+    [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ]
+
 (* The reader rejects the directory with an input error that names the
    file and says why. *)
 let expect_rejected name ~file ~why edits =
@@ -1225,6 +1253,8 @@ let () =
     [
       ( "pipeline",
         [
+          Alcotest.test_case "an unreachable k_R is reported, reachable ones are not" `Quick
+            test_kr_shortfall;
           Alcotest.test_case "fattree04 (ospf ecmp)" `Quick test_ospf_enterprise_like;
           Alcotest.test_case "bgp+ospf nets" `Quick test_bgp_nets;
           Alcotest.test_case "a BGP-less router in a BGP net" `Quick

@@ -259,6 +259,40 @@ let test_no_traffic_catalog () =
         [ 2; 6 ])
     [ "A"; "B"; "C"; "D"; "E"; "F"; "G"; "H" ]
 
+(* The plain per-hop walk: every hop of every representative delivered
+   path, none skipped for the prefix it shares with the previous path. *)
+let per_hop_no_traffic (snap : Routing.Simulate.snapshot) =
+  let used = Hashtbl.create 64 in
+  List.iter
+    (fun (t : Routing.Dataplane.trace) ->
+      List.iter
+        (fun path ->
+          let last = List.length path - 1 in
+          let rec mark = function
+            | u :: (v :: _ as rest) ->
+                Hashtbl.replace used (Redteam.Attack.canonical_edge (u, v)) ();
+                mark rest
+            | _ -> ()
+          in
+          (* The router interior: the hosts at either end cross no router link. *)
+          mark (List.filteri (fun i _ -> i > 0 && i < last) path))
+        t.delivered)
+    (Routing.Dataplane.class_traces (Routing.Simulate.dataplane snap));
+  List.filter
+    (fun e -> not (Hashtbl.mem used e))
+    (Netcore.Graph.edges (Routing.Device.router_graph snap.net))
+
+let test_no_traffic_shared_prefixes () =
+  List.iter
+    (fun id ->
+      let params = { Confmask.Workflow.default_params with k_r = 6; k_h = 2 } in
+      let r = Confmask.Workflow.run_exn ~params (Netgen.Nets.configs (Netgen.Nets.find id)) in
+      check links_t
+        (Printf.sprintf "net %s, k_R 6" id)
+        (per_hop_no_traffic r.anon_snapshot)
+        (Redteam.Links.no_traffic_links r.anon_snapshot))
+    [ "D"; "H" ]
+
 (* A generated network whose first router drops everything it receives:
    the links around it carry no delivered path. *)
 let test_no_traffic_acl () =
@@ -329,5 +363,7 @@ let () =
             test_no_traffic_catalog;
           Alcotest.test_case "no_traffic = naive walk under ACLs" `Quick
             test_no_traffic_acl;
+          Alcotest.test_case "no_traffic = per-hop walk on nets D and H" `Quick
+            test_no_traffic_shared_prefixes;
         ] );
     ]

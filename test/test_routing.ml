@@ -428,7 +428,7 @@ let test_parallel_links () =
   match Fib.lookup fib (Netcore.Ipv4.of_string_exn "10.10.2.10") with
   | Some r ->
       check Alcotest.(list string) "single next-hop router" [ "p2" ]
-        (Fib.nexthop_names r);
+        (Fib.nexthop_names r.rt_nexthops);
       (* The cheap (cost 5) parallel link is chosen. *)
       check Alcotest.int "metric uses cheap link" (5 + 10) r.rt_metric
   | None -> Alcotest.fail "expected route"
@@ -813,11 +813,48 @@ let test_fib_lpm () =
          }
   in
   (match Fib.lookup fib (Ipv4.of_string_exn "10.4.4.4") with
-  | Some r -> check Alcotest.(list string) "longest match" [ "b" ] (Fib.nexthop_names r)
+  | Some r ->
+      check Alcotest.(list string) "longest match" [ "b" ] (Fib.nexthop_names r.rt_nexthops)
   | None -> Alcotest.fail "expected route");
   match Fib.lookup fib (Ipv4.of_string_exn "10.5.0.1") with
-  | Some r -> check Alcotest.(list string) "short match" [ "a" ] (Fib.nexthop_names r)
+  | Some r ->
+      check Alcotest.(list string) "short match" [ "a" ] (Fib.nexthop_names r.rt_nexthops)
   | None -> Alcotest.fail "expected route"
+
+(* A FIB holds one int per slot, its key array and its distinct bodies:
+   no slot has a heap block of its own. The snapshot's FIB map is
+   bounded by its slots, its distinct key arrays (the representation's
+   first field, counted once however many routers share one), its
+   bodies, and per router a map node, the FIB record and the router's
+   name. A per-slot block of two words or more breaks the bound. *)
+let test_fib_shape () =
+  List.iter
+    (fun id ->
+      let s = Simulate.run_exn (Netgen.Nets.configs (Netgen.Nets.find id)) in
+      let words v = Obj.reachable_words (Obj.repr v) in
+      let key_arrays =
+        Device.Smap.fold
+          (fun _ fib acc ->
+            let k = Obj.field (Obj.repr fib) 0 in
+            if List.memq k acc then acc else k :: acc)
+          s.fibs []
+      in
+      let slots =
+        Device.Smap.fold (fun _ fib n -> n + List.length (Fib.routes fib)) s.fibs 0
+      in
+      (* Every router's bodies together, so next hops that bodies share
+         count once, as they do in the map. *)
+      let bodies =
+        Device.Smap.fold (fun _ fib acc -> Fib.map_bodies Fun.id fib :: acc) s.fibs []
+      in
+      let bound =
+        slots + words key_arrays + words bodies + (16 * Device.Smap.cardinal s.fibs)
+      in
+      let got = words s.fibs in
+      if got > bound then
+        Alcotest.failf "net %s: FIB map is %d words for %d slots, above the bound %d" id got
+          slots bound)
+    [ "D"; "H" ]
 
 let test_fib_admin_distance () =
   let open Netcore in
@@ -839,14 +876,14 @@ let test_fib_admin_distance () =
   (match Fib.find fib p with
   | Some r ->
       check Alcotest.(list string) "ospf beats rip and ibgp" [ "via-ospf" ]
-        (Fib.nexthop_names r)
+        (Fib.nexthop_names r.rt_nexthops)
   | None -> Alcotest.fail "route missing");
   (* Equal proto+metric merges ECMP next hops. *)
   let fib = Fib.add_candidate (route Fib.Ospf 20 "via-ospf2") fib in
   match Fib.find fib p with
   | Some r ->
       check Alcotest.(list string) "ecmp merge" [ "via-ospf"; "via-ospf2" ]
-        (Fib.nexthop_names r)
+        (Fib.nexthop_names r.rt_nexthops)
   | None -> Alcotest.fail "route missing"
 
 (* ---------------- qcheck: simulator soundness on random nets ---------------- *)
@@ -910,11 +947,16 @@ let addr_gen =
   QCheck2.Gen.(
     map2 (fun hi lo -> (hi lsl 16) lxor lo) (int_bound 0xFFFF) (int_bound 0xFFFF))
 
+(* A body as the naive reference and route views see it. *)
+let body_of (r : Fib.route) =
+  { Fib.proto = r.rt_proto; metric = r.rt_metric; nexthops = r.rt_nexthops }
+
+let probed fib d = match Fib.probe_lpm fib d with -1 -> None | i -> Some (Fib.body fib i)
+
 let prop_lpm_equiv =
-  (* The probe accelerator must answer exactly like the 33-probe
-     reference lookup, including on prefix network addresses (match
-     boundaries) and the empty-FIB / default-route corners small_list
-     covers. *)
+  (* The int-key probe must answer exactly like the 33-probe reference
+     lookup, including on prefix network addresses (match boundaries)
+     and the empty-FIB / default-route corners small_list covers. *)
   QCheck2.Test.make ~name:"probe LPM = 33-probe lookup" ~count:300
     QCheck2.Gen.(
       pair (small_list (pair addr_gen (int_bound 32))) (small_list addr_gen))
@@ -934,7 +976,6 @@ let prop_lpm_equiv =
               fib)
           Fib.empty pres
       in
-      let pb = Fib.probe fib in
       let probes =
         List.map (fun a -> Netcore.Ipv4.of_int a) addrs
         @ List.concat_map
@@ -944,7 +985,7 @@ let prop_lpm_equiv =
             pres
       in
       List.for_all
-        (fun a -> Fib.lookup fib a = Fib.probe_lpm pb (Fib.dest a))
+        (fun a -> Option.map body_of (Fib.lookup fib a) = probed fib (Fib.dest a))
         probes)
 
 (* Route generators of the base-FIB properties. Prefixes come from a
@@ -979,6 +1020,15 @@ let ascending rs =
 
 let fold_into fib rs = List.fold_left (fun t r -> Fib.add_candidate r t) fib rs
 
+(* [Fib.fill] over a selection: its keys, its bodies, and a pick of the
+   hit ones. *)
+let fill_with others sel hit =
+  let sel = Array.of_list sel in
+  Fib.fill others
+    (Array.map (fun (r : Fib.route) -> Fib.key r.rt_prefix) sel)
+    (Array.map body_of sel)
+    (fun i -> if hit i then i else -1)
+
 (* [Fib.fill], the slot writer of the base-FIB constructor: merging a
    selection into an others FIB equals the [add_candidate] fold, in
    either order, and leaves the others FIB itself when nothing hits. *)
@@ -988,19 +1038,23 @@ let prop_fib_fill =
     QCheck2.Gen.(triple gen_others gen_selection (small_list bool))
     (fun (others, sel, hits) ->
       let others = Fib.of_candidates others in
-      let sel = Array.of_list (ascending sel) in
+      let sel = ascending sel in
       let hit i = Option.value ~default:true (List.nth_opt hits i) in
-      let picked = List.filteri (fun i _ -> hit i) (Array.to_list sel) in
-      let got =
-        Fib.fill others (Array.length sel)
-          ~key:(fun i -> sel.(i).rt_prefix)
-          ~hit
-          ~route:(fun i -> sel.(i))
-      in
+      let picked = List.filteri (fun i _ -> hit i) sel in
+      let got = fill_with others sel hit in
       got = fold_into others picked
       && got = fold_into others (List.rev picked)
       && got = Fib.of_candidates (Fib.routes others @ picked)
       && (picked <> [] || got == others))
+
+(* A FIB's keys, as a state's table holds them. *)
+let keys_of fib =
+  Array.of_list (List.map (fun (r : Fib.route) -> Fib.key r.rt_prefix) (Fib.routes fib))
+
+(* [Fib.replace]'s candidates for a prefix: [fib]'s slot, if any, then
+   the route's. *)
+let slot_with fib p rs =
+  Option.to_list (Option.map body_of (Fib.find fib p)) @ List.map body_of rs
 
 (* The engine's slot patch at the FIB level: from the base FIB of one
    (others, selection) pair, rebuilding the prefixes whose selection
@@ -1027,12 +1081,132 @@ let prop_fib_slot_patch =
         List.sort_uniq Netcore.Prefix.compare (sel_changed @ Fib.changed_prefixes o0 o1)
       in
       let got =
-        Fib.replace fib0
-          (List.map
-             (fun p -> (p, Option.to_list (Fib.find o1 p) @ Option.to_list (find p s1)))
-             ps)
+        Fib.replace fib0 ~keys:(keys_of want)
+          (List.map (fun p -> (p, slot_with o1 p (Option.to_list (find p s1)))) ps)
       in
       got = want && (got == fib0) = (want = fib0))
+
+(* The naive FIB that only tests use: a route list sorted by prefix,
+   each slot the fold of its candidates by the merge rule — lower
+   administrative distance, then lower metric, exact ties merging next
+   hops. *)
+module Naive_fib = struct
+  let merge_into (existing : Fib.route) (r : Fib.route) =
+    let rank (r : Fib.route) = (Fib.admin_distance r.rt_proto, r.rt_metric) in
+    match compare (rank r) (rank existing) with
+    | c when c < 0 -> r
+    | 0 ->
+        {
+          existing with
+          rt_nexthops =
+            List.sort_uniq
+              (fun (a : Fib.nexthop) b ->
+                compare (a.nh_router, a.nh_iface) (b.nh_router, b.nh_iface))
+              (existing.rt_nexthops @ r.rt_nexthops);
+        }
+    | _ -> existing
+
+  let add (r : Fib.route) rs =
+    let rec go = function
+      | [] -> [ r ]
+      | (x : Fib.route) :: tl -> (
+          match Netcore.Prefix.compare r.rt_prefix x.rt_prefix with
+          | 0 -> merge_into x r :: tl
+          | c when c < 0 -> r :: x :: tl
+          | _ -> x :: go tl)
+    in
+    go rs
+
+  let of_list cs = List.fold_left (fun rs r -> add r rs) [] cs
+
+  let find rs p =
+    List.find_opt (fun (r : Fib.route) -> Netcore.Prefix.equal r.rt_prefix p) rs
+
+  let lookup rs a =
+    List.fold_left
+      (fun best (r : Fib.route) ->
+        if not (Netcore.Prefix.mem a r.rt_prefix) then best
+        else
+          match best with
+          | Some (b : Fib.route)
+            when Netcore.Prefix.length b.rt_prefix >= Netcore.Prefix.length r.rt_prefix ->
+              best
+          | _ -> Some r)
+      None rs
+end
+
+(* Every construction path builds one FIB from the same candidates —
+   the [add_candidate] fold in both orders, [of_candidates], [fill] of
+   the OSPF selection into the others FIB, and [replace] of every slot
+   of an unrelated FIB (with and without the result's keys to share)
+   and of a re-costed one — and each equals the naive reference through
+   every reader, and the others under [=], [Hashtbl.hash] and
+   [Marshal] without sharing (with sharing, the bytes also follow which
+   of the candidates' equal values are physically one, as QCheck's
+   shrinker makes them). *)
+let prop_fib_paths_equal_reference =
+  QCheck2.Test.make ~name:"every FIB construction path = naive reference" ~count:500
+    QCheck2.Gen.(quad gen_others gen_selection gen_others (small_list addr_gen))
+    (fun (others, sel, junk, addrs) ->
+      let sel = ascending sel in
+      let cs = others @ sel in
+      let want = Naive_fib.of_list cs in
+      let junk = Fib.of_candidates junk in
+      (* [junk]'s slots re-costed: the same prefixes as [cs], so [replace]
+         keeps its key array. *)
+      let recosted =
+        Fib.of_candidates
+          (List.map (fun (r : Fib.route) -> { r with rt_metric = r.rt_metric + 5 }) cs)
+      in
+      (* Every prefix [gen_prefix] can draw, so the rebuild also lists
+         prefixes held by neither side. *)
+      let prefixes =
+        List.sort_uniq Netcore.Prefix.compare
+          (List.concat_map
+             (fun a ->
+               List.map
+                 (fun len -> Netcore.Prefix.v (Netcore.Ipv4.of_int ((a lsl 22) lor 0x155)) len)
+                 [ 8; 10; 16; 24 ])
+             (List.init 8 Fun.id))
+      in
+      let by_prefix p =
+        List.filter (fun (r : Fib.route) -> Netcore.Prefix.equal r.rt_prefix p) cs
+      in
+      let rebuild p = (p, List.map body_of (by_prefix p)) in
+      let builds =
+        [
+          fold_into Fib.empty cs;
+          fold_into Fib.empty (List.rev cs);
+          Fib.of_candidates cs;
+          fill_with (Fib.of_candidates others) sel (fun _ -> true);
+          Fib.replace junk ~keys:[||] (List.map rebuild prefixes);
+          Fib.replace junk ~keys:(keys_of recosted) (List.map rebuild prefixes);
+          Fib.replace recosted ~keys:[||] (List.map rebuild prefixes);
+        ]
+      in
+      let addrs =
+        List.map Netcore.Ipv4.of_int addrs
+        @ List.concat_map
+            (fun p -> [ Netcore.Prefix.network p; Netcore.Prefix.host p 1 ])
+            prefixes
+      in
+      let agrees fib =
+        Fib.routes fib = want
+        && List.for_all (fun p -> Fib.find fib p = Naive_fib.find want p) prefixes
+        && List.for_all
+             (fun a ->
+               let w = Naive_fib.lookup want a in
+               Fib.lookup fib a = w && probed fib (Fib.dest a) = Option.map body_of w)
+             addrs
+      in
+      let first = List.hd builds in
+      List.for_all agrees builds
+      && List.for_all
+           (fun fib ->
+             fib = first
+             && Hashtbl.hash fib = Hashtbl.hash first
+             && Marshal.to_string fib [ No_sharing ] = Marshal.to_string first [ No_sharing ])
+           builds)
 
 let prop_csr_dijkstra_equiv =
   (* The array Dijkstra on an interned CSR graph must produce the same
@@ -1198,6 +1372,7 @@ let qsuite =
       prop_lpm_equiv;
       prop_fib_fill;
       prop_fib_slot_patch;
+      prop_fib_paths_equal_reference;
       prop_csr_dijkstra_equiv;
       prop_kernels_equiv;
       prop_acl_extraction;
@@ -2228,6 +2403,7 @@ let () =
         [
           Alcotest.test_case "longest prefix match" `Quick test_fib_lpm;
           Alcotest.test_case "admin distance and ecmp" `Quick test_fib_admin_distance;
+          Alcotest.test_case "one word per slot on nets D and H" `Quick test_fib_shape;
         ] );
       ( "static",
         [
