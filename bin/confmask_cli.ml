@@ -138,7 +138,7 @@ let anonymize in_dir out_dir format k_r k_h noise seed pii_key fake_routers
       let uc = Confmask.Metrics.config_utility ~orig ~anon:r.anon_configs in
       Option.iter
         (Printf.eprintf "confmask: warning: %s\n")
-        (Confmask.Workflow.kr_shortfall r);
+        (Confmask.Workflow.kr_shortfall r ~achieved:topo.min_degree_group);
       Printf.printf
         "fake links: %d\nfake hosts: %d\nfake routers: %d\n\
          route-equivalence iterations: %d\n\

@@ -145,17 +145,19 @@ let run_exn ?params ?cache configs =
 let real_hosts r =
   List.map fst (Smap.bindings r.orig_snapshot.net.hosts)
 
-let kr_shortfall r =
-  let achieved = (Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group in
+let kr_shortfall r ~achieved =
   let requested = r.params.k_r in
   if achieved >= requested then None
   else
     let routers = Routing.Device.Smap.cardinal r.anon_snapshot.net.routers in
     let cause, bound =
       if routers < requested then
+        (* [--fake-routers N] adds N routers to the real ones, so N is
+           counted from the real routers, not from [routers]. *)
+        let real = routers - List.length r.fake_router_names in
         ( Printf.sprintf "the network has %d routers, and k is clamped to the router count"
             routers,
-          Printf.sprintf " with N >= %d" (requested - routers) )
+          Printf.sprintf " with N >= %d" (requested - real) )
       else ("fake links alone did not make every degree group that large", "")
     in
     Some

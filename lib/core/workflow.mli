@@ -81,13 +81,15 @@ val functional_equivalence : report -> bool
     measured: the scrub renames devices and addresses, and no check maps
     the paths through that renaming yet. *)
 
-val kr_shortfall : report -> string option
-(** [Some warning] when the anonymized topology's k-degree anonymity
-    ({!Metrics.topology_of_snapshot}'s [min_degree_group]) is below the
-    requested [k_r]: it states both k, the cause (a network with fewer
+val kr_shortfall : report -> achieved:int -> string option
+(** [kr_shortfall r ~achieved], with [achieved] the anonymized topology's
+    k-degree anonymity ({!Metrics.topology_of_snapshot}'s
+    [min_degree_group]): [Some warning] when it is below the requested
+    [k_r]. The warning states both k, the cause (a network with fewer
     routers than [k_r] cannot reach it: topology anonymization clamps k
-    to the router count) and the remedy, [--fake-routers N]. [None] when
-    the requested k is met. *)
+    to the router count) and the remedy, [--fake-routers N], with the
+    least total N that lifts the clamp when the router count is the
+    cause. [None] when the requested k is met. *)
 
 val real_hosts : report -> string list
 val anon_texts : report -> (string * string) list

@@ -502,7 +502,7 @@ let build ?pool ?cache ?prev configs =
                     final
                 | None ->
                     Telemetry.incr c_fib_build;
-                    List.fold_left (fun fib c -> Fib.add_candidate c fib) fib bc)
+                    Fib.add_candidates bc fib)
               base
           in
           (bgp, fibs)

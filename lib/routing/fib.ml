@@ -149,47 +149,26 @@ let dict_bodies d = Array.of_list (List.rev d.rev)
 
 (* [extend bodies news]: the index of each of [news] in [bodies]
    extended by the ones it lacks, and that extension. [bodies] is
-   duplicate-free, so the extension is too. Callers pass one physical
-   body for many slots, so each physically distinct body is matched
-   once: by a scan when few are, by hashing when many are. *)
+   duplicate-free, so the extension is too. *)
 let extend bodies news =
-  let nb = Array.length bodies in
-  let distinct =
-    List.rev (List.fold_left (fun acc b -> if List.memq b acc then acc else b :: acc) [] news)
-  in
-  let added = ref [] and n = ref nb in
-  let tbl =
-    if nb * List.length distinct <= 1024 then None
-    else begin
-      let tbl = Hashtbl.create (2 * nb) in
-      Array.iteri (fun i b -> Hashtbl.replace tbl b i) bodies;
-      Some tbl
-    end
-  in
-  let find b =
-    match tbl with
-    | Some tbl -> Hashtbl.find_opt tbl b
-    | None -> (
-        match Array.find_index (same b) bodies with
-        | Some i -> Some i
-        | None -> Option.map fst (List.find_opt (fun (_, b') -> same b b') !added))
-  in
+  let n = ref (Array.length bodies) and added = ref [] in
+  let tbl = Hashtbl.create (2 * (!n + 1)) in
+  Array.iteri (fun i b -> Hashtbl.replace tbl b i) bodies;
   let index b =
-    match find b with
-    | Some i -> (b, i)
+    match Hashtbl.find_opt tbl b with
+    | Some i -> i
     | None ->
         let i = !n in
         incr n;
-        added := (i, b) :: !added;
-        Option.iter (fun tbl -> Hashtbl.add tbl b i) tbl;
-        (b, i)
+        Hashtbl.add tbl b i;
+        added := b :: !added;
+        i
   in
-  let indexed = List.map index distinct in
+  let idx = List.map index news in
   let pool =
-    if !added = [] then bodies
-    else Array.append bodies (Array.of_list (List.rev_map snd !added))
+    if !added = [] then bodies else Array.append bodies (Array.of_list (List.rev !added))
   in
-  (List.map (fun b -> List.assq b indexed) news, pool)
+  (idx, pool)
 
 (* The FIB of [keys] whose slot [i] holds [pool.(src.(i))], [pool]
    duplicate-free: the bodies renumbered in first-occurrence order and
@@ -399,11 +378,29 @@ let replace t ~keys:hint changes =
       encode keys lens src pool
     end
 
-let add_candidate r t =
-  let held =
-    match search t.keys (key r.rt_prefix) with -1 -> [] | i -> [ t.bodies.(t.slots.(i)) ]
+(* One [replace] for all of [cs]: grouped by prefix in arrival order,
+   each group behind the slot's held body. *)
+let add_candidates cs t =
+  let groups =
+    List.stable_sort (fun (k, _) (k', _) -> Int.compare k k')
+      (List.map (fun r -> (key r.rt_prefix, r)) cs)
+    |> List.fold_left
+         (fun acc (k, r) ->
+           match acc with
+           | (k', p, bs) :: tl when k = k' -> (k, p, body_of_route r :: bs) :: tl
+           | _ -> (k, r.rt_prefix, [ body_of_route r ]) :: acc)
+         []
   in
-  replace t ~keys:t.keys [ (r.rt_prefix, held @ [ body_of_route r ]) ]
+  if groups = [] then t
+  else
+    replace t ~keys:t.keys
+      (List.rev_map
+         (fun (k, p, bs) ->
+           let held = match search t.keys k with -1 -> [] | i -> [ t.bodies.(t.slots.(i)) ] in
+           (p, held @ List.rev bs))
+         groups)
+
+let add_candidate r t = add_candidates [ r ] t
 
 (* Bulk construction: exactly [List.fold_left (fun t r -> add_candidate
    r t) empty cs], but one sort and a linear merge instead of a
@@ -463,7 +460,7 @@ let of_candidates cs =
       let n = Array.length arr in
       if n >= 1 lsl idx_bits then
         (* Unreachably many candidates for one router; stay correct. *)
-        List.fold_left (fun t r -> add_candidate r t) empty cs
+        add_candidates cs empty
       else begin
         let sorted = Array.init n (fun i -> (key arr.(i).rt_prefix lsl idx_bits) lor i) in
         sort_ints sorted;

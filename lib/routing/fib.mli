@@ -62,6 +62,11 @@ val add_candidate : route -> t -> t
     administrative distance and metric; exact ties merge next hops.
     Persistent: the argument FIB is unchanged. *)
 
+val add_candidates : route list -> t -> t
+(** [add_candidates cs t = List.fold_left (fun t r -> add_candidate r t) t cs],
+    in one {!replace}: one copy of [t]'s slots for the whole list, not
+    one per candidate. *)
+
 val of_candidates : route list -> t
 (** Bulk construction:
     [of_candidates cs = List.fold_left (fun t r -> add_candidate r t) empty cs],

@@ -175,10 +175,9 @@ let run_net ?pool (net : Device.network) =
     let bgp_candidates = Bgp.compute net ~igp_fibs:base_fibs in
     Smap.mapi
       (fun name fib ->
-        List.fold_left
-          (fun fib c -> Fib.add_candidate c fib)
-          fib
-          (Option.value ~default:[] (Smap.find_opt name bgp_candidates)))
+        Fib.add_candidates
+          (Option.value ~default:[] (Smap.find_opt name bgp_candidates))
+          fib)
       base_fibs
 
 let run ?pool configs =

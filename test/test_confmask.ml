@@ -1142,17 +1142,27 @@ let test_kr_shortfall () =
          ~hosts:[ ("h1", "r1"); ("h2", "r3") ]
          ())
   in
-  let shortfall k_r configs =
-    Workflow.kr_shortfall (Workflow.run_exn ~params:(params ~k_r ()) configs)
+  let shortfall ?(fake_routers = 0) k_r configs =
+    let r = Workflow.run_exn ~params:{ (params ~k_r ()) with fake_routers } configs in
+    Workflow.kr_shortfall r
+      ~achieved:(Metrics.topology_of_snapshot r.anon_snapshot).min_degree_group
   in
-  (match shortfall 6 triangle with
-  | None -> Alcotest.fail "a three-router network at k_R 6 reports no shortfall"
-  | Some msg ->
-      List.iter
-        (fun part ->
-          check Alcotest.bool (Printf.sprintf "%S names %S" msg part) true
-            (contains ~sub:part msg))
-        [ "requested k_R 6"; "achieved k 3"; "3 routers"; "--fake-routers N"; "N >= 3" ]);
+  let expect ?fake_routers parts =
+    match shortfall ?fake_routers 6 triangle with
+    | None -> Alcotest.fail "a triangle at k_R 6 reports no shortfall"
+    | Some msg ->
+        List.iter
+          (fun part ->
+            check Alcotest.bool (Printf.sprintf "%S names %S" msg part) true
+              (contains ~sub:part msg))
+          parts
+  in
+  expect [ "requested k_R 6"; "achieved k 3"; "3 routers"; "--fake-routers N"; "N >= 3" ];
+  (* The bound is the total N to pass: three real routers still need
+     three fake ones, whatever N the run already used. *)
+  expect ~fake_routers:2 [ "requested k_R 6"; "achieved k 5"; "5 routers"; "N >= 3" ];
+  check Alcotest.(option string) "triangle at k_R 6 with 3 fake routers" None
+    (shortfall ~fake_routers:3 6 triangle);
   check Alcotest.(option string) "triangle at k_R 3" None (shortfall 3 triangle);
   List.iter
     (fun id ->

@@ -1136,7 +1136,8 @@ module Naive_fib = struct
 end
 
 (* Every construction path builds one FIB from the same candidates —
-   the [add_candidate] fold in both orders, [of_candidates], [fill] of
+   the [add_candidate] fold in both orders, [add_candidates] from empty
+   and onto the others FIB (the BGP step), [of_candidates], [fill] of
    the OSPF selection into the others FIB, and [replace] of every slot
    of an unrelated FIB (with and without the result's keys to share)
    and of a re-costed one — and each equals the naive reference through
@@ -1177,6 +1178,8 @@ let prop_fib_paths_equal_reference =
         [
           fold_into Fib.empty cs;
           fold_into Fib.empty (List.rev cs);
+          Fib.add_candidates cs Fib.empty;
+          Fib.add_candidates sel (Fib.of_candidates others);
           Fib.of_candidates cs;
           fill_with (Fib.of_candidates others) sel (fun _ -> true);
           Fib.replace junk ~keys:[||] (List.map rebuild prefixes);
